@@ -1,0 +1,117 @@
+"""Golden digests: a seeded run must reproduce its recorded outputs byte for
+byte across refactors.
+
+Each cell hashes the whole of RunResult.to_dict() (series, death times,
+maintenance events and the final summary) and the bytes of its series CSV.
+The cells are the desk scenario for A3/A3Cov x the six protocols plus the
+no-maintenance baseline x seeds 1 and 2, and one default-scale DGETRec run.
+
+The digests are tied to the platform they were recorded on (see
+golden/digests.json): metrics evaluate the sensing band with np.exp, whose
+last bit can depend on SIMD dispatch, while the A3Cov promotion uses
+math.exp. A mismatch on another platform is a finding to investigate, not a
+value to re-record. Re-record (`PYTHONPATH=src python tests/test_golden.py`)
+only for a declared change of simulated results.
+"""
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wsnlife import (
+    DeploymentArea,
+    DeploymentConfig,
+    EnergyParams,
+    RadioParams,
+    SimConfig,
+    TCProtocol,
+    TMProtocol,
+    TriggerKind,
+    TriggerPolicy,
+    run,
+)
+from wsnlife.experiment import emit_series
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+
+def desk_config(tc, tm, seed):
+    """The acceptance suite's desk scenario: 100 nodes on 300 x 200 m,
+    R = 60 m, r = 15 m, 0.02 J, period 25, 1500 steps, stride 10."""
+    kind = tm.trigger_kind if tm is not None else TriggerKind.ENERGY
+    return SimConfig(
+        deployment=DeploymentConfig(
+            node_count=100, area=DeploymentArea(300.0, 200.0), seed=seed
+        ),
+        radio=RadioParams(communication_radius=60.0, sensing_radius=15.0),
+        energy=EnergyParams(initial_energy=0.02),
+        tc=tc,
+        tm=tm,
+        trigger=TriggerPolicy(kind, period=25, energy_threshold=0.6),
+        max_steps=1500,
+        metrics_stride=10,
+    )
+
+
+def golden_cells() -> dict[str, SimConfig]:
+    cells = {}
+    for tc in TCProtocol:
+        for tm in [*TMProtocol, None]:
+            for seed in (1, 2):
+                name = tm.value if tm is not None else "None"
+                cells[f"desk/{tc.value}/{name}/{seed}"] = desk_config(tc, tm, seed)
+    cells["default/A3/DGETRec/1"] = SimConfig()
+    return cells
+
+
+def cell_digests(config: SimConfig, scratch: Path) -> dict[str, str]:
+    result = run(config)
+    text = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    csv_bytes = emit_series(result, scratch / "series.csv").read_bytes()
+    return {
+        "result": hashlib.sha256(text.encode()).hexdigest(),
+        "series_csv": hashlib.sha256(csv_bytes).hexdigest(),
+    }
+
+
+def current_platform() -> dict[str, str]:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "system": platform.system(),
+    }
+
+
+CELLS = golden_cells()
+
+
+@pytest.mark.parametrize("key", list(CELLS))
+def test_golden_digest(key, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())
+    got = cell_digests(CELLS[key], tmp_path)
+    assert got == recorded["cells"][key], (
+        f"{key} differs from its golden digest; recorded on "
+        f"{recorded['platform']}, running on {current_platform()}"
+    )
+
+
+def test_golden_covers_every_cell():
+    recorded = json.loads(DIGESTS.read_text())
+    assert sorted(recorded["cells"]) == sorted(CELLS)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = {key: cell_digests(config, Path(scratch)) for key, config in CELLS.items()}
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(
+        json.dumps({"platform": current_platform(), "cells": digests}, indent=1) + "\n"
+    )
+    print(f"recorded {len(digests)} cells to {DIGESTS}", file=sys.stderr)
