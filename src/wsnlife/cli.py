@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     spec = parse_config(args.config)
     seed = args.seed if args.seed is not None else spec.base.deployment.seed
-    if seed < 0 or seed >= 2**64:
-        raise ConfigError("seed", "must fit in 64 unsigned bits")
     tm_name = spec.base.tm.value if spec.base.tm is not None else "None"
     config = config_for(spec, spec.base.tc.value, tm_name, seed)
     out = Path(args.out) if args.out is not None else spec.output_dir

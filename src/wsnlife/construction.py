@@ -13,7 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .metrics import alive_count, sense_probability
 from .model import NetworkState, Topology, distance
 from .radio import rx_energy, tx_energy
@@ -35,10 +35,11 @@ class A3Params:
     distance_weight: float = 0.5
 
     def __post_init__(self):
-        if not 0 <= self.energy_weight <= 1 or not 0 <= self.distance_weight <= 1:
-            raise ValueError("weights must lie in [0, 1]")
+        for name in ("energy_weight", "distance_weight"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(name, "must lie in [0, 1]")
         if abs(self.energy_weight + self.distance_weight - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+            raise ConfigError("distance_weight", "weights must sum to 1")
 
 
 @dataclass
@@ -216,7 +217,6 @@ def construct(
     tc: TCProtocol,
     params: A3Params,
     sensing=None,
-    grid=None,
     exclude: frozenset[int] = frozenset(),
     relax_below: float | None = None,
 ) -> tuple[Topology, ConstructionCharge]:
@@ -254,9 +254,7 @@ def a3cov_construct(
     state: NetworkState,
     params: A3Params,
     sensing,
-    grid=None,
     exclude: frozenset[int] = frozenset(),
 ) -> tuple[Topology, ConstructionCharge]:
-    """A3 followed by sensing promotions. The grid parameter is reserved for
-    an area-hole promotion variant; promotion here is position-based."""
-    return construct(state, TCProtocol.A3COV, params, sensing, grid, exclude=exclude)
+    """A3 followed by position-based sensing promotions."""
+    return construct(state, TCProtocol.A3COV, params, sensing, exclude=exclude)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
 from .model import (
     SINK_ID,
     DeploymentArea,
@@ -25,9 +26,9 @@ class DeploymentConfig:
 
     def __post_init__(self):
         if self.node_count < 1:
-            raise ValueError("node_count must be at least 1 (the sink)")
+            raise ConfigError("node_count", "must be at least 1 (the sink)")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ConfigError("seed", "must fit in 64 unsigned bits")
 
 
 def deploy(
@@ -56,5 +57,5 @@ def deploy(
         nodes.append(Node(id=node_id, position=Point(x, y), energy=energy.initial_energy))
     empty = Topology(active_set={SINK_ID}, parent={}, root=SINK_ID)
     return NetworkState(
-        nodes=nodes, area=config.area, radio=radio, energy=energy, topology=empty, rng=rng
+        nodes=nodes, area=config.area, radio=radio, energy=energy, topology=empty
     )

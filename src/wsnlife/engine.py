@@ -1,10 +1,10 @@
 """Time-stepped lifetime loop.
 
-Each step runs, in order: data traffic over the active tree, the death
-sweep, the maintenance trigger check (and maintenance itself when it
-fires), the clock advance, and metric sampling when due. One data round per
-step; the link layer is lossless, so node death is the only loss mechanism,
-and idle listening costs nothing.
+Each step runs, in order: data traffic over the active tree, the
+maintenance trigger check (and maintenance itself when it fires), the clock
+advance, and metric sampling when due. A node dies the moment its battery
+is drained. One data round per step; the link layer is lossless, so node
+death is the only loss mechanism, and idle listening costs nothing.
 """
 from __future__ import annotations
 
@@ -25,14 +25,16 @@ from .maintenance import (
     should_trigger,
 )
 from .metrics import (
+    MAX_GRID_POINTS,
     CoverageGrid,
     MetricsSample,
     alive_count,
     comm_coverage,
+    grid_shape,
     sensing_coverage,
     sink_reachable,
 )
-from .model import EnergyParams, Life, NetworkState, RadioParams, Role, SensingParams
+from .model import EnergyParams, Life, NetworkState, RadioParams, SensingParams
 from .radio import rx_energy, tx_energy
 
 
@@ -52,7 +54,6 @@ class SimConfig:
     grid_cell: float = 4.0
     max_steps: int = 5000
     metrics_stride: int = 50
-    aggregation: str = "passthrough"
 
 
 @dataclass
@@ -75,20 +76,21 @@ class RunResult:
 
 
 def validate_config(config: SimConfig) -> None:
-    """The pre-run error check: every threshold in range and the trigger
-    family consistent with the maintenance protocol."""
-    if config.deployment.node_count < 1:
-        raise ConfigError("deployment.node_count", "must be at least 1")
-    if config.rotation_k < 1:
-        raise ConfigError("rotation_k", "must be at least 1")
-    if config.grid_cell <= 0:
+    """The pre-run error check on top-level and cross-field values; each
+    sub-config checks its own fields on construction."""
+    for name in ("rotation_k", "max_steps", "metrics_stride"):
+        if getattr(config, name) < 1:
+            raise ConfigError(name, "must be at least 1")
+    if not config.grid_cell > 0:
         raise ConfigError("grid_cell", "must be positive")
-    if config.max_steps < 1:
-        raise ConfigError("max_steps", "must be at least 1")
-    if config.metrics_stride < 1:
-        raise ConfigError("metrics_stride", "must be at least 1")
-    if config.aggregation != "passthrough":
-        raise ConfigError("aggregation", "only 'passthrough' is implemented")
+    try:
+        nx, ny = grid_shape(config.deployment.area, config.grid_cell)
+    except OverflowError:  # the cell count is not even finite
+        nx = ny = MAX_GRID_POINTS
+    if nx * ny > MAX_GRID_POINTS:
+        raise ConfigError(
+            "grid_cell", f"gives {nx * ny} coverage points, over {MAX_GRID_POINTS}"
+        )
     if config.sensing.uncertainty_radius >= config.radio.sensing_radius:
         raise ConfigError(
             "sensing.uncertainty_radius",
@@ -106,23 +108,20 @@ def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | N
     static and hybrid strategies), and activate it at time zero."""
     validate_config(config)
     state = deploy(config.deployment, config.radio, config.energy)
-    grid = CoverageGrid(state.area, config.grid_cell)
     strategy: MaintenanceStrategy | None = None
     if config.tm is None:
-        topology, _ = construct(state, config.tc, config.a3, config.sensing, grid)
+        topology, _ = construct(state, config.tc, config.a3, config.sensing)
     else:
         kind = config.tm.strategy_kind
         if kind is StrategyKind.DYNAMIC_RECREATION:
-            topology, _ = construct(state, config.tc, config.a3, config.sensing, grid)
-            strategy = MaintenanceStrategy(kind, rotation_size=config.rotation_k)
+            topology, _ = construct(state, config.tc, config.a3, config.sensing)
+            strategy = MaintenanceStrategy(kind)
         else:
             rotation = precompute_rotation_set(
-                state, config.tc, config.rotation_k, config.a3, config.sensing, grid
+                state, config.tc, config.rotation_k, config.a3, config.sensing
             )
             topology = rotation[0]
-            strategy = MaintenanceStrategy(
-                kind, rotation_set=rotation, rotation_size=config.rotation_k
-            )
+            strategy = MaintenanceStrategy(kind, rotation_set=rotation)
     activate_topology(state, topology)
     return state, strategy
 
@@ -131,9 +130,8 @@ def _route_table(state: NetworkState) -> tuple[list[int], dict[int, tuple[int, f
     """Per-topology routing cache: traffic origins in ascending id, and for
     each relay its parent hop with the precomputed transmit cost."""
     topology = state.topology
-    cached = getattr(topology, "_route_cache", None)
-    if cached is not None:
-        return cached
+    if topology.route_cache is not None:
+        return topology.route_cache
     energy = state.energy
     origins = sorted(topology.active_set - {topology.root})
     edges: dict[int, tuple[int, float]] = {}
@@ -143,7 +141,7 @@ def _route_table(state: NetworkState) -> tuple[list[int], dict[int, tuple[int, f
             ((state.positions[nid] - state.positions[parent]) ** 2).sum() ** 0.5
         )
         edges[nid] = (parent, tx_energy(energy, energy.data_packet_bits, hop))
-    topology._route_cache = (origins, edges)
+    topology.route_cache = (origins, edges)
     return origins, edges
 
 
@@ -185,12 +183,6 @@ def _traffic(state: NetworkState) -> None:
             current = parent
 
 
-def _death_sweep(state: NetworkState) -> None:
-    for node in state.nodes:
-        if node.alive and node.role is not Role.SINK and node.energy <= 0.0:
-            state.kill(node.id)
-
-
 def _network_finished(state: NetworkState) -> bool:
     """True once a network that ever had sensors has lost them all; a
     sink-only deployment simply runs out its clock."""
@@ -223,11 +215,8 @@ def step(
         grid = CoverageGrid(state.area, config.grid_cell)
     state.in_step = True
     _traffic(state)
-    _death_sweep(state)
     if config.tm is not None and should_trigger(config.trigger, state):
-        _, action = maintain(
-            strategy, state, config.tc, config.a3, config.sensing, grid
-        )
+        _, action = maintain(strategy, state, config.tc, config.a3, config.sensing)
         strategy.events.append((state.time + 1, action))
     state.in_step = False
     state.time += 1

@@ -7,6 +7,7 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 class SimulationError(RuntimeError):

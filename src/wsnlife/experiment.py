@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from .construction import A3Params, TCProtocol
-from .deployment import DeploymentConfig
+from .construction import TCProtocol
 from .engine import RunResult, SimConfig, run, validate_config
 from .errors import ConfigError
-from .maintenance import TMProtocol, TriggerKind, TriggerPolicy
-from .model import DeploymentArea, EnergyParams, RadioParams, SensingParams
-
-TM_NAMES = [p.value for p in TMProtocol]
-TC_NAMES = [p.value for p in TCProtocol]
+from .maintenance import TMProtocol
 
 
 @dataclass(frozen=True)
@@ -43,96 +41,79 @@ class SummaryRow:
     integrated_sensing_coverage: float
 
 
-def _positive(key: str, value: float) -> float:
-    if not value > 0:
-        raise ConfigError(key, "must be positive")
-    return float(value)
+@dataclass(frozen=True)
+class ConfigKey:
+    """One flat config key: the default of its SimConfig field, whose type
+    fixes how a JSON value is read."""
+
+    default: object
+    optional: bool  # the field also takes None, spelled "None" in JSON
+
+    @property
+    def json_default(self):
+        return self.default.value if isinstance(self.default, Enum) else self.default
+
+    def coerce(self, key: str, value):
+        if isinstance(self.default, Enum):
+            choices = {member.value: member for member in type(self.default)}
+            if self.optional:
+                choices["None"] = None
+            if not isinstance(value, str) or value not in choices:
+                raise ConfigError(key, f"must be one of {list(choices)}")
+            return choices[value]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(key, "must be a number")
+        if isinstance(self.default, int):
+            if not isinstance(value, int):
+                raise ConfigError(key, "must be an integer")
+            return value
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(key, "must be a finite number")
+        return number
 
 
-def _non_negative(key: str, value: float) -> float:
-    if value < 0:
-        raise ConfigError(key, "must be non-negative")
-    return float(value)
+def _flat_key(path: tuple[str, ...]) -> str:
+    """A top-level field is keyed by its name, any other by its section and
+    leaf: the fields of the deployment area read as deployment.width."""
+    return path[0] if len(path) == 1 else f"{path[0]}.{path[-1]}"
 
 
-def _int_at_least(minimum: int):
-    def check(key: str, value) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(key, "must be an integer")
-        if value < minimum:
-            raise ConfigError(key, f"must be at least {minimum}")
-        return value
-
-    return check
-
-
-def _fraction(key: str, value: float) -> float:
-    if not 0 < value < 1:
-        raise ConfigError(key, "must lie strictly between 0 and 1")
-    return float(value)
+def _config_keys(config, path: tuple[str, ...] = ()):
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from _config_keys(value, path + (f.name,))
+        else:
+            optional = type(None) in get_args(hints[f.name])
+            yield _flat_key(path + (f.name,)), ConfigKey(value, optional)
 
 
-def _unit_interval(key: str, value: float) -> float:
-    if not 0 <= value <= 1:
-        raise ConfigError(key, "must lie in [0, 1]")
-    return float(value)
+CONFIG_KEYS = dict(_config_keys(SimConfig()))
+
+# Sweep lists, each entry read and checked as the scalar key it varies.
+_LIST_KEYS = {"tc_list": "tc", "tm_list": "tm", "seeds": "deployment.seed"}
 
 
-def _seed_value(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, "must be an integer")
-    if not 0 <= value < 2**64:
-        raise ConfigError(key, "must fit in 64 unsigned bits")
-    return value
-
-
-def _choice(options: list[str]):
-    def check(key: str, value) -> str:
-        if value not in options:
-            raise ConfigError(key, f"must be one of {options}")
-        return value
-
-    return check
-
-
-_SCALAR_KEYS = {
-    "deployment.node_count": _int_at_least(1),
-    "deployment.width": _positive,
-    "deployment.height": _positive,
-    "deployment.seed": _seed_value,
-    "radio.tx_power": _positive,
-    "radio.gain_tx": _positive,
-    "radio.gain_rx": _positive,
-    "radio.height_tx": _positive,
-    "radio.height_rx": _positive,
-    "radio.transceiver_constant": _positive,
-    "radio.communication_radius": _positive,
-    "radio.sensing_radius": _positive,
-    "energy.elec_energy_per_bit": _positive,
-    "energy.amp_energy_per_bit_m2": _positive,
-    "energy.initial_energy": _positive,
-    "energy.control_packet_bits": _int_at_least(1),
-    "energy.data_packet_bits": _int_at_least(1),
-    "sensing.uncertainty_radius": _non_negative,
-    "sensing.decay_rate": _positive,
-    "sensing.decay_exponent": _positive,
-    "sensing.detection_threshold": _fraction,
-    "a3.energy_weight": _unit_interval,
-    "a3.distance_weight": _unit_interval,
-    "tc": _choice(TC_NAMES),
-    "tm": _choice(TM_NAMES + ["None"]),
-    "trigger.kind": _choice(["time", "energy"]),
-    "trigger.period": _int_at_least(1),
-    "trigger.energy_threshold": _fraction,
-    "rotation_k": _int_at_least(1),
-    "grid_cell": _positive,
-    "max_steps": _int_at_least(1),
-    "metrics_stride": _int_at_least(1),
-    "aggregation": _choice(["passthrough"]),
-    "output_dir": lambda key, value: str(value),
-}
-
-_LIST_KEYS = {"tc_list", "tm_list", "seeds"}
+def _with_values(config, values: dict[str, object], path: tuple[str, ...] = ()):
+    """A copy of config with the values of the given flat keys; each
+    sub-config checks its own fields, and a rejection names the flat key."""
+    changes = {}
+    for f in fields(config):
+        current = getattr(config, f.name)
+        key = _flat_key(path + (f.name,))
+        if is_dataclass(current):
+            changes[f.name] = _with_values(current, values, path + (f.name,))
+        elif key in values:
+            changes[f.name] = values[key]
+    try:
+        return replace(config, **changes)
+    except ConfigError as exc:
+        raise ConfigError(_flat_key(path + (exc.field,)), exc.message) from exc
 
 
 def parse_config(path: str | Path) -> ExperimentSpec:
@@ -149,99 +130,38 @@ def parse_config(path: str | Path) -> ExperimentSpec:
 
     values: dict[str, object] = {}
     for key, value in raw.items():
-        if key in _SCALAR_KEYS:
-            values[key] = _SCALAR_KEYS[key](key, value)
-        elif key in _LIST_KEYS:
-            if not isinstance(value, list) or not value:
-                raise ConfigError(key, "must be a non-empty list")
-            if key == "seeds":
-                values[key] = [_seed_value(key, v) for v in value]
-            elif key == "tc_list":
-                values[key] = [_choice(TC_NAMES)(key, v) for v in value]
-            else:
-                values[key] = [_choice(TM_NAMES + ["None"])(key, v) for v in value]
-        else:
+        if key in CONFIG_KEYS:
+            values[key] = CONFIG_KEYS[key].coerce(key, value)
+        elif key not in _LIST_KEYS and key != "output_dir":
             raise ConfigError(key, "unknown key")
-
-    def get(key: str, default):
-        return values.get(key, default)
-
     # A single selection weight implies its complement.
-    w_e = values.get("a3.energy_weight")
-    w_d = values.get("a3.distance_weight")
-    if w_e is None and w_d is not None:
-        w_e = 1.0 - w_d
-    elif w_d is None and w_e is not None:
-        w_d = 1.0 - w_e
-    elif w_e is None and w_d is None:
-        w_e = w_d = 0.5
-    if abs(w_e + w_d - 1.0) > 1e-9:
-        raise ConfigError("a3.distance_weight", "weights must sum to 1")
-
-    tm_name = get("tm", "DGETRec")
-    tm = None if tm_name == "None" else TMProtocol(tm_name)
-    kind_name = values.get("trigger.kind")
-    if kind_name is None:
-        kind = tm.trigger_kind if tm is not None else TriggerKind.ENERGY
-    else:
-        kind = TriggerKind(kind_name)
-
-    try:
-        base = SimConfig(
-            deployment=DeploymentConfig(
-                node_count=get("deployment.node_count", 300),
-                area=DeploymentArea(
-                    get("deployment.width", 1074.0), get("deployment.height", 660.0)
-                ),
-                seed=get("deployment.seed", 1),
-            ),
-            radio=RadioParams(
-                tx_power=get("radio.tx_power", 1.0),
-                gain_tx=get("radio.gain_tx", 1.0),
-                gain_rx=get("radio.gain_rx", 1.0),
-                height_tx=get("radio.height_tx", 1.0),
-                height_rx=get("radio.height_rx", 1.0),
-                transceiver_constant=get("radio.transceiver_constant", 1.0),
-                communication_radius=get("radio.communication_radius", 100.0),
-                sensing_radius=get("radio.sensing_radius", 20.0),
-            ),
-            energy=EnergyParams(
-                elec_energy_per_bit=get("energy.elec_energy_per_bit", 50e-9),
-                amp_energy_per_bit_m2=get("energy.amp_energy_per_bit_m2", 10e-12),
-                initial_energy=get("energy.initial_energy", 1.0),
-                control_packet_bits=get("energy.control_packet_bits", 128),
-                data_packet_bits=get("energy.data_packet_bits", 1000),
-            ),
-            sensing=SensingParams(
-                uncertainty_radius=get("sensing.uncertainty_radius", 2.0),
-                decay_rate=get("sensing.decay_rate", 0.5),
-                decay_exponent=get("sensing.decay_exponent", 1.0),
-                detection_threshold=get("sensing.detection_threshold", 0.5),
-            ),
-            a3=A3Params(energy_weight=w_e, distance_weight=w_d),
-            tc=TCProtocol(get("tc", "A3")),
-            tm=tm,
-            trigger=TriggerPolicy(
-                kind=kind,
-                period=get("trigger.period", 500),
-                energy_threshold=get("trigger.energy_threshold", 0.6),
-            ),
-            rotation_k=get("rotation_k", 3),
-            grid_cell=get("grid_cell", 4.0),
-            max_steps=get("max_steps", 5000),
-            metrics_stride=get("metrics_stride", 50),
-            aggregation=get("aggregation", "passthrough"),
-        )
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from exc
+    w_e, w_d = "a3.energy_weight", "a3.distance_weight"
+    if w_e in values and w_d not in values:
+        values[w_d] = 1.0 - values[w_e]
+    elif w_d in values and w_e not in values:
+        values[w_e] = 1.0 - values[w_d]
+    # Unless set, the trigger kind follows the maintenance protocol's family.
+    tm = values.get("tm", CONFIG_KEYS["tm"].default)
+    if tm is not None:
+        values.setdefault("trigger.kind", tm.trigger_kind)
+    base = _with_values(SimConfig(), values)
     validate_config(base)
 
+    sweep = {}
+    for key, scalar in _LIST_KEYS.items():
+        entries = raw.get(key, [raw.get(scalar, CONFIG_KEYS[scalar].json_default)])
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError(key, "must be a non-empty list")
+        for entry in entries:
+            try:
+                _with_values(base, {scalar: CONFIG_KEYS[scalar].coerce(scalar, entry)})
+            except ConfigError as exc:
+                raise ConfigError(key, exc.message) from exc
+        if len(set(entries)) < len(entries):
+            raise ConfigError(key, "entries must be distinct")
+        sweep[key] = entries
     return ExperimentSpec(
-        base=base,
-        tc_list=list(get("tc_list", [base.tc.value])),
-        tm_list=list(get("tm_list", [tm_name])),
-        seeds=list(get("seeds", [base.deployment.seed])),
-        output_dir=Path(get("output_dir", "out")),
+        base=base, output_dir=Path(str(raw.get("output_dir", "out"))), **sweep
     )
 
 
@@ -251,10 +171,8 @@ def config_for(spec: ExperimentSpec, tc_name: str, tm_name: str, seed: int) -> S
     tc = TCProtocol(tc_name)
     tm = None if tm_name == "None" else TMProtocol(tm_name)
     trigger = spec.base.trigger
-    if tm is not None and trigger.kind is not tm.trigger_kind:
-        trigger = TriggerPolicy(
-            tm.trigger_kind, trigger.period, trigger.energy_threshold
-        )
+    if tm is not None:
+        trigger = replace(trigger, kind=tm.trigger_kind)
     deployment = replace(spec.base.deployment, seed=seed)
     return replace(spec.base, deployment=deployment, tc=tc, tm=tm, trigger=trigger)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .construction import A3Params, TCProtocol, construct
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .model import Life, NetworkState, Role, Topology
 
 # A rotation-set growth that reaches under half of the alive nodes lifts its
@@ -69,9 +69,9 @@ class TriggerPolicy:
 
     def __post_init__(self):
         if self.period < 1:
-            raise ValueError("period must be at least 1 step")
+            raise ConfigError("period", "must be at least 1 step")
         if not 0 < self.energy_threshold < 1:
-            raise ValueError("energy_threshold must lie in (0, 1)")
+            raise ConfigError("energy_threshold", "must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -79,7 +79,6 @@ class MaintenanceStrategy:
     kind: StrategyKind
     rotation_set: list[Topology] = field(default_factory=list)
     cursor: int = 0
-    rotation_size: int = 3
     events: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -118,7 +117,6 @@ def precompute_rotation_set(
     k: int,
     params: A3Params,
     sensing=None,
-    grid=None,
 ) -> list[Topology]:
     """Build k alternative topologies up front, excluding the relays of each
     run from the next so rotations drain different nodes. Construction energy
@@ -135,7 +133,6 @@ def precompute_rotation_set(
             tc,
             params,
             sensing,
-            grid,
             exclude=frozenset(exclude),
             relax_below=RELAX_REACH_FRACTION,
         )
@@ -166,7 +163,6 @@ def maintain(
     tc: TCProtocol,
     params: A3Params,
     sensing=None,
-    grid=None,
 ) -> tuple[Topology, str]:
     """Replace (or retain) the reduced topology after a trigger fired.
 
@@ -177,7 +173,7 @@ def maintain(
     if not state.sink.alive:
         raise SimulationError("sink is dead; maintenance impossible")
     if strategy.kind is StrategyKind.DYNAMIC_RECREATION:
-        topology, _ = construct(state, tc, params, sensing, grid)
+        topology, _ = construct(state, tc, params, sensing)
         action = "Recreated"
     elif strategy.kind is StrategyKind.STATIC_ROTATION:
         idx = _next_usable(strategy, state)
@@ -195,7 +191,7 @@ def maintain(
             topology = strategy.rotation_set[idx]
             action = "Rotated"
         else:
-            topology, _ = construct(state, tc, params, sensing, grid)
+            topology, _ = construct(state, tc, params, sensing)
             strategy.rotation_set = [topology]
             strategy.cursor = 0
             action = "Recreated"

@@ -10,6 +10,16 @@ import numpy as np
 
 from .model import DeploymentArea, NetworkState, Role, SensingParams
 
+# Sample points a coverage grid may hold: each sampled step allocates a few
+# float arrays of this size. n = 3000 at the default density with 4 m cells
+# needs 443k points.
+MAX_GRID_POINTS = 10_000_000
+
+
+def grid_shape(area: DeploymentArea, cell_size: float) -> tuple[int, int]:
+    """Columns and rows of the grid of cell_size cells tiling the area."""
+    return math.ceil(area.width / cell_size), math.ceil(area.height / cell_size)
+
 
 @dataclass(eq=False)
 class CoverageGrid:
@@ -20,13 +30,12 @@ class CoverageGrid:
     """
 
     area: DeploymentArea
-    cell_size: float = 4.0
+    cell_size: float
 
     def __post_init__(self):
         if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
-        nx = math.ceil(self.area.width / self.cell_size)
-        ny = math.ceil(self.area.height / self.cell_size)
+        nx, ny = grid_shape(self.area, self.cell_size)
         self.xs = (np.arange(nx) + 0.5) * self.cell_size
         self.ys = (np.arange(ny) + 0.5) * self.cell_size
 

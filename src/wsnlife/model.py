@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .errors import ConfigError
 
 SINK_ID = 0
 
@@ -43,8 +44,9 @@ class DeploymentArea:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("area dimensions must be positive")
+        for name in ("width", "height"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(name, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,18 +63,18 @@ class RadioParams:
     sensing_radius: float = 20.0
 
     def __post_init__(self):
-        for name, value in (
-            ("tx_power", self.tx_power),
-            ("gain_tx", self.gain_tx),
-            ("gain_rx", self.gain_rx),
-            ("height_tx", self.height_tx),
-            ("height_rx", self.height_rx),
-            ("transceiver_constant", self.transceiver_constant),
-            ("communication_radius", self.communication_radius),
-            ("sensing_radius", self.sensing_radius),
+        for name in (
+            "tx_power",
+            "gain_tx",
+            "gain_rx",
+            "height_tx",
+            "height_rx",
+            "transceiver_constant",
+            "communication_radius",
+            "sensing_radius",
         ):
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise ConfigError(name, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,12 @@ class EnergyParams:
     data_packet_bits: int = 1000
 
     def __post_init__(self):
-        if not self.elec_energy_per_bit > 0:
-            raise ValueError("elec_energy_per_bit must be positive")
-        if not self.amp_energy_per_bit_m2 > 0:
-            raise ValueError("amp_energy_per_bit_m2 must be positive")
-        if not self.initial_energy > 0:
-            raise ValueError("initial_energy must be positive")
-        if self.control_packet_bits < 1 or self.data_packet_bits < 1:
-            raise ValueError("packet sizes must be at least 1 bit")
+        for name in ("elec_energy_per_bit", "amp_energy_per_bit_m2", "initial_energy"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(name, "must be positive")
+        for name in ("control_packet_bits", "data_packet_bits"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be at least 1 bit")
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,12 @@ class SensingParams:
 
     def __post_init__(self):
         if self.uncertainty_radius < 0:
-            raise ValueError("uncertainty_radius must be non-negative")
-        if not self.decay_rate > 0:
-            raise ValueError("decay_rate must be positive")
-        if not self.decay_exponent > 0:
-            raise ValueError("decay_exponent must be positive")
+            raise ConfigError("uncertainty_radius", "must be non-negative")
+        for name in ("decay_rate", "decay_exponent"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(name, "must be positive")
         if not 0 < self.detection_threshold < 1:
-            raise ValueError("detection_threshold must lie in (0, 1)")
+            raise ConfigError("detection_threshold", "must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -154,6 +153,10 @@ class Topology:
     activation_time: int = 0
     activation_energy: dict[int, float] = field(default_factory=dict)
     coverage_promoted: set[int] = field(default_factory=set)
+    # The engine's routing table for this tree, built on its first step.
+    route_cache: tuple[list[int], dict[int, tuple[int, float]]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def members(self) -> set[int]:
         return set(self.parent) | {self.root}
@@ -173,7 +176,6 @@ class NetworkState:
     radio: RadioParams
     energy: EnergyParams
     topology: Topology
-    rng: random.Random
     time: int = 0
     energy_ledger: float = 0.0
     death_step: dict[int, int] = field(default_factory=dict)

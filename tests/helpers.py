@@ -1,8 +1,6 @@
 """Shared fixtures for hand-built network states."""
 from __future__ import annotations
 
-import random
-
 from wsnlife import (
     DeploymentArea,
     EnergyParams,
@@ -53,7 +51,6 @@ def make_state(
         radio=radio,
         energy=energy,
         topology=Topology(active_set={0}, parent={}, root=0),
-        rng=random.Random(0),
     )
     for nid in dead:
         state.nodes[nid].energy = 0.0

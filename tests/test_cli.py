@@ -57,6 +57,12 @@ def test_simulate_seed_override(tmp_path, capsys):
     assert (tmp_path / "out" / "series_A3_DGETRec_seed9.csv").exists()
 
 
+def test_simulate_seed_out_of_range_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, DESK)
+    assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_simulate_out_flag_overrides_dir(tmp_path, capsys):
     path = write_config(tmp_path, DESK)
     target = tmp_path / "elsewhere"

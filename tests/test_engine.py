@@ -25,6 +25,7 @@ from wsnlife import (
     tx_energy,
     validate_config,
 )
+from wsnlife.metrics import MAX_GRID_POINTS
 
 from helpers import make_state
 
@@ -64,13 +65,23 @@ def test_validate_names_offending_field():
         validate_config(small_config(rotation_k=0))
     assert err.value.field == "rotation_k"
     with pytest.raises(ConfigError) as err:
-        validate_config(small_config(aggregation="average"))
-    assert err.value.field == "aggregation"
-    with pytest.raises(ConfigError) as err:
         validate_config(
             small_config(sensing=__import__("wsnlife").SensingParams(uncertainty_radius=20.0))
         )
     assert err.value.field == "sensing.uncertainty_radius"
+
+
+def test_grid_cell_bounded_without_allocating():
+    strip = DeploymentConfig(2, DeploymentArea(float(MAX_GRID_POINTS), 1.0))
+    validate_config(small_config(deployment=strip, grid_cell=1.0))
+    wider = DeploymentConfig(2, DeploymentArea(MAX_GRID_POINTS + 1.0, 1.0))
+    with pytest.raises(ConfigError) as err:
+        validate_config(small_config(deployment=wider, grid_cell=1.0))
+    assert err.value.field == "grid_cell"
+    # n = 3000 at the default density, 4 m cells: 849 x 522 points
+    scale = math.sqrt(10.0)
+    large = DeploymentConfig(3000, DeploymentArea(1074.0 * scale, 660.0 * scale))
+    validate_config(small_config(deployment=large, grid_cell=4.0))
 
 
 def test_initialize_defaults():

@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from wsnlife import ConfigError, MetricsSample, RunResult, TMProtocol, TriggerKind, run
 from wsnlife.experiment import (
+    CONFIG_KEYS,
     config_for,
     emit_series,
     parse_config,
@@ -91,10 +94,64 @@ def test_out_of_range_values_name_keys(tmp_path):
         ("max_steps", 0),
         ("deployment.seed", -1),
         ("tm", "GETRec"),
+        ("deployment.width", float("inf")),
+        ("sensing.uncertainty_radius", float("nan")),
+        ("radio.communication_radius", 10**400),
+        ("grid_cell", 1e-6),
+        ("grid_cell", 5e-324),
     ):
         with pytest.raises(ConfigError) as err:
             parse_config(write_config(tmp_path, {key: value}))
         assert err.value.field == key
+
+
+@pytest.mark.parametrize(
+    "key, entries",
+    [
+        ("seeds", [1, 2, 1]),
+        ("tc_list", ["A3", "A3"]),
+        ("tm_list", ["None", "None"]),
+        ("seeds", [1, -1]),
+        ("tm_list", ["DGETRec", "GETRec"]),
+        ("tc_list", []),
+    ],
+)
+def test_bad_sweep_entries_name_list_key(tmp_path, key, entries):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, {key: entries}))
+    assert err.value.field == key
+
+
+def readme_config_table() -> dict[str, str]:
+    """Key -> documented default from the README "Configuration" table."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## Configuration", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        keys_cell, default_cell = line.split("|")[1:3]
+        keys = re.findall(r"`([^`]+)`", keys_cell)
+        defaults = [d.strip() for d in default_cell.split(",")]
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), line
+        table.update(zip(keys, defaults))
+    return table
+
+
+def test_readme_configuration_table_matches_schema():
+    documented = readme_config_table()
+    assert set(documented) == set(CONFIG_KEYS) | {"tc_list", "tm_list", "seeds", "output_dir"}
+    for key, entry in CONFIG_KEYS.items():
+        if key == "trigger.kind":
+            assert documented[key] == "inferred from `tm`"
+            assert entry.default is CONFIG_KEYS["tm"].default.trigger_kind
+        elif isinstance(entry.json_default, str):
+            assert documented[key] == f'"{entry.json_default}"', key
+        else:
+            assert float(documented[key]) == entry.default, key
+    assert documented["output_dir"] == '"out"'
 
 
 def test_single_weight_implies_complement(tmp_path):

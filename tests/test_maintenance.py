@@ -138,7 +138,7 @@ def test_static_rotation_k1_wraps_to_itself():
     state = make_state([(0.0, 0.0), (50.0, 0.0)])
     topology = Topology(active_set={0, 1}, parent={1: 0}, root=0)
     activate_topology(state, topology)
-    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, [topology], 0, 1)
+    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, [topology], 0)
     state.time = 40
     result, action = maintain(strategy, state, TCProtocol.A3, PARAMS)
     assert action == "Rotated"
@@ -148,7 +148,7 @@ def test_static_rotation_k1_wraps_to_itself():
 
 def test_static_rotation_skips_dead_entry():
     state, rotation = star_state_and_rotation()
-    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0, 3)
+    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0)
     state.kill(2)  # topology [1] contains node 2
     result, action = maintain(strategy, state, TCProtocol.A3, PARAMS)
     assert action == "Rotated"
@@ -160,7 +160,7 @@ def test_static_rotation_skips_dead_entry():
 
 def test_static_rotation_retains_when_none_usable():
     state, rotation = star_state_and_rotation()
-    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0, 3)
+    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0)
     for nid in (1, 2, 3):
         state.kill(nid)
     state.time = 77
@@ -172,7 +172,7 @@ def test_static_rotation_retains_when_none_usable():
 
 def test_hybrid_rotates_then_recreates():
     state, rotation = star_state_and_rotation()
-    strategy = MaintenanceStrategy(StrategyKind.HYBRID, list(rotation), 0, 3)
+    strategy = MaintenanceStrategy(StrategyKind.HYBRID, list(rotation), 0)
     _, action = maintain(strategy, state, TCProtocol.A3, PARAMS)
     assert action == "Rotated"
     for nid in (1, 2, 3):
@@ -193,7 +193,7 @@ def test_hybrid_fallback_matches_dynamic_recreation():
     base.kill(1)
     hybrid_state = copy.deepcopy(base)
     dynamic_state = copy.deepcopy(base)
-    hybrid = MaintenanceStrategy(StrategyKind.HYBRID, [dead_entry], 0, 1)
+    hybrid = MaintenanceStrategy(StrategyKind.HYBRID, [dead_entry], 0)
     dynamic = MaintenanceStrategy(StrategyKind.DYNAMIC_RECREATION)
     h_topo, h_action = maintain(hybrid, hybrid_state, TCProtocol.A3, PARAMS)
     d_topo, d_action = maintain(dynamic, dynamic_state, TCProtocol.A3, PARAMS)
@@ -204,7 +204,7 @@ def test_hybrid_fallback_matches_dynamic_recreation():
 
 def test_maintain_restamps_and_sets_roles():
     state, rotation = star_state_and_rotation()
-    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0, 3)
+    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0)
     state.nodes[2].energy = 0.25
     state.time = 10
     result, _ = maintain(strategy, state, TCProtocol.A3, PARAMS)
