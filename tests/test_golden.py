@@ -4,7 +4,9 @@ byte across refactors.
 Each cell hashes the whole of RunResult.to_dict() (series, death times,
 maintenance events and the final summary) and the bytes of its series CSV.
 The cells are the desk scenario for A3/A3Cov x the six protocols plus the
-no-maintenance baseline x seeds 1 and 2, and one default-scale DGETRec run.
+no-maintenance baseline x seeds 1 and 2, one default-scale DGETRec run, and
+two desk A3Cov cells whose sensing band, r - r_u < R < r + r_u, straddles
+the communication radius, so sensors beyond one hop decide promotions.
 
 The digests are tied to the platform they were recorded on (see
 golden/digests.json): metrics evaluate the sensing band with np.exp, whose
@@ -39,7 +41,7 @@ from wsnlife.experiment import emit_series
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 
-def desk_config(tc, tm, seed):
+def desk_config(tc, tm, seed, sensing_radius=15.0):
     """The acceptance suite's desk scenario: 100 nodes on 300 x 200 m,
     R = 60 m, r = 15 m, 0.02 J, period 25, 1500 steps, stride 10."""
     kind = tm.trigger_kind if tm is not None else TriggerKind.ENERGY
@@ -47,7 +49,7 @@ def desk_config(tc, tm, seed):
         deployment=DeploymentConfig(
             node_count=100, area=DeploymentArea(300.0, 200.0), seed=seed
         ),
-        radio=RadioParams(communication_radius=60.0, sensing_radius=15.0),
+        radio=RadioParams(communication_radius=60.0, sensing_radius=sensing_radius),
         energy=EnergyParams(initial_energy=0.02),
         tc=tc,
         tm=tm,
@@ -65,6 +67,11 @@ def golden_cells() -> dict[str, SimConfig]:
                 name = tm.value if tm is not None else "None"
                 cells[f"desk/{tc.value}/{name}/{seed}"] = desk_config(tc, tm, seed)
     cells["default/A3/DGETRec/1"] = SimConfig()
+    # r = R = 60 m, so partial detections reach 2 m past the radio range.
+    for tm in (TMProtocol.DGETREC, TMProtocol.SGETROT):
+        cells[f"desk-r60/A3Cov/{tm.value}/1"] = desk_config(
+            TCProtocol.A3COV, tm, 1, sensing_radius=60.0
+        )
     return cells
 
 
