@@ -64,7 +64,7 @@ class _Growth:
 def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Growth:
     """One growth pass. Does not touch the state; control-energy debits are
     simulated on a local view so callers can preview a construction."""
-    nodes = state.nodes
+    nodes, links = state.nodes, state.links
     radio, energy = state.radio, state.energy
     radius = radio.communication_radius
     e_init = energy.initial_energy
@@ -78,10 +78,9 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
     def budget(nid: int) -> float:
         return residual.get(nid, nodes[nid].energy)
 
-    eligible = sorted(
+    unvisited = {
         n.id for n in nodes if n.alive and n.id != sink and n.id not in exclude
-    )
-    unvisited = set(eligible)
+    }
     visited = {sink}
     active = {sink}
     parent: dict[int, int] = {}
@@ -91,11 +90,11 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
         while queue:
             pid = queue.popleft()
             ppos = nodes[pid].position
-            candidates = []
-            for cid in sorted(unvisited):
-                d = distance(ppos, nodes[cid].position)
-                if d <= radius:
-                    candidates.append((cid, d))
+            candidates = [
+                (cid, distance(ppos, nodes[cid].position))
+                for cid in links[pid]
+                if cid in unvisited
+            ]
             if not candidates:
                 continue
             candidates.sort(
@@ -135,14 +134,8 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
         # otherwise the tree would not dominate its disk-graph component.
         woken = None
         for sid in sorted(parent):
-            if sid in active:
-                continue
-            spos = nodes[sid].position
-            for cid in sorted(unvisited):
-                if distance(spos, nodes[cid].position) <= radius:
-                    woken = sid
-                    break
-            if woken is not None:
+            if sid not in active and any(cid in unvisited for cid in links[sid]):
+                woken = sid
                 break
         if woken is None:
             break
@@ -183,28 +176,32 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
     """Activate sleeping leaves whose own positions are not sensed with
     probability detection_threshold by the current active sensors. Each
     promotion joins as a leaf under the nearest active node and immediately
-    counts as a sensor for the leaves tested after it."""
+    counts as a sensor for the leaves tested after it.
+
+    A sensor past r + r_u contributes a factor of exactly 1.0 to the miss
+    product, so while that band lies within the radio range the sleeper's
+    links hold every sensor that matters."""
     r = state.radio.sensing_radius
     radius = state.radio.communication_radius
+    in_links = r + sp.uncertainty_radius <= radius
     sleepers = sorted(set(topology.parent) - topology.active_set)
     for sid in sleepers:
         node = state.nodes[sid]
         if not node.alive:
             continue
+        pool = state.links[sid] if in_links else sorted(topology.active_set)
+        near = [
+            (distance(node.position, state.nodes[aid].position), aid)
+            for aid in pool
+            if aid in topology.active_set
+        ]
         miss = 1.0
-        for aid in sorted(topology.active_set):
-            if aid == topology.root:
-                continue  # the sink collects, it does not sense
-            miss *= 1.0 - sense_probability(
-                sp, r, distance(node.position, state.nodes[aid].position)
-            )
+        for d, aid in near:
+            if aid != topology.root:  # the sink collects, it does not sense
+                miss *= 1.0 - sense_probability(sp, r, d)
         if 1.0 - miss >= sp.detection_threshold:
             continue
-        best = None
-        for aid in sorted(topology.active_set):
-            d = distance(node.position, state.nodes[aid].position)
-            if d <= radius and (best is None or (d, aid) < best):
-                best = (d, aid)
+        best = min(((d, aid) for d, aid in near if d <= radius), default=None)
         if best is None:
             continue  # no active node in range; cannot attach
         topology.parent[sid] = best[1]

@@ -148,39 +148,53 @@ def _route_table(state: NetworkState) -> tuple[list[int], dict[int, tuple[int, f
 def _traffic(state: NetworkState) -> None:
     """Every alive active node sends one data packet up the tree. Senders pay
     the transmit cost, receivers the receive cost; a node that dies mid-step
-    drops the packet at the point of death and handles nothing further."""
-    state.sink_bits_last_step = 0
+    drops the packet at the point of death and handles nothing further.
+
+    Each charge is NetworkState.charge spelled out: the drain is clamped to
+    the residual, debited, added to the ledger, and a node drained to zero
+    dies."""
     origins, edges = _route_table(state)
-    if not origins:
-        return
     energy = state.energy
     bits = energy.data_packet_bits
     rx_cost = rx_energy(energy, bits)
     sink = state.sink.id
     nodes = state.nodes
+    ledger = state.energy_ledger
+    delivered = dropped = 0
     for origin in origins:
-        if nodes[origin].life is Life.DEAD:
+        sender = nodes[origin]
+        if sender.life is Life.DEAD:
             continue  # dead nodes generate nothing
         current = origin
         while True:
             parent, tx_cost = edges[current]
-            state.charge(current, tx_cost)
-            if nodes[current].life is Life.DEAD:
-                state.packets_dropped += 1  # died mid-transmission
+            drained = min(tx_cost, sender.energy)
+            sender.energy -= drained
+            ledger += drained
+            if sender.energy <= 0.0:
+                state.kill(current)
+                dropped += 1  # died mid-transmission
                 break
             if parent == sink:
                 # The sink is mains powered; its receive cost is not metered.
-                state.sink_bits_last_step += bits
-                state.packets_delivered += 1
+                delivered += 1
                 break
-            if nodes[parent].life is Life.DEAD:
-                state.packets_dropped += 1  # transmitted into a dead hop
+            receiver = nodes[parent]
+            if receiver.life is Life.DEAD:
+                dropped += 1  # transmitted into a dead hop
                 break
-            state.charge(parent, rx_cost)
-            if nodes[parent].life is Life.DEAD:
-                state.packets_dropped += 1  # died receiving
+            drained = min(rx_cost, receiver.energy)
+            receiver.energy -= drained
+            ledger += drained
+            if receiver.energy <= 0.0:
+                state.kill(parent)
+                dropped += 1  # died receiving
                 break
-            current = parent
+            current, sender = parent, receiver
+    state.energy_ledger = ledger
+    state.sink_bits_last_step = delivered * bits
+    state.packets_delivered += delivered
+    state.packets_dropped += dropped
 
 
 def _network_finished(state: NetworkState) -> bool:
@@ -192,12 +206,13 @@ def _network_finished(state: NetworkState) -> bool:
 
 
 def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -> MetricsSample:
+    reach = sink_reachable(state)
     return MetricsSample(
         time=state.time,
         alive=alive_count(state),
-        sink_reachable=len(sink_reachable(state)),
-        comm_coverage=comm_coverage(state, grid),
-        sensing_coverage=sensing_coverage(state, config.sensing, grid),
+        sink_reachable=len(reach),
+        comm_coverage=comm_coverage(state, grid, reach),
+        sensing_coverage=sensing_coverage(state, config.sensing, grid, reach),
     )
 
 

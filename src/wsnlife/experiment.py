@@ -160,9 +160,10 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         if len(set(entries)) < len(entries):
             raise ConfigError(key, "entries must be distinct")
         sweep[key] = entries
-    return ExperimentSpec(
-        base=base, output_dir=Path(str(raw.get("output_dir", "out"))), **sweep
-    )
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir", "must be a string")
+    return ExperimentSpec(base=base, output_dir=Path(output_dir), **sweep)
 
 
 def config_for(spec: ExperimentSpec, tc_name: str, tm_name: str, seed: int) -> SimConfig:

@@ -111,15 +111,19 @@ def sink_reachable(state: NetworkState) -> set[int]:
     return visited
 
 
-def comm_coverage(state: NetworkState, grid: CoverageGrid) -> float:
+def comm_coverage(
+    state: NetworkState, grid: CoverageGrid, reach: set[int] | None = None
+) -> float:
     """Fraction of grid points within the communication radius of at least
-    one sink-reachable node (sink included)."""
+    one sink-reachable node (sink included). reach, when given, is
+    sink_reachable(state) already computed for this state."""
     radius = state.radio.communication_radius
-    reach = sorted(sink_reachable(state))
+    if reach is None:
+        reach = sink_reachable(state)
     xs, ys = grid.xs, grid.ys
     covered = np.zeros((len(ys), len(xs)), dtype=bool)
     r2 = radius * radius
-    for nid in reach:
+    for nid in sorted(reach):
         px, py = state.positions[nid]
         ix0 = int(np.searchsorted(xs, px - radius, side="left"))
         ix1 = int(np.searchsorted(xs, px + radius, side="right"))
@@ -134,18 +138,26 @@ def comm_coverage(state: NetworkState, grid: CoverageGrid) -> float:
     return float(covered.mean())
 
 
-def sensing_coverage(state: NetworkState, sp: SensingParams, grid: CoverageGrid) -> float:
+def sensing_coverage(
+    state: NetworkState,
+    sp: SensingParams,
+    grid: CoverageGrid,
+    reach: set[int] | None = None,
+) -> float:
     """Fraction of grid points whose combined detection probability under the
     sink-reachable active sensors reaches the detection threshold.
 
     Sensors detect independently, so the combined probability at a point is
     1 - prod(1 - p_i). The sink is a collector, not a sensor, and does not
     contribute. Sensors are folded in ascending id order so the float
-    reduction is reproducible.
+    reduction is reproducible. reach, when given, is sink_reachable(state)
+    already computed for this state.
     """
     r = state.radio.sensing_radius
     outer = r + sp.uncertainty_radius
-    sensors = sorted(sink_reachable(state) - {state.sink.id})
+    if reach is None:
+        reach = sink_reachable(state)
+    sensors = sorted(reach - {state.sink.id})
     xs, ys = grid.xs, grid.ys
     miss = np.ones((len(ys), len(xs)))
     for nid in sensors:

@@ -169,6 +169,10 @@ class NetworkState:
     energy_ledger accumulates every joule actually drained from non-sink
     batteries, so that sum(initial) - sum(current) over non-sink nodes
     equals the ledger at any instant.
+
+    Positions never move, so the radio links are fixed at deployment:
+    links[i] holds, in ascending order, the id of every other node, dead or
+    alive, whose distance from node i is within the communication radius.
     """
 
     nodes: list[Node]
@@ -183,11 +187,14 @@ class NetworkState:
     packets_delivered: int = 0
     packets_dropped: int = 0
     in_step: bool = False
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    links: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = np.array(
             [(n.position.x, n.position.y) for n in self.nodes], dtype=float
         )
+        self.links = _links(self.nodes, self.radio.communication_radius)
 
     @property
     def sink(self) -> Node:
@@ -228,6 +235,38 @@ class NetworkState:
         node.energy = 0.0
         node.life = Life.DEAD
         self.death_step.setdefault(node_id, self.time + 1 if self.in_step else self.time)
+
+
+def _links(nodes: list[Node], radius: float) -> list[list[int]]:
+    """Ascending neighbour ids of every node: the pairs with
+    distance(a, b) <= radius, found by bucketing the nodes in square cells.
+
+    A cell is one ulp wider than the radius and indexed with the exact floor
+    of `//`, so a linked pair, whose coordinates differ by at most
+    radius + ulp(radius) / 2, never lies two cells apart. Each pair is tested
+    once: within a cell, and against the four cells ahead of it.
+    """
+    side = math.nextafter(radius, math.inf)
+    xs = [n.position.x for n in nodes]
+    ys = [n.position.y for n in nodes]
+    cells: dict[tuple[float, float], list[int]] = {}
+    for i in range(len(nodes)):
+        cells.setdefault((xs[i] // side, ys[i] // side), []).append(i)
+    links: list[list[int]] = [[] for _ in nodes]
+    hypot = math.hypot
+    for (cx, cy), members in cells.items():
+        pool = list(members)
+        for key in ((cx + 1, cy), (cx - 1, cy + 1), (cx, cy + 1), (cx + 1, cy + 1)):
+            pool += cells.get(key, ())
+        for k, i in enumerate(members, 1):
+            xi, yi, own = xs[i], ys[i], links[i]
+            for j in pool[k:]:  # the rest of this cell, then the cells ahead
+                if hypot(xi - xs[j], yi - ys[j]) <= radius:
+                    own.append(j)
+                    links[j].append(i)
+    for own in links:
+        own.sort()
+    return links
 
 
 def neighbors(state: NetworkState, node_id: int, radius: float) -> list[int]:

@@ -32,6 +32,12 @@ def test_validate_bad_config_exit_1(tmp_path, capsys):
     assert "trigger.kind" in capsys.readouterr().err
 
 
+def test_validate_null_output_dir_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, {**DESK, "output_dir": None})
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "output_dir" in capsys.readouterr().err
+
+
 def test_missing_config_exit_1(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "none.json")]) == 1
     capsys.readouterr()

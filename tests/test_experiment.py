@@ -105,6 +105,13 @@ def test_out_of_range_values_name_keys(tmp_path):
         assert err.value.field == key
 
 
+@pytest.mark.parametrize("value", [None, 3, ["out"]])
+def test_output_dir_must_be_a_string(tmp_path, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, {"output_dir": value}))
+    assert err.value.field == "output_dir"
+
+
 @pytest.mark.parametrize(
     "key, entries",
     [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wsnlife import Point, Role, distance, neighbors
+from wsnlife import DeploymentArea, Point, RadioParams, Role, distance, neighbors
 
 from helpers import make_state
 
@@ -82,6 +82,65 @@ def test_neighbors_symmetric_on_random_instance():
             continue
         for b in neighbors(state, a, radius):
             assert a in neighbors(state, b, radius)
+
+
+def linked_state(positions, radius):
+    return make_state(
+        positions,
+        area=DeploymentArea(1.0, 1.0),
+        radio=RadioParams(communication_radius=radius),
+    )
+
+
+def assert_links_match_brute_force(state):
+    radius = state.radio.communication_radius
+    for i in range(len(state.nodes)):
+        assert state.links[i] == neighbors(state, i, radius)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.floats(0.5, 250.0),
+)
+def test_links_match_neighbors(positions, radius):
+    assert_links_match_brute_force(linked_state(positions, radius))
+
+
+@pytest.mark.parametrize("radius", [60.0, 100.0, 0.1, 1 / 3, 100 / 7])
+def test_links_on_bucket_edges(radius):
+    # A lattice R apart puts every node on a bucket edge, 0 included.
+    lattice = [(i * radius, j * radius) for j in range(-2, 4) for i in range(-2, 4)]
+    beyond = math.nextafter(radius, math.inf)
+    tiny = -5e-324  # radius - tiny rounds to radius: linked across two edges
+    pairs = [
+        ((0.0, 7.5 * radius), (beyond, 7.5 * radius)),
+        ((tiny, 9.0 * radius), (radius, 9.0 * radius)),
+        ((9.0 * radius, tiny), (9.0 * radius, radius)),
+    ]
+    positions = lattice + [p for pair in pairs for p in pair]
+    state = linked_state(positions, radius)
+    assert_links_match_brute_force(state)
+    a, b, c, d, e, f = range(len(lattice), len(positions))
+    assert state.links[a] == [] and state.links[b] == []
+    assert state.links[c] == [d] and state.links[e] == [f]
+    if radius == 60.0:  # multiples of 60 are exact: side neighbours lie exactly R apart
+        centre = lattice.index((0.0, 0.0))
+        assert [positions[j] for j in state.links[centre]] == [
+            (0.0, -60.0), (-60.0, 0.0), (60.0, 0.0), (0.0, 60.0)
+        ]
+
+
+def test_links_fixed_when_nodes_die():
+    state = make_state([(0.0, 0.0), (50.0, 0.0), (90.0, 0.0), (130.0, 0.0)])
+    before = [list(own) for own in state.links]
+    assert before == [[1, 2], [0, 2, 3], [0, 1, 3], [1, 2]]
+    state.kill(2)
+    assert state.links == before
+    assert neighbors(state, 1, 100.0) == [0, 3]
 
 
 def test_charge_clamps_and_kills():
