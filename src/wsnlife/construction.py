@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 
 from .errors import ConfigError, SimulationError
 from .metrics import alive_count, sense_probability
@@ -85,6 +86,7 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
     active = {sink}
     parent: dict[int, int] = {}
     queue = deque([sink])
+    leaves: list[int] = []  # a heap of the sleeping leaves not yet rejected
 
     while True:
         while queue:
@@ -109,7 +111,7 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
             for cid, _ in candidates:
                 unvisited.discard(cid)
                 visited.add(cid)
-            appointed: list[int] = []
+            appointed: set[int] = set()
             for cid, d in candidates:
                 # The candidate hears one hello and answers with its score.
                 cost = rx_cost + tx_energy(energy, control_bits, d)
@@ -120,25 +122,24 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
                 charge.energy[cid] = charge.energy.get(cid, 0.0) + drained
                 if residual[cid] <= 0.0:
                     continue  # drained dry by the handshake; never attached
-                cpos = nodes[cid].position
-                covered = any(
-                    distance(cpos, nodes[a].position) <= radius for a in appointed
-                )
+                # Covered: a relay appointed before it here is in radio range.
+                covered = not appointed.isdisjoint(links[cid])
                 parent[cid] = pid
-                if not covered:
-                    appointed.append(cid)
+                if covered:
+                    heappush(leaves, cid)
+                else:
+                    appointed.add(cid)
                     active.add(cid)
                     queue.append(cid)
         # Wake-up pass: a sleeping leaf may be the sole gateway to nodes the
         # relays never saw; promote the lowest-id such leaf and keep growing,
         # otherwise the tree would not dominate its disk-graph component.
-        woken = None
-        for sid in sorted(parent):
-            if sid not in active and any(cid in unvisited for cid in links[sid]):
-                woken = sid
-                break
-        if woken is None:
+        # unvisited only shrinks, so a leaf rejected once is rejected for good.
+        while leaves and unvisited.isdisjoint(links[leaves[0]]):
+            heappop(leaves)
+        if not leaves:
             break
+        woken = heappop(leaves)
         active.add(woken)
         queue.append(woken)
 

@@ -5,10 +5,17 @@ maintenance trigger check (and maintenance itself when it fires), the clock
 advance, and metric sampling when due. A node dies the moment its battery
 is drained. One data round per step; the link layer is lossless, so node
 death is the only loss mechanism, and idle listening costs nothing.
+
+A node's alive status changes only through NetworkState.kill, which adds
+one entry to death_step. Each tree caches its data round compiled over the
+alive set, keyed on len(death_step); setting Node.life anywhere else would
+leave that round stale.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, sub
 
 from .construction import A3Params, TCProtocol, construct
 from .deployment import DeploymentConfig, deploy
@@ -34,7 +41,7 @@ from .metrics import (
     sensing_coverage,
     sink_reachable,
 )
-from .model import EnergyParams, Life, NetworkState, RadioParams, SensingParams
+from .model import EnergyParams, Life, NetworkState, Node, RadioParams, SensingParams
 from .radio import rx_energy, tx_energy
 
 
@@ -126,9 +133,33 @@ def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | N
     return state, strategy
 
 
-def _route_table(state: NetworkState) -> tuple[list[int], dict[int, tuple[int, float]]]:
-    """Per-topology routing cache: traffic origins in ascending id, and for
-    each relay its parent hop with the precomputed transmit cost."""
+@dataclass
+class RoundProgram:
+    """A tree's data round compiled over one alive set, valid while
+    len(death_step) equals deaths: drains, every drain in hop order (the
+    ledger's additions); relays, each charged node with its own drains in
+    order; and the packets the round delivers and drops."""
+
+    deaths: int
+    drains: list[float]
+    relays: list[tuple[Node, list[float]]]
+    delivered: int
+    dropped: int
+
+
+@dataclass
+class Routes:
+    """Per-topology routing cache: traffic origins in ascending id, for each
+    relay its parent hop with the precomputed transmit cost, and the round
+    compiled over the latest alive set (one at a time)."""
+
+    origins: list[int]
+    edges: dict[int, tuple[int, float]]
+    program: RoundProgram | None = None
+
+
+def _routes(state: NetworkState) -> Routes:
+    """The installed tree's routing cache, built on its first step."""
     topology = state.topology
     if topology.route_cache is not None:
         return topology.route_cache
@@ -141,19 +172,76 @@ def _route_table(state: NetworkState) -> tuple[list[int], dict[int, tuple[int, f
             ((state.positions[nid] - state.positions[parent]) ** 2).sum() ** 0.5
         )
         edges[nid] = (parent, tx_energy(energy, energy.data_packet_bits, hop))
-    topology.route_cache = (origins, edges)
-    return origins, edges
+    topology.route_cache = Routes(origins, edges)
+    return topology.route_cache
+
+
+def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
+    """Walk the round of _per_hop_round over the current alive set, recording
+    each drain instead of applying it."""
+    rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
+    sink = state.sink.id
+    nodes = state.nodes
+    edges = routes.edges
+    drains: list[float] = []
+    own: dict[int, list[float]] = {nid: [] for nid in routes.origins}
+    delivered = dropped = 0
+    for origin in routes.origins:
+        if nodes[origin].life is Life.DEAD:
+            continue
+        current = origin
+        while True:
+            parent, tx_cost = edges[current]
+            drains.append(tx_cost)
+            own[current].append(tx_cost)
+            if parent == sink:
+                delivered += 1
+                break
+            if nodes[parent].life is Life.DEAD:
+                dropped += 1
+                break
+            drains.append(rx_cost)
+            own[parent].append(rx_cost)
+            current = parent
+    relays = [(nodes[nid], costs) for nid, costs in own.items() if costs]
+    return RoundProgram(len(state.death_step), drains, relays, delivered, dropped)
 
 
 def _traffic(state: NetworkState) -> None:
-    """Every alive active node sends one data packet up the tree. Senders pay
-    the transmit cost, receivers the receive cost; a node that dies mid-step
-    drops the packet at the point of death and handles nothing further.
+    """Every alive active node sends one data packet up the tree.
+
+    On a step where no node dies the round is the same sequence of exact
+    subtractions every time, so it runs as the compiled program. A drain's
+    result never exceeds the energy it was taken from, so a final energy
+    above zero means every drain on the way was taken in full: the clamp
+    never bit, nobody died, and each node's subtractions and the ledger's
+    additions are the per-hop round's own, in its order. Otherwise the
+    per-hop round runs on the untouched state."""
+    routes = _routes(state)
+    program = routes.program
+    if program is None or program.deaths != len(state.death_step):
+        program = routes.program = _compile_round(state, routes)
+    energies = [reduce(sub, costs, node.energy) for node, costs in program.relays]
+    if energies and min(energies) <= 0.0:
+        _per_hop_round(state, routes)
+        return
+    for (node, _), residual in zip(program.relays, energies):
+        node.energy = residual
+    state.energy_ledger = reduce(add, program.drains, state.energy_ledger)
+    state.sink_bits_last_step = program.delivered * state.energy.data_packet_bits
+    state.packets_delivered += program.delivered
+    state.packets_dropped += program.dropped
+
+
+def _per_hop_round(state: NetworkState, routes: Routes) -> None:
+    """The data round hop by hop. Senders pay the transmit cost, receivers
+    the receive cost; a node that dies mid-step drops the packet at the
+    point of death and handles nothing further.
 
     Each charge is NetworkState.charge spelled out: the drain is clamped to
     the residual, debited, added to the ledger, and a node drained to zero
     dies."""
-    origins, edges = _route_table(state)
+    origins, edges = routes.origins, routes.edges
     energy = state.energy
     bits = energy.data_packet_bits
     rx_cost = rx_energy(energy, bits)

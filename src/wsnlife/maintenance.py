@@ -97,13 +97,18 @@ def should_trigger(policy: TriggerPolicy, state: NetworkState) -> bool:
     return False
 
 
-def activate_topology(state: NetworkState, topology: Topology) -> None:
-    """Install a topology: stamp the activation clock and energy snapshot,
-    make its members active and every other alive non-sink node sleep."""
+def _stamp_activation(state: NetworkState, topology: Topology) -> None:
+    """Stamp the activation clock and energy snapshot, re-arming the trigger."""
     topology.activation_time = state.time
     topology.activation_energy = {
         nid: state.nodes[nid].energy for nid in sorted(topology.active_set)
     }
+
+
+def activate_topology(state: NetworkState, topology: Topology) -> None:
+    """Install a topology: stamp the activation clock and energy snapshot,
+    make its members active and every other alive non-sink node sleep."""
+    _stamp_activation(state, topology)
     for node in state.nodes:
         if node.role is Role.SINK or not node.alive:
             continue
@@ -144,13 +149,14 @@ def precompute_rotation_set(
 def _next_usable(strategy: MaintenanceStrategy, state: NetworkState) -> int | None:
     """Next rotation entry, scanning cyclically from the cursor, whose
     non-sink members are all alive; wraps back to the cursor itself."""
+    nodes = state.nodes
     k = len(strategy.rotation_set)
     for offset in range(1, k + 1):
         idx = (strategy.cursor + offset) % k
         candidate = strategy.rotation_set[idx]
-        if all(
-            state.nodes[nid].alive
-            for nid in sorted(candidate.active_set)
+        if not any(
+            nodes[nid].life is Life.DEAD
+            for nid in candidate.active_set
             if nid != candidate.root
         ):
             return idx
@@ -178,12 +184,13 @@ def maintain(
     elif strategy.kind is StrategyKind.STATIC_ROTATION:
         idx = _next_usable(strategy, state)
         if idx is None:
-            topology = state.topology
-            action = "Retained"
-        else:
-            strategy.cursor = idx
-            topology = strategy.rotation_set[idx]
-            action = "Rotated"
+            # The installed topology stays. Only activate_topology assigns
+            # roles, so they are already its roles; re-stamping is enough.
+            _stamp_activation(state, state.topology)
+            return state.topology, "Retained"
+        strategy.cursor = idx
+        topology = strategy.rotation_set[idx]
+        action = "Rotated"
     else:  # hybrid: rotate while possible, rebuild once the set is spent
         idx = _next_usable(strategy, state)
         if idx is not None:

@@ -4,10 +4,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .engine import Routes
 
 SINK_ID = 0
 
@@ -153,10 +157,9 @@ class Topology:
     activation_time: int = 0
     activation_energy: dict[int, float] = field(default_factory=dict)
     coverage_promoted: set[int] = field(default_factory=set)
-    # The engine's routing table for this tree, built on its first step.
-    route_cache: tuple[list[int], dict[int, tuple[int, float]]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    # The engine's routing table for this tree, built on its first step,
+    # with its data round compiled over the latest alive set.
+    route_cache: Routes | None = field(default=None, compare=False, repr=False)
 
     def members(self) -> set[int]:
         return set(self.parent) | {self.root}
@@ -229,6 +232,8 @@ class NetworkState:
         return drained
 
     def kill(self, node_id: int) -> None:
+        """The one way a node dies: it adds the node to death_step, whose
+        length keys the engine's compiled data round."""
         node = self.nodes[node_id]
         if node.role is Role.SINK or not node.alive:
             return

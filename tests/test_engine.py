@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wsnlife import engine
 from wsnlife import (
     A3Params,
     ConfigError,
@@ -299,3 +302,85 @@ def test_max_steps_one():
     )
     result = run(config)
     assert [s.time for s in result.series] == [0, 1]
+
+
+def _random_tree_state(positions, order, parent_picks, budgets, dead):
+    """A state whose every non-sink node is an active relay of one tree:
+    order lists the nodes from the sink outward, and each one's parent is
+    the sink or a node earlier in order."""
+    state = make_state(positions, dead=dead)
+    parent = {}
+    for k, nid in enumerate(order):
+        earlier = [0] + order[:k]
+        parent[nid] = earlier[parent_picks[k] % len(earlier)]
+    topology = Topology(active_set={0, *order}, parent=parent, root=0)
+    activate_topology(state, topology)
+    for nid, (kind, scale) in budgets.items():
+        if not state.nodes[nid].alive:
+            continue
+        _, tx_cost = engine._routes(state).edges[nid]
+        # "exact": a battery of one or two transmit costs, which the node's
+        # own drains take to exactly 0.0; otherwise a few rounds' worth
+        state.nodes[nid].energy = scale * tx_cost if kind == "exact" else scale * 1e-3
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compiled_round_matches_per_hop_round(data):
+    n = data.draw(st.integers(min_value=2, max_value=9))
+    coord = st.floats(min_value=0.0, max_value=150.0)
+    positions = [(0.0, 0.0)] + [
+        (data.draw(coord), data.draw(coord)) for _ in range(n - 1)
+    ]
+    order = data.draw(st.permutations(range(1, n)))
+    picks = data.draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+    budget = st.one_of(
+        st.tuples(st.just("exact"), st.sampled_from([1.0, 2.0])),
+        st.tuples(st.just("rounds"), st.floats(min_value=0.05, max_value=3.0)),
+    )
+    budgets = {nid: data.draw(budget) for nid in range(1, n)}
+    dead = data.draw(st.lists(st.sampled_from(range(1, n)), unique=True, max_size=2))
+    steps = data.draw(st.integers(min_value=1, max_value=40))
+    # a ledger already holding earlier charges rounds each addition
+    ledger = data.draw(st.floats(min_value=0.0, max_value=1e-2))
+
+    compiled = _random_tree_state(positions, order, picks, budgets, dead)
+    reference = _random_tree_state(positions, order, picks, budgets, dead)
+    compiled.energy_ledger = reference.energy_ledger = ledger
+    for _ in range(steps):
+        engine._traffic(compiled)
+        engine._per_hop_round(reference, engine._routes(reference))
+        compiled.time += 1
+        reference.time += 1
+
+    assert [nd.energy.hex() for nd in compiled.nodes] == [
+        nd.energy.hex() for nd in reference.nodes
+    ]
+    assert compiled.energy_ledger.hex() == reference.energy_ledger.hex()
+    assert compiled.packets_delivered == reference.packets_delivered
+    assert compiled.packets_dropped == reference.packets_dropped
+    assert compiled.death_step == reference.death_step
+    assert compiled.sink_bits_last_step == reference.sink_bits_last_step
+
+
+def test_kill_between_steps_recompiles_round():
+    # chain sink <- 1 <- 2 <- 3 with generous batteries: no step kills
+    state = make_state([(0.0, 0.0), (80.0, 0.0), (160.0, 0.0), (240.0, 0.0)])
+    topology = Topology(active_set={0, 1, 2, 3}, parent={1: 0, 2: 1, 3: 2}, root=0)
+    activate_topology(state, topology)
+    engine._traffic(state)
+    program = topology.route_cache.program
+    assert (program.delivered, program.dropped, program.deaths) == (3, 0, 0)
+    engine._traffic(state)
+    assert topology.route_cache.program is program  # nobody died: reused
+    state.kill(2)
+    before = state.nodes[3].energy
+    engine._traffic(state)
+    program = topology.route_cache.program
+    assert program.deaths == 1
+    assert (program.delivered, program.dropped) == (1, 1)
+    assert [node.id for node, _ in program.relays] == [1, 3]
+    assert state.packets_delivered == 3 + 3 + 1
+    assert state.packets_dropped == 1
+    assert state.nodes[3].energy == before - topology.route_cache.edges[3][1]

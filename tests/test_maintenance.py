@@ -170,6 +170,36 @@ def test_static_rotation_retains_when_none_usable():
     assert result.activation_time == 77  # re-stamped, the trigger re-arms
 
 
+def test_retained_leaves_state_as_reactivation_would():
+    # the installed entry keeps the alive relay 4 active and 5 asleep; every
+    # entry holds a dead relay, so nothing is usable
+    state = make_state(
+        [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0), (60.0, 0.0), (0.0, 60.0)]
+    )
+    rotation = [
+        Topology(active_set={0, 1, 4}, parent={1: 0, 4: 1, 5: 0}, root=0),
+        Topology(active_set={0, 2}, parent={2: 0, 4: 2, 5: 2}, root=0),
+        Topology(active_set={0, 3, 5}, parent={3: 0, 5: 3, 4: 0}, root=0),
+    ]
+    activate_topology(state, rotation[0])
+    strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0)
+    for nid in (1, 2, 3):
+        state.kill(nid)
+    state.nodes[4].energy = 0.375
+    state.time = 77
+    reference = copy.deepcopy(state)
+    activate_topology(reference, reference.topology)
+    result, action = maintain(strategy, state, TCProtocol.A3, PARAMS)
+    assert action == "Retained"
+    assert result is state.topology is rotation[0]
+    assert [n.role for n in state.nodes] == [n.role for n in reference.nodes]
+    assert state.nodes[4].role is Role.ACTIVE
+    assert state.nodes[5].role is Role.SLEEPING
+    assert result.activation_time == reference.topology.activation_time == 77
+    assert result.activation_energy == reference.topology.activation_energy
+    assert list(result.activation_energy) == list(reference.topology.activation_energy)
+
+
 def test_hybrid_rotates_then_recreates():
     state, rotation = star_state_and_rotation()
     strategy = MaintenanceStrategy(StrategyKind.HYBRID, list(rotation), 0)
