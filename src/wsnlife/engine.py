@@ -41,7 +41,7 @@ from .metrics import (
     sensing_coverage,
     sink_reachable,
 )
-from .model import EnergyParams, Life, NetworkState, Node, RadioParams, SensingParams
+from .model import EnergyParams, Life, NetworkState, Node, RadioParams, Role, SensingParams
 from .radio import rx_energy, tx_energy
 
 
@@ -293,14 +293,53 @@ def _network_finished(state: NetworkState) -> bool:
     return not any(n.alive for n in state.nodes if n.id != state.sink.id)
 
 
+@dataclass(frozen=True)
+class SampleMemo:
+    """The last metric sample's structural results, each keyed on all of its
+    inputs (positions never move): reach, the sink-reachable set, on active,
+    the ascending ids of the alive active nodes; coverage, the (comm,
+    sensing) pair, on coverage_key, (grid, sensing parameters, reach). The
+    keys hold content, not a version number, so a write to Node.life or
+    Node.role that bypasses NetworkState cannot leave them stale."""
+
+    active: tuple[int, ...]
+    reach: frozenset[int]
+    coverage_key: tuple[CoverageGrid, SensingParams, frozenset[int]]
+    coverage: tuple[float, float]
+
+
 def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -> MetricsSample:
-    reach = sink_reachable(state)
+    """Sample the metrics, reusing the previous sample's reachability and
+    coverage where their inputs are unchanged; a miss computes them as
+    before, so every value is the same either way."""
+    alive = 0
+    active = []
+    for node in state.nodes:
+        if node.life is Life.ALIVE:
+            alive += 1
+            if node.role is Role.ACTIVE:
+                active.append(node.id)
+    active = tuple(active)
+    memo = state.sample_memo
+    if memo is not None and memo.active == active:
+        reach = memo.reach
+    else:
+        reach = frozenset(sink_reachable(state))
+    key = (grid, config.sensing, reach)  # grid compares by identity
+    if memo is not None and memo.coverage_key == key:
+        coverage = memo.coverage
+    else:
+        coverage = (
+            comm_coverage(state, grid, reach),
+            sensing_coverage(state, config.sensing, grid, reach),
+        )
+    state.sample_memo = SampleMemo(active, reach, key, coverage)
     return MetricsSample(
         time=state.time,
-        alive=alive_count(state),
+        alive=alive,
         sink_reachable=len(reach),
-        comm_coverage=comm_coverage(state, grid, reach),
-        sensing_coverage=sensing_coverage(state, config.sensing, grid, reach),
+        comm_coverage=coverage[0],
+        sensing_coverage=coverage[1],
     )
 
 
@@ -329,8 +368,9 @@ def step(
 
 
 def run(config: SimConfig) -> RunResult:
-    """Initialize and step to max_steps, or stop early with a final sample
-    once every sensor node is dead and maintenance has nothing to activate."""
+    """Initialize and step to max_steps, or stop early once every sensor
+    node is dead and maintenance has nothing to activate. The last step is
+    always sampled, on the stride or not."""
     state, strategy = initialize(config)
     grid = CoverageGrid(state.area, config.grid_cell)
     series = [sample_metrics(state, config, grid)]
@@ -339,9 +379,9 @@ def run(config: SimConfig) -> RunResult:
         if sample is not None:
             series.append(sample)
         if _network_finished(state):
-            if series[-1].time != state.time:
-                series.append(sample_metrics(state, config, grid))
             break
+    if series[-1].time != state.time:  # the horizon or the early end
+        series.append(sample_metrics(state, config, grid))
     final = {
         "steps": state.time,
         "alive": alive_count(state),

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigError
 
 if TYPE_CHECKING:
-    from .engine import Routes
+    from .engine import Routes, SampleMemo
 
 SINK_ID = 0
 
@@ -192,6 +192,11 @@ class NetworkState:
     in_step: bool = False
     positions: np.ndarray = field(init=False, repr=False, compare=False)
     links: list[list[int]] = field(init=False, repr=False, compare=False)
+    # The engine's last metric sample, which the next one reuses where the
+    # network it samples has not changed.
+    sample_memo: SampleMemo | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.positions = np.array(
