@@ -51,9 +51,6 @@ class ConstructionCharge:
     received: dict[int, int] = field(default_factory=dict)
     energy: dict[int, float] = field(default_factory=dict)
 
-    def total_energy(self) -> float:
-        return sum(self.energy[nid] for nid in sorted(self.energy))
-
 
 @dataclass
 class _Growth:
@@ -176,8 +173,8 @@ def prune_childless(topology: Topology) -> Topology:
 def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
     """Activate sleeping leaves whose own positions are not sensed with
     probability detection_threshold by the current active sensors. Each
-    promotion joins as a leaf under the nearest active node and immediately
-    counts as a sensor for the leaves tested after it.
+    promotion joins as a leaf under the nearest linked active node and
+    immediately counts as a sensor for the leaves tested after it.
 
     A sensor past r + r_u contributes a factor of exactly 1.0 to the miss
     product, so while that band lies within the radio range the sleeper's
@@ -190,7 +187,8 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
         node = state.nodes[sid]
         if not node.alive:
             continue
-        pool = state.links[sid] if in_links else sorted(topology.active_set)
+        links = state.links[sid]
+        pool = links if in_links else sorted(topology.active_set)
         near = [
             (distance(node.position, state.nodes[aid].position), aid)
             for aid in pool
@@ -202,7 +200,7 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
                 miss *= 1.0 - sense_probability(sp, r, d)
         if 1.0 - miss >= sp.detection_threshold:
             continue
-        best = min(((d, aid) for d, aid in near if d <= radius), default=None)
+        best = min(((d, aid) for d, aid in near if aid in links), default=None)
         if best is None:
             continue  # no active node in range; cannot attach
         topology.parent[sid] = best[1]

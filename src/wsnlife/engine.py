@@ -6,10 +6,11 @@ advance, and metric sampling when due. A node dies the moment its battery
 is drained. One data round per step; the link layer is lossless, so node
 death is the only loss mechanism, and idle listening costs nothing.
 
-A node's alive status changes only through NetworkState.kill, which adds
-one entry to death_step. Each tree caches its data round compiled over the
-alive set, keyed on len(death_step); setting Node.life anywhere else would
-leave that round stale.
+A node's alive status changes only through NetworkState.kill, which zeroes
+its battery. Each tree caches its data round compiled over an alive set; a
+node that has died since drives its residual under the program to zero or
+below, so the step runs hop by hop and the next one recompiles. Setting
+Node.life anywhere else would leave that round stale.
 """
 from __future__ import annotations
 
@@ -135,12 +136,11 @@ def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | N
 
 @dataclass
 class RoundProgram:
-    """A tree's data round compiled over one alive set, valid while
-    len(death_step) equals deaths: drains, every drain in hop order (the
+    """A tree's data round compiled over one alive set, valid while every
+    node it charges is alive: drains, every drain in hop order (the
     ledger's additions); relays, each charged node with its own drains in
     order; and the packets the round delivers and drops."""
 
-    deaths: int
     drains: list[float]
     relays: list[tuple[Node, list[float]]]
     delivered: int
@@ -163,14 +163,15 @@ def _routes(state: NetworkState) -> Routes:
     topology = state.topology
     if topology.route_cache is not None:
         return topology.route_cache
-    energy = state.energy
+    energy, nodes = state.energy, state.nodes
     origins = sorted(topology.active_set - {topology.root})
     edges: dict[int, tuple[int, float]] = {}
     for nid in origins:
         parent = topology.parent[nid]
-        hop = float(
-            ((state.positions[nid] - state.positions[parent]) ** 2).sum() ** 0.5
-        )
+        dx = nodes[nid].position.x - nodes[parent].position.x
+        dy = nodes[nid].position.y - nodes[parent].position.y
+        # Must not become distance(): hypot differs on 23,418 of 141,742 pairs.
+        hop = (dx * dx + dy * dy) ** 0.5
         edges[nid] = (parent, tx_energy(energy, energy.data_packet_bits, hop))
     topology.route_cache = Routes(origins, edges)
     return topology.route_cache
@@ -204,7 +205,7 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
             own[parent].append(rx_cost)
             current = parent
     relays = [(nodes[nid], costs) for nid, costs in own.items() if costs]
-    return RoundProgram(len(state.death_step), drains, relays, delivered, dropped)
+    return RoundProgram(drains, relays, delivered, dropped)
 
 
 def _traffic(state: NetworkState) -> None:
@@ -215,15 +216,18 @@ def _traffic(state: NetworkState) -> None:
     result never exceeds the energy it was taken from, so a final energy
     above zero means every drain on the way was taken in full: the clamp
     never bit, nobody died, and each node's subtractions and the ledger's
-    additions are the per-hop round's own, in its order. Otherwise the
-    per-hop round runs on the untouched state."""
+    additions are the per-hop round's own, in its order. A node killed since
+    the program was compiled has energy 0.0, so it fails the same test.
+    Otherwise the per-hop round runs on the untouched state, and the next
+    step compiles over the alive set it leaves."""
     routes = _routes(state)
     program = routes.program
-    if program is None or program.deaths != len(state.death_step):
+    if program is None:
         program = routes.program = _compile_round(state, routes)
     energies = [reduce(sub, costs, node.energy) for node, costs in program.relays]
     if energies and min(energies) <= 0.0:
         _per_hop_round(state, routes)
+        routes.program = None
         return
     for (node, _), residual in zip(program.relays, energies):
         node.energy = residual

@@ -3,12 +3,11 @@ area coverage estimators (communication and sensing) over a sampling grid."""
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DeploymentArea, NetworkState, Role, SensingParams
+from .model import DeploymentArea, Life, NetworkState, Role, SensingParams
 
 # Sample points a coverage grid may hold: each sampled step allocates a few
 # float arrays of this size. n = 3000 at the default density with 4 m cells
@@ -31,6 +30,8 @@ class CoverageGrid:
 
     area: DeploymentArea
     cell_size: float
+    xs: np.ndarray = field(init=False, repr=False)
+    ys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.cell_size > 0:
@@ -84,31 +85,22 @@ def alive_count(state: NetworkState) -> int:
 
 
 def sink_reachable(state: NetworkState) -> set[int]:
-    """Breadth-first closure from the sink over alive active nodes, using
-    disk-graph edges no longer than the communication radius. Visitation
-    order is ascending id, so the traversal is deterministic."""
-    radius = state.radio.communication_radius
-    members = [state.sink.id] + [
-        n.id for n in state.nodes if n.alive and n.role is Role.ACTIVE
-    ]
-    members = sorted(set(members))
-    if len(members) == 1:
-        return {state.sink.id}
-    pos = state.positions[members]
-    index_of = {nid: i for i, nid in enumerate(members)}
-    visited = {state.sink.id}
-    queue = deque([state.sink.id])
-    r2 = radius * radius
-    while queue:
-        current = queue.popleft()
-        delta = pos - pos[index_of[current]]
-        within = np.flatnonzero((delta * delta).sum(axis=1) <= r2)
-        for i in within:
-            nid = members[i]
-            if nid not in visited:
-                visited.add(nid)
-                queue.append(nid)
-    return visited
+    """The sink plus every alive active node joined to it by a chain of
+    alive active nodes, each hop a radio link of state.links."""
+    nodes, links = state.nodes, state.links
+    reached = {state.sink.id}
+    frontier = [state.sink.id]
+    while frontier:
+        for nid in links[frontier.pop()]:
+            node = nodes[nid]
+            if (
+                nid not in reached
+                and node.role is Role.ACTIVE
+                and node.life is Life.ALIVE
+            ):
+                reached.add(nid)
+                frontier.append(nid)
+    return reached
 
 
 def comm_coverage(
@@ -124,7 +116,8 @@ def comm_coverage(
     covered = np.zeros((len(ys), len(xs)), dtype=bool)
     r2 = radius * radius
     for nid in sorted(reach):
-        px, py = state.positions[nid]
+        at = state.nodes[nid].position
+        px, py = at.x, at.y
         ix0 = int(np.searchsorted(xs, px - radius, side="left"))
         ix1 = int(np.searchsorted(xs, px + radius, side="right"))
         iy0 = int(np.searchsorted(ys, py - radius, side="left"))
@@ -161,7 +154,8 @@ def sensing_coverage(
     xs, ys = grid.xs, grid.ys
     miss = np.ones((len(ys), len(xs)))
     for nid in sensors:
-        px, py = state.positions[nid]
+        at = state.nodes[nid].position
+        px, py = at.x, at.y
         ix0 = int(np.searchsorted(xs, px - outer, side="left"))
         ix1 = int(np.searchsorted(xs, px + outer, side="right"))
         iy0 = int(np.searchsorted(ys, py - outer, side="left"))

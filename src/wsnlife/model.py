@@ -4,9 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -173,7 +172,8 @@ class NetworkState:
     batteries, so that sum(initial) - sum(current) over non-sink nodes
     equals the ledger at any instant.
 
-    Positions never move, so the radio links are fixed at deployment:
+    Node.position is the one store of geometry. Positions never move, so
+    the radio links are fixed at deployment and built on first use:
     links[i] holds, in ascending order, the id of every other node, dead or
     alive, whose distance from node i is within the communication radius.
     """
@@ -190,19 +190,15 @@ class NetworkState:
     packets_delivered: int = 0
     packets_dropped: int = 0
     in_step: bool = False
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
-    links: list[list[int]] = field(init=False, repr=False, compare=False)
     # The engine's last metric sample, which the next one reuses where the
     # network it samples has not changed.
     sample_memo: SampleMemo | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        self.positions = np.array(
-            [(n.position.x, n.position.y) for n in self.nodes], dtype=float
-        )
-        self.links = _links(self.nodes, self.radio.communication_radius)
+    @cached_property
+    def links(self) -> list[list[int]]:
+        return _links(self.nodes, self.radio.communication_radius)
 
     @property
     def sink(self) -> Node:
@@ -212,9 +208,6 @@ class NetworkState:
         if not 0 <= node_id < len(self.nodes):
             raise KeyError(f"unknown node id {node_id}")
         return self.nodes[node_id]
-
-    def alive_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.alive]
 
     def charge(self, node_id: int, joules: float) -> float:
         """Drain energy from a node; returns the amount actually drained.
@@ -237,8 +230,9 @@ class NetworkState:
         return drained
 
     def kill(self, node_id: int) -> None:
-        """The one way a node dies: it adds the node to death_step, whose
-        length keys the engine's compiled data round."""
+        """The one way a node dies: it zeroes the battery, which is how the
+        engine's compiled data round sees the death, and adds the node to
+        death_step."""
         node = self.nodes[node_id]
         if node.role is Role.SINK or not node.alive:
             return

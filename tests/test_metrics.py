@@ -96,6 +96,26 @@ def test_sink_reachable_ignores_sleeping_relays():
     assert sink_reachable(state) == {0}
 
 
+@pytest.mark.parametrize(
+    "radius, x, y",
+    [
+        (100.0, 96.87375848777113, 24.808766927297956),
+        (60.0, 59.83845109126747, 4.3999739769674475),
+        (90.0, 87.11846051985349, 22.591454947628545),
+    ],
+)
+def test_sink_reachable_uses_link_predicate_at_radius(radius, x, y):
+    # within an ulp of R: hypot(x, y) <= R holds, x*x + y*y <= R*R does not
+    assert math.hypot(x, y) <= radius and not x * x + y * y <= radius * radius
+    state = make_state(
+        [(0.0, 0.0), (x, y)],
+        radio=RadioParams(communication_radius=radius),
+        roles={1: Role.ACTIVE},
+    )
+    assert sink_reachable(state) == {0, 1}
+    assert state.links[0] == [1]
+
+
 def test_comm_coverage_inscribed_circle():
     # lone sink centered in a 200 x 200 area with R = 100: pi/4 of the area
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
