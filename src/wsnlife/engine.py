@@ -11,9 +11,22 @@ its battery. Each tree caches its data round compiled over an alive set; a
 node that has died since drives its residual under the program to zero or
 below, so the step runs hop by hop and the next one recompiles. Setting
 Node.life anywhere else would leave that round stale.
+
+run() does not step through quiet stretches one at a time: steps on which
+no node dies, no sample is due and the trigger stays off (or, once a static
+rotation set is spent, fires only to re-stamp). There each battery and the
+ledger take the same drains every step, and _fast_forward moves them over
+the whole stretch at once with the same bits. Inside a binade of doubles
+every result of a subtraction or addition is rounded to one grid, so the
+same drains move a value by the same number of grid steps every time,
+unless a drain lies exactly halfway between two grid steps; _advance takes
+such a run in one exact multiply-add and computes every other step as it
+stands. Every eventful step goes through step().
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, sub
@@ -28,9 +41,13 @@ from .maintenance import (
     TriggerKind,
     TriggerPolicy,
     activate_topology,
+    energy_floor,
     maintain,
     precompute_rotation_set,
+    retain,
+    retains_every_step,
     should_trigger,
+    steps_to_time_trigger,
 )
 from .metrics import (
     MAX_GRID_POINTS,
@@ -208,6 +225,14 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
     return RoundProgram(drains, relays, delivered, dropped)
 
 
+def _program(state: NetworkState, routes: Routes) -> RoundProgram:
+    """The installed tree's round, compiled over the current alive set if
+    the last one was dropped."""
+    if routes.program is None:
+        routes.program = _compile_round(state, routes)
+    return routes.program
+
+
 def _traffic(state: NetworkState) -> None:
     """Every alive active node sends one data packet up the tree.
 
@@ -221,9 +246,7 @@ def _traffic(state: NetworkState) -> None:
     Otherwise the per-hop round runs on the untouched state, and the next
     step compiles over the alive set it leaves."""
     routes = _routes(state)
-    program = routes.program
-    if program is None:
-        program = routes.program = _compile_round(state, routes)
+    program = _program(state, routes)
     energies = [reduce(sub, costs, node.energy) for node, costs in program.relays]
     if energies and min(energies) <= 0.0:
         _per_hop_round(state, routes)
@@ -287,6 +310,117 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     state.sink_bits_last_step = delivered * bits
     state.packets_delivered += delivered
     state.packets_dropped += dropped
+
+
+# A residual below the least positive double is at most zero: a death.
+_DEATH_FLOOR = math.ulp(0.0)
+# The grid steps from the bottom of a binade of doubles to its top.
+_BINADE_STEPS = 1 << 52
+
+
+def _advance(
+    x: float, op, costs: list[float], steps: int, floor: float = -math.inf
+) -> tuple[int, float]:
+    """Replace x by reduce(op, costs, x) up to `steps` times, stopping before
+    the first result below floor; return how many were applied and the value.
+    The costs are positive; op is sub (a relay's battery) or add (the ledger).
+
+    In the binade [lo, 2lo) every double is a multiple of g = ulp(lo). So a
+    correctly rounded x - c or x + c whose exact value lies in it is
+    x -/+ g*round(c/g), unless c/g is a half-integer: a tie, which rounds to
+    the even neighbour and so depends on x. While no cost is a tie and every
+    result stays in the binade with a grid step to spare, each application
+    therefore moves x by the same multiple of g, and k of them are one exact
+    multiply-add. Any other application (across a binade edge, on a tie, off
+    the normal range, or the last one) is computed as it stands.
+    """
+    done = 0
+    while done < steps:
+        y = reduce(op, costs, x)
+        if y < floor:
+            break
+        done += 1
+        if steps - done > 1 and x >= sys.float_info.min:
+            exponent = math.frexp(x)[1]
+            lo = math.ldexp(0.5, exponent)
+            per_g = math.ldexp(1.0, 53 - exponent)  # 1 / g, a power of two
+            place = (y - lo) * per_g  # y's grid steps above lo
+            if 1.0 <= place < _BINADE_STEPS and not any(
+                (c * per_g) % 1.0 == 0.5 for c in set(costs)
+            ):
+                place = int(place)
+                move = int((y - x) * per_g)  # exact: both on the grid
+                if move < 0:
+                    bottom = 1
+                    if floor > lo:  # on the grid too, as floor <= y
+                        bottom = max(bottom, int((floor - lo) * per_g))
+                    k = (place - bottom) // -move
+                elif move > 0:
+                    k = (_BINADE_STEPS - 1 - place) // move
+                else:
+                    k = steps - done
+                k = min(k, steps - done)
+                y += k * (y - x)
+                done += k
+        x = y
+    return done, x
+
+
+def _fast_forward(
+    state: NetworkState, strategy: MaintenanceStrategy | None, config: SimConfig
+) -> None:
+    """Run the quiet stretch that starts at state.time in one move: the
+    steps on which no node dies, no sample is due and the trigger stays off,
+    or, once a static set is spent, fires only to re-stamp. The end state
+    is the one step() would leave, bit for bit.
+
+    On such steps each relay's battery and the ledger take the compiled
+    round's drains, and nothing else: relays are independent of each other,
+    so each one advances by _advance, as far as the first step that would
+    leave it at or below zero or under its energy-trigger floor."""
+    t, stride = state.time, config.metrics_stride
+    room = min(config.max_steps - t, stride - 1 - t % stride)
+    policy = config.trigger
+    retaining = energy_triggered = False
+    if config.tm is not None:
+        if retains_every_step(policy, strategy):
+            retaining = True
+        elif policy.kind is TriggerKind.TIME:
+            room = min(room, steps_to_time_trigger(policy, state))
+        else:
+            energy_triggered = True
+    if room < 2:
+        return
+    routes = _routes(state)
+    program = _program(state, routes)
+    if energy_triggered and len(program.relays) < len(routes.origins):
+        return  # a dead member trips the energy trigger on every step
+    topology = state.topology
+    n = room
+    walks = []
+    for node, costs in program.relays:
+        floor = _DEATH_FLOOR
+        if energy_triggered:
+            floor = max(floor, energy_floor(policy, topology, node.id))
+        walk = _advance(node.energy, sub, costs, n, floor)
+        n = walk[0]
+        if n == 0:
+            return
+        walks.append(walk)
+    for (node, costs), (done, energy) in zip(program.relays, walks):
+        if done > n:
+            energy = _advance(node.energy, sub, costs, n)[1]
+        node.energy = energy
+    state.energy_ledger = _advance(state.energy_ledger, add, program.drains, n)[1]
+    state.sink_bits_last_step = program.delivered * state.energy.data_packet_bits
+    state.packets_delivered += n * program.delivered
+    state.packets_dropped += n * program.dropped
+    if retaining:
+        state.time += n - 1  # maintain runs before the clock advances
+        retain(strategy, state, n)
+        state.time += 1
+    else:
+        state.time += n
 
 
 def _network_finished(state: NetworkState) -> bool:
@@ -373,8 +507,9 @@ def step(
 
 def run(config: SimConfig) -> RunResult:
     """Initialize and step to max_steps, or stop early once every sensor
-    node is dead and maintenance has nothing to activate. The last step is
-    always sampled, on the stride or not."""
+    node is dead and maintenance has nothing to activate. Each quiet stretch
+    is jumped in one move. The last step is always sampled, on the stride
+    or not."""
     state, strategy = initialize(config)
     grid = CoverageGrid(state.area, config.grid_cell)
     series = [sample_metrics(state, config, grid)]
@@ -384,6 +519,7 @@ def run(config: SimConfig) -> RunResult:
             series.append(sample)
         if _network_finished(state):
             break
+        _fast_forward(state, strategy, config)
     if series[-1].time != state.time:  # the horizon or the early end
         series.append(sample_metrics(state, config, grid))
     final = {

@@ -85,16 +85,51 @@ class MaintenanceStrategy:
 def should_trigger(policy: TriggerPolicy, state: NetworkState) -> bool:
     topology = state.topology
     if policy.kind is TriggerKind.TIME:
-        return state.time - topology.activation_time >= policy.period
-    for nid in sorted(topology.active_set):
+        return steps_to_time_trigger(policy, state) <= 0
+    for nid in topology.active_set:
         if nid == topology.root:
             continue
         node = state.nodes[nid]
         if node.life is Life.DEAD:
             return True
-        if node.energy < policy.energy_threshold * topology.activation_energy[nid]:
+        if node.energy < energy_floor(policy, topology, nid):
             return True
     return False
+
+
+def steps_to_time_trigger(policy: TriggerPolicy, state: NetworkState) -> int:
+    """How many steps, the current one included, the time trigger stays off."""
+    return state.topology.activation_time + policy.period - state.time
+
+
+def energy_floor(policy: TriggerPolicy, topology: Topology, nid: int) -> float:
+    """The residual below which active node nid trips the energy trigger.
+    A residual at or above it keeps the node quiet: this is the compare that
+    both should_trigger and the engine's look-ahead make."""
+    return policy.energy_threshold * topology.activation_energy[nid]
+
+
+def retains_every_step(policy: TriggerPolicy, strategy: MaintenanceStrategy) -> bool:
+    """True once an energy-triggered static strategy has logged "Retained".
+    Its entries only ever lose nodes, so none becomes usable again, and the
+    installed one keeps a dead member: the trigger fires on every step, and
+    maintain only re-stamps."""
+    return (
+        policy.kind is TriggerKind.ENERGY
+        and strategy.kind is StrategyKind.STATIC_ROTATION
+        and bool(strategy.events)
+        and strategy.events[-1][1] == "Retained"
+    )
+
+
+def retain(strategy: MaintenanceStrategy, state: NetworkState, steps: int) -> None:
+    """What maintain does for a strategy that retains on every step, over
+    the `steps` steps that end with the one in progress at state.time: each
+    logs "Retained" and re-stamps the installed topology, and each stamp
+    overwrites the one before, so one stamp now stands for them all."""
+    end = state.time + 1
+    strategy.events.extend((t, "Retained") for t in range(end - steps + 1, end + 1))
+    _stamp_activation(state, state.topology)
 
 
 def _stamp_activation(state: NetworkState, topology: Topology) -> None:

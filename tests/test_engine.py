@@ -1,4 +1,7 @@
 import math
+from functools import reduce
+from operator import add, sub
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -493,3 +496,126 @@ def test_kill_between_steps_recompiles_round():
     program = topology.route_cache.program
     assert (program.delivered, program.dropped) == (1, 1)
     assert [node.id for node, _ in program.relays] == [1, 3]
+
+
+def iterated(x, op, costs, steps, floor=-math.inf):
+    """engine._advance's reference: one reduce per step."""
+    done = 0
+    while done < steps:
+        y = reduce(op, costs, x)
+        if y < floor:
+            break
+        x, done = y, done + 1
+    return done, x
+
+
+G = 2.0**-53  # the grid of the binade [0.5, 1)
+ADVANCE_CASES = {
+    # from an odd grid place the tie rounds to 1001 grid steps, then to
+    # 1000 from every even place after: the decrement is not constant
+    "tie": (0.75 + G, sub, [1000.5 * G], 60, -math.inf),
+    "tie among others": (0.75 + G, sub, [7.5e-5, 1000.5 * G, 5e-5], 60, -math.inf),
+    "at a binade edge": (0.5, sub, [7.5e-5, 5e-5], 300, -math.inf),
+    "a grid step above an edge": (0.5 + G, sub, [7.5e-5, 5e-5], 300, -math.inf),
+    # the step onto 0.5 is exactly 0.5 - 0.375 G, which rounds to the finer
+    # grid below the edge, to 0.5 - 0.5 G
+    "onto an edge": (0.5 + 5000 * G, sub, [1000.375 * G], 8, -math.inf),
+    "reaches an edge": (0.5 + 1000 * 1.25e-4, sub, [7.5e-5, 5e-5], 3000, -math.inf),
+    "drained to zero": (1e-3, sub, [7.5e-5, 5e-5], 100, engine._DEATH_FLOOR),
+    "drained exactly to zero": (2.5e-4, sub, [1.25e-4], 100, engine._DEATH_FLOOR),
+    "energy-trigger floor": (0.9, sub, [7.5e-5, 5e-5], 5000, 0.6 * 0.9),
+    "ledger crosses upward": (1.0 - 3e-3, add, [7.5e-5, 5e-5, 1.2e-4] * 20, 400, -math.inf),
+    "ledger from zero": (0.0, add, [7.5e-5, 5e-5], 50, -math.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(ADVANCE_CASES))
+def test_advance_matches_iterated_reduce(case):
+    x, op, costs, steps, floor = ADVANCE_CASES[case]
+    for limit in (1, 2, steps // 3, steps):
+        done, value = engine._advance(x, op, costs, limit, floor)
+        want_done, want = iterated(x, op, costs, limit, floor)
+        assert (done, value.hex()) == (want_done, want.hex())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_advance_matches_iterated_reduce_random(data):
+    x = data.draw(st.floats(min_value=1e-4, max_value=8.0))
+    grid = math.ulp(2.0 ** (math.frexp(x)[1] - 1))
+    plain = st.floats(min_value=1e-7, max_value=1e-3)
+    tie = st.integers(0, 10**6).map(lambda m: (m + 0.5) * grid)
+    costs = data.draw(st.lists(plain | tie, min_size=1, max_size=6))
+    op = data.draw(st.sampled_from([sub, add]))
+    steps = data.draw(st.integers(1, 1000))
+    floor = -math.inf
+    if op is sub:
+        floor = data.draw(
+            st.sampled_from([-math.inf, engine._DEATH_FLOOR])
+            | st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * x)
+        )
+    done, value = engine._advance(x, op, costs, steps, floor)
+    want_done, want = iterated(x, op, costs, steps, floor)
+    assert (done, value.hex()) == (want_done, want.hex())
+
+
+def run_keeping_state(config, fast_forward=True):
+    """run(config), and the state it finished with; without fast_forward,
+    every step goes through step()."""
+    states = []
+
+    def keep(cfg):
+        state, strategy = initialize(cfg)
+        states.append(state)
+        return state, strategy
+
+    with mock.patch.object(engine, "initialize", keep):
+        if fast_forward:
+            result = run(config)
+        else:
+            with mock.patch.object(engine, "_fast_forward", lambda *args: None):
+                result = run(config)
+    return result, states[0]
+
+
+def activation_stamp(state):
+    topology = state.topology
+    energies = {nid: e.hex() for nid, e in topology.activation_energy.items()}
+    return topology.activation_time, energies
+
+
+@pytest.mark.parametrize("tc", list(TCProtocol))
+@pytest.mark.parametrize("tm", [*TMProtocol, None])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_fast_forward_matches_step_loop(tm, tc, data):
+    kind = tm.trigger_kind if tm is not None else TriggerKind.ENERGY
+    trigger = TriggerPolicy(
+        kind,
+        period=data.draw(st.integers(1, 60)),
+        energy_threshold=data.draw(st.floats(min_value=0.2, max_value=0.9)),
+    )
+    config = small_config(
+        deployment=DeploymentConfig(
+            node_count=data.draw(st.integers(2, 40)),
+            area=DeploymentArea(300.0, 200.0),
+            seed=data.draw(st.integers(0, 10**6)),
+        ),
+        energy=EnergyParams(initial_energy=data.draw(st.floats(0.002, 0.05))),
+        tc=tc,
+        tm=tm,
+        trigger=trigger,
+        rotation_k=data.draw(st.integers(1, 3)),
+        max_steps=data.draw(st.integers(1, 500)),
+        metrics_stride=data.draw(st.integers(1, 60)),
+    )
+    fast, fast_state = run_keeping_state(config)
+    plain, plain_state = run_keeping_state(config, fast_forward=False)
+    assert fast.to_dict() == plain.to_dict()
+    assert [n.energy.hex() for n in fast_state.nodes] == [
+        n.energy.hex() for n in plain_state.nodes
+    ]
+    assert fast_state.energy_ledger.hex() == plain_state.energy_ledger.hex()
+    assert activation_stamp(fast_state) == activation_stamp(plain_state)
+    alives = [s.alive for s in fast.series]
+    assert all(a >= b for a, b in zip(alives, alives[1:]))
