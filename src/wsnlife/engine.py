@@ -13,23 +13,24 @@ below, so the step runs hop by hop and the next one recompiles. Setting
 Node.life anywhere else would leave that round stale.
 
 run() does not step through quiet stretches one at a time: steps on which
-no node dies, no sample is due and the trigger stays off (or, once a static
-rotation set is spent, fires only to re-stamp). There each battery and the
-ledger take the same drains every step, and _fast_forward moves them over
-the whole stretch at once with the same bits. Inside a binade of doubles
-every result of a subtraction or addition is rounded to one grid, so the
-same drains move a value by the same number of grid steps every time,
-unless a drain lies exactly halfway between two grid steps; _advance takes
-such a run in one exact multiply-add and computes every other step as it
-stands. Every eventful step goes through step().
+no node dies and the trigger stays off (or, once a static rotation set is
+spent, fires only to re-stamp). There each battery and the ledger take the
+same drains every step, and _fast_forward moves them over the whole stretch
+at once with the same bits. Inside a binade of doubles every result of a
+subtraction or addition is rounded to one grid, so the same drains move a
+value by the same number of grid steps every time, unless a drain lies
+exactly halfway between two grid steps; _advance takes such a run in one
+exact multiply-add and computes every other step as it stands. Every
+eventful step goes through step(). A stretch runs through sample points:
+no alive set, role or position changes inside it, so one sample taken at
+its end stands for every stride point it crosses.
 """
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .construction import A3Params, TCProtocol, construct
 from .deployment import DeploymentConfig, deploy
@@ -156,10 +157,12 @@ class RoundProgram:
     """A tree's data round compiled over one alive set, valid while every
     node it charges is alive: drains, every drain in hop order (the
     ledger's additions); relays, each charged node with its own drains in
-    order; and the packets the round delivers and drops."""
+    order; totals, the sum of each relay's drains, for estimating how many
+    rounds it lasts; and the packets the round delivers and drops."""
 
     drains: list[float]
     relays: list[tuple[Node, list[float]]]
+    totals: list[float]
     delivered: int
     dropped: int
 
@@ -222,7 +225,8 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
             own[parent].append(rx_cost)
             current = parent
     relays = [(nodes[nid], costs) for nid, costs in own.items() if costs]
-    return RoundProgram(drains, relays, delivered, dropped)
+    totals = [sum(costs) for _, costs in relays]
+    return RoundProgram(drains, relays, totals, delivered, dropped)
 
 
 def _program(state: NetworkState, routes: Routes) -> RoundProgram:
@@ -316,6 +320,8 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
 _DEATH_FLOOR = math.ulp(0.0)
 # The grid steps from the bottom of a binade of doubles to its top.
 _BINADE_STEPS = 1 << 52
+# The bottom of the lowest binade whose grid step g has a finite 1/g.
+_CLOSED_FORM_MIN = math.ldexp(0.5, -970)
 
 
 def _advance(
@@ -331,8 +337,9 @@ def _advance(
     the even neighbour and so depends on x. While no cost is a tie and every
     result stays in the binade with a grid step to spare, each application
     therefore moves x by the same multiple of g, and k of them are one exact
-    multiply-add. Any other application (across a binade edge, on a tie, off
-    the normal range, or the last one) is computed as it stands.
+    multiply-add. Any other application (across a binade edge, on a tie, in
+    a binade so low that 1/g overflows, or the last one) is computed as it
+    stands.
     """
     done = 0
     while done < steps:
@@ -340,7 +347,7 @@ def _advance(
         if y < floor:
             break
         done += 1
-        if steps - done > 1 and x >= sys.float_info.min:
+        if steps - done > 1 and x >= _CLOSED_FORM_MIN:
             exponent = math.frexp(x)[1]
             lo = math.ldexp(0.5, exponent)
             per_g = math.ldexp(1.0, 53 - exponent)  # 1 / g, a power of two
@@ -368,18 +375,21 @@ def _advance(
 
 def _fast_forward(
     state: NetworkState, strategy: MaintenanceStrategy | None, config: SimConfig
-) -> None:
-    """Run the quiet stretch that starts at state.time in one move: the
-    steps on which no node dies, no sample is due and the trigger stays off,
-    or, once a static set is spent, fires only to re-stamp. The end state
-    is the one step() would leave, bit for bit.
+) -> int:
+    """Run the quiet stretch that starts at state.time in one move and
+    return how many steps it jumped: the steps on which no node dies and
+    the trigger stays off, or, once a static set is spent, fires only to
+    re-stamp. The stretch ends at max_steps, not at the sampling stride.
+    The end state is the one step() would leave, bit for bit.
 
     On such steps each relay's battery and the ledger take the compiled
     round's drains, and nothing else: relays are independent of each other,
     so each one advances by _advance, as far as the first step that would
-    leave it at or below zero or under its energy-trigger floor."""
-    t, stride = state.time, config.metrics_stride
-    room = min(config.max_steps - t, stride - 1 - t % stride)
+    leave it at or below zero or under its energy-trigger floor. The relays
+    are walked in ascending order of their estimated limit, so the first
+    walks bound the later ones and a relay is rarely walked twice; the
+    stretch is the least limit whatever the order."""
+    room = config.max_steps - state.time
     policy = config.trigger
     retaining = energy_triggered = False
     if config.tm is not None:
@@ -390,24 +400,28 @@ def _fast_forward(
         else:
             energy_triggered = True
     if room < 2:
-        return
+        return 0
     routes = _routes(state)
     program = _program(state, routes)
     if energy_triggered and len(program.relays) < len(routes.origins):
-        return  # a dead member trips the energy trigger on every step
+        return 0  # a dead member trips the energy trigger on every step
     topology = state.topology
-    n = room
     walks = []
-    for node, costs in program.relays:
+    for (node, costs), total in zip(program.relays, program.totals):
         floor = _DEATH_FLOOR
         if energy_triggered:
             floor = max(floor, energy_floor(policy, topology, node.id))
-        walk = _advance(node.energy, sub, costs, n, floor)
-        n = walk[0]
-        if n == 0:
-            return
-        walks.append(walk)
-    for (node, costs), (done, energy) in zip(program.relays, walks):
+        walks.append(((node.energy - floor) / total, node, costs, floor))
+    walks.sort(key=itemgetter(0))
+    n = room
+    ends = []
+    for _, node, costs, floor in walks:
+        done, energy = _advance(node.energy, sub, costs, n, floor)
+        if done == 0:
+            return 0
+        n = done
+        ends.append((node, costs, done, energy))
+    for node, costs, done, energy in ends:
         if done > n:
             energy = _advance(node.energy, sub, costs, n)[1]
         node.energy = energy
@@ -421,6 +435,7 @@ def _fast_forward(
         state.time += 1
     else:
         state.time += n
+    return n
 
 
 def _network_finished(state: NetworkState) -> bool:
@@ -508,10 +523,13 @@ def step(
 def run(config: SimConfig) -> RunResult:
     """Initialize and step to max_steps, or stop early once every sensor
     node is dead and maintenance has nothing to activate. Each quiet stretch
-    is jumped in one move. The last step is always sampled, on the stride
-    or not."""
+    is jumped in one move, through any sample points it crosses: nothing a
+    sample reads but the clock changes inside it, so one sample at its end,
+    re-timed, stands for each of them. The last step is always sampled, on
+    the stride or not."""
     state, strategy = initialize(config)
     grid = CoverageGrid(state.area, config.grid_cell)
+    stride = config.metrics_stride
     series = [sample_metrics(state, config, grid)]
     while state.time < config.max_steps:
         sample = step(state, strategy, config, grid)
@@ -519,7 +537,12 @@ def run(config: SimConfig) -> RunResult:
             series.append(sample)
         if _network_finished(state):
             break
-        _fast_forward(state, strategy, config)
+        start = state.time
+        if _fast_forward(state, strategy, config):
+            due = range(start // stride * stride + stride, state.time + 1, stride)
+            if due:
+                sample = sample_metrics(state, config, grid)
+                series.extend(replace(sample, time=t) for t in due)
     if series[-1].time != state.time:  # the horizon or the early end
         series.append(sample_metrics(state, config, grid))
     final = {

@@ -9,9 +9,9 @@ import numpy as np
 
 from .model import DeploymentArea, Life, NetworkState, Role, SensingParams
 
-# Sample points a coverage grid may hold: each sampled step allocates a few
-# float arrays of this size. n = 3000 at the default density with 4 m cells
-# needs 443k points.
+# Sample points a coverage grid may hold: each coverage recomputation
+# allocates a float array and two bool arrays of this size. n = 3000 at the
+# default density with 4 m cells needs 443k points.
 MAX_GRID_POINTS = 10_000_000
 
 
@@ -26,12 +26,21 @@ class CoverageGrid:
 
     The estimate converges as cell_size shrinks; 4 m keeps the default area
     under 50k points, cheap enough to evaluate every sampled step.
+
+    The grid keeps each node's footprint on it, computed on first use: the
+    patch of points within a disc around the node, and over that patch its
+    coverage mask (bit-packed by row) or its miss factor 1 - p. A footprint
+    is keyed on its content, the radius or sensing parameters and the
+    position, so a grid stays valid across deployments and never serves a
+    stale patch. Each is computed by the same expressions on the same patch
+    as a fresh evaluation, so the values are the same bits.
     """
 
     area: DeploymentArea
     cell_size: float
     xs: np.ndarray = field(init=False, repr=False)
     ys: np.ndarray = field(init=False, repr=False)
+    footprints: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.cell_size > 0:
@@ -43,6 +52,47 @@ class CoverageGrid:
     @property
     def point_count(self) -> int:
         return len(self.xs) * len(self.ys)
+
+    def _patch(self, px: float, py: float, reach: float):
+        """The bounds (iy0, iy1, ix0, ix1) of the points within reach of
+        (px, py) along each axis and the offsets dx, dy of their columns and
+        rows, or None when the square misses the grid."""
+        xs, ys = self.xs, self.ys
+        ix0 = int(np.searchsorted(xs, px - reach, side="left"))
+        ix1 = int(np.searchsorted(xs, px + reach, side="right"))
+        iy0 = int(np.searchsorted(ys, py - reach, side="left"))
+        iy1 = int(np.searchsorted(ys, py + reach, side="right"))
+        if ix0 >= ix1 or iy0 >= iy1:
+            return None
+        return (iy0, iy1, ix0, ix1), xs[ix0:ix1] - px, ys[iy0:iy1] - py
+
+    def disc(self, radius: float, px: float, py: float):
+        """The footprint of a disc of radius around (px, py): its patch
+        bounds and the d^2 <= r^2 mask over the patch, bit-packed by row;
+        None when it misses the grid."""
+        key = ("disc", radius, px, py)
+        if key not in self.footprints:
+            found = self._patch(px, py, radius)
+            if found is not None:
+                bounds, dx, dy = found
+                d2 = dy[:, None] ** 2 + dx[None, :] ** 2
+                found = bounds, np.packbits(d2 <= radius * radius, axis=1)
+            self.footprints[key] = found
+        return self.footprints[key]
+
+    def miss_factor(self, sp: SensingParams, r: float, px: float, py: float):
+        """The footprint of a sensor of radius r at (px, py): its patch
+        bounds out to r + r_u and 1 - p over the patch; None when it misses
+        the grid."""
+        key = ("sense", sp, r, px, py)
+        if key not in self.footprints:
+            found = self._patch(px, py, r + sp.uncertainty_radius)
+            if found is not None:
+                bounds, dx, dy = found
+                d = np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2)
+                found = bounds, 1.0 - _sense_probability_grid(sp, r, d)
+            self.footprints[key] = found
+        return self.footprints[key]
 
 
 @dataclass(frozen=True)
@@ -112,22 +162,15 @@ def comm_coverage(
     radius = state.radio.communication_radius
     if reach is None:
         reach = sink_reachable(state)
-    xs, ys = grid.xs, grid.ys
-    covered = np.zeros((len(ys), len(xs)), dtype=bool)
-    r2 = radius * radius
+    covered = np.zeros((len(grid.ys), len(grid.xs)), dtype=bool)
     for nid in sorted(reach):
         at = state.nodes[nid].position
-        px, py = at.x, at.y
-        ix0 = int(np.searchsorted(xs, px - radius, side="left"))
-        ix1 = int(np.searchsorted(xs, px + radius, side="right"))
-        iy0 = int(np.searchsorted(ys, py - radius, side="left"))
-        iy1 = int(np.searchsorted(ys, py + radius, side="right"))
-        if ix0 >= ix1 or iy0 >= iy1:
+        footprint = grid.disc(radius, at.x, at.y)
+        if footprint is None:
             continue
-        dx = xs[ix0:ix1] - px
-        dy = ys[iy0:iy1] - py
-        d2 = dy[:, None] ** 2 + dx[None, :] ** 2
-        covered[iy0:iy1, ix0:ix1] |= d2 <= r2
+        (iy0, iy1, ix0, ix1), mask = footprint
+        disc = np.unpackbits(mask, axis=1, count=ix1 - ix0).view(bool)
+        covered[iy0:iy1, ix0:ix1] |= disc
     return float(covered.mean())
 
 
@@ -147,24 +190,16 @@ def sensing_coverage(
     already computed for this state.
     """
     r = state.radio.sensing_radius
-    outer = r + sp.uncertainty_radius
     if reach is None:
         reach = sink_reachable(state)
     sensors = sorted(reach - {state.sink.id})
-    xs, ys = grid.xs, grid.ys
-    miss = np.ones((len(ys), len(xs)))
+    miss = np.ones((len(grid.ys), len(grid.xs)))
     for nid in sensors:
         at = state.nodes[nid].position
-        px, py = at.x, at.y
-        ix0 = int(np.searchsorted(xs, px - outer, side="left"))
-        ix1 = int(np.searchsorted(xs, px + outer, side="right"))
-        iy0 = int(np.searchsorted(ys, py - outer, side="left"))
-        iy1 = int(np.searchsorted(ys, py + outer, side="right"))
-        if ix0 >= ix1 or iy0 >= iy1:
+        footprint = grid.miss_factor(sp, r, at.x, at.y)
+        if footprint is None:
             continue
-        dx = xs[ix0:ix1] - px
-        dy = ys[iy0:iy1] - py
-        d = np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2)
-        miss[iy0:iy1, ix0:ix1] *= 1.0 - _sense_probability_grid(sp, r, d)
-    covered = (1.0 - miss) >= sp.detection_threshold
-    return float(covered.mean())
+        (iy0, iy1, ix0, ix1), factor = footprint
+        miss[iy0:iy1, ix0:ix1] *= factor
+    detected = np.subtract(1.0, miss, out=miss)  # in place: the grid may be large
+    return float((detected >= sp.detection_threshold).mean())

@@ -619,3 +619,87 @@ def test_fast_forward_matches_step_loop(tm, tc, data):
     assert activation_stamp(fast_state) == activation_stamp(plain_state)
     alives = [s.alive for s in fast.series]
     assert all(a >= b for a, b in zip(alives, alives[1:]))
+
+
+TINY_ADVANCE_CASES = {
+    # 1/g of x's binade is 2**1052: past the largest double
+    "far below the closed form": (2.0**-1000, sub, [2.0**-1010], 5),
+    "the lowest binade with a finite 1/g": (2.0**-971, sub, [2.0**-1010], 40),
+    "just below it": (2.0**-971 - 2.0**-1023, sub, [2.0**-1010], 40),
+    "ledger climbing into it": (2.0**-972, add, [2.0**-990, 2.0**-1000], 80),
+    "drained to zero": (2.0**-1000, sub, [2.0**-1004], 40),
+}
+
+
+@pytest.mark.parametrize("case", list(TINY_ADVANCE_CASES))
+def test_advance_tiny_normal_matches_iterated(case):
+    x, op, costs, steps = TINY_ADVANCE_CASES[case]
+    for floor in (-math.inf, engine._DEATH_FLOOR):
+        for limit in (1, 2, steps // 3, steps):
+            done, value = engine._advance(x, op, costs, limit, floor)
+            want_done, want = iterated(x, op, costs, limit, floor)
+            assert (done, value.hex()) == (want_done, want.hex())
+
+
+def stretches_of(config):
+    """run(config) as run_keeping_state gives it, with the (start, end)
+    clock of every quiet stretch it jumped."""
+    stretches = []
+    jump = engine._fast_forward
+
+    def recording(state, strategy, cfg):
+        start = state.time
+        jumped = jump(state, strategy, cfg)
+        if jumped:
+            stretches.append((start, state.time))
+        return jumped
+
+    with mock.patch.object(engine, "_fast_forward", recording):
+        result, state = run_keeping_state(config)
+    return result, state, stretches
+
+
+def stride_for(scenario, stretches):
+    """A sampling stride that gives the scenario on these stretches, which
+    do not depend on the stride."""
+    if scenario == "stride 1":
+        return 1
+    start, end = max(stretches, key=lambda s: s[1] - s[0])
+    if scenario == "a stretch ends on a sample":
+        return end  # no earlier multiple lies past start
+    return (end - start) // 3 or 1  # crosses three samples or more
+
+
+def through_samples_config(tm, stride):
+    kind = tm.trigger_kind if tm is not None else TriggerKind.ENERGY
+    return small_config(
+        tm=tm,
+        trigger=TriggerPolicy(kind, period=30, energy_threshold=0.5),
+        max_steps=400,
+        metrics_stride=stride,
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["stride 1", "a stretch ends on a sample", "a stretch crosses several samples"],
+)
+@pytest.mark.parametrize("tm", [*TMProtocol, None])
+def test_run_through_samples_matches_step_loop(tm, scenario):
+    _, _, probe = stretches_of(through_samples_config(tm, 1000))
+    assert any(end - start >= 3 for start, end in probe)
+    stride = stride_for(scenario, probe)
+    config = through_samples_config(tm, stride)
+    fast, fast_state, stretches = stretches_of(config)
+    assert stretches == probe
+    if scenario == "a stretch ends on a sample":
+        assert any(end % stride == 0 for _, end in stretches)
+    else:  # the number of stride points in (start, end]
+        assert max(end // stride - start // stride for start, end in stretches) >= 2
+    plain, plain_state = run_keeping_state(config, fast_forward=False)
+    assert fast.to_dict() == plain.to_dict()
+    assert [n.energy.hex() for n in fast_state.nodes] == [
+        n.energy.hex() for n in plain_state.nodes
+    ]
+    assert fast_state.energy_ledger.hex() == plain_state.energy_ledger.hex()
+    assert activation_stamp(fast_state) == activation_stamp(plain_state)

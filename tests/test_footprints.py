@@ -1,0 +1,101 @@
+"""Coverage through per-node footprints against every disc evaluated afresh."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsnlife import (
+    CoverageGrid,
+    DeploymentArea,
+    RadioParams,
+    SensingParams,
+    comm_coverage,
+    sensing_coverage,
+)
+from wsnlife.metrics import _sense_probability_grid
+
+from helpers import make_state
+
+
+def disc_by_disc(state, sp, grid, reach):
+    """Both coverage values with every node's disc evaluated afresh on the
+    grid's points, as a reference for the footprints."""
+    xs, ys = grid.xs, grid.ys
+
+    def patch(at, reach_radius):
+        ix0 = int(np.searchsorted(xs, at.x - reach_radius, side="left"))
+        ix1 = int(np.searchsorted(xs, at.x + reach_radius, side="right"))
+        iy0 = int(np.searchsorted(ys, at.y - reach_radius, side="left"))
+        iy1 = int(np.searchsorted(ys, at.y + reach_radius, side="right"))
+        if ix0 >= ix1 or iy0 >= iy1:
+            return None
+        where = slice(iy0, iy1), slice(ix0, ix1)
+        return where, xs[ix0:ix1] - at.x, ys[iy0:iy1] - at.y
+
+    radius = state.radio.communication_radius
+    covered = np.zeros((len(ys), len(xs)), dtype=bool)
+    for nid in sorted(reach):
+        found = patch(state.nodes[nid].position, radius)
+        if found is not None:
+            where, dx, dy = found
+            covered[where] |= dy[:, None] ** 2 + dx[None, :] ** 2 <= radius * radius
+    r = state.radio.sensing_radius
+    miss = np.ones((len(ys), len(xs)))
+    for nid in sorted(reach - {state.sink.id}):
+        found = patch(state.nodes[nid].position, r + sp.uncertainty_radius)
+        if found is not None:
+            where, dx, dy = found
+            d = np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2)
+            miss[where] *= 1.0 - _sense_probability_grid(sp, r, d)
+    sensed = (1.0 - miss) >= sp.detection_threshold
+    return float(covered.mean()).hex(), float(sensed.mean()).hex()
+
+
+def footprint_coverage(state, sp, grid, reach):
+    return (
+        comm_coverage(state, grid, reach).hex(),
+        sensing_coverage(state, sp, grid, reach).hex(),
+    )
+
+
+# (communication radius, sensing radius, sensing parameters). The second
+# has its sensing band r + r_u past R; the third differs from the first
+# only in its sensing parameters, the fourth only in its sensing radius.
+WIDE = SensingParams(uncertainty_radius=5.0, decay_rate=0.3)
+FOOTPRINT_RADII = [
+    (60.0, 15.0, SensingParams()),
+    (12.0, 10.0, WIDE),
+    (60.0, 15.0, WIDE),
+    (60.0, 10.0, SensingParams()),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_footprint_coverage_matches_fresh_grid(data):
+    area = DeploymentArea(120.0, 90.0)
+    coord = st.floats(min_value=-30.0, max_value=150.0)
+    shared = CoverageGrid(area, data.draw(st.sampled_from([4.0, 3.0])))
+    earlier = []
+    # two deployments on one grid, with different radii
+    radii = st.sampled_from(FOOTPRINT_RADII)
+    for R, r, sp in data.draw(st.lists(radii, min_size=2, max_size=2, unique=True)):
+        positions = [
+            (data.draw(coord), data.draw(coord))
+            for _ in range(data.draw(st.integers(min_value=2, max_value=8)))
+        ]
+        if earlier:  # nodes where the first deployment had one, or level with it
+            x, y = data.draw(st.sampled_from(earlier))
+            positions += [(x, y), (x, positions[0][1]), (positions[0][0], y)]
+        positions.append((-500.0, -500.0))  # its disc misses the grid
+        earlier = positions
+        radio = RadioParams(communication_radius=R, sensing_radius=r)
+        state = make_state(positions, area=area, radio=radio)
+        everyone = set(range(len(positions)))
+        subsets = st.lists(st.sets(st.sampled_from(sorted(everyone))), max_size=3)
+        for reach in [everyone, *data.draw(subsets)]:
+            want = disc_by_disc(state, sp, shared, reach)
+            fresh = CoverageGrid(area, shared.cell_size)
+            assert footprint_coverage(state, sp, fresh, reach) == want
+            assert footprint_coverage(state, sp, shared, reach) == want
+        assert shared.disc(R, -500.0, -500.0) is None
+        assert shared.miss_factor(sp, r, -500.0, -500.0) is None
