@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 
 from .errors import ConfigError, SimulationError
 from .metrics import alive_count, sense_probability
-from .model import NetworkState, Topology, distance
+from .model import Life, NetworkState, Topology, distance
 from .radio import rx_energy, tx_energy
 
 
@@ -60,26 +60,29 @@ class _Growth:
 
 
 def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Growth:
-    """One growth pass. Does not touch the state; control-energy debits are
-    simulated on a local view so callers can preview a construction."""
+    """One growth pass. Does not touch the state: it returns the tree and
+    the control energy each node would spend, so callers can preview a
+    construction.
+
+    Every node a relay's hello reaches leaves `unvisited` before it is
+    charged, so each node hears at most one hello and answers it once: it is
+    scored and charged on its battery as the state holds it, every count in
+    the charge is 1, and the charged nodes are the ones reached besides the
+    sink."""
     nodes, links = state.nodes, state.links
     radio, energy = state.radio, state.energy
     radius = radio.communication_radius
     e_init = energy.initial_energy
+    ew, dw = params.energy_weight, params.distance_weight
     control_bits = energy.control_packet_bits
     rx_cost = rx_energy(energy, control_bits)
     sink = state.sink.id
+    alive = Life.ALIVE
 
-    charge = ConstructionCharge()
-    residual: dict[int, float] = {}
-
-    def budget(nid: int) -> float:
-        return residual.get(nid, nodes[nid].energy)
-
+    spent: dict[int, float] = {}  # each reached node's control energy
     unvisited = {
-        n.id for n in nodes if n.alive and n.id != sink and n.id not in exclude
+        n.id for n in nodes if n.life is alive and n.id != sink and n.id not in exclude
     }
-    visited = {sink}
     active = {sink}
     parent: dict[int, int] = {}
     queue = deque([sink])
@@ -88,46 +91,34 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
     while True:
         while queue:
             pid = queue.popleft()
-            ppos = nodes[pid].position
-            candidates = [
-                (cid, distance(ppos, nodes[cid].position))
-                for cid in links[pid]
-                if cid in unvisited
-            ]
-            if not candidates:
+            heard = unvisited.intersection(links[pid])
+            if not heard:
                 continue
-            candidates.sort(
-                key=lambda cd: (
-                    -(
-                        params.energy_weight * budget(cd[0]) / e_init
-                        + params.distance_weight * cd[1] / radius
-                    ),
-                    cd[0],
-                )
-            )
-            for cid, _ in candidates:
-                unvisited.discard(cid)
-                visited.add(cid)
+            unvisited -= heard
+            ppos = nodes[pid].position
+            candidates = []
+            for cid in heard:
+                node = nodes[cid]
+                d = distance(ppos, node.position)
+                e = node.energy
+                candidates.append((-(ew * e / e_init + dw * d / radius), cid, d, e))
+            candidates.sort()  # best score first; ids are unique, so ties go by id
             appointed: set[int] = set()
-            for cid, d in candidates:
+            for _, cid, d, e in candidates:
                 # The candidate hears one hello and answers with its score.
-                cost = rx_cost + tx_energy(energy, control_bits, d)
-                drained = min(cost, budget(cid))
-                residual[cid] = budget(cid) - drained
-                charge.sent[cid] = charge.sent.get(cid, 0) + 1
-                charge.received[cid] = charge.received.get(cid, 0) + 1
-                charge.energy[cid] = charge.energy.get(cid, 0.0) + drained
-                if residual[cid] <= 0.0:
+                drained = min(rx_cost + tx_energy(energy, control_bits, d), e)
+                spent[cid] = drained
+                if e - drained <= 0.0:
                     continue  # drained dry by the handshake; never attached
-                # Covered: a relay appointed before it here is in radio range.
-                covered = not appointed.isdisjoint(links[cid])
                 parent[cid] = pid
-                if covered:
-                    heappush(leaves, cid)
-                else:
+                # A relay unless one appointed before it here is in radio
+                # range; a covered candidate sleeps.
+                if appointed.isdisjoint(links[cid]):
                     appointed.add(cid)
                     active.add(cid)
                     queue.append(cid)
+                else:
+                    heappush(leaves, cid)
         # Wake-up pass: a sleeping leaf may be the sole gateway to nodes the
         # relays never saw; promote the lowest-id such leaf and keep growing,
         # otherwise the tree would not dominate its disk-graph component.
@@ -141,12 +132,26 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
         queue.append(woken)
 
     topology = Topology(active_set=active, parent=parent, root=sink)
-    return _Growth(topology=topology, charge=charge, reached=len(visited))
+    charge = ConstructionCharge(
+        sent=dict.fromkeys(spent, 1), received=dict.fromkeys(spent, 1), energy=spent
+    )
+    return _Growth(topology=topology, charge=charge, reached=len(spent) + 1)
 
 
 def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
+    """Debit a growth's charge, in ascending id. Each drain was clamped to
+    the battery it was computed from, which nothing has touched since, so it
+    is taken in full; a battery it empties dies."""
+    nodes = state.nodes
+    ledger = state.energy_ledger
     for nid in sorted(charge.energy):
-        state.charge(nid, charge.energy[nid])
+        drained = charge.energy[nid]
+        node = nodes[nid]
+        node.energy -= drained
+        ledger += drained
+        if node.energy <= 0.0:
+            state.kill(nid)
+    state.energy_ledger = ledger
 
 
 def prune_childless(topology: Topology) -> Topology:

@@ -28,6 +28,7 @@ its end stands for every stride point it crosses.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, itemgetter, sub
@@ -198,35 +199,59 @@ def _routes(state: NetworkState) -> Routes:
 
 
 def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
-    """Walk the round of _per_hop_round over the current alive set, recording
-    each drain instead of applying it."""
+    """The round of _per_hop_round over the current alive set, recorded
+    instead of applied, with each alive node's path built once.
+
+    A node's packet costs its own transmit drain, then, while the next hop
+    is an alive relay, that relay's receive drain and the rest of the
+    relay's own path: [tx, rx] + path[parent], or [tx] when the packet
+    reaches the sink or a dead hop. The round drains the paths of the alive
+    origins in ascending order. So a relay spends [tx] on its own packet and
+    [rx, tx] on each packet it carries, in the order of their senders: it
+    carries `below` packets from lower ids before its own and `above` from
+    higher ids after it."""
     rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
     sink = state.sink.id
     nodes = state.nodes
     edges = routes.edges
-    drains: list[float] = []
-    own: dict[int, list[float]] = {nid: [] for nid in routes.origins}
-    delivered = dropped = 0
+    dead = Life.DEAD
+    paths: dict[int, list[float]] = {}  # each alive node's drains, in hop order
+    carriers: dict[int, list[int]] = {}  # the nodes that pay them, itself first
     for origin in routes.origins:
-        if nodes[origin].life is Life.DEAD:
+        if origin in paths or nodes[origin].life is dead:
             continue
-        current = origin
-        while True:
-            parent, tx_cost = edges[current]
-            drains.append(tx_cost)
-            own[current].append(tx_cost)
-            if parent == sink:
+        chain = [origin]  # up to the first hop whose path is known or ends it
+        parent = edges[origin][0]
+        while parent != sink and parent not in paths and nodes[parent].life is not dead:
+            chain.append(parent)
+            parent = edges[parent][0]
+        for nid in reversed(chain):
+            parent, tx_cost = edges[nid]
+            if parent in paths:
+                paths[nid] = [tx_cost, rx_cost] + paths[parent]
+                carriers[nid] = [nid] + carriers[parent]
+            else:
+                paths[nid] = [tx_cost]
+                carriers[nid] = [nid]
+    drains: list[float] = []
+    below: dict[int, int] = {}  # each relay's count of lower-id packets
+    carried: Counter[int] = Counter()  # packets each node pays for so far
+    delivered = 0
+    for origin in routes.origins:
+        if origin in paths:
+            drains += paths[origin]
+            below[origin] = carried[origin]
+            carried.update(carriers[origin])
+            if edges[carriers[origin][-1]][0] == sink:
                 delivered += 1
-                break
-            if nodes[parent].life is Life.DEAD:
-                dropped += 1
-                break
-            drains.append(rx_cost)
-            own[parent].append(rx_cost)
-            current = parent
-    relays = [(nodes[nid], costs) for nid, costs in own.items() if costs]
+    relays = []
+    for nid in below:
+        tx_cost = edges[nid][1]
+        carry = [rx_cost, tx_cost]
+        above = carried[nid] - below[nid] - 1
+        relays.append((nodes[nid], carry * below[nid] + [tx_cost] + carry * above))
     totals = [sum(costs) for _, costs in relays]
-    return RoundProgram(drains, relays, totals, delivered, dropped)
+    return RoundProgram(drains, relays, totals, delivered, len(below) - delivered)
 
 
 def _program(state: NetworkState, routes: Routes) -> RoundProgram:
@@ -342,6 +367,7 @@ def _advance(
     stands.
     """
     done = 0
+    distinct = set(costs)
     while done < steps:
         y = reduce(op, costs, x)
         if y < floor:
@@ -353,7 +379,7 @@ def _advance(
             per_g = math.ldexp(1.0, 53 - exponent)  # 1 / g, a power of two
             place = (y - lo) * per_g  # y's grid steps above lo
             if 1.0 <= place < _BINADE_STEPS and not any(
-                (c * per_g) % 1.0 == 0.5 for c in set(costs)
+                (c * per_g) % 1.0 == 0.5 for c in distinct
             ):
                 place = int(place)
                 move = int((y - x) * per_g)  # exact: both on the grid

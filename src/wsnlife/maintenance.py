@@ -144,10 +144,11 @@ def activate_topology(state: NetworkState, topology: Topology) -> None:
     """Install a topology: stamp the activation clock and energy snapshot,
     make its members active and every other alive non-sink node sleep."""
     _stamp_activation(state, topology)
+    active = topology.active_set
+    alive, sink = Life.ALIVE, Role.SINK
     for node in state.nodes:
-        if node.role is Role.SINK or not node.alive:
-            continue
-        node.role = Role.ACTIVE if node.id in topology.active_set else Role.SLEEPING
+        if node.life is alive and node.role is not sink:
+            node.role = Role.ACTIVE if node.id in active else Role.SLEEPING
     state.topology = topology
 
 

@@ -160,9 +160,6 @@ class Topology:
     # with its data round compiled over the latest alive set.
     route_cache: Routes | None = field(default=None, compare=False, repr=False)
 
-    def members(self) -> set[int]:
-        return set(self.parent) | {self.root}
-
 
 @dataclass
 class NetworkState:

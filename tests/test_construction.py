@@ -23,6 +23,8 @@ from wsnlife import (
     tx_energy,
 )
 
+from wsnlife.construction import _grow
+
 from helpers import make_state
 
 PARAMS = A3Params()
@@ -236,6 +238,45 @@ def test_construction_invariants_random_instances():
         repeat, _ = a3_construct(pristine, PARAMS)
         assert repeat.parent == topology.parent
         assert repeat.active_set == topology.active_set
+
+
+def test_grow_charges_each_reached_node_once_and_leaves_state_untouched():
+    drained_dry = 0
+    for seed in range(40):
+        state = random_instance(seed + 2000, n_range=(5, 60))
+        rng = random.Random(seed)
+        others = list(range(1, len(state.nodes)))
+        for nid in rng.sample(others, k=len(others) // 8):
+            state.kill(nid)
+        for nid in rng.sample(others, k=len(others) // 8):
+            if state.nodes[nid].alive:  # less than one control exchange
+                state.nodes[nid].energy = rng.uniform(1e-7, 1e-5)
+        state.energy_ledger = rng.uniform(0.0, 1.0)
+        exclude = frozenset(rng.sample(others, k=len(others) // 5))
+        before = (
+            [(n.energy.hex(), n.life, n.role) for n in state.nodes],
+            state.energy_ledger.hex(),
+            dict(state.death_step),
+        )
+        growth = _grow(state, PARAMS, exclude)
+        after = (
+            [(n.energy.hex(), n.life, n.role) for n in state.nodes],
+            state.energy_ledger.hex(),
+            dict(state.death_step),
+        )
+        assert after == before
+        charge = growth.charge
+        assert set(charge.sent.values()) <= {1}
+        assert set(charge.received.values()) <= {1}
+        assert charge.sent.keys() == charge.received.keys() == charge.energy.keys()
+        assert len(charge.energy) == growth.reached - 1
+        for nid, spent in charge.energy.items():
+            node = state.nodes[nid]
+            assert node.alive and nid != 0 and nid not in exclude
+            assert 0.0 < spent <= node.energy
+            drained_dry += spent == node.energy
+        assert set(growth.topology.parent) <= set(charge.energy)
+    assert drained_dry > 0
 
 
 def test_a3cov_superset_and_sensing_gain_random_instances():

@@ -1,4 +1,5 @@
 import math
+import random
 from functools import reduce
 from operator import add, sub
 from unittest import mock
@@ -31,6 +32,7 @@ from wsnlife import (
     comm_coverage,
     initialize,
     run,
+    rx_energy,
     sensing_coverage,
     sink_reachable,
     step,
@@ -473,6 +475,129 @@ def test_compiled_round_matches_per_hop_round(data):
     assert compiled.packets_dropped == reference.packets_dropped
     assert compiled.death_step == reference.death_step
     assert compiled.sink_bits_last_step == reference.sink_bits_last_step
+
+
+def recorded_round(state, routes):
+    """The data round walked hop by hop over the alive set, each drain
+    recorded instead of applied: every drain in hop order, each node's own
+    drains, and the packets delivered and dropped."""
+    rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
+    nodes = state.nodes
+    drains, own = [], {}
+    delivered = dropped = 0
+    for origin in routes.origins:
+        if not nodes[origin].alive:
+            continue
+        current = origin
+        while True:
+            parent, tx_cost = routes.edges[current]
+            drains.append(tx_cost)
+            own.setdefault(current, []).append(tx_cost)
+            if parent == state.sink.id:
+                delivered += 1
+                break
+            if not nodes[parent].alive:
+                dropped += 1
+                break
+            drains.append(rx_cost)
+            own.setdefault(parent, []).append(rx_cost)
+            current = parent
+    return drains, own, delivered, dropped
+
+
+def _deep_tree_state(seed, n, fan):
+    """A random deep tree over n nodes, every non-sink node an active relay:
+    the ids are shuffled, so a relay's descendants lie on both sides of its
+    own id, and each node's parent is one of the `fan` nodes placed just
+    before it, so chains run deep. A few relays with a parent and a child
+    are dead, and a tenth of the batteries last only a few rounds: a leaf's
+    one or two transmit costs exactly, or 0.5 to 5 rounds of its drains."""
+    rng = random.Random(seed)
+    positions = [(0.0, 0.0)] + [
+        (rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)) for _ in range(n - 1)
+    ]
+    order = list(range(1, n))
+    rng.shuffle(order)
+    parent = {}
+    for k, nid in enumerate(order):
+        earlier = [0] + order[:k]
+        parent[nid] = earlier[-rng.randint(1, min(fan, len(earlier)))]
+    children = {p for p in parent.values()}
+    mid_chain = [nid for nid in order if nid in children and parent[nid] != 0]
+    dead = rng.sample(mid_chain, k=min(len(mid_chain), rng.randint(1, 4)))
+    state = make_state(positions, dead=dead)
+    topology = Topology(active_set={0, *order}, parent=parent, root=0)
+    activate_topology(state, topology)
+    _, own, _, _ = recorded_round(state, engine._routes(state))
+    for nid in rng.sample(order, k=n // 10):
+        if nid not in own:
+            continue  # dead
+        if len(own[nid]) == 1:
+            state.nodes[nid].energy = rng.choice([1.0, 2.0]) * own[nid][0]
+        else:
+            state.nodes[nid].energy = rng.uniform(0.5, 5.0) * sum(own[nid])
+    return state, dead
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(30, 300),
+    fan=st.integers(1, 4),
+    steps=st.integers(1, 8),
+)
+def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
+    state, dead = _deep_tree_state(seed, n, fan)
+    routes = engine._routes(state)
+    parent = state.topology.parent
+    # the scenarios this test exists for: a relay that carries packets from
+    # ids on both sides of its own, and a dead relay between two live hops
+    assert any(
+        nid > lo and nid < hi
+        for nid, (lo, hi) in _descendant_id_range(parent).items()
+        if state.nodes[nid].alive
+    )
+    assert any(
+        parent[d] != 0 and any(p == d and state.nodes[c].alive for c, p in parent.items())
+        for d in dead
+    )
+    program = engine._compile_round(state, routes)
+    drains, own, delivered, dropped = recorded_round(state, routes)
+    assert [c.hex() for c in program.drains] == [c.hex() for c in drains]
+    assert [(node.id, [c.hex() for c in costs]) for node, costs in program.relays] == [
+        (nid, [c.hex() for c in own[nid]]) for nid in sorted(own)
+    ]
+    assert program.totals == [sum(own[nid]) for nid in sorted(own)]
+    assert (program.delivered, program.dropped) == (delivered, dropped)
+    assert dropped > 0
+
+    compiled, _ = _deep_tree_state(seed, n, fan)
+    reference, _ = _deep_tree_state(seed, n, fan)
+    for _ in range(steps):
+        engine._traffic(compiled)
+        engine._per_hop_round(reference, engine._routes(reference))
+        compiled.time += 1
+        reference.time += 1
+    assert [nd.energy.hex() for nd in compiled.nodes] == [
+        nd.energy.hex() for nd in reference.nodes
+    ]
+    assert compiled.energy_ledger.hex() == reference.energy_ledger.hex()
+    assert compiled.packets_delivered == reference.packets_delivered
+    assert compiled.packets_dropped == reference.packets_dropped
+    assert compiled.death_step == reference.death_step
+    assert compiled.sink_bits_last_step == reference.sink_bits_last_step
+
+
+def _descendant_id_range(parent):
+    """The least and greatest id below each node that has descendants."""
+    ranges = {}
+    for nid in parent:
+        current = parent[nid]
+        while current != 0:
+            lo, hi = ranges.get(current, (nid, nid))
+            ranges[current] = (min(lo, nid), max(hi, nid))
+            current = parent[current]
+    return ranges
 
 
 def test_kill_between_steps_recompiles_round():
