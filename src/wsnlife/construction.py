@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 
 from .errors import ConfigError, SimulationError
 from .metrics import alive_count, sense_probability
-from .model import Life, NetworkState, Topology, distance
+from .model import NetworkState, Topology, distance
 from .radio import rx_energy, tx_energy
 
 
@@ -52,14 +52,9 @@ class ConstructionCharge:
     energy: dict[int, float] = field(default_factory=dict)
 
 
-@dataclass
-class _Growth:
-    topology: Topology
-    charge: ConstructionCharge
-    reached: int
-
-
-def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Growth:
+def _grow(
+    state: NetworkState, params: A3Params, exclude: frozenset[int]
+) -> tuple[Topology, ConstructionCharge]:
     """One growth pass. Does not touch the state: it returns the tree and
     the control energy each node would spend, so callers can preview a
     construction.
@@ -77,11 +72,12 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
     control_bits = energy.control_packet_bits
     rx_cost = rx_energy(energy, control_bits)
     sink = state.sink.id
-    alive = Life.ALIVE
 
     spent: dict[int, float] = {}  # each reached node's control energy
     unvisited = {
-        n.id for n in nodes if n.life is alive and n.id != sink and n.id not in exclude
+        n.id
+        for n in nodes
+        if n.energy > 0.0 and n.id != sink and n.id not in exclude
     }
     active = {sink}
     parent: dict[int, int] = {}
@@ -135,7 +131,7 @@ def _grow(state: NetworkState, params: A3Params, exclude: frozenset[int]) -> _Gr
     charge = ConstructionCharge(
         sent=dict.fromkeys(spent, 1), received=dict.fromkeys(spent, 1), energy=spent
     )
-    return _Growth(topology=topology, charge=charge, reached=len(spent) + 1)
+    return topology, charge
 
 
 def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
@@ -232,16 +228,17 @@ def construct(
         raise SimulationError("sink is dead; cannot construct a topology")
     if state.sink.id in exclude:
         raise ValueError("the sink cannot be excluded from construction")
-    growth = _grow(state, params, frozenset(exclude))
-    if relax_below is not None and growth.reached < relax_below * alive_count(state):
-        growth = _grow(state, params, frozenset())
-    _apply_charge(state, growth.charge)
-    topology = prune_childless(growth.topology)
+    grown, charge = _grow(state, params, frozenset(exclude))
+    reached = len(charge.energy) + 1  # the charged nodes and the sink
+    if relax_below is not None and reached < relax_below * alive_count(state):
+        grown, charge = _grow(state, params, frozenset())
+    _apply_charge(state, charge)
+    topology = prune_childless(grown)
     if tc is TCProtocol.A3COV:
         if sensing is None:
             raise ValueError("A3Cov requires sensing parameters")
         _promote_for_sensing(state, topology, sensing)
-    return topology, growth.charge
+    return topology, charge
 
 
 def a3_construct(

@@ -6,11 +6,12 @@ advance, and metric sampling when due. A node dies the moment its battery
 is drained. One data round per step; the link layer is lossless, so node
 death is the only loss mechanism, and idle listening costs nothing.
 
-A node's alive status changes only through NetworkState.kill, which zeroes
-its battery. Each tree caches its data round compiled over an alive set; a
-node that has died since drives its residual under the program to zero or
-below, so the step runs hop by hop and the next one recompiles. Setting
-Node.life anywhere else would leave that round stale.
+A node is alive exactly while its battery holds energy, so every liveness
+test reads the battery, and a drain that empties one calls
+NetworkState.kill to record the death step. Each tree caches its data round
+compiled over an alive set; a node that has died since has an empty
+battery, which drives its residual under the program to zero or below, so
+the step runs hop by hop and the next one recompiles.
 
 run() does not step through quiet stretches one at a time: steps on which
 no node dies and the trigger stays off (or, once a static rotation set is
@@ -61,7 +62,7 @@ from .metrics import (
     sensing_coverage,
     sink_reachable,
 )
-from .model import EnergyParams, Life, NetworkState, Node, RadioParams, Role, SensingParams
+from .model import EnergyParams, NetworkState, Node, RadioParams, Role, SensingParams
 from .radio import rx_energy, tx_energy
 
 
@@ -214,15 +215,14 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
     sink = state.sink.id
     nodes = state.nodes
     edges = routes.edges
-    dead = Life.DEAD
     paths: dict[int, list[float]] = {}  # each alive node's drains, in hop order
     carriers: dict[int, list[int]] = {}  # the nodes that pay them, itself first
     for origin in routes.origins:
-        if origin in paths or nodes[origin].life is dead:
+        if origin in paths or nodes[origin].energy <= 0.0:
             continue
         chain = [origin]  # up to the first hop whose path is known or ends it
         parent = edges[origin][0]
-        while parent != sink and parent not in paths and nodes[parent].life is not dead:
+        while parent != sink and parent not in paths and nodes[parent].energy > 0.0:
             chain.append(parent)
             parent = edges[parent][0]
         for nid in reversed(chain):
@@ -294,9 +294,10 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     the receive cost; a node that dies mid-step drops the packet at the
     point of death and handles nothing further.
 
-    Each charge is NetworkState.charge spelled out: the drain is clamped to
-    the residual, debited, added to the ledger, and a node drained to zero
-    dies."""
+    Each drain follows the battery rule: it is clamped to the residual,
+    debited and added to the ledger, and a battery drained to zero is a
+    death, recorded by NetworkState.kill. A dead node is never drained, and
+    the sink's battery is never drawn."""
     origins, edges = routes.origins, routes.edges
     energy = state.energy
     bits = energy.data_packet_bits
@@ -307,7 +308,7 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     delivered = dropped = 0
     for origin in origins:
         sender = nodes[origin]
-        if sender.life is Life.DEAD:
+        if not sender.alive:
             continue  # dead nodes generate nothing
         current = origin
         while True:
@@ -324,7 +325,7 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
                 delivered += 1
                 break
             receiver = nodes[parent]
-            if receiver.life is Life.DEAD:
+            if not receiver.alive:
                 dropped += 1  # transmitted into a dead hop
                 break
             drained = min(rx_cost, receiver.energy)
@@ -478,7 +479,7 @@ class SampleMemo:
     inputs (positions never move): reach, the sink-reachable set, on active,
     the ascending ids of the alive active nodes; coverage, the (comm,
     sensing) pair, on coverage_key, (grid, sensing parameters, reach). The
-    keys hold content, not a version number, so a write to Node.life or
+    keys hold content, not a version number, so a write to a battery or to
     Node.role that bypasses NetworkState cannot leave them stale."""
 
     active: tuple[int, ...]
@@ -494,7 +495,7 @@ def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -
     alive = 0
     active = []
     for node in state.nodes:
-        if node.life is Life.ALIVE:
+        if node.energy > 0.0:
             alive += 1
             if node.role is Role.ACTIVE:
                 active.append(node.id)

@@ -12,7 +12,7 @@ from enum import Enum
 
 from .construction import A3Params, TCProtocol, construct
 from .errors import ConfigError, SimulationError
-from .model import Life, NetworkState, Role, Topology
+from .model import NetworkState, Role, Topology
 
 # A rotation-set growth that reaches under half of the alive nodes lifts its
 # exclusion list: better to reuse relays than to precompute a stump.
@@ -90,9 +90,7 @@ def should_trigger(policy: TriggerPolicy, state: NetworkState) -> bool:
         if nid == topology.root:
             continue
         node = state.nodes[nid]
-        if node.life is Life.DEAD:
-            return True
-        if node.energy < energy_floor(policy, topology, nid):
+        if not node.alive or node.energy < energy_floor(policy, topology, nid):
             return True
     return False
 
@@ -145,9 +143,8 @@ def activate_topology(state: NetworkState, topology: Topology) -> None:
     make its members active and every other alive non-sink node sleep."""
     _stamp_activation(state, topology)
     active = topology.active_set
-    alive, sink = Life.ALIVE, Role.SINK
     for node in state.nodes:
-        if node.life is alive and node.role is not sink:
+        if node.energy > 0.0 and node.role is not Role.SINK:
             node.role = Role.ACTIVE if node.id in active else Role.SLEEPING
     state.topology = topology
 
@@ -190,10 +187,8 @@ def _next_usable(strategy: MaintenanceStrategy, state: NetworkState) -> int | No
     for offset in range(1, k + 1):
         idx = (strategy.cursor + offset) % k
         candidate = strategy.rotation_set[idx]
-        if not any(
-            nodes[nid].life is Life.DEAD
-            for nid in candidate.active_set
-            if nid != candidate.root
+        if all(
+            nodes[nid].alive for nid in candidate.active_set if nid != candidate.root
         ):
             return idx
     return None

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DeploymentArea, Life, NetworkState, Role, SensingParams
+from .model import DeploymentArea, NetworkState, Role, SensingParams
 
 # Sample points a coverage grid may hold: each coverage recomputation
 # allocates a float array and two bool arrays of this size. n = 3000 at the
@@ -143,11 +143,7 @@ def sink_reachable(state: NetworkState) -> set[int]:
     while frontier:
         for nid in links[frontier.pop()]:
             node = nodes[nid]
-            if (
-                nid not in reached
-                and node.role is Role.ACTIVE
-                and node.life is Life.ALIVE
-            ):
+            if nid not in reached and node.role is Role.ACTIVE and node.alive:
                 reached.add(nid)
                 frontier.append(nid)
     return reached

@@ -15,11 +15,6 @@ if TYPE_CHECKING:
 SINK_ID = 0
 
 
-class Life(Enum):
-    ALIVE = "alive"
-    DEAD = "dead"
-
-
 class Role(Enum):
     SINK = "sink"
     ACTIVE = "active"
@@ -129,15 +124,19 @@ class SensingParams:
 
 @dataclass
 class Node:
+    """A sensor, or the sink. Its battery is its life: a node is alive
+    exactly while energy is above zero, the test that loops over every node
+    spell out as `energy > 0.0`. The sink's battery is never drawn, so the
+    sink is always alive."""
+
     id: int
     position: Point
     energy: float
-    life: Life = Life.ALIVE
     role: Role = Role.SLEEPING
 
     @property
     def alive(self) -> bool:
-        return self.life is Life.ALIVE
+        return self.energy > 0.0
 
 
 @dataclass
@@ -206,35 +205,15 @@ class NetworkState:
             raise KeyError(f"unknown node id {node_id}")
         return self.nodes[node_id]
 
-    def charge(self, node_id: int, joules: float) -> float:
-        """Drain energy from a node; returns the amount actually drained.
-
-        The sink is mains-powered and never drained. A battery cannot go
-        negative: the drain is clamped to the residual and hitting zero
-        kills the node, recorded against the step in progress.
-        """
-        if node_id == SINK_ID:
-            return 0.0
-        node = self.nodes[node_id]
-        if not node.alive:
-            return 0.0
-        drained = min(joules, node.energy)
-        node.energy -= drained
-        self.energy_ledger += drained
-        if node.energy <= 0.0:
-            node.energy = 0.0
-            self.kill(node_id)
-        return drained
-
     def kill(self, node_id: int) -> None:
-        """The one way a node dies: it zeroes the battery, which is how the
-        engine's compiled data round sees the death, and adds the node to
-        death_step."""
+        """Record a death: zero the battery and add the node to death_step
+        against the step in progress. A drain that empties a battery calls
+        it, so it cannot test `alive`; a second call keeps the first step,
+        and the sink never dies."""
         node = self.nodes[node_id]
-        if node.role is Role.SINK or not node.alive:
+        if node.role is Role.SINK:
             return
         node.energy = 0.0
-        node.life = Life.DEAD
         self.death_step.setdefault(node_id, self.time + 1 if self.in_step else self.time)
 
 

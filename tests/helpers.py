@@ -4,7 +4,6 @@ from __future__ import annotations
 from wsnlife import (
     DeploymentArea,
     EnergyParams,
-    Life,
     NetworkState,
     Node,
     Point,
@@ -54,5 +53,4 @@ def make_state(
     )
     for nid in dead:
         state.nodes[nid].energy = 0.0
-        state.nodes[nid].life = Life.DEAD
     return state

@@ -254,28 +254,35 @@ def test_grow_charges_each_reached_node_once_and_leaves_state_untouched():
         state.energy_ledger = rng.uniform(0.0, 1.0)
         exclude = frozenset(rng.sample(others, k=len(others) // 5))
         before = (
-            [(n.energy.hex(), n.life, n.role) for n in state.nodes],
+            [(n.energy.hex(), n.role) for n in state.nodes],
             state.energy_ledger.hex(),
             dict(state.death_step),
         )
-        growth = _grow(state, PARAMS, exclude)
+        topology, charge = _grow(state, PARAMS, exclude)
         after = (
-            [(n.energy.hex(), n.life, n.role) for n in state.nodes],
+            [(n.energy.hex(), n.role) for n in state.nodes],
             state.energy_ledger.hex(),
             dict(state.death_step),
         )
         assert after == before
-        charge = growth.charge
         assert set(charge.sent.values()) <= {1}
         assert set(charge.received.values()) <= {1}
         assert charge.sent.keys() == charge.received.keys() == charge.energy.keys()
-        assert len(charge.energy) == growth.reached - 1
+        # the charged nodes are the reached ones: each eligible node that
+        # some relay's hello reaches, and no other
+        heard = {
+            j
+            for a in topology.active_set
+            for j in state.links[a]
+            if state.nodes[j].alive and j != 0 and j not in exclude
+        }
+        assert set(charge.energy) == heard
         for nid, spent in charge.energy.items():
             node = state.nodes[nid]
             assert node.alive and nid != 0 and nid not in exclude
             assert 0.0 < spent <= node.energy
             drained_dry += spent == node.energy
-        assert set(growth.topology.parent) <= set(charge.energy)
+        assert set(topology.parent) <= set(charge.energy)
     assert drained_dry > 0
 
 

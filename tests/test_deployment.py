@@ -6,7 +6,6 @@ from wsnlife import (
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
-    Life,
     RadioParams,
     Role,
     deploy,
@@ -31,7 +30,7 @@ def test_non_sink_nodes_start_sleeping_alive_at_full_charge():
     state = deploy(DeploymentConfig(node_count=40, seed=5), RADIO, ENERGY)
     for node in state.nodes[1:]:
         assert node.role is Role.SLEEPING
-        assert node.life is Life.ALIVE
+        assert node.alive
         assert node.energy == ENERGY.initial_energy
     assert state.time == 0
     assert state.topology.active_set == {0}

@@ -16,7 +16,6 @@ from wsnlife import (
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
-    Life,
     RadioParams,
     Role,
     SensingParams,
@@ -369,7 +368,7 @@ def test_sample_memo_matches_fresh_metrics(data):
     ops = st.one_of(
         st.tuples(st.just("kill"), sensors),
         st.tuples(st.just("activate"), st.sets(sensors)),
-        st.tuples(st.just("life"), sensors, st.sampled_from(list(Life))),
+        st.tuples(st.just("battery"), sensors, st.sampled_from([0.0, 0.5])),
         st.tuples(st.just("none")),
     )
     for op in data.draw(st.lists(ops, max_size=12)):
@@ -377,8 +376,8 @@ def test_sample_memo_matches_fresh_metrics(data):
             state.kill(op[1])
         elif op[0] == "activate":
             activate_topology(state, Topology(active_set={0, *op[1]}, parent={}))
-        elif op[0] == "life":  # a direct write, as make_state's dead= does
-            state.nodes[op[1]].life = op[2]
+        elif op[0] == "battery":  # a direct write, as make_state's dead= does
+            state.nodes[op[1]].energy = op[2]
         state.time += 1
         grid = grids[data.draw(st.integers(0, 1))]
         sensing = sensings[data.draw(st.integers(0, 1))]
@@ -744,6 +743,46 @@ def test_fast_forward_matches_step_loop(tm, tc, data):
     assert activation_stamp(fast_state) == activation_stamp(plain_state)
     alives = [s.alive for s in fast.series]
     assert all(a >= b for a, b in zip(alives, alives[1:]))
+
+
+def assert_one_record_of_life(state, initial, alive_before):
+    """The sensors without energy are exactly those death_step names, the
+    alive count has not risen, and the ledger is the batteries' drop;
+    returns the alive count."""
+    sensors = state.nodes[1:]
+    assert {n.id for n in sensors if not n.alive} == state.death_step.keys()
+    alive = alive_count(state)
+    assert alive <= alive_before
+    spent = math.fsum(initial) - math.fsum(n.energy for n in sensors)
+    assert math.isclose(spent, state.energy_ledger, rel_tol=1e-9)
+    return alive
+
+
+@pytest.mark.parametrize("tc", list(TCProtocol))
+@pytest.mark.parametrize("tm", [*TMProtocol, None])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_battery_is_the_one_record_of_life(tm, tc, data):
+    kind = tm.trigger_kind if tm is not None else TriggerKind.ENERGY
+    config = small_config(
+        deployment=DeploymentConfig(
+            node_count=data.draw(st.integers(2, 30)),
+            area=DeploymentArea(300.0, 200.0),
+            seed=data.draw(st.integers(0, 10**6)),
+        ),
+        energy=EnergyParams(initial_energy=data.draw(st.floats(0.002, 0.02))),
+        tc=tc,
+        tm=tm,
+        trigger=TriggerPolicy(kind, period=data.draw(st.integers(1, 30))),
+        max_steps=200,
+    )
+    initial = [config.energy.initial_energy] * (config.deployment.node_count - 1)
+    state, strategy = initialize(config)
+    grid = CoverageGrid(state.area, config.grid_cell)
+    alive = assert_one_record_of_life(state, initial, len(state.nodes))
+    while state.time < config.max_steps and not engine._network_finished(state):
+        step(state, strategy, config, grid)
+        alive = assert_one_record_of_life(state, initial, alive)
 
 
 TINY_ADVANCE_CASES = {

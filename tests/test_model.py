@@ -4,7 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wsnlife import DeploymentArea, Point, RadioParams, Role, distance, neighbors
+from wsnlife import (
+    DeploymentArea,
+    EnergyParams,
+    Point,
+    RadioParams,
+    Role,
+    Topology,
+    activate_topology,
+    distance,
+    engine,
+    neighbors,
+    rx_energy,
+    tx_energy,
+)
 
 from helpers import make_state
 
@@ -143,34 +156,86 @@ def test_links_fixed_when_nodes_die():
     assert neighbors(state, 1, 100.0) == [0, 3]
 
 
-def test_charge_clamps_and_kills():
-    state = make_state([(0.0, 0.0), (10.0, 0.0)], initial_energy=1e-3)
-    drained = state.charge(1, 4e-4)
-    assert drained == pytest.approx(4e-4)
-    assert state.nodes[1].alive
-    drained = state.charge(1, 9e-4)
-    assert drained == pytest.approx(6e-4)
-    assert not state.nodes[1].alive
-    assert state.nodes[1].energy == 0.0
-    assert state.energy_ledger == pytest.approx(1e-3)
-    # dead nodes cannot be drained further
-    assert state.charge(1, 1.0) == 0.0
-    assert state.energy_ledger == pytest.approx(1e-3)
+def _chain(batteries):
+    """Sink 0, relay 1 and sender 2 in a line 40 m apart, both sensors active
+    in the tree 2 -> 1 -> 0, with the given sensor batteries."""
+    state = make_state([(0.0, 0.0), (40.0, 0.0), (80.0, 0.0)])
+    activate_topology(state, Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1}))
+    for nid, joules in batteries.items():
+        state.nodes[nid].energy = joules
+    return state, engine._routes(state)
 
 
-def test_charge_sink_is_free():
+def _data_round(state, routes):
+    """One data round hop by hop, as step() runs it at state.time."""
+    state.in_step = True
+    engine._per_hop_round(state, routes)
+    state.in_step = False
+
+
+def _battery_drop(state, before):
+    return before - sum(n.energy for n in state.nodes if n.id != 0)
+
+
+def test_per_hop_round_clamps_and_kills():
+    bits = EnergyParams().data_packet_bits
+    tx = tx_energy(EnergyParams(), bits, 40.0)
+    rx = rx_energy(EnergyParams(), bits)
+    # relay 1 pays its own transmit in full, then runs dry receiving for 2
+    state, routes = _chain({1: tx + rx / 2, 2: 1.0})
+    state.time = 4
+    full = sum(n.energy for n in state.nodes if n.id != 0)
+    _data_round(state, routes)
+    relay = state.nodes[1]
+    assert relay.energy == 0.0  # clamped to the residual, never negative
+    assert not relay.alive
+    assert state.death_step == {1: 5}  # the step in progress
+    assert (state.packets_delivered, state.packets_dropped) == (1, 1)
+    assert math.isclose(_battery_drop(state, full), state.energy_ledger, rel_tol=1e-12)
+    # the next round: 2 transmits into the dead hop, which is not drained
+    state.time = 5
+    sender_before = state.nodes[2].energy
+    _data_round(state, routes)
+    assert relay.energy == 0.0
+    assert state.nodes[2].energy == sender_before - tx
+    assert state.death_step == {1: 5}
+    assert (state.packets_delivered, state.packets_dropped) == (1, 2)
+    assert math.isclose(_battery_drop(state, full), state.energy_ledger, rel_tol=1e-12)
+
+
+def test_delivery_leaves_sink_battery_untouched():
+    state, routes = _chain({})
+    sink_before = state.sink.energy
+    for _ in range(3):
+        _data_round(state, routes)
+    assert state.packets_delivered == 6 and state.packets_dropped == 0
+    assert state.sink.energy == sink_before
+    assert state.sink.alive and state.sink.role is Role.SINK
+
+
+def test_kill_sink_does_nothing_and_second_kill_keeps_first_step():
     state = make_state([(0.0, 0.0), (10.0, 0.0)])
-    assert state.charge(0, 5.0) == 0.0
-    assert state.energy_ledger == 0.0
-    assert state.sink.alive
-    assert state.sink.role is Role.SINK
+    sink_before = state.sink.energy
+    state.kill(0)
+    assert state.sink.energy == sink_before and state.sink.alive
+    assert state.death_step == {}
+    state.time = 3
+    state.kill(1)
+    state.time = 7
+    state.kill(1)
+    assert state.death_step == {1: 3}
+    assert state.nodes[1].energy == 0.0 and not state.nodes[1].alive
 
 
 def test_ledger_matches_energy_drop():
-    state = make_state([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)], initial_energy=0.5)
-    state.charge(1, 0.2)
-    state.charge(2, 0.1)
-    state.charge(1, 0.05)
-    initial = 2 * 0.5
-    current = sum(n.energy for n in state.nodes if n.id != 0)
-    assert math.isclose(initial - current, state.energy_ledger, rel_tol=1e-9)
+    # uneven batteries, so the two sensors die on different rounds
+    state, routes = _chain({1: 3.3e-4, 2: 2.1e-4})
+    full = sum(n.energy for n in state.nodes if n.id != 0)
+    while any(n.alive for n in state.nodes[1:]):
+        _data_round(state, routes)
+        state.time += 1
+        assert math.isclose(
+            _battery_drop(state, full), state.energy_ledger, rel_tol=1e-9
+        )
+    assert state.energy_ledger == pytest.approx(full, rel=1e-9)
+    assert set(state.death_step) == {1, 2}
