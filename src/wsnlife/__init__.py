@@ -6,14 +6,12 @@ from .construction import (
     A3Params,
     ConstructionCharge,
     TCProtocol,
-    a3_construct,
-    a3cov_construct,
     construct,
     prune_childless,
 )
 from .deployment import DeploymentConfig, deploy
 from .engine import RunResult, SimConfig, initialize, run, step, validate_config
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .maintenance import (
     MaintenanceStrategy,
     StrategyKind,
@@ -46,7 +44,6 @@ from .model import (
     SensingParams,
     Topology,
     distance,
-    neighbors,
 )
 from .radio import (
     comm_range,
@@ -78,15 +75,12 @@ __all__ = [
     "SINK_ID",
     "SensingParams",
     "SimConfig",
-    "SimulationError",
     "StrategyKind",
     "TCProtocol",
     "TMProtocol",
     "Topology",
     "TriggerKind",
     "TriggerPolicy",
-    "a3_construct",
-    "a3cov_construct",
     "activate_topology",
     "alive_count",
     "comm_coverage",
@@ -98,7 +92,6 @@ __all__ = [
     "distance",
     "initialize",
     "maintain",
-    "neighbors",
     "precompute_rotation_set",
     "prune_childless",
     "received_power",

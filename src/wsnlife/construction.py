@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .metrics import alive_count, sense_probability
 from .model import NetworkState, Topology, distance
 from .radio import rx_energy, tx_energy
@@ -224,8 +224,6 @@ def construct(
     reaches fewer than that fraction of the alive nodes; rotation-set
     precomputation uses it to allow relay reuse in sparse networks.
     """
-    if not state.sink.alive:
-        raise SimulationError("sink is dead; cannot construct a topology")
     if state.sink.id in exclude:
         raise ValueError("the sink cannot be excluded from construction")
     grown, charge = _grow(state, params, frozenset(exclude))
@@ -239,20 +237,3 @@ def construct(
             raise ValueError("A3Cov requires sensing parameters")
         _promote_for_sensing(state, topology, sensing)
     return topology, charge
-
-
-def a3_construct(
-    state: NetworkState, params: A3Params, exclude: frozenset[int] = frozenset()
-) -> tuple[Topology, ConstructionCharge]:
-    """Communication-coverage tree: grow, charge, prune childless relays."""
-    return construct(state, TCProtocol.A3, params, exclude=exclude)
-
-
-def a3cov_construct(
-    state: NetworkState,
-    params: A3Params,
-    sensing,
-    exclude: frozenset[int] = frozenset(),
-) -> tuple[Topology, ConstructionCharge]:
-    """A3 followed by position-based sensing promotions."""
-    return construct(state, TCProtocol.A3COV, params, sensing, exclude=exclude)

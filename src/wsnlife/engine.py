@@ -36,7 +36,7 @@ from operator import add, itemgetter, sub
 
 from .construction import A3Params, TCProtocol, construct
 from .deployment import DeploymentConfig, deploy
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .maintenance import (
     MaintenanceStrategy,
     StrategyKind,
@@ -531,8 +531,6 @@ def step(
 ) -> MetricsSample | None:
     """Advance the simulation by one step; returns the metrics sample when
     the step lands on the sampling stride, else None."""
-    if not state.sink.alive:
-        raise SimulationError("sink is dead")
     if grid is None:
         grid = CoverageGrid(state.area, config.grid_cell)
     state.in_step = True

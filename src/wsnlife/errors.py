@@ -8,7 +8,3 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.message = message
-
-
-class SimulationError(RuntimeError):
-    """The simulation reached a state it cannot proceed from."""

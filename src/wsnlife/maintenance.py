@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .construction import A3Params, TCProtocol, construct
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .model import NetworkState, Role, Topology
 
 # A rotation-set growth that reaches under half of the alive nodes lifts its
@@ -207,8 +207,6 @@ def maintain(
     "Recreated", or "Retained". Every branch re-stamps the activation clock
     and snapshot, which re-arms the trigger.
     """
-    if not state.sink.alive:
-        raise SimulationError("sink is dead; maintenance impossible")
     if strategy.kind is StrategyKind.DYNAMIC_RECREATION:
         topology, _ = construct(state, tc, params, sensing)
         action = "Recreated"

@@ -90,7 +90,11 @@ class CoverageGrid:
             if found is not None:
                 bounds, dx, dy = found
                 d = np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2)
-                found = bounds, 1.0 - _sense_probability_grid(sp, r, d)
+                # 0 inside r - r_u and 1 past r + r_u; only the band needs exp
+                factor = (d > r - sp.uncertainty_radius).astype(float)
+                band = (factor == 1.0) & (d <= r + sp.uncertainty_radius)
+                factor[band] = [1.0 - sense_probability(sp, r, x) for x in d[band].tolist()]
+                found = bounds, factor
             self.footprints[key] = found
         return self.footprints[key]
 
@@ -117,17 +121,6 @@ def sense_probability(sp: SensingParams, r: float, x: float) -> float:
         return 0.0
     alpha = x - inner
     return math.exp(-sp.decay_rate * alpha**sp.decay_exponent)
-
-
-def _sense_probability_grid(sp: SensingParams, r: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized sense_probability; must agree with the scalar form."""
-    inner = r - sp.uncertainty_radius
-    outer = r + sp.uncertainty_radius
-    alpha = np.maximum(x - inner, 0.0)
-    p = np.exp(-sp.decay_rate * alpha**sp.decay_exponent)
-    p[x <= inner] = 1.0
-    p[x > outer] = 0.0
-    return p
 
 
 def alive_count(state: NetworkState) -> int:

@@ -200,11 +200,6 @@ class NetworkState:
     def sink(self) -> Node:
         return self.nodes[SINK_ID]
 
-    def node(self, node_id: int) -> Node:
-        if not 0 <= node_id < len(self.nodes):
-            raise KeyError(f"unknown node id {node_id}")
-        return self.nodes[node_id]
-
     def kill(self, node_id: int) -> None:
         """Record a death: zero the battery and add the node to death_step
         against the step in progress. A drain that empties a battery calls
@@ -247,15 +242,3 @@ def _links(nodes: list[Node], radius: float) -> list[list[int]]:
     for own in links:
         own.sort()
     return links
-
-
-def neighbors(state: NetworkState, node_id: int, radius: float) -> list[int]:
-    """Alive nodes other than node_id within radius of it, ascending by id."""
-    origin = state.node(node_id).position
-    found = []
-    for other in state.nodes:
-        if other.id == node_id or not other.alive:
-            continue
-        if distance(origin, other.position) <= radius:
-            found.append(other.id)
-    return found

@@ -10,6 +10,7 @@ from wsnlife import (
     RadioParams,
     Role,
     Topology,
+    distance,
 )
 
 
@@ -54,3 +55,17 @@ def make_state(
     for nid in dead:
         state.nodes[nid].energy = 0.0
     return state
+
+
+def neighbors(state: NetworkState, node_id: int, radius: float) -> list[int]:
+    """Alive nodes other than node_id within radius of it, ascending by id."""
+    if not 0 <= node_id < len(state.nodes):
+        raise KeyError(f"unknown node id {node_id}")
+    origin = state.nodes[node_id].position
+    found = []
+    for other in state.nodes:
+        if other.id == node_id or not other.alive:
+            continue
+        if distance(origin, other.position) <= radius:
+            found.append(other.id)
+    return found

@@ -25,11 +25,10 @@ from wsnlife import (
     TMProtocol,
     TriggerKind,
     TriggerPolicy,
-    a3_construct,
-    a3cov_construct,
     activate_topology,
     alive_count,
     comm_coverage,
+    construct,
     critical_transmission_range,
     deploy,
     distance,
@@ -148,8 +147,8 @@ def test_criterion_3_cds_properties():
             twin = deploy(config, radio, energy)
             cov_state = deploy(config, radio, energy)
 
-            topology, _ = a3_construct(state, params)
-            again, _ = a3_construct(twin, params)
+            topology, _ = construct(state, TCProtocol.A3, params)
+            again, _ = construct(twin, TCProtocol.A3, params)
             assert again.parent == topology.parent, "construction not deterministic"
             assert again.active_set == topology.active_set
 
@@ -187,7 +186,7 @@ def test_criterion_3_cds_properties():
                     for a in topology.active_set
                 ), "reachable node left undominated"
 
-            cov_topology, _ = a3cov_construct(cov_state, params, sp)
+            cov_topology, _ = construct(cov_state, TCProtocol.A3COV, params, sp)
             assert topology.active_set <= cov_topology.active_set
             activate_topology(state, topology)
             activate_topology(cov_state, cov_topology)

@@ -11,10 +11,10 @@ from wsnlife import (
     EnergyParams,
     RadioParams,
     SensingParams,
+    TCProtocol,
     Topology,
-    a3_construct,
-    a3cov_construct,
     activate_topology,
+    construct,
     deploy,
     distance,
     prune_childless,
@@ -77,7 +77,7 @@ def check_domination(state, topology, exclude=frozenset()):
 
 def test_sink_only_network():
     state = make_state([(0.0, 0.0)])
-    topology, charge = a3_construct(state, PARAMS)
+    topology, charge = construct(state, TCProtocol.A3, PARAMS)
     assert topology.active_set == {0}
     assert topology.parent == {}
     assert charge.energy == {}
@@ -85,7 +85,7 @@ def test_sink_only_network():
 
 def test_single_neighbor_becomes_sleeping_leaf():
     state = make_state([(0.0, 0.0), (50.0, 0.0)])
-    topology, charge = a3_construct(state, PARAMS)
+    topology, charge = construct(state, TCProtocol.A3, PARAMS)
     assert topology.active_set == {0}
     assert topology.parent == {1: 0}
     assert charge.sent == {1: 1} and charge.received == {1: 1}
@@ -93,7 +93,7 @@ def test_single_neighbor_becomes_sleeping_leaf():
 
 def test_chain_keeps_relay_active():
     state = make_state([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)])
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert topology.active_set == {0, 1}
     assert topology.parent == {1: 0, 2: 1}
 
@@ -101,7 +101,7 @@ def test_chain_keeps_relay_active():
 def test_chain_construction_charges():
     energy = EnergyParams()
     state = make_state([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], energy=energy)
-    _, charge = a3_construct(state, PARAMS)
+    _, charge = construct(state, TCProtocol.A3, PARAMS)
     per_node = rx_energy(energy, 128) + tx_energy(energy, 128, 90.0)
     assert charge.energy[1] == pytest.approx(per_node, rel=1e-12)
     assert charge.energy[2] == pytest.approx(per_node, rel=1e-12)
@@ -115,7 +115,7 @@ def test_farther_candidate_preferred_then_covered_sibling_sleeps():
     # equal energies: the score prefers the longer hop, so the 80 m candidate
     # is appointed and the 50 m one, inside its range, goes to sleep
     state = make_state([(0.0, 0.0), (50.0, 0.0), (80.0, 0.0)])
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     # both end up attached to the sink; the appointed relay had no one to
     # serve, so it is pruned back to a leaf
     assert topology.parent == {1: 0, 2: 0}
@@ -129,7 +129,7 @@ def test_energy_weight_breaks_distance_preference():
     state.nodes[2].energy = 0.4
     # pure-energy scoring appoints node 1 first; node 2 is 30 m away, sleeps;
     # node 3 is then reached through a wake-up of node 2
-    topology, _ = a3_construct(state, params)
+    topology, _ = construct(state, TCProtocol.A3, params)
     assert topology.parent[1] == 0 and topology.parent[2] == 0
     assert topology.parent[3] == 2
     assert topology.active_set == {0, 2}
@@ -137,7 +137,7 @@ def test_energy_weight_breaks_distance_preference():
 
 def test_tie_breaks_by_lowest_id():
     state = make_state([(0.0, 0.0), (60.0, 0.0), (0.0, 60.0)])
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     # identical scores: node 1 is appointed, node 2 is 84.85 m away -> covered
     assert topology.parent == {1: 0, 2: 0}
 
@@ -146,7 +146,7 @@ def test_wakeup_reaches_node_behind_sleeping_leaf():
     # node 3 is reachable only through node 2, which a straight growth pass
     # puts to sleep; the wake-up promotion must recover it
     state = make_state([(0.0, 0.0), (0.0, 61.0), (60.0, 0.0), (160.0, 0.0)])
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert topology.parent == {1: 0, 2: 0, 3: 2}
     assert topology.active_set == {0, 2}
     check_domination(state, topology)
@@ -183,17 +183,17 @@ def test_prune_keeps_coverage_promoted():
 
 def test_excluded_nodes_untouched():
     state = make_state([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0), (60.0, 40.0)])
-    topology, charge = a3_construct(state, PARAMS, exclude=frozenset({3}))
+    topology, charge = construct(state, TCProtocol.A3, PARAMS, exclude=frozenset({3}))
     assert 3 not in topology.parent
     assert 3 not in charge.energy
     assert state.nodes[3].energy == state.energy.initial_energy
     with pytest.raises(ValueError):
-        a3_construct(state, PARAMS, exclude=frozenset({0}))
+        construct(state, TCProtocol.A3, PARAMS, exclude=frozenset({0}))
 
 
 def test_a3cov_promotes_uncovered_neighbor():
     state = make_state([(0.0, 0.0), (50.0, 0.0)])
-    topology, _ = a3cov_construct(state, PARAMS, SP)
+    topology, _ = construct(state, TCProtocol.A3COV, PARAMS, SP)
     assert topology.active_set == {0, 1}
     assert topology.parent == {1: 0}
     assert topology.coverage_promoted == {1}
@@ -202,8 +202,8 @@ def test_a3cov_promotes_uncovered_neighbor():
 def test_a3cov_no_promotion_when_covered():
     # the sleeping leaf sits 15 m from an active sensor: certain detection
     state = make_state([(0.0, 0.0), (90.0, 0.0), (105.0, 0.0)])
-    a3_topo, _ = a3_construct(copy.deepcopy(state), PARAMS)
-    cov_topo, _ = a3cov_construct(state, PARAMS, SP)
+    a3_topo, _ = construct(copy.deepcopy(state), TCProtocol.A3, PARAMS)
+    cov_topo, _ = construct(state, TCProtocol.A3COV, PARAMS, SP)
     assert cov_topo.active_set == a3_topo.active_set
     assert cov_topo.parent == a3_topo.parent
     assert cov_topo.coverage_promoted == set()
@@ -212,7 +212,7 @@ def test_a3cov_no_promotion_when_covered():
 def test_a3cov_promotion_attaches_to_nearest_active():
     # two actives; the promoted node must pick the closer one
     state = make_state([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0), (150.0, 40.0)])
-    topology, _ = a3cov_construct(state, PARAMS, SP)
+    topology, _ = construct(state, TCProtocol.A3COV, PARAMS, SP)
     assert 3 in topology.coverage_promoted
     d1 = distance(state.nodes[3].position, state.nodes[1].position)
     d2 = distance(state.nodes[3].position, state.nodes[2].position)
@@ -232,10 +232,10 @@ def test_construction_invariants_random_instances():
     for seed in range(60):
         state = random_instance(seed)
         pristine = copy.deepcopy(state)
-        topology, _ = a3_construct(state, PARAMS)
+        topology, _ = construct(state, TCProtocol.A3, PARAMS)
         check_tree(topology)
         check_domination(state, topology)
-        repeat, _ = a3_construct(pristine, PARAMS)
+        repeat, _ = construct(pristine, TCProtocol.A3, PARAMS)
         assert repeat.parent == topology.parent
         assert repeat.active_set == topology.active_set
 
@@ -292,8 +292,8 @@ def test_a3cov_superset_and_sensing_gain_random_instances():
     for seed in range(25):
         plain = random_instance(seed + 1000)
         cov = copy.deepcopy(plain)
-        a3_topo, _ = a3_construct(plain, PARAMS)
-        cov_topo, _ = a3cov_construct(cov, PARAMS, SP)
+        a3_topo, _ = construct(plain, TCProtocol.A3, PARAMS)
+        cov_topo, _ = construct(cov, TCProtocol.A3COV, PARAMS, SP)
         assert a3_topo.active_set <= cov_topo.active_set
         activate_topology(plain, a3_topo)
         activate_topology(cov, cov_topo)
@@ -302,13 +302,13 @@ def test_a3cov_superset_and_sensing_gain_random_instances():
 
 def test_reduction_on_dense_deployment():
     state = deploy(DeploymentConfig(), RadioParams(), EnergyParams())
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert len(topology.active_set) < len(state.nodes)
 
 
 def test_dead_nodes_never_join():
     state = make_state([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], dead=[1])
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert 1 not in topology.parent
     assert topology.active_set == {0}
     # node 2 is unreachable once node 1 is gone: legal, just unattached
@@ -318,7 +318,7 @@ def test_dead_nodes_never_join():
 def test_handshake_can_kill_a_depleted_candidate():
     energy = EnergyParams(initial_energy=1e-6)  # less than one control exchange
     state = make_state([(0.0, 0.0), (50.0, 0.0)], energy=energy)
-    topology, charge = a3_construct(state, PARAMS)
+    topology, charge = construct(state, TCProtocol.A3, PARAMS)
     assert not state.nodes[1].alive
     assert 1 not in topology.parent
     assert charge.energy[1] == pytest.approx(1e-6)

@@ -25,10 +25,10 @@ from wsnlife import (
     Topology,
     TriggerKind,
     TriggerPolicy,
-    a3cov_construct,
     activate_topology,
     alive_count,
     comm_coverage,
+    construct,
     initialize,
     run,
     rx_energy,
@@ -138,7 +138,7 @@ def two_node_state(budget):
     state = make_state(
         [(0.0, 0.0), (50.0, 0.0)], energy=EnergyParams(initial_energy=budget)
     )
-    topology, _ = a3cov_construct(state, A3Params(), SimConfig().sensing)
+    topology, _ = construct(state, TCProtocol.A3COV, A3Params(), SimConfig().sensing)
     activate_topology(state, topology)
     assert state.nodes[1].role is Role.ACTIVE
     return state

@@ -1,4 +1,6 @@
 """Coverage through per-node footprints against every disc evaluated afresh."""
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,9 @@ from wsnlife import (
     RadioParams,
     SensingParams,
     comm_coverage,
+    sense_probability,
     sensing_coverage,
 )
-from wsnlife.metrics import _sense_probability_grid
 
 from helpers import make_state
 
@@ -45,7 +47,9 @@ def disc_by_disc(state, sp, grid, reach):
         if found is not None:
             where, dx, dy = found
             d = np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2)
-            miss[where] *= 1.0 - _sense_probability_grid(sp, r, d)
+            miss[where] *= [
+                [1.0 - sense_probability(sp, r, x) for x in row] for row in d.tolist()
+            ]
     sensed = (1.0 - miss) >= sp.detection_threshold
     return float(covered.mean()).hex(), float(sensed.mean()).hex()
 
@@ -99,3 +103,46 @@ def test_footprint_coverage_matches_fresh_grid(data):
             assert footprint_coverage(state, sp, shared, reach) == want
         assert shared.disc(R, -500.0, -500.0) is None
         assert shared.miss_factor(sp, r, -500.0, -500.0) is None
+
+
+def quarters(low, high):
+    """Multiples of 1/4 from low to high. Sums and differences of these and
+    the grid's coordinates are exact, so a grid point can lie exactly
+    r - r_u or r + r_u from a sensor."""
+    return st.integers(min_value=4 * low, max_value=4 * high).map(lambda k: k / 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_miss_factor_is_one_minus_sense_probability(data):
+    cell_size = data.draw(st.sampled_from([4.0, 3.0]))
+    grid = CoverageGrid(DeploymentArea(120.0, 90.0), cell_size)
+    r = data.draw(quarters(1, 30))
+    sp = SensingParams(
+        uncertainty_radius=data.draw(quarters(0, 10)),
+        decay_rate=data.draw(st.floats(min_value=0.01, max_value=2.0)),
+        decay_exponent=data.draw(
+            st.sampled_from([1.0, 1.7]) | st.floats(min_value=0.1, max_value=4.0)
+        ),
+    )
+    coord = st.floats(min_value=-30.0, max_value=150.0)
+    positions = [(data.draw(coord), data.draw(coord))]
+    edges = [e for e in (r - sp.uncertainty_radius, r + sp.uncertainty_radius) if e >= 0]
+    gx = data.draw(st.sampled_from(grid.xs.tolist()))
+    gy = data.draw(st.sampled_from(grid.ys.tolist()))
+    for edge in edges:  # a sensor exactly `edge` from the grid point (gx, gy)
+        dx, dy = data.draw(st.sampled_from([(edge, 0.0), (-edge, 0.0), (0.0, edge)]))
+        positions.append((gx + dx, gy + dy))
+    seen = set()
+    for px, py in positions:
+        footprint = grid.miss_factor(sp, r, px, py)
+        if footprint is None:
+            continue
+        (iy0, iy1, ix0, ix1), factor = footprint
+        for row, y in enumerate(grid.ys[iy0:iy1].tolist()):
+            for col, x in enumerate(grid.xs[ix0:ix1].tolist()):
+                d = math.sqrt((y - py) * (y - py) + (x - px) * (x - px))
+                seen.add(d)
+                want = 1.0 - sense_probability(sp, r, d)
+                assert float(factor[row, col]).hex() == want.hex(), (px, py, d)
+    assert set(edges) <= seen

@@ -9,11 +9,12 @@ two desk A3Cov cells whose sensing band, r - r_u < R < r + r_u, straddles
 the communication radius, so sensors beyond one hop decide promotions.
 
 The digests are tied to the platform they were recorded on (see
-golden/digests.json): metrics evaluate the sensing band with np.exp, whose
-last bit can depend on SIMD dispatch, while the A3Cov promotion uses
-math.exp. A mismatch on another platform is a finding to investigate, not a
-value to re-record. Re-record (`PYTHONPATH=src python tests/test_golden.py`)
-only for a declared change of simulated results.
+golden/digests.json): coverage footprints and the A3Cov promotion evaluate
+the sensing band with one exp, libm's through math.exp, so the digests
+depend on that libm but not on numpy's SIMD dispatch. A mismatch on another
+platform is a finding to investigate, not a value to re-record. Re-record
+(`PYTHONPATH=src python tests/test_golden.py`) only for a declared change of
+simulated results.
 """
 import hashlib
 import json

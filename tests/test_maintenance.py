@@ -15,8 +15,8 @@ from wsnlife import (
     Topology,
     TriggerKind,
     TriggerPolicy,
-    a3_construct,
     activate_topology,
+    construct,
     deploy,
     maintain,
     precompute_rotation_set,
@@ -53,7 +53,7 @@ def test_protocol_name_taxonomy():
 
 def test_time_trigger_fires_at_period():
     state = chain_state()
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     activate_topology(state, topology)
     policy = TriggerPolicy(TriggerKind.TIME, period=100)
     state.time = 99
@@ -69,7 +69,7 @@ def test_time_trigger_fires_at_period():
 
 def test_energy_trigger_threshold():
     state = chain_state()
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     activate_topology(state, topology)
     policy = TriggerPolicy(TriggerKind.ENERGY, energy_threshold=0.5)
     assert not should_trigger(policy, state)
@@ -82,7 +82,7 @@ def test_energy_trigger_threshold():
 
 def test_energy_trigger_on_dead_active():
     state = chain_state()
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     activate_topology(state, topology)
     policy = TriggerPolicy(TriggerKind.ENERGY, energy_threshold=0.5)
     state.kill(1)
@@ -91,7 +91,7 @@ def test_energy_trigger_on_dead_active():
 
 def test_precompute_k1_equals_plain_construction():
     state = chain_state()
-    reference, _ = a3_construct(copy.deepcopy(state), PARAMS)
+    reference, _ = construct(copy.deepcopy(state), TCProtocol.A3, PARAMS)
     rotation = precompute_rotation_set(state, TCProtocol.A3, 1, PARAMS)
     assert len(rotation) == 1
     assert rotation[0].parent == reference.parent
@@ -252,7 +252,7 @@ def test_recreation_after_deaths_uses_survivors():
         RadioParams(),
         EnergyParams(),
     )
-    topology, _ = a3_construct(state, PARAMS)
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
     activate_topology(state, topology)
     for nid in sorted(topology.active_set - {0}):
         state.kill(nid)

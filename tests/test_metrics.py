@@ -16,10 +16,6 @@ from wsnlife import (
     sensing_coverage,
     sink_reachable,
 )
-from wsnlife.metrics import _sense_probability_grid
-
-import numpy as np
-
 from helpers import make_state
 
 SP = SensingParams()  # r_u=2, lambda=0.5, beta=1, p_min=0.5
@@ -53,13 +49,6 @@ def test_sense_probability_boundaries():
 def test_sense_probability_non_increasing(x1, x2):
     lo, hi = sorted((x1, x2))
     assert sense_probability(SP, R_SENSE, lo) >= sense_probability(SP, R_SENSE, hi)
-
-
-def test_vectorized_sense_probability_matches_scalar():
-    xs = np.linspace(0.0, 45.0, 1001)
-    vec = _sense_probability_grid(SP, R_SENSE, xs.copy())
-    for x, v in zip(xs, vec):
-        assert v == pytest.approx(sense_probability(SP, R_SENSE, float(x)), rel=1e-12)
 
 
 def test_alive_count_and_decrement():

@@ -14,12 +14,11 @@ from wsnlife import (
     activate_topology,
     distance,
     engine,
-    neighbors,
     rx_energy,
     tx_energy,
 )
 
-from helpers import make_state
+from helpers import make_state, neighbors
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
