@@ -504,7 +504,7 @@ def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -
     if memo is not None and memo.active == active:
         reach = memo.reach
     else:
-        reach = frozenset(sink_reachable(state))
+        reach = frozenset(sink_reachable(state, active))
     key = (grid, config.sensing, reach)  # grid compares by identity
     if memo is not None and memo.coverage_key == key:
         coverage = memo.coverage
@@ -545,15 +545,26 @@ def step(
     return None
 
 
-def run(config: SimConfig) -> RunResult:
+def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
     """Initialize and step to max_steps, or stop early once every sensor
     node is dead and maintenance has nothing to activate. Each quiet stretch
     is jumped in one move, through any sample points it crosses: nothing a
     sample reads but the clock changes inside it, so one sample at its end,
     re-timed, stands for each of them. The last step is always sampled, on
-    the stride or not."""
+    the stride or not.
+
+    grid, when given, is a coverage grid on the config's area and cell size,
+    shared with other runs so that each footprint is computed once for all
+    of them; a grid on another area or cell size raises ValueError. The
+    values are the same bits as on a fresh grid."""
     state, strategy = initialize(config)
-    grid = CoverageGrid(state.area, config.grid_cell)
+    if grid is None:
+        grid = CoverageGrid(state.area, config.grid_cell)
+    elif (grid.area, grid.cell_size) != (state.area, config.grid_cell):
+        raise ValueError(
+            f"coverage grid on {grid.area} with {grid.cell_size} m cells, but the"
+            f" config has {state.area} with {config.grid_cell} m cells"
+        )
     stride = config.metrics_stride
     series = [sample_metrics(state, config, grid)]
     while state.time < config.max_steps:

@@ -19,6 +19,7 @@ from .construction import TCProtocol
 from .engine import RunResult, SimConfig, run, validate_config
 from .errors import ConfigError
 from .maintenance import TMProtocol
+from .metrics import CoverageGrid
 
 
 @dataclass(frozen=True)
@@ -293,30 +294,39 @@ def write_ranking(rows: list[SummaryRow], path: str | Path) -> Path:
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Execute every (tc, tm, seed) cell, writing one series CSV per run plus
-    the aggregate summary and the ranking report."""
+    the aggregate summary and the ranking report.
+
+    Every cell's config is checked before anything runs. The cells differ
+    only in protocols and seed, so they share one coverage grid, which
+    computes each node's footprint once for the whole sweep; it lives as
+    long as this call."""
+    cells = [
+        (tc_name, tm_name, seed, config_for(spec, tc_name, tm_name, seed))
+        for tc_name in spec.tc_list
+        for tm_name in spec.tm_list
+        for seed in spec.seeds
+    ]
+    for *_, config in cells:
+        validate_config(config)
+    grid = CoverageGrid(spec.base.deployment.area, spec.base.grid_cell)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     rows: list[SummaryRow] = []
     written: list[Path] = []
-    for tc_name in spec.tc_list:
-        for tm_name in spec.tm_list:
-            for seed in spec.seeds:
-                config = config_for(spec, tc_name, tm_name, seed)
-                try:
-                    result = run(config)
-                except ConfigError:
-                    raise
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"run failed for tc={tc_name} tm={tm_name} seed={seed}: {exc}"
-                    ) from exc
-                series_path = out / f"series_{tc_name}_{tm_name}_seed{seed}.csv"
-                written.append(emit_series(result, series_path))
-                rows.append(
-                    summarize(
-                        result, tc_name, tm_name, seed, config.deployment.node_count
-                    )
-                )
+    for tc_name, tm_name, seed, config in cells:
+        try:
+            result = run(config, grid)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise RuntimeError(
+                f"run failed for tc={tc_name} tm={tm_name} seed={seed}: {exc}"
+            ) from exc
+        series_path = out / f"series_{tc_name}_{tm_name}_seed{seed}.csv"
+        written.append(emit_series(result, series_path))
+        rows.append(
+            summarize(result, tc_name, tm_name, seed, config.deployment.node_count)
+        )
     written.append(write_summary(rows, out / "summary.csv"))
     written.append(write_ranking(rows, out / "ranking.txt"))
     return written

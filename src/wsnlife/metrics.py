@@ -3,16 +3,21 @@ area coverage estimators (communication and sensing) over a sampling grid."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import DeploymentArea, NetworkState, Role, SensingParams
 
-# Sample points a coverage grid may hold: each coverage recomputation
-# allocates a float array and two bool arrays of this size. n = 3000 at the
-# default density with 4 m cells needs 443k points.
+# Sample points a coverage grid may hold: each sensing recomputation
+# allocates a float array and a bool array of this size (comm coverage packs
+# eight points per byte). n = 3000 at the default density with 4 m cells
+# needs 443k points.
 MAX_GRID_POINTS = 10_000_000
+
+# Set bits of each byte value: counts a packed grid without unpacking it.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def grid_shape(area: DeploymentArea, cell_size: float) -> tuple[int, int]:
@@ -29,11 +34,14 @@ class CoverageGrid:
 
     The grid keeps each node's footprint on it, computed on first use: the
     patch of points within a disc around the node, and over that patch its
-    coverage mask (bit-packed by row) or its miss factor 1 - p. A footprint
-    is keyed on its content, the radius or sensing parameters and the
-    position, so a grid stays valid across deployments and never serves a
-    stale patch. Each is computed by the same expressions on the same patch
-    as a fresh evaluation, so the values are the same bits.
+    coverage mask or its miss factor 1 - p. A disc mask is bit-packed on the
+    grid's own byte columns (point ix is bit 7 - ix % 8 of byte ix // 8 of
+    its row), so coverage ORs it into a packed grid as it stands. A
+    footprint is keyed on its content, the radius or sensing parameters and
+    the position, so one grid serves every run on its area and cell size,
+    whatever the deployment or radii, and never serves a stale patch. Each
+    is computed by the same expressions on the same patch as a fresh
+    evaluation, so the values are the same bits.
     """
 
     area: DeploymentArea
@@ -67,16 +75,20 @@ class CoverageGrid:
         return (iy0, iy1, ix0, ix1), xs[ix0:ix1] - px, ys[iy0:iy1] - py
 
     def disc(self, radius: float, px: float, py: float):
-        """The footprint of a disc of radius around (px, py): its patch
-        bounds and the d^2 <= r^2 mask over the patch, bit-packed by row;
+        """The footprint of a disc of radius around (px, py): its rows and
+        byte columns (iy0, iy1, bx0, bx1) and the d^2 <= r^2 mask over them,
+        bit-packed, with zero bits outside the patch's points [ix0, ix1);
         None when it misses the grid."""
         key = ("disc", radius, px, py)
         if key not in self.footprints:
             found = self._patch(px, py, radius)
             if found is not None:
-                bounds, dx, dy = found
+                (iy0, iy1, ix0, ix1), dx, dy = found
+                bx0, bx1 = ix0 // 8, (ix1 + 7) // 8
+                inside = np.zeros((iy1 - iy0, 8 * (bx1 - bx0)), dtype=bool)
                 d2 = dy[:, None] ** 2 + dx[None, :] ** 2
-                found = bounds, np.packbits(d2 <= radius * radius, axis=1)
+                inside[:, ix0 - 8 * bx0 : ix1 - 8 * bx0] = d2 <= radius * radius
+                found = (iy0, iy1, bx0, bx1), np.packbits(inside, axis=1)
             self.footprints[key] = found
         return self.footprints[key]
 
@@ -127,16 +139,23 @@ def alive_count(state: NetworkState) -> int:
     return sum(1 for n in state.nodes if n.alive)
 
 
-def sink_reachable(state: NetworkState) -> set[int]:
+def sink_reachable(
+    state: NetworkState, active: Iterable[int] | None = None
+) -> set[int]:
     """The sink plus every alive active node joined to it by a chain of
-    alive active nodes, each hop a radio link of state.links."""
-    nodes, links = state.nodes, state.links
+    alive active nodes, each hop a radio link of state.links. active, when
+    given, holds the ids of the alive active nodes, already collected for
+    this state."""
+    if active is None:
+        active = [n.id for n in state.nodes if n.role is Role.ACTIVE and n.alive]
+    unreached = set(active)
+    links = state.links
     reached = {state.sink.id}
     frontier = [state.sink.id]
     while frontier:
         for nid in links[frontier.pop()]:
-            node = nodes[nid]
-            if nid not in reached and node.role is Role.ACTIVE and node.alive:
+            if nid in unreached:
+                unreached.remove(nid)
                 reached.add(nid)
                 frontier.append(nid)
     return reached
@@ -151,16 +170,15 @@ def comm_coverage(
     radius = state.radio.communication_radius
     if reach is None:
         reach = sink_reachable(state)
-    covered = np.zeros((len(grid.ys), len(grid.xs)), dtype=bool)
-    for nid in sorted(reach):
+    covered = np.zeros((len(grid.ys), (len(grid.xs) + 7) // 8), dtype=np.uint8)
+    for nid in reach:  # OR commutes: any order gives the same bits
         at = state.nodes[nid].position
         footprint = grid.disc(radius, at.x, at.y)
         if footprint is None:
             continue
-        (iy0, iy1, ix0, ix1), mask = footprint
-        disc = np.unpackbits(mask, axis=1, count=ix1 - ix0).view(bool)
-        covered[iy0:iy1, ix0:ix1] |= disc
-    return float(covered.mean())
+        (iy0, iy1, bx0, bx1), mask = footprint
+        covered[iy0:iy1, bx0:bx1] |= mask
+    return int(_POPCOUNT[covered].sum()) / grid.point_count
 
 
 def sensing_coverage(
@@ -191,4 +209,4 @@ def sensing_coverage(
         (iy0, iy1, ix0, ix1), factor = footprint
         miss[iy0:iy1, ix0:ix1] *= factor
     detected = np.subtract(1.0, miss, out=miss)  # in place: the grid may be large
-    return float((detected >= sp.detection_threshold).mean())
+    return np.count_nonzero(detected >= sp.detection_threshold) / grid.point_count

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from functools import reduce
 from operator import add, sub
 from unittest import mock
@@ -174,6 +175,33 @@ def test_run_is_deterministic():
     a = run(config)
     b = run(config)
     assert a.to_dict() == b.to_dict()
+
+
+def test_run_rejects_a_grid_of_another_area_or_cell_size():
+    config = small_config()
+    for grid in (
+        CoverageGrid(DeploymentArea(300.0, 201.0), config.grid_cell),
+        CoverageGrid(config.deployment.area, 2.0),
+    ):
+        with pytest.raises(ValueError, match="coverage grid"):
+            run(config, grid)
+
+
+def test_run_on_a_filled_grid_matches_its_own_grid():
+    # the grid already holds footprints of another deployment, of other
+    # radii and sensing parameters at the same positions, and of this run
+    config = small_config(tc=TCProtocol.A3COV, tm=TMProtocol.DGETREC, trigger=ET)
+    grid = CoverageGrid(config.deployment.area, config.grid_cell)
+    for other in (
+        replace(config, deployment=replace(config.deployment, seed=8)),
+        replace(config, radio=RadioParams(communication_radius=45.0, sensing_radius=12.0)),
+        replace(config, sensing=SensingParams(uncertainty_radius=5.0)),
+        config,
+    ):
+        run(other, grid)
+    radii = {key[1] for key in grid.footprints if key[0] == "disc"}
+    assert radii == {60.0, 45.0}
+    assert run(config, grid).to_dict() == run(config).to_dict()
 
 
 def test_series_length_and_monotone_alive():

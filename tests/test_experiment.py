@@ -1,13 +1,23 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wsnlife import ConfigError, MetricsSample, RunResult, TMProtocol, TriggerKind, run
+from wsnlife import (
+    ConfigError,
+    MetricsSample,
+    RunResult,
+    SimConfig,
+    TMProtocol,
+    TriggerKind,
+    run,
+)
 from wsnlife.experiment import (
     CONFIG_KEYS,
+    ExperimentSpec,
     config_for,
     emit_series,
     parse_config,
@@ -286,6 +296,21 @@ def test_run_experiment_grid(tmp_path):
     ranking = (tmp_path / "out" / "ranking.txt").read_text()
     assert "A3+DGETRec rank:" in ranking
     assert "of 12" in ranking
+
+
+def test_sweep_checks_every_config_before_building_its_grid(tmp_path):
+    # built without parse_config, so nothing has checked grid_cell yet
+    spec = ExperimentSpec(
+        base=replace(SimConfig(), grid_cell=0.0),
+        tc_list=["A3"],
+        tm_list=["DGETRec"],
+        seeds=[1],
+        output_dir=tmp_path / "out",
+    )
+    with pytest.raises(ConfigError) as err:
+        run_experiment(spec)
+    assert err.value.field == "grid_cell"
+    assert not (tmp_path / "out").exists()
 
 
 def test_summary_integral_recomputable_from_csv(tmp_path):

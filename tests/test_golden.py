@@ -37,7 +37,7 @@ from wsnlife import (
     TriggerPolicy,
     run,
 )
-from wsnlife.experiment import emit_series
+from wsnlife.experiment import ExperimentSpec, emit_series, run_experiment
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -106,6 +106,26 @@ def test_golden_digest(key, tmp_path):
         f"{key} differs from its golden digest; recorded on "
         f"{recorded['platform']}, running on {current_platform()}"
     )
+
+
+def test_sweep_on_one_grid_matches_golden_series(tmp_path):
+    # run_experiment shares one coverage grid across its cells; each series
+    # it writes must still be the one its cell writes when run alone
+    recorded = json.loads(DIGESTS.read_text())["cells"]
+    spec = ExperimentSpec(
+        base=desk_config(TCProtocol.A3, TMProtocol.DGETREC, 1),
+        tc_list=[tc.value for tc in TCProtocol],
+        tm_list=[tm.value for tm in TMProtocol] + ["None"],
+        seeds=[1, 2],
+        output_dir=tmp_path,
+    )
+    run_experiment(spec)
+    for tc in spec.tc_list:
+        for tm in spec.tm_list:
+            for seed in spec.seeds:
+                csv_bytes = (tmp_path / f"series_{tc}_{tm}_seed{seed}.csv").read_bytes()
+                key = f"desk/{tc}/{tm}/{seed}"
+                assert hashlib.sha256(csv_bytes).hexdigest() == recorded[key]["series_csv"], key
 
 
 def test_golden_covers_every_cell():
