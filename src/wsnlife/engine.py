@@ -25,6 +25,13 @@ exact multiply-add and computes every other step as it stands. Every
 eventful step goes through step(). A stretch runs through sample points:
 no alive set, role or position changes inside it, so one sample taken at
 its end stands for every stride point it crosses.
+
+A stretch, and the compiled round of a step, is one _jump. On a tree of at
+least _VECTOR_MIN_RELAYS relays the grid steps of a round are counted from
+each relay's packets instead of found by a reduce over its drains: numpy
+finds at once every relay that stays inside its binade and above its floor,
+moves those by one exact multiply-add each, and leaves only the rest to
+_advance; the ledger's move is the sum of theirs, taken in its own grid.
 """
 from __future__ import annotations
 
@@ -32,7 +39,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from operator import add, itemgetter, sub
+from operator import add, lt, sub
+
+import numpy as np
 
 from .construction import A3Params, TCProtocol, construct
 from .deployment import DeploymentConfig, deploy
@@ -160,11 +169,18 @@ class RoundProgram:
     node it charges is alive: drains, every drain in hop order (the
     ledger's additions); relays, each charged node with its own drains in
     order; totals, the sum of each relay's drains, for estimating how many
-    rounds it lasts; and the packets the round delivers and drops."""
+    rounds it lasts; carried and tx, in the order of relays, the packets
+    each relay pays for (its own and those it relays) and its transmit
+    cost, and rx the receive cost, so that a relay's drains are
+    carried - 1 receive costs and carried transmit costs; and the packets
+    the round delivers and drops."""
 
     drains: list[float]
     relays: list[tuple[Node, list[float]]]
     totals: list[float]
+    carried: np.ndarray
+    tx: np.ndarray
+    rx: float
     delivered: int
     dropped: int
 
@@ -244,14 +260,24 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
             carried.update(carriers[origin])
             if edges[carriers[origin][-1]][0] == sink:
                 delivered += 1
+    counts = [carried[nid] for nid in below]
+    txs = [edges[nid][1] for nid in below]
     relays = []
-    for nid in below:
-        tx_cost = edges[nid][1]
+    for nid, count, tx_cost in zip(below, counts, txs):
         carry = [rx_cost, tx_cost]
-        above = carried[nid] - below[nid] - 1
+        above = count - below[nid] - 1
         relays.append((nodes[nid], carry * below[nid] + [tx_cost] + carry * above))
     totals = [sum(costs) for _, costs in relays]
-    return RoundProgram(drains, relays, totals, delivered, len(below) - delivered)
+    return RoundProgram(
+        drains,
+        relays,
+        totals,
+        np.array(counts, dtype=np.float64),
+        np.array(txs),
+        rx_cost,
+        delivered,
+        len(below) - delivered,
+    )
 
 
 def _program(state: NetworkState, routes: Routes) -> RoundProgram:
@@ -266,27 +292,39 @@ def _traffic(state: NetworkState) -> None:
     """Every alive active node sends one data packet up the tree.
 
     On a step where no node dies the round is the same sequence of exact
-    subtractions every time, so it runs as the compiled program. A drain's
-    result never exceeds the energy it was taken from, so a final energy
-    above zero means every drain on the way was taken in full: the clamp
-    never bit, nobody died, and each node's subtractions and the ledger's
-    additions are the per-hop round's own, in its order. A node killed since
-    the program was compiled has energy 0.0, so it fails the same test.
-    Otherwise the per-hop round runs on the untouched state, and the next
-    step compiles over the alive set it leaves."""
+    subtractions every time, so it runs as the compiled program, one round
+    of _jump. A drain's result never exceeds the energy it was taken from,
+    so a final energy above zero means every drain on the way was taken in
+    full: the clamp never bit, nobody died, and each node's subtractions
+    and the ledger's additions are the per-hop round's own, in its order. A
+    node killed since the program was compiled has energy 0.0, so it fails
+    the same test. Otherwise the per-hop round runs on the untouched state,
+    and the next step compiles over the alive set it leaves."""
     routes = _routes(state)
     program = _program(state, routes)
-    energies = [reduce(sub, costs, node.energy) for node, costs in program.relays]
-    if energies and min(energies) <= 0.0:
+    floors = [_DEATH_FLOOR] * len(program.relays)
+    rounds, energies, ledger = _jump(program, floors, 1, state.energy_ledger)
+    if rounds == 0:
         _per_hop_round(state, routes)
         routes.program = None
         return
-    for (node, _), residual in zip(program.relays, energies):
-        node.energy = residual
-    state.energy_ledger = reduce(add, program.drains, state.energy_ledger)
+    _apply_rounds(state, program, rounds, energies, ledger)
+
+
+def _apply_rounds(
+    state: NetworkState,
+    program: RoundProgram,
+    rounds: int,
+    energies: list[float],
+    ledger: float,
+) -> None:
+    """Record `rounds` rounds of program that _jump computed."""
+    for (node, _), energy in zip(program.relays, energies):
+        node.energy = energy
+    state.energy_ledger = ledger
     state.sink_bits_last_step = program.delivered * state.energy.data_packet_bits
-    state.packets_delivered += program.delivered
-    state.packets_dropped += program.dropped
+    state.packets_delivered += rounds * program.delivered
+    state.packets_dropped += rounds * program.dropped
 
 
 def _per_hop_round(state: NetworkState, routes: Routes) -> None:
@@ -348,6 +386,13 @@ _DEATH_FLOOR = math.ulp(0.0)
 _BINADE_STEPS = 1 << 52
 # The bottom of the lowest binade whose grid step g has a finite 1/g.
 _CLOSED_FORM_MIN = math.ldexp(0.5, -970)
+# The fewest relays for which _jump's numpy pre-pass pays. Timed on every
+# round of 600- and 1000-node runs (Intel Xeon, CPython 3.11, numpy 2.4),
+# it took 0.3 to 0.5 of the walks' time on trees of 64 relays and up at
+# the default density and energy; on the desk scenario scaled up (0.02 J,
+# 60 m radius), where most relays must be walked anyway, 1.12 of it at
+# 64-95 relays and 0.86-1.07 from 96 to 224.
+_VECTOR_MIN_RELAYS = 128
 
 
 def _advance(
@@ -368,13 +413,15 @@ def _advance(
     stands.
     """
     done = 0
-    distinct = set(costs)
+    distinct = None
     while done < steps:
         y = reduce(op, costs, x)
         if y < floor:
             break
         done += 1
         if steps - done > 1 and x >= _CLOSED_FORM_MIN:
+            if distinct is None:
+                distinct = set(costs)
             exponent = math.frexp(x)[1]
             lo = math.ldexp(0.5, exponent)
             per_g = math.ldexp(1.0, 53 - exponent)  # 1 / g, a power of two
@@ -400,6 +447,138 @@ def _advance(
     return done, x
 
 
+def _grid_units(cost, lo, per_g):
+    """Each cost in grid steps of the binade at lo, rounded to the nearest
+    step, and whether it is a tie. A cost of a binade's width 2^52 steps or
+    more counts as 2^52 steps, so every count is an exact double; costs and
+    binades broadcast as numpy arrays or scalars."""
+    units = np.minimum(cost, lo) * per_g
+    return np.rint(units), units % 1.0 == 0.5
+
+
+def _safe_rounds(
+    program: RoundProgram, x: np.ndarray, floors: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each relay, at energy x, how many rounds of program surely move
+    it by the same grid steps each time, leaving it inside its binade with a
+    grid step to spare and at or above its floor; and the drop of one such
+    round. A round moves it by (carried - 1) * round(rx/g) +
+    carried * round(tx/g) steps when neither cost is a tie and the move is
+    under the binade's width. Elsewhere (and below _CLOSED_FORM_MIN) the
+    relay has no safe round and must be walked."""
+    exponent = np.frexp(np.maximum(x, _CLOSED_FORM_MIN))[1]
+    lo = np.ldexp(0.5, exponent)
+    per_g = np.ldexp(1.0, 53 - exponent)  # 1 / g, a power of two
+    carried = program.carried
+    rx_units, rx_tie = _grid_units(program.rx, lo, per_g)
+    tx_units, tx_tie = _grid_units(program.tx, lo, per_g)
+    move = (carried - 1.0) * rx_units + carried * tx_units
+    exact = (x >= _CLOSED_FORM_MIN) & ~(rx_tie | tx_tie) & (move < _BINADE_STEPS)
+    # Grid steps above lo: the battery's, and its floor's rounded up. A floor
+    # above x allows no round; one below lo leaves the spare step the bound.
+    place = (x - lo) * per_g
+    bottom = np.maximum(1.0, np.ceil((np.minimum(floors, x) - lo) * per_g))
+    spare = np.where(exact, place - bottom, -1.0)
+    safe = np.where(move > 0.0, spare // np.maximum(move, 1.0), np.inf)
+    return np.where(spare >= 0.0, safe, 0.0), move / per_g
+
+
+def _ledger_after(program: RoundProgram, ledger: float, rounds: int) -> float:
+    """The ledger after `rounds` rounds of program's drains in hop order,
+    as _advance computes it, but with each binade's move per round counted
+    from the relays' packets instead of taken from one ordered reduce:
+    reduce runs only on the rounds that cross a binade edge, meet a tie or
+    start below _CLOSED_FORM_MIN."""
+    carried, tx = program.carried, program.tx
+    receives = float(carried.sum()) - len(program.relays)
+    done = 0
+    while done < rounds:
+        k = 0
+        if ledger >= _CLOSED_FORM_MIN:
+            exponent = math.frexp(ledger)[1]
+            lo = math.ldexp(0.5, exponent)
+            per_g = math.ldexp(1.0, 53 - exponent)
+            rx_units, rx_tie = _grid_units(program.rx, lo, per_g)
+            tx_units, tx_tie = _grid_units(tx, lo, per_g)
+            move = float(receives * rx_units + carried @ tx_units)
+            if not (rx_tie or tx_tie.any()) and move < _BINADE_STEPS:
+                k = rounds - done
+                if move > 0.0:
+                    place = (ledger - lo) * per_g
+                    k = min(k, int((_BINADE_STEPS - 1 - place) // move))
+        if k > 0:
+            ledger += k * move / per_g
+            done += k
+        else:
+            ledger = reduce(add, program.drains, ledger)
+            done += 1
+    return ledger
+
+
+def _jump(
+    program: RoundProgram, floors: list[float], rounds: int, ledger: float
+) -> tuple[int, list[float], float]:
+    """Up to `rounds` rounds of program, stopping before the first round
+    that would leave a relay under its floor: the rounds taken, each relay's
+    energy after them (in the order of program.relays) and the ledger's.
+    The values are those of reduce applied round by round, bit for bit. The
+    state is not changed; no round is taken when the first one fails.
+
+    Relays are independent of each other, so each is walked by _advance, as
+    far as the first round that would leave it under its floor. They are
+    walked in ascending order of their estimated limit, energy above the
+    floor over the round's drains, so the first walks bound the later ones
+    and a relay is rarely walked twice; the limit is the least one whatever
+    the order. On a program of at least _VECTOR_MIN_RELAYS relays, once the
+    first walk has taken a round, a numpy pre-pass (_safe_rounds) finds the
+    relays that surely last the rounds in grid steps, and applies them as
+    one exact x - n*M*g; only the others are walked, and the ledger moves by
+    _ledger_after. The first walk goes before the pre-pass because a round
+    on which some relay dies usually fails it."""
+    relays = program.relays
+    large = len(relays) >= _VECTOR_MIN_RELAYS
+    if rounds == 1 and not large:
+        # each walk is one reduce, and none can bound another
+        after = [reduce(sub, costs, node.energy) for node, costs in relays]
+        if any(map(lt, after, floors)):
+            return 0, [node.energy for node, _ in relays], ledger
+        return 1, after, reduce(add, program.drains, ledger)
+    energies = [node.energy for node, _ in relays]
+    if large:
+        x = np.array(energies)
+        estimates = (x - floors) / np.array(program.totals)
+        order = np.argsort(estimates, kind="stable").tolist()
+    else:
+        estimates = [(e - f) / t for e, f, t in zip(energies, floors, program.totals)]
+        order = sorted(range(len(relays)), key=estimates.__getitem__)
+    n = rounds
+    walked = []
+    limits = None  # each relay's safe rounds, once the pre-pass has run
+    for j in order:
+        if limits is not None and limits[j] >= n:
+            continue
+        done, energy = _advance(energies[j], sub, relays[j][1], n, floors[j])
+        if done == 0:
+            return 0, energies, ledger
+        n = done
+        walked.append((j, done, energy))
+        if large and limits is None:
+            safe, drop = _safe_rounds(program, x, floors)
+            limits = safe.tolist()
+    if limits is None:
+        after = list(energies)
+        ledger = _advance(ledger, add, program.drains, n)[1]
+    else:
+        after = (x - n * np.where(safe >= n, drop, 0.0)).tolist()
+        ledger = _ledger_after(program, ledger, n)
+    for j, done, energy in walked:
+        if done == n:
+            after[j] = energy
+        elif limits is None or limits[j] < n:
+            after[j] = _advance(energies[j], sub, relays[j][1], n)[1]
+    return n, after, ledger
+
+
 def _fast_forward(
     state: NetworkState, strategy: MaintenanceStrategy | None, config: SimConfig
 ) -> int:
@@ -410,12 +589,11 @@ def _fast_forward(
     The end state is the one step() would leave, bit for bit.
 
     On such steps each relay's battery and the ledger take the compiled
-    round's drains, and nothing else: relays are independent of each other,
-    so each one advances by _advance, as far as the first step that would
-    leave it at or below zero or under its energy-trigger floor. The relays
-    are walked in ascending order of their estimated limit, so the first
-    walks bound the later ones and a relay is rarely walked twice; the
-    stretch is the least limit whatever the order."""
+    round's drains, and nothing else, so the stretch is one _jump as far as
+    the first step that would leave a relay at or below zero or under its
+    energy-trigger floor. On a large tree most relays move by counts of
+    grid steps taken from their packets, all at once; the others, and every
+    relay of a small tree, are walked one by one."""
     room = config.max_steps - state.time
     policy = config.trigger
     retaining = energy_triggered = False
@@ -432,30 +610,17 @@ def _fast_forward(
     program = _program(state, routes)
     if energy_triggered and len(program.relays) < len(routes.origins):
         return 0  # a dead member trips the energy trigger on every step
-    topology = state.topology
-    walks = []
-    for (node, costs), total in zip(program.relays, program.totals):
-        floor = _DEATH_FLOOR
-        if energy_triggered:
-            floor = max(floor, energy_floor(policy, topology, node.id))
-        walks.append(((node.energy - floor) / total, node, costs, floor))
-    walks.sort(key=itemgetter(0))
-    n = room
-    ends = []
-    for _, node, costs, floor in walks:
-        done, energy = _advance(node.energy, sub, costs, n, floor)
-        if done == 0:
-            return 0
-        n = done
-        ends.append((node, costs, done, energy))
-    for node, costs, done, energy in ends:
-        if done > n:
-            energy = _advance(node.energy, sub, costs, n)[1]
-        node.energy = energy
-    state.energy_ledger = _advance(state.energy_ledger, add, program.drains, n)[1]
-    state.sink_bits_last_step = program.delivered * state.energy.data_packet_bits
-    state.packets_delivered += n * program.delivered
-    state.packets_dropped += n * program.dropped
+    floors = [_DEATH_FLOOR] * len(program.relays)
+    if energy_triggered:
+        topology = state.topology
+        floors = [
+            max(_DEATH_FLOOR, energy_floor(policy, topology, node.id))
+            for node, _ in program.relays
+        ]
+    n, energies, ledger = _jump(program, floors, room, state.energy_ledger)
+    if n == 0:
+        return 0
+    _apply_rounds(state, program, n, energies, ledger)
     if retaining:
         state.time += n - 1  # maintain runs before the clock advances
         retain(strategy, state, n)

@@ -5,6 +5,7 @@ from functools import reduce
 from operator import add, sub
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from wsnlife import (
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
+    Node,
+    Point,
     RadioParams,
     Role,
     SensingParams,
@@ -773,6 +776,41 @@ def test_fast_forward_matches_step_loop(tm, tc, data):
     assert all(a >= b for a, b in zip(alives, alives[1:]))
 
 
+@pytest.mark.parametrize("tm", [TMProtocol.DGETREC, TMProtocol.DGTTREC])
+def test_fast_forward_matches_step_loop_on_a_large_tree(tm):
+    # n = 1000 at the default density: its trees are large enough for the
+    # numpy pre-pass of _jump, which the step loop below runs without
+    scale = math.sqrt(1000 / 300)
+    config = SimConfig(
+        deployment=DeploymentConfig(
+            node_count=1000, area=DeploymentArea(1074.0 * scale, 660.0 * scale), seed=7
+        ),
+        tm=tm,
+        trigger=TriggerPolicy(tm.trigger_kind, period=3),
+        max_steps=300,
+        metrics_stride=50,
+    )
+    prepasses = []
+    safe_rounds = engine._safe_rounds
+
+    def recording(program, x, floors):
+        prepasses.append(len(program.relays))
+        return safe_rounds(program, x, floors)
+
+    with mock.patch.object(engine, "_safe_rounds", recording):
+        fast, fast_state, stretches = stretches_of(config)
+    assert prepasses and min(prepasses) >= engine._VECTOR_MIN_RELAYS
+    assert any(end - start > 1 for start, end in stretches)
+    assert fast.death_times and fast.maintenance_events
+    with mock.patch.object(engine, "_VECTOR_MIN_RELAYS", math.inf):
+        plain, plain_state = run_keeping_state(config, fast_forward=False)
+    assert fast.to_dict() == plain.to_dict()
+    assert [n.energy.hex() for n in fast_state.nodes] == [
+        n.energy.hex() for n in plain_state.nodes
+    ]
+    assert fast_state.energy_ledger.hex() == plain_state.energy_ledger.hex()
+
+
 def assert_one_record_of_life(state, initial, alive_before):
     """The sensors without energy are exactly those death_step names, the
     alive count has not risen, and the ledger is the batteries' drop;
@@ -831,6 +869,197 @@ def test_advance_tiny_normal_matches_iterated(case):
             done, value = engine._advance(x, op, costs, limit, floor)
             want_done, want = iterated(x, op, costs, limit, floor)
             assert (done, value.hex()) == (want_done, want.hex())
+
+
+def jump_program(rx, relays, order=None):
+    """A RoundProgram of relays given as (energy, tx, carried, below), with
+    rx the receive cost: each relay's drains laid out as _compile_round lays
+    them, and the ledger's drains all of theirs, in `order` (a permutation)
+    or one relay after another."""
+    charged = []
+    for j, (energy, tx, carried, below) in enumerate(relays):
+        carry = [rx, tx]
+        costs = carry * below + [tx] + carry * (carried - 1 - below)
+        node = Node(id=j + 1, position=Point(0.0, 0.0), energy=energy, role=Role.ACTIVE)
+        charged.append((node, costs))
+    drains = [c for _, costs in charged for c in costs]
+    if order is not None:
+        drains = [drains[i] for i in order]
+    return engine.RoundProgram(
+        drains=drains,
+        relays=charged,
+        totals=[sum(costs) for _, costs in charged],
+        carried=np.array([r[2] for r in relays], dtype=np.float64),
+        tx=np.array([r[1] for r in relays]),
+        rx=rx,
+        delivered=0,
+        dropped=0,
+    )
+
+
+def iterated_jump(program, floors, rounds, ledger):
+    """engine._jump's reference: every relay and the ledger by iterated."""
+    relays = program.relays
+    energies = [node.energy for node, _ in relays]
+    n = min(
+        [rounds]
+        + [
+            iterated(x, sub, costs, rounds, floor)[0]
+            for x, (_, costs), floor in zip(energies, relays, floors)
+        ]
+    )
+    if n == 0:
+        return 0, energies, ledger
+    return (
+        n,
+        [iterated(x, sub, costs, n)[1] for x, (_, costs) in zip(energies, relays)],
+        iterated(ledger, add, program.drains, n)[1],
+    )
+
+
+def assert_jump_matches_iterated(program, floors, rounds, ledger):
+    """_jump with its numpy pre-pass on every relay and on none agrees with
+    iterated on the rounds taken and, by float.hex, every relay and the
+    ledger; the program's nodes are left as they were."""
+    before = [node.energy.hex() for node, _ in program.relays]
+    want, energies, after = iterated_jump(program, floors, rounds, ledger)
+    want = (want, [e.hex() for e in energies], after.hex())
+    for vector_min in (0, len(program.relays) + 1):
+        with mock.patch.object(engine, "_VECTOR_MIN_RELAYS", vector_min):
+            n, energies, after = engine._jump(program, floors, rounds, ledger)
+        assert (n, [e.hex() for e in energies], after.hex()) == want, vector_min
+    assert [node.energy.hex() for node, _ in program.relays] == before
+
+
+TINY = engine._CLOSED_FORM_MIN  # 2**-971
+DF = engine._DEATH_FLOOR
+# name: (rx, [(energy, tx, carried, below)], floors, rounds, ledger)
+JUMP_CASES = {
+    # from an odd grid place a tie rounds one way, then the other way from
+    # every even place after: the move is not constant
+    "receive cost a tie": (1000.5 * G, [(0.75 + G, 7.5e-5, 3, 1)], [DF], 60, 0.3),
+    "transmit cost a tie": (5e-5, [(0.75 + G, 1000.5 * G, 2, 0)], [DF], 60, 0.3),
+    "a tie among safe relays": (
+        5e-5,
+        [(0.75, 7.5e-5, 2, 1), (0.75 + G, 1000.5 * G, 1, 0), (0.9, 6e-5, 4, 2)],
+        [DF] * 3,
+        60,
+        0.3,
+    ),
+    "a tie on the ledger only": (1000.5 * G, [(3.0, 7.5e-5, 2, 1)], [DF], 60, 0.75 + G),
+    "at a binade edge": (5e-5, [(0.5, 7.5e-5, 2, 0)], [DF], 300, 0.3),
+    "a grid step above an edge": (5e-5, [(0.5 + G, 7.5e-5, 2, 1)], [DF], 300, 0.3),
+    # the fifth round's exact result is 0.5 - 0.375 G, which rounds to the
+    # finer grid below the edge: landing on 0.5 needs the spare step
+    "onto an edge": (5e-5, [(0.5 + 5000 * G, 1000.375 * G, 1, 0)], [DF], 8, 0.3),
+    "onto an edge among safe relays": (
+        5e-5,
+        [(0.9, 7.5e-5, 2, 1), (0.5 + 5000 * G, 1000.375 * G, 1, 0), (0.7, 6e-5, 3, 0)],
+        [DF] * 3,
+        8,
+        0.3,
+    ),
+    # the other relay, walked first, cuts the rounds to the fifth: the edge
+    # relay may not skip its walk
+    "onto an edge on the last round": (
+        5e-5,
+        [(1e-3, 1.9e-4, 1, 0), (0.5 + 5000 * G, 1000.375 * G, 1, 0)],
+        [DF] * 2,
+        8,
+        0.3,
+    ),
+    "a floor inside the binade": (5e-5, [(0.9, 7.5e-5, 2, 1)], [0.6 * 0.9], 5000, 0.3),
+    # the third round lands on the floor exactly, which it may
+    "a floor on the grid": (
+        5e-5,
+        [(0.5 + 5000 * G, 1000 * G, 1, 0), (0.8, 6e-5, 2, 1)],
+        [0.5 + 2000 * G, DF],
+        50,
+        0.3,
+    ),
+    "a floor below the binade": (5e-5, [(0.6, 7.5e-5, 2, 1)], [0.3], 5000, 0.3),
+    "a floor above the energy": (5e-5, [(0.9, 7.5e-5, 2, 1), (0.6, 6e-5, 1, 0)], [DF, 0.7], 20, 0.3),
+    "drained to zero": (5e-5, [(1e-3, 7.5e-5, 2, 1), (0.7, 6e-5, 1, 0)], [DF] * 2, 100, 0.3),
+    "walks cut the safe ones": (
+        5e-5,
+        [(0.9, 7.5e-5, 3, 1), (0.5 + 7e-4, 7.5e-5, 2, 0), (2.5e-3, 1e-4, 2, 1)],
+        [DF, DF, 0.5 * 2.5e-3],
+        200,
+        0.3,
+    ),
+    "near the closed form's floor": (
+        2.0**-1010,
+        [(1.5 * TINY, 2.0**-1012, 2, 1), (TINY - 2.0**-1023, 2.0**-1012, 1, 0), (3 * TINY, 2.0**-1005, 2, 0)],
+        [DF] * 3,
+        40,
+        TINY,
+    ),
+    "ledger from zero": (5e-5, [(0.9, 7.5e-5, 3, 1)], [DF], 50, 0.0),
+    "ledger from the least double": (5e-5, [(0.9, 7.5e-5, 3, 1)], [DF], 50, DF),
+    "ledger below the closed form": (2.0**-1010, [(0.9, 2.0**-1005, 1, 0)], [DF], 50, 2.0**-1000),
+    # 1/g of the ledger's binade is 2**1023, so a cost of joules has more
+    # grid steps than a double holds
+    "ledger at the closed form's floor, drains of joules": (2.5, [(1000.0, 3.0, 2, 1)], [DF], 30, TINY),
+    "ledger crosses upward": (1.2e-4, [(0.9, 7.5e-5, 20, 5), (0.6, 5e-5, 20, 15)], [DF] * 2, 400, 1.0 - 3e-3),
+}
+
+
+@pytest.mark.parametrize("case", list(JUMP_CASES))
+def test_jump_matches_iterated(case):
+    rx, relays, floors, rounds, ledger = JUMP_CASES[case]
+    program = jump_program(rx, relays)
+    for limit in (1, 2, rounds // 3, rounds):
+        assert_jump_matches_iterated(program, floors, limit, ledger)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_jump_matches_iterated_random(data):
+    # one binade [lo, 2 lo) with grid g that energies, costs and floors are
+    # drawn around; the lowest ones straddle _CLOSED_FORM_MIN
+    lo = 2.0 ** data.draw(st.sampled_from([*range(-12, 2), -970, -971, -972]))
+    g = lo * 2.0**-52
+    steps = st.integers(0, 64).map(lambda j: j * g)
+    energy = st.one_of(
+        st.sampled_from([lo, lo + g, 2 * lo - g, lo - g / 2, TINY, TINY - 2.0**-1023]),
+        steps.map(lambda d: lo + d),
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True).map(lambda f: f * lo),
+    )
+    cost = st.one_of(
+        st.floats(min_value=1e-9, max_value=1e-3).map(lambda f: f * lo),
+        st.integers(0, 10**6).map(lambda m: (m + 0.5) * g),  # ties
+        st.tuples(st.integers(1, 16), st.sampled_from([0.0, 0.25, 0.375, 0.75])).map(
+            lambda mf: (mf[0] + mf[1]) * g
+        ),
+    )
+    rx = data.draw(cost)
+    relays = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        carried = data.draw(st.integers(1, 4))
+        below = data.draw(st.integers(0, carried - 1))
+        relays.append((data.draw(energy), data.draw(cost), carried, below))
+    floors = [
+        data.draw(
+            st.one_of(
+                st.just(DF),
+                steps.map(lambda d: lo + d),  # inside the binade
+                st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * x),
+                st.sampled_from([x, x + g]),
+            )
+        )
+        for x, *_ in relays
+    ]
+    drain_count = sum(2 * r[2] - 1 for r in relays)
+    order = data.draw(st.permutations(range(drain_count)))
+    ledger = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, DF, 2.0**-1000, TINY, TINY - 2.0**-1023]),
+            energy,
+            st.floats(min_value=0.0, max_value=4.0),
+        )
+    )
+    rounds = data.draw(st.integers(1, 300))
+    assert_jump_matches_iterated(jump_program(rx, relays, order), floors, rounds, ledger)
 
 
 def stretches_of(config):
