@@ -11,7 +11,10 @@ test reads the battery, and a drain that empties one calls
 NetworkState.kill to record the death step. Each tree caches its data round
 compiled over an alive set; a node that has died since has an empty
 battery, which drives its residual under the program to zero or below, so
-the step runs hop by hop and the next one recompiles.
+the step runs hop by hop and the next one recompiles. A compiled round is
+the packets each relay pays for, counted in one pass over the tree children
+first; the drains a relay takes, and the ledger's in hop order, are built
+from those counts only when a step reads them.
 
 run() does not step through quiet stretches one at a time: steps on which
 no node dies and the trigger stays off (or, once a static rotation set is
@@ -32,11 +35,14 @@ each relay's packets instead of found by a reduce over its drains: numpy
 finds at once every relay that stays inside its binade and above its floor,
 moves those by one exact multiply-add each, and leaves only the rest to
 _advance; the ledger's move is the sum of theirs, taken in its own grid.
+So a large tree's round builds the drains of the relays it walks and the
+hop order only at the ledger's binade edges and ties; a small one reads
+them all.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, lt, sub
@@ -163,36 +169,75 @@ def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | N
     return state, strategy
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundProgram:
-    """A tree's data round compiled over one alive set, valid while every
-    node it charges is alive: drains, every drain in hop order (the
-    ledger's additions); relays, each charged node with its own drains in
-    order; totals, the sum of each relay's drains, for estimating how many
-    rounds it lasts; carried and tx, in the order of relays, the packets
-    each relay pays for (its own and those it relays) and its transmit
-    cost, and rx the receive cost, so that a relay's drains are
-    carried - 1 receive costs and carried transmit costs; and the packets
-    the round delivers and drops."""
+    """A tree's data round compiled over one alive set, as packet counts,
+    valid while every node it charges is alive. nodes holds the charged
+    relays in ascending id; in their order, carried the packets each pays
+    for (its own and those it relays), tx its transmit cost, and totals
+    (carried - 1) * rx + carried * tx, its drains' sum up to rounding, for
+    ordering the walks; rx is the receive cost, so a relay's drains are
+    carried - 1 receive costs and carried transmit costs. delivered and
+    dropped are the packets the round delivers and drops. counts maps each
+    relay's id to its carried count, so its keys are the alive set, and
+    cuts holds, ascending, the places in tree.upward of the dead nodes
+    whose parent is alive, where packets stop.
 
-    drains: list[float]
-    relays: list[tuple[Node, list[float]]]
-    totals: list[float]
+    The drains themselves are built only when read, and kept: each relay's
+    in order (relay_drains) and every drain in hop order, the ledger's
+    additions (drains)."""
+
+    nodes: list[Node]
     carried: np.ndarray
     tx: np.ndarray
     rx: float
+    totals: list[float]
     delivered: int
     dropped: int
+    tree: Tree
+    counts: dict[int, int]
+    cuts: list[int]
+    relay_costs: list[list[float] | None] = field(init=False, repr=False)
+    hop_order: list[float] | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.relay_costs = [None] * len(self.nodes)
+
+    def relay_drains(self, j: int) -> list[float]:
+        """The drains of relay j (in the order of nodes), in hop order."""
+        costs = self.relay_costs[j]
+        if costs is None:
+            costs = self.relay_costs[j] = _relay_drains(self, j)
+        return costs
+
+    def drains(self) -> list[float]:
+        """Every drain of the round in hop order."""
+        if self.hop_order is None:
+            self.hop_order = _hop_order_drains(self)
+        return self.hop_order
+
+
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """An installed tree's shape: traffic origins in ascending id; for each
+    its parent hop with the precomputed transmit cost; the origins children
+    first, each subtree a run of upward ending at its root; each origin's
+    place in upward; and where each place's run starts, so that the
+    descendants of upward[k] are upward[first[k]:k]."""
+
+    origins: list[int]
+    edges: dict[int, tuple[int, float]]
+    upward: list[int]
+    place: dict[int, int]
+    first: list[int]
 
 
 @dataclass
 class Routes:
-    """Per-topology routing cache: traffic origins in ascending id, for each
-    relay its parent hop with the precomputed transmit cost, and the round
-    compiled over the latest alive set (one at a time)."""
+    """Per-topology routing cache: the tree, and its round compiled over
+    the latest alive set (one at a time)."""
 
-    origins: list[int]
-    edges: dict[int, tuple[int, float]]
+    tree: Tree
     program: RoundProgram | None = None
 
 
@@ -204,6 +249,7 @@ def _routes(state: NetworkState) -> Routes:
     energy, nodes = state.energy, state.nodes
     origins = sorted(topology.active_set - {topology.root})
     edges: dict[int, tuple[int, float]] = {}
+    children: dict[int, list[int]] = {}
     for nid in origins:
         parent = topology.parent[nid]
         dx = nodes[nid].position.x - nodes[parent].position.x
@@ -211,73 +257,105 @@ def _routes(state: NetworkState) -> Routes:
         # Must not become distance(): hypot differs on 23,418 of 141,742 pairs.
         hop = (dx * dx + dy * dy) ** 0.5
         edges[nid] = (parent, tx_energy(energy, energy.data_packet_bits, hop))
-    topology.route_cache = Routes(origins, edges)
+        children.setdefault(parent, []).append(nid)
+    downward = []  # depth first, each node before its subtree
+    stack = list(children.get(topology.root, ()))
+    while stack:
+        nid = stack.pop()
+        downward.append(nid)
+        stack += children.get(nid, ())
+    upward = downward[::-1]
+    place = dict(zip(upward, range(len(upward))))
+    first = list(range(len(upward)))  # widened to each child's run in turn
+    for k, nid in enumerate(upward):
+        above = place.get(edges[nid][0])
+        if above is not None and first[k] < first[above]:
+            first[above] = first[k]
+    topology.route_cache = Routes(Tree(origins, edges, upward, place, first))
     return topology.route_cache
 
 
 def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
-    """The round of _per_hop_round over the current alive set, recorded
-    instead of applied, with each alive node's path built once.
+    """The round of _per_hop_round over the current alive set, as counts.
 
     A node's packet costs its own transmit drain, then, while the next hop
-    is an alive relay, that relay's receive drain and the rest of the
-    relay's own path: [tx, rx] + path[parent], or [tx] when the packet
-    reaches the sink or a dead hop. The round drains the paths of the alive
-    origins in ascending order. So a relay spends [tx] on its own packet and
-    [rx, tx] on each packet it carries, in the order of their senders: it
-    carries `below` packets from lower ids before its own and `above` from
-    higher ids after it."""
-    rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
-    sink = state.sink.id
+    is an alive relay, that relay's receive and transmit drains; it is
+    delivered when it reaches the sink and dropped at a dead hop. So an
+    alive node pays for its own packet and for every packet of its alive
+    subtree, which one pass children first counts: each alive node adds
+    its count to its parent's, or to the delivered packets at the sink."""
     nodes = state.nodes
-    edges = routes.edges
-    paths: dict[int, list[float]] = {}  # each alive node's drains, in hop order
-    carriers: dict[int, list[int]] = {}  # the nodes that pay them, itself first
-    for origin in routes.origins:
-        if origin in paths or nodes[origin].energy <= 0.0:
-            continue
-        chain = [origin]  # up to the first hop whose path is known or ends it
-        parent = edges[origin][0]
-        while parent != sink and parent not in paths and nodes[parent].energy > 0.0:
-            chain.append(parent)
-            parent = edges[parent][0]
-        for nid in reversed(chain):
-            parent, tx_cost = edges[nid]
-            if parent in paths:
-                paths[nid] = [tx_cost, rx_cost] + paths[parent]
-                carriers[nid] = [nid] + carriers[parent]
-            else:
-                paths[nid] = [tx_cost]
-                carriers[nid] = [nid]
-    drains: list[float] = []
-    below: dict[int, int] = {}  # each relay's count of lower-id packets
-    carried: Counter[int] = Counter()  # packets each node pays for so far
+    tree = routes.tree
+    edges = tree.edges
+    sink = state.sink.id
+    counts: dict[int, int] = {}
+    dead = []
     delivered = 0
-    for origin in routes.origins:
-        if origin in paths:
-            drains += paths[origin]
-            below[origin] = carried[origin]
-            carried.update(carriers[origin])
-            if edges[carriers[origin][-1]][0] == sink:
-                delivered += 1
-    counts = [carried[nid] for nid in below]
-    txs = [edges[nid][1] for nid in below]
-    relays = []
-    for nid, count, tx_cost in zip(below, counts, txs):
-        carry = [rx_cost, tx_cost]
-        above = count - below[nid] - 1
-        relays.append((nodes[nid], carry * below[nid] + [tx_cost] + carry * above))
-    totals = [sum(costs) for _, costs in relays]
+    for nid in tree.upward:
+        if nodes[nid].energy > 0.0:
+            count = counts[nid] = counts.get(nid, 0) + 1
+            parent = edges[nid][0]
+            if parent == sink:
+                delivered += count
+            elif nodes[parent].energy > 0.0:
+                counts[parent] = counts.get(parent, 0) + count
+        else:
+            dead.append(nid)
+    ids = sorted(counts)
+    carried = [counts[nid] for nid in ids]
+    txs = [edges[nid][1] for nid in ids]
+    rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
     return RoundProgram(
-        drains,
-        relays,
-        totals,
-        np.array(counts, dtype=np.float64),
+        [nodes[nid] for nid in ids],
+        np.array(carried, dtype=np.float64),
         np.array(txs),
         rx_cost,
+        [(count - 1) * rx_cost + count * tx for count, tx in zip(carried, txs)],
         delivered,
-        len(below) - delivered,
+        len(ids) - delivered,
+        tree,
+        counts,
+        [tree.place[nid] for nid in dead if edges[nid][0] in counts],
     )
+
+
+def _relay_drains(program: RoundProgram, j: int) -> list[float]:
+    """Relay j's drains in hop order. The round drains the paths of the
+    alive origins in ascending id, so the relay spends [tx] on its own
+    packet and [rx, tx] on each packet it carries, in the order of their
+    senders: `below` packets from the lower ids of its alive subtree before
+    its own and the rest after it. Its alive subtree is its run of the
+    upward order less the runs of the cuts inside it."""
+    nid = program.nodes[j].id
+    tree, cuts = program.tree, program.cuts
+    upward, first = tree.upward, tree.first
+    place = tree.place[nid]
+    below = sum(map(nid.__gt__, upward[first[place] : place]))
+    k = bisect_left(cuts, place) - 1
+    while k >= 0 and cuts[k] >= first[place]:
+        cut = cuts[k]
+        below -= sum(map(nid.__gt__, upward[first[cut] : cut + 1]))
+        k = bisect_left(cuts, first[cut]) - 1
+    tx_cost = tree.edges[nid][1]
+    carry = [program.rx, tx_cost]
+    return carry * below + [tx_cost] + carry * (program.counts[nid] - 1 - below)
+
+
+def _hop_order_drains(program: RoundProgram) -> list[float]:
+    """Every drain of the round in hop order: the path of each alive origin
+    in ascending id, where a node's path is [tx], then [rx] and its
+    parent's path while the parent is an alive relay. Built parents first,
+    so each path is built once, from its parent's."""
+    counts, edges, rx_cost = program.counts, program.tree.edges, program.rx
+    paths: dict[int, list[float]] = {}
+    for nid in reversed(program.tree.upward):
+        if nid in counts:
+            parent, tx_cost = edges[nid]
+            paths[nid] = [tx_cost, rx_cost] + paths[parent] if parent in paths else [tx_cost]
+    drains: list[float] = []
+    for node in program.nodes:
+        drains += paths[node.id]
+    return drains
 
 
 def _program(state: NetworkState, routes: Routes) -> RoundProgram:
@@ -302,7 +380,7 @@ def _traffic(state: NetworkState) -> None:
     and the next step compiles over the alive set it leaves."""
     routes = _routes(state)
     program = _program(state, routes)
-    floors = [_DEATH_FLOOR] * len(program.relays)
+    floors = [_DEATH_FLOOR] * len(program.nodes)
     rounds, energies, ledger = _jump(program, floors, 1, state.energy_ledger)
     if rounds == 0:
         _per_hop_round(state, routes)
@@ -319,7 +397,7 @@ def _apply_rounds(
     ledger: float,
 ) -> None:
     """Record `rounds` rounds of program that _jump computed."""
-    for (node, _), energy in zip(program.relays, energies):
+    for node, energy in zip(program.nodes, energies):
         node.energy = energy
     state.energy_ledger = ledger
     state.sink_bits_last_step = program.delivered * state.energy.data_packet_bits
@@ -336,7 +414,7 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     debited and added to the ledger, and a battery drained to zero is a
     death, recorded by NetworkState.kill. A dead node is never drained, and
     the sink's battery is never drawn."""
-    origins, edges = routes.origins, routes.edges
+    origins, edges = routes.tree.origins, routes.tree.edges
     energy = state.energy
     bits = energy.data_packet_bits
     rx_cost = rx_energy(energy, bits)
@@ -490,7 +568,7 @@ def _ledger_after(program: RoundProgram, ledger: float, rounds: int) -> float:
     reduce runs only on the rounds that cross a binade edge, meet a tie or
     start below _CLOSED_FORM_MIN."""
     carried, tx = program.carried, program.tx
-    receives = float(carried.sum()) - len(program.relays)
+    receives = float(carried.sum()) - len(program.nodes)
     done = 0
     while done < rounds:
         k = 0
@@ -510,7 +588,7 @@ def _ledger_after(program: RoundProgram, ledger: float, rounds: int) -> float:
             ledger += k * move / per_g
             done += k
         else:
-            ledger = reduce(add, program.drains, ledger)
+            ledger = reduce(add, program.drains(), ledger)
             done += 1
     return ledger
 
@@ -520,7 +598,7 @@ def _jump(
 ) -> tuple[int, list[float], float]:
     """Up to `rounds` rounds of program, stopping before the first round
     that would leave a relay under its floor: the rounds taken, each relay's
-    energy after them (in the order of program.relays) and the ledger's.
+    energy after them (in the order of program.nodes) and the ledger's.
     The values are those of reduce applied round by round, bit for bit. The
     state is not changed; no round is taken when the first one fails.
 
@@ -535,29 +613,29 @@ def _jump(
     one exact x - n*M*g; only the others are walked, and the ledger moves by
     _ledger_after. The first walk goes before the pre-pass because a round
     on which some relay dies usually fails it."""
-    relays = program.relays
-    large = len(relays) >= _VECTOR_MIN_RELAYS
+    nodes, costs = program.nodes, program.relay_drains
+    large = len(nodes) >= _VECTOR_MIN_RELAYS
     if rounds == 1 and not large:
         # each walk is one reduce, and none can bound another
-        after = [reduce(sub, costs, node.energy) for node, costs in relays]
+        after = [reduce(sub, costs(j), node.energy) for j, node in enumerate(nodes)]
         if any(map(lt, after, floors)):
-            return 0, [node.energy for node, _ in relays], ledger
-        return 1, after, reduce(add, program.drains, ledger)
-    energies = [node.energy for node, _ in relays]
+            return 0, [node.energy for node in nodes], ledger
+        return 1, after, reduce(add, program.drains(), ledger)
+    energies = [node.energy for node in nodes]
     if large:
         x = np.array(energies)
         estimates = (x - floors) / np.array(program.totals)
         order = np.argsort(estimates, kind="stable").tolist()
     else:
         estimates = [(e - f) / t for e, f, t in zip(energies, floors, program.totals)]
-        order = sorted(range(len(relays)), key=estimates.__getitem__)
+        order = sorted(range(len(nodes)), key=estimates.__getitem__)
     n = rounds
     walked = []
     limits = None  # each relay's safe rounds, once the pre-pass has run
     for j in order:
         if limits is not None and limits[j] >= n:
             continue
-        done, energy = _advance(energies[j], sub, relays[j][1], n, floors[j])
+        done, energy = _advance(energies[j], sub, costs(j), n, floors[j])
         if done == 0:
             return 0, energies, ledger
         n = done
@@ -567,7 +645,7 @@ def _jump(
             limits = safe.tolist()
     if limits is None:
         after = list(energies)
-        ledger = _advance(ledger, add, program.drains, n)[1]
+        ledger = _advance(ledger, add, program.drains(), n)[1]
     else:
         after = (x - n * np.where(safe >= n, drop, 0.0)).tolist()
         ledger = _ledger_after(program, ledger, n)
@@ -575,7 +653,7 @@ def _jump(
         if done == n:
             after[j] = energy
         elif limits is None or limits[j] < n:
-            after[j] = _advance(energies[j], sub, relays[j][1], n)[1]
+            after[j] = _advance(energies[j], sub, costs(j), n)[1]
     return n, after, ledger
 
 
@@ -608,14 +686,14 @@ def _fast_forward(
         return 0
     routes = _routes(state)
     program = _program(state, routes)
-    if energy_triggered and len(program.relays) < len(routes.origins):
+    if energy_triggered and len(program.nodes) < len(routes.tree.origins):
         return 0  # a dead member trips the energy trigger on every step
-    floors = [_DEATH_FLOOR] * len(program.relays)
+    floors = [_DEATH_FLOOR] * len(program.nodes)
     if energy_triggered:
         topology = state.topology
         floors = [
             max(_DEATH_FLOOR, energy_floor(policy, topology, node.id))
-            for node, _ in program.relays
+            for node in program.nodes
         ]
     n, energies, ledger = _jump(program, floors, room, state.energy_ledger)
     if n == 0:

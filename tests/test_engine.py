@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import reduce
 from operator import add, sub
@@ -454,7 +455,7 @@ def _random_tree_state(positions, order, parent_picks, budgets, dead):
     for nid, (kind, scale) in budgets.items():
         if not state.nodes[nid].alive:
             continue
-        _, tx_cost = engine._routes(state).edges[nid]
+        _, tx_cost = engine._routes(state).tree.edges[nid]
         # "exact": a battery of one or two transmit costs, which the node's
         # own drains take to exactly 0.0; otherwise a few rounds' worth
         state.nodes[nid].energy = scale * tx_cost if kind == "exact" else scale * 1e-3
@@ -515,12 +516,12 @@ def recorded_round(state, routes):
     nodes = state.nodes
     drains, own = [], {}
     delivered = dropped = 0
-    for origin in routes.origins:
+    for origin in routes.tree.origins:
         if not nodes[origin].alive:
             continue
         current = origin
         while True:
-            parent, tx_cost = routes.edges[current]
+            parent, tx_cost = routes.tree.edges[current]
             drains.append(tx_cost)
             own.setdefault(current, []).append(tx_cost)
             if parent == state.sink.id:
@@ -593,11 +594,7 @@ def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
     )
     program = engine._compile_round(state, routes)
     drains, own, delivered, dropped = recorded_round(state, routes)
-    assert [c.hex() for c in program.drains] == [c.hex() for c in drains]
-    assert [(node.id, [c.hex() for c in costs]) for node, costs in program.relays] == [
-        (nid, [c.hex() for c in own[nid]]) for nid in sorted(own)
-    ]
-    assert program.totals == [sum(own[nid]) for nid in sorted(own)]
+    assert_program_matches_recorded(program, drains, own, random.Random(seed))
     assert (program.delivered, program.dropped) == (delivered, dropped)
     assert dropped > 0
 
@@ -616,6 +613,25 @@ def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
     assert compiled.packets_dropped == reference.packets_dropped
     assert compiled.death_step == reference.death_step
     assert compiled.sink_bits_last_step == reference.sink_bits_last_step
+
+
+def assert_program_matches_recorded(program, drains, own, rng):
+    """The program's counts, and its drains built on demand, are the
+    recorded round's: each relay's, read in a shuffled order, and the hop
+    order, read after them; nothing is built before it is read."""
+    assert [node.id for node in program.nodes] == sorted(own)
+    assert program.relay_costs == [None] * len(own) and program.hop_order is None
+    for j, nid in enumerate(sorted(own)):
+        assert program.carried[j] == (len(own[nid]) + 1) / 2
+        assert program.tx[j].hex() == own[nid][-1].hex()
+        assert math.isclose(program.totals[j], sum(own[nid]), rel_tol=1e-12)
+    reads = list(enumerate(sorted(own)))
+    rng.shuffle(reads)
+    for j, nid in reads:
+        assert [c.hex() for c in program.relay_drains(j)] == [c.hex() for c in own[nid]]
+    assert [c.hex() for c in program.drains()] == [c.hex() for c in drains]
+    assert program.relay_drains(0) is program.relay_drains(0)  # kept once built
+    assert program.drains() is program.drains()
 
 
 def _descendant_id_range(parent):
@@ -645,12 +661,35 @@ def test_kill_between_steps_recompiles_round():
     engine._traffic(state)  # node 2's zeroed battery fails the program: hop by hop
     assert state.packets_delivered == 3 + 3 + 1
     assert state.packets_dropped == 1
-    assert state.nodes[3].energy == before - topology.route_cache.edges[3][1]
+    assert state.nodes[3].energy == before - topology.route_cache.tree.edges[3][1]
     assert topology.route_cache.program is None
     engine._traffic(state)  # compiled over the alive set that round left
     program = topology.route_cache.program
     assert (program.delivered, program.dropped) == (1, 1)
-    assert [node.id for node, _ in program.relays] == [1, 3]
+    assert [node.id for node in program.nodes] == [1, 3]
+    assert program.carried.tolist() == [1.0, 1.0]
+    tx = topology.route_cache.tree.edges
+    assert program.relay_drains(0) == [tx[1][1]]
+    assert program.relay_drains(1) == [tx[3][1]]
+    assert program.drains() == [tx[1][1], tx[3][1]]
+
+
+def test_relay_drains_stop_at_nested_dead_hops():
+    # sink <- 5 <- 2 (dead) <- 7 <- 3 (dead) <- 1, a dead hop under a dead
+    # hop; 2 <- 9 (dead) <- 10; and 5 <- 4 <- 6, 5 <- 8, 7 <- 11
+    parent = {5: 0, 2: 5, 7: 2, 3: 7, 1: 3, 9: 2, 10: 9, 4: 5, 6: 4, 8: 5, 11: 7}
+    positions = [(0.0, 0.0)] + [(10.0 * nid, 5.0) for nid in range(1, 12)]
+    state = make_state(positions, dead=[2, 3, 9])
+    activate_topology(state, Topology(active_set={0, *parent}, parent=parent, root=0))
+    routes = engine._routes(state)
+    program = engine._compile_round(state, routes)
+    drains, own, delivered, dropped = recorded_round(state, routes)
+    assert (delivered, dropped) == (4, 4)  # 5, 4, 6, 8; and 7, 1, 10, 11
+    assert program.carried.tolist() == [1, 2, 4, 1, 2, 1, 1, 1]  # 1 4 5 6 7 8 10 11
+    # the dead hops under alive parents (not 9), children first
+    assert [routes.tree.upward[place] for place in program.cuts] == [3, 2]
+    assert_program_matches_recorded(program, drains, own, random.Random(0))
+    assert (program.delivered, program.dropped) == (delivered, dropped)
 
 
 def iterated(x, op, costs, steps, floor=-math.inf):
@@ -790,16 +829,38 @@ def test_fast_forward_matches_step_loop_on_a_large_tree(tm):
         max_steps=300,
         metrics_stride=50,
     )
-    prepasses = []
-    safe_rounds = engine._safe_rounds
+    prepasses, compiled, built = [], [], Counter()
+    safe_rounds, compile_round = engine._safe_rounds, engine._compile_round
 
     def recording(program, x, floors):
-        prepasses.append(len(program.relays))
+        prepasses.append(len(program.nodes))
         return safe_rounds(program, x, floors)
 
-    with mock.patch.object(engine, "_safe_rounds", recording):
+    def compiling(state, routes):
+        program = compile_round(state, routes)
+        compiled.append(len(program.nodes))
+        return program
+
+    def counting(name, build):
+        def counted(*args):
+            built[name] += 1
+            return build(*args)
+
+        return counted
+
+    with (
+        mock.patch.object(engine, "_safe_rounds", recording),
+        mock.patch.object(engine, "_compile_round", compiling),
+        mock.patch.object(engine, "_relay_drains", counting("relay", engine._relay_drains)),
+        mock.patch.object(engine, "_hop_order_drains", counting("hop", engine._hop_order_drains)),
+    ):
         fast, fast_state, stretches = stretches_of(config)
     assert prepasses and min(prepasses) >= engine._VECTOR_MIN_RELAYS
+    # a large program builds the drains of the relays it walks, and the hop
+    # order at the ledger's binade edges only: under 1 % of the relay lists
+    # of these runs, and the hop order of under a third of the compiles
+    assert built["relay"] < sum(compiled) // 10
+    assert built["hop"] < len(compiled)
     assert any(end - start > 1 for start, end in stretches)
     assert fast.death_times and fast.maintenance_events
     with mock.patch.object(engine, "_VECTOR_MIN_RELAYS", math.inf):
@@ -873,47 +934,53 @@ def test_advance_tiny_normal_matches_iterated(case):
 
 def jump_program(rx, relays, order=None):
     """A RoundProgram of relays given as (energy, tx, carried, below), with
-    rx the receive cost: each relay's drains laid out as _compile_round lays
-    them, and the ledger's drains all of theirs, in `order` (a permutation)
-    or one relay after another."""
-    charged = []
+    rx the receive cost, and its drains already built: each relay's laid
+    out as _relay_drains lays them, and the ledger's all of theirs, in
+    `order` (a permutation) or one relay after another. No tree stands
+    behind it, so it builds nothing itself."""
+    nodes, charged = [], []
     for j, (energy, tx, carried, below) in enumerate(relays):
         carry = [rx, tx]
-        costs = carry * below + [tx] + carry * (carried - 1 - below)
-        node = Node(id=j + 1, position=Point(0.0, 0.0), energy=energy, role=Role.ACTIVE)
-        charged.append((node, costs))
-    drains = [c for _, costs in charged for c in costs]
+        charged.append(carry * below + [tx] + carry * (carried - 1 - below))
+        nodes.append(Node(id=j + 1, position=Point(0.0, 0.0), energy=energy, role=Role.ACTIVE))
+    drains = [c for costs in charged for c in costs]
     if order is not None:
         drains = [drains[i] for i in order]
-    return engine.RoundProgram(
-        drains=drains,
-        relays=charged,
-        totals=[sum(costs) for _, costs in charged],
-        carried=np.array([r[2] for r in relays], dtype=np.float64),
+    carried = [r[2] for r in relays]
+    program = engine.RoundProgram(
+        nodes=nodes,
+        carried=np.array(carried, dtype=np.float64),
         tx=np.array([r[1] for r in relays]),
         rx=rx,
+        totals=[(c - 1) * rx + c * r[1] for c, r in zip(carried, relays)],
         delivered=0,
         dropped=0,
+        tree=None,
+        counts={node.id: c for node, c in zip(nodes, carried)},
+        cuts=[],
     )
+    program.relay_costs = charged
+    program.hop_order = drains
+    return program
 
 
 def iterated_jump(program, floors, rounds, ledger):
     """engine._jump's reference: every relay and the ledger by iterated."""
-    relays = program.relays
-    energies = [node.energy for node, _ in relays]
+    energies = [node.energy for node in program.nodes]
+    costs = [program.relay_drains(j) for j in range(len(program.nodes))]
     n = min(
         [rounds]
         + [
-            iterated(x, sub, costs, rounds, floor)[0]
-            for x, (_, costs), floor in zip(energies, relays, floors)
+            iterated(x, sub, c, rounds, floor)[0]
+            for x, c, floor in zip(energies, costs, floors)
         ]
     )
     if n == 0:
         return 0, energies, ledger
     return (
         n,
-        [iterated(x, sub, costs, n)[1] for x, (_, costs) in zip(energies, relays)],
-        iterated(ledger, add, program.drains, n)[1],
+        [iterated(x, sub, c, n)[1] for x, c in zip(energies, costs)],
+        iterated(ledger, add, program.drains(), n)[1],
     )
 
 
@@ -921,14 +988,14 @@ def assert_jump_matches_iterated(program, floors, rounds, ledger):
     """_jump with its numpy pre-pass on every relay and on none agrees with
     iterated on the rounds taken and, by float.hex, every relay and the
     ledger; the program's nodes are left as they were."""
-    before = [node.energy.hex() for node, _ in program.relays]
+    before = [node.energy.hex() for node in program.nodes]
     want, energies, after = iterated_jump(program, floors, rounds, ledger)
     want = (want, [e.hex() for e in energies], after.hex())
-    for vector_min in (0, len(program.relays) + 1):
+    for vector_min in (0, len(program.nodes) + 1):
         with mock.patch.object(engine, "_VECTOR_MIN_RELAYS", vector_min):
             n, energies, after = engine._jump(program, floors, rounds, ledger)
         assert (n, [e.hex() for e in energies], after.hex()) == want, vector_min
-    assert [node.energy.hex() for node, _ in program.relays] == before
+    assert [node.energy.hex() for node in program.nodes] == before
 
 
 TINY = engine._CLOSED_FORM_MIN  # 2**-971

@@ -1,10 +1,13 @@
 """Coverage through per-node footprints against every disc evaluated afresh."""
 import math
+import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnlife import metrics
 from wsnlife import (
     CoverageGrid,
     DeploymentArea,
@@ -101,8 +104,8 @@ def test_footprint_coverage_matches_fresh_grid(data):
             fresh = CoverageGrid(area, shared.cell_size)
             assert footprint_coverage(state, sp, fresh, reach) == want
             assert footprint_coverage(state, sp, shared, reach) == want
-        assert shared.disc(R, -500.0, -500.0) is None
-        assert shared.miss_factor(sp, r, -500.0, -500.0) is None
+        assert shared.discs(R, [(-500.0, -500.0)]) == [None]
+        assert shared.miss_factors(sp, r, [(-500.0, -500.0)]) == [None]
 
 
 def quarters(low, high):
@@ -134,8 +137,7 @@ def test_miss_factor_is_one_minus_sense_probability(data):
         dx, dy = data.draw(st.sampled_from([(edge, 0.0), (-edge, 0.0), (0.0, edge)]))
         positions.append((gx + dx, gy + dy))
     seen = set()
-    for px, py in positions:
-        footprint = grid.miss_factor(sp, r, px, py)
+    for (px, py), footprint in zip(positions, grid.miss_factors(sp, r, positions)):
         if footprint is None:
             continue
         (iy0, iy1, ix0, ix1), factor = footprint
@@ -146,3 +148,98 @@ def test_miss_factor_is_one_minus_sense_probability(data):
                 want = 1.0 - sense_probability(sp, r, d)
                 assert float(factor[row, col]).hex() == want.hex(), (px, py, d)
     assert set(edges) <= seen
+
+
+def one_disc(grid, radius, px, py):
+    """A disc footprint built on its own patch alone, as a reference for
+    the batched build."""
+    xs, ys = grid.xs, grid.ys
+    ix0 = int(np.searchsorted(xs, px - radius, side="left"))
+    ix1 = int(np.searchsorted(xs, px + radius, side="right"))
+    iy0 = int(np.searchsorted(ys, py - radius, side="left"))
+    iy1 = int(np.searchsorted(ys, py + radius, side="right"))
+    if ix0 >= ix1 or iy0 >= iy1:
+        return None
+    bx0, bx1 = ix0 // 8, (ix1 + 7) // 8
+    inside = np.zeros((iy1 - iy0, 8 * (bx1 - bx0)), dtype=bool)
+    d2 = (ys[iy0:iy1] - py)[:, None] ** 2 + (xs[ix0:ix1] - px)[None, :] ** 2
+    inside[:, ix0 - 8 * bx0 : ix1 - 8 * bx0] = d2 <= radius * radius
+    return (iy0, iy1, bx0, bx1), np.packbits(inside, axis=1)
+
+
+def one_miss_factor(grid, sp, r, px, py):
+    """A miss-factor footprint built on its own patch alone, every point by
+    sense_probability."""
+    xs, ys = grid.xs, grid.ys
+    reach = r + sp.uncertainty_radius
+    ix0 = int(np.searchsorted(xs, px - reach, side="left"))
+    ix1 = int(np.searchsorted(xs, px + reach, side="right"))
+    iy0 = int(np.searchsorted(ys, py - reach, side="left"))
+    iy1 = int(np.searchsorted(ys, py + reach, side="right"))
+    if ix0 >= ix1 or iy0 >= iy1:
+        return None
+    d = np.sqrt((ys[iy0:iy1] - py)[:, None] ** 2 + (xs[ix0:ix1] - px)[None, :] ** 2)
+    factor = [[1.0 - sense_probability(sp, r, x) for x in row] for row in d.tolist()]
+    return (iy0, iy1, ix0, ix1), np.array(factor)
+
+
+def footprint_bits(footprint):
+    """A footprint's bounds, shape, dtype and bytes: equal exactly when
+    every value has the same bits."""
+    if footprint is None:
+        return None
+    bounds, values = footprint
+    return bounds, values.shape, values.dtype, np.ascontiguousarray(values).tobytes()
+
+
+AREA = DeploymentArea(120.0, 90.0)
+POINT = st.one_of(
+    st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 90.0)),  # inside
+    st.sampled_from([(0.0, 0.0), (120.0, 0.0), (0.0, 90.0), (120.0, 90.0)]),
+    st.tuples(st.floats(-130.0, 250.0), st.floats(-130.0, 220.0)),  # around it
+    st.sampled_from([(-500.0, -500.0), (45.0, 400.0), (-104.0, 45.0)]),  # missing it
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_footprints_match_one_at_a_time(data):
+    chunk = metrics._FOOTPRINT_CHUNK
+    size = data.draw(st.sampled_from([1, chunk, chunk + 1]) | st.integers(2, 2 * chunk + 3))
+    points = data.draw(st.lists(POINT, min_size=size, max_size=size))
+    for k in data.draw(st.lists(st.integers(1, size - 1), max_size=4)) if size > 1 else []:
+        points[k] = points[data.draw(st.integers(0, k - 1))]  # a duplicate
+    R, r, sp = data.draw(st.sampled_from(FOOTPRINT_RADII))
+    grid = CoverageGrid(AREA, data.draw(st.sampled_from([4.0, 3.0])))
+    if data.draw(st.booleans()):  # a shared grid already holding half of them
+        grid.discs(R, points[::2])
+        grid.miss_factors(sp, r, points[::2])
+    discs = grid.discs(R, points)
+    factors = grid.miss_factors(sp, r, points)
+    assert len(discs) == len(factors) == size
+    for (px, py), disc, factor in zip(points, discs, factors):
+        assert footprint_bits(disc) == footprint_bits(one_disc(grid, R, px, py))
+        want = one_miss_factor(grid, sp, r, px, py)
+        assert footprint_bits(factor) == footprint_bits(want)
+    assert len(grid.footprints) == 2 * len(set(points))
+
+
+@pytest.mark.parametrize("share", ["fresh grid", "half cached"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])  # a batch of 1, one chunk, a chunk and one
+def test_batched_coverage_matches_disc_by_disc(extra, share):
+    rng = random.Random(extra)
+    count = 1 if extra == -1 else metrics._FOOTPRINT_CHUNK + extra
+    corners = [(0.0, 0.0), (120.0, 0.0), (0.0, 90.0), (120.0, 90.0), (-500.0, -500.0)]
+    positions = [(rng.uniform(-20.0, 140.0), rng.uniform(-20.0, 110.0)) for _ in range(count)]
+    positions = [(60.0, 45.0)] + (corners + positions)[:count]  # the sink first
+    if count > 2:
+        positions[-1] = positions[-2]  # two sensors at one position
+    for R, r, sp in FOOTPRINT_RADII:
+        radio = RadioParams(communication_radius=R, sensing_radius=r)
+        state = make_state(positions, area=AREA, radio=radio)
+        reach = set(range(len(positions)))
+        grid = CoverageGrid(AREA, 4.0)
+        if share == "half cached":
+            half = set(range(0, len(positions), 2))
+            assert footprint_coverage(state, sp, grid, half) == disc_by_disc(state, sp, grid, half)
+        assert footprint_coverage(state, sp, grid, reach) == disc_by_disc(state, sp, grid, reach)
