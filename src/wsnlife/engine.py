@@ -23,21 +23,20 @@ same drains every step, and _fast_forward moves them over the whole stretch
 at once with the same bits. Inside a binade of doubles every result of a
 subtraction or addition is rounded to one grid, so the same drains move a
 value by the same number of grid steps every time, unless a drain lies
-exactly halfway between two grid steps; _advance takes such a run in one
-exact multiply-add and computes every other step as it stands. Every
+exactly halfway between two grid steps. A run of such moves is one exact
+multiply-add, and every other step is computed as it stands. Every
 eventful step goes through step(). A stretch runs through sample points:
 no alive set, role or position changes inside it, so one sample taken at
 its end stands for every stride point it crosses.
 
-A stretch, and the compiled round of a step, is one _jump. On a tree of at
-least _VECTOR_MIN_RELAYS relays the grid steps of a round are counted from
-each relay's packets instead of found by a reduce over its drains: numpy
-finds at once every relay that stays inside its binade and above its floor,
-moves those by one exact multiply-add each, and leaves only the rest to
-_advance; the ledger's move is the sum of theirs, taken in its own grid.
-So a large tree's round builds the drains of the relays it walks and the
-hop order only at the ledger's binade edges and ties; a small one reads
-them all.
+A stretch, and the compiled round of a step, is one _jump. The grid steps
+of a round are counted from each relay's packets instead of found by a
+reduce over its drains: numpy finds at once every relay that stays inside
+its binade and above its floor, moves those by one exact multiply-add
+each, and leaves only the rest to _advance; the ledger's move is the sum
+of theirs, taken in its own grid. So a round builds the drains of the
+relays it walks, and the hop order only at the ledger's binade edges and
+ties.
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from operator import add, lt, sub
+from operator import add, sub
 
 import numpy as np
 
@@ -174,14 +173,13 @@ class RoundProgram:
     """A tree's data round compiled over one alive set, as packet counts,
     valid while every node it charges is alive. nodes holds the charged
     relays in ascending id; in their order, carried the packets each pays
-    for (its own and those it relays), tx its transmit cost, and totals
-    (carried - 1) * rx + carried * tx, its drains' sum up to rounding, for
-    ordering the walks; rx is the receive cost, so a relay's drains are
-    carried - 1 receive costs and carried transmit costs. delivered and
-    dropped are the packets the round delivers and drops. counts maps each
-    relay's id to its carried count, so its keys are the alive set, and
-    cuts holds, ascending, the places in tree.upward of the dead nodes
-    whose parent is alive, where packets stop.
+    for (its own and those it relays) and tx its transmit cost; rx is the
+    receive cost, so a relay's drains are carried - 1 receive costs and
+    carried transmit costs. delivered and dropped are the packets the round
+    delivers and drops. counts maps each relay's id to its carried count,
+    so its keys are the alive set, and cuts holds, ascending, the places in
+    tree.upward of the dead nodes whose parent is alive, where packets
+    stop.
 
     The drains themselves are built only when read, and kept: each relay's
     in order (relay_drains) and every drain in hop order, the ledger's
@@ -191,7 +189,6 @@ class RoundProgram:
     carried: np.ndarray
     tx: np.ndarray
     rx: float
-    totals: list[float]
     delivered: int
     dropped: int
     tree: Tree
@@ -302,15 +299,11 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
         else:
             dead.append(nid)
     ids = sorted(counts)
-    carried = [counts[nid] for nid in ids]
-    txs = [edges[nid][1] for nid in ids]
-    rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
     return RoundProgram(
         [nodes[nid] for nid in ids],
-        np.array(carried, dtype=np.float64),
-        np.array(txs),
-        rx_cost,
-        [(count - 1) * rx_cost + count * tx for count, tx in zip(carried, txs)],
+        np.array([counts[nid] for nid in ids], dtype=np.float64),
+        np.array([edges[nid][1] for nid in ids]),
+        rx_energy(state.energy, state.energy.data_packet_bits),
         delivered,
         len(ids) - delivered,
         tree,
@@ -464,21 +457,14 @@ _DEATH_FLOOR = math.ulp(0.0)
 _BINADE_STEPS = 1 << 52
 # The bottom of the lowest binade whose grid step g has a finite 1/g.
 _CLOSED_FORM_MIN = math.ldexp(0.5, -970)
-# The fewest relays for which _jump's numpy pre-pass pays. Timed on every
-# round of 600- and 1000-node runs (Intel Xeon, CPython 3.11, numpy 2.4),
-# it took 0.3 to 0.5 of the walks' time on trees of 64 relays and up at
-# the default density and energy; on the desk scenario scaled up (0.02 J,
-# 60 m radius), where most relays must be walked anyway, 1.12 of it at
-# 64-95 relays and 0.86-1.07 from 96 to 224.
-_VECTOR_MIN_RELAYS = 128
 
 
 def _advance(
-    x: float, op, costs: list[float], steps: int, floor: float = -math.inf
+    x: float, costs: list[float], steps: int, floor: float = -math.inf
 ) -> tuple[int, float]:
-    """Replace x by reduce(op, costs, x) up to `steps` times, stopping before
-    the first result below floor; return how many were applied and the value.
-    The costs are positive; op is sub (a relay's battery) or add (the ledger).
+    """Replace a battery x by reduce(sub, costs, x) up to `steps` times,
+    stopping before the first result below floor; return how many were
+    applied and the value. The costs are positive.
 
     In the binade [lo, 2lo) every double is a multiple of g = ulp(lo). So a
     correctly rounded x - c or x + c whose exact value lies in it is
@@ -488,12 +474,13 @@ def _advance(
     therefore moves x by the same multiple of g, and k of them are one exact
     multiply-add. Any other application (across a binade edge, on a tie, in
     a binade so low that 1/g overflows, or the last one) is computed as it
-    stands.
+    stands. _safe_rounds and _ledger_after count the same moves from
+    packets.
     """
     done = 0
     distinct = None
     while done < steps:
-        y = reduce(op, costs, x)
+        y = reduce(sub, costs, x)
         if y < floor:
             break
         done += 1
@@ -508,16 +495,13 @@ def _advance(
                 (c * per_g) % 1.0 == 0.5 for c in distinct
             ):
                 place = int(place)
-                move = int((y - x) * per_g)  # exact: both on the grid
-                if move < 0:
+                drop = int((x - y) * per_g)  # exact: both on the grid
+                k = steps - done
+                if drop > 0:
                     bottom = 1
                     if floor > lo:  # on the grid too, as floor <= y
                         bottom = max(bottom, int((floor - lo) * per_g))
-                    k = (place - bottom) // -move
-                elif move > 0:
-                    k = (_BINADE_STEPS - 1 - place) // move
-                else:
-                    k = steps - done
+                    k = (place - bottom) // drop
                 k = min(k, steps - done)
                 y += k * (y - x)
                 done += k
@@ -563,8 +547,9 @@ def _safe_rounds(
 
 def _ledger_after(program: RoundProgram, ledger: float, rounds: int) -> float:
     """The ledger after `rounds` rounds of program's drains in hop order,
-    as _advance computes it, but with each binade's move per round counted
-    from the relays' packets instead of taken from one ordered reduce:
+    one reduce(add) per round, bit for bit. Inside a binade the additions
+    move it by whole grid steps, as _advance's subtractions move a battery,
+    so each binade's move per round is counted from the relays' packets:
     reduce runs only on the rounds that cross a binade edge, meet a tie or
     start below _CLOSED_FORM_MIN."""
     carried, tx = program.carried, program.tx
@@ -603,58 +588,44 @@ def _jump(
     state is not changed; no round is taken when the first one fails.
 
     Relays are independent of each other, so each is walked by _advance, as
-    far as the first round that would leave it under its floor. They are
-    walked in ascending order of their estimated limit, energy above the
-    floor over the round's drains, so the first walks bound the later ones
-    and a relay is rarely walked twice; the limit is the least one whatever
-    the order. On a program of at least _VECTOR_MIN_RELAYS relays, once the
-    first walk has taken a round, a numpy pre-pass (_safe_rounds) finds the
-    relays that surely last the rounds in grid steps, and applies them as
-    one exact x - n*M*g; only the others are walked, and the ledger moves by
-    _ledger_after. The first walk goes before the pre-pass because a round
-    on which some relay dies usually fails it."""
+    far as the first round that would leave it under its floor. The relay
+    with the least estimated limit, energy above the floor over the round's
+    drains, is walked first. Once it has taken a round, a numpy pre-pass
+    (_safe_rounds) finds the relays that surely last the rounds in grid
+    steps, and applies them as one exact x - n*M*g; only the others are
+    walked, in ascending order of their estimates, so the first walks bound
+    the later ones and a relay is rarely walked twice. The limit is the
+    least one whatever the order. The first walk goes before the pre-pass
+    because a round on which some relay dies usually fails it. The ledger
+    moves by _ledger_after."""
     nodes, costs = program.nodes, program.relay_drains
-    large = len(nodes) >= _VECTOR_MIN_RELAYS
-    if rounds == 1 and not large:
-        # each walk is one reduce, and none can bound another
-        after = [reduce(sub, costs(j), node.energy) for j, node in enumerate(nodes)]
-        if any(map(lt, after, floors)):
-            return 0, [node.energy for node in nodes], ledger
-        return 1, after, reduce(add, program.drains(), ledger)
+    if not nodes:
+        return rounds, [], ledger  # nothing drains
     energies = [node.energy for node in nodes]
-    if large:
-        x = np.array(energies)
-        estimates = (x - floors) / np.array(program.totals)
-        order = np.argsort(estimates, kind="stable").tolist()
-    else:
-        estimates = [(e - f) / t for e, f, t in zip(energies, floors, program.totals)]
-        order = sorted(range(len(nodes)), key=estimates.__getitem__)
+    x = np.array(energies)
+    carried = program.carried
+    estimates = (x - floors) / ((carried - 1.0) * program.rx + carried * program.tx)
     n = rounds
     walked = []
-    limits = None  # each relay's safe rounds, once the pre-pass has run
-    for j in order:
+    limits = None  # each relay's safe rounds, once the first walk took one
+    for j in estimates.argsort(kind="stable").tolist():
         if limits is not None and limits[j] >= n:
             continue
-        done, energy = _advance(energies[j], sub, costs(j), n, floors[j])
+        done, energy = _advance(energies[j], costs(j), n, floors[j])
         if done == 0:
             return 0, energies, ledger
         n = done
         walked.append((j, done, energy))
-        if large and limits is None:
+        if limits is None:
             safe, drop = _safe_rounds(program, x, floors)
             limits = safe.tolist()
-    if limits is None:
-        after = list(energies)
-        ledger = _advance(ledger, add, program.drains(), n)[1]
-    else:
-        after = (x - n * np.where(safe >= n, drop, 0.0)).tolist()
-        ledger = _ledger_after(program, ledger, n)
+    after = (x - n * np.where(safe >= n, drop, 0.0)).tolist()
     for j, done, energy in walked:
         if done == n:
             after[j] = energy
-        elif limits is None or limits[j] < n:
-            after[j] = _advance(energies[j], sub, costs(j), n)[1]
-    return n, after, ledger
+        elif limits[j] < n:
+            after[j] = _advance(energies[j], costs(j), n)[1]
+    return n, after, _ledger_after(program, ledger, n)
 
 
 def _fast_forward(
@@ -669,9 +640,8 @@ def _fast_forward(
     On such steps each relay's battery and the ledger take the compiled
     round's drains, and nothing else, so the stretch is one _jump as far as
     the first step that would leave a relay at or below zero or under its
-    energy-trigger floor. On a large tree most relays move by counts of
-    grid steps taken from their packets, all at once; the others, and every
-    relay of a small tree, are walked one by one."""
+    energy-trigger floor. Most relays move by counts of grid steps taken
+    from their packets, all at once; the others are walked one by one."""
     room = config.max_steps - state.time
     policy = config.trigger
     retaining = energy_triggered = False

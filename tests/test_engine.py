@@ -624,7 +624,6 @@ def assert_program_matches_recorded(program, drains, own, rng):
     for j, nid in enumerate(sorted(own)):
         assert program.carried[j] == (len(own[nid]) + 1) / 2
         assert program.tx[j].hex() == own[nid][-1].hex()
-        assert math.isclose(program.totals[j], sum(own[nid]), rel_tol=1e-12)
     reads = list(enumerate(sorted(own)))
     rng.shuffle(reads)
     for j, nid in reads:
@@ -718,6 +717,8 @@ ADVANCE_CASES = {
     "drained to zero": (1e-3, sub, [7.5e-5, 5e-5], 100, engine._DEATH_FLOOR),
     "drained exactly to zero": (2.5e-4, sub, [1.25e-4], 100, engine._DEATH_FLOOR),
     "energy-trigger floor": (0.9, sub, [7.5e-5, 5e-5], 5000, 0.6 * 0.9),
+    # the ledger's additions, by _ledger_after on a round of one-packet
+    # relays whose drains in hop order are the costs
     "ledger crosses upward": (1.0 - 3e-3, add, [7.5e-5, 5e-5, 1.2e-4] * 20, 400, -math.inf),
     "ledger from zero": (0.0, add, [7.5e-5, 5e-5], 50, -math.inf),
 }
@@ -727,7 +728,12 @@ ADVANCE_CASES = {
 def test_advance_matches_iterated_reduce(case):
     x, op, costs, steps, floor = ADVANCE_CASES[case]
     for limit in (1, 2, steps // 3, steps):
-        done, value = engine._advance(x, op, costs, limit, floor)
+        if op is sub:
+            done, value = engine._advance(x, costs, limit, floor)
+        else:
+            program = jump_program(5e-5, [(0.9, c, 1, 0) for c in costs])
+            assert program.drains() == costs
+            done, value = limit, engine._ledger_after(program, x, limit)
         want_done, want = iterated(x, op, costs, limit, floor)
         assert (done, value.hex()) == (want_done, want.hex())
 
@@ -740,16 +746,13 @@ def test_advance_matches_iterated_reduce_random(data):
     plain = st.floats(min_value=1e-7, max_value=1e-3)
     tie = st.integers(0, 10**6).map(lambda m: (m + 0.5) * grid)
     costs = data.draw(st.lists(plain | tie, min_size=1, max_size=6))
-    op = data.draw(st.sampled_from([sub, add]))
     steps = data.draw(st.integers(1, 1000))
-    floor = -math.inf
-    if op is sub:
-        floor = data.draw(
-            st.sampled_from([-math.inf, engine._DEATH_FLOOR])
-            | st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * x)
-        )
-    done, value = engine._advance(x, op, costs, steps, floor)
-    want_done, want = iterated(x, op, costs, steps, floor)
+    floor = data.draw(
+        st.sampled_from([-math.inf, engine._DEATH_FLOOR])
+        | st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * x)
+    )
+    done, value = engine._advance(x, costs, steps, floor)
+    want_done, want = iterated(x, sub, costs, steps, floor)
     assert (done, value.hex()) == (want_done, want.hex())
 
 
@@ -817,8 +820,8 @@ def test_fast_forward_matches_step_loop(tm, tc, data):
 
 @pytest.mark.parametrize("tm", [TMProtocol.DGETREC, TMProtocol.DGTTREC])
 def test_fast_forward_matches_step_loop_on_a_large_tree(tm):
-    # n = 1000 at the default density: its trees are large enough for the
-    # numpy pre-pass of _jump, which the step loop below runs without
+    # n = 1000 at the default density, against a step loop whose rounds all
+    # run hop by hop, which shares no code with _jump
     scale = math.sqrt(1000 / 300)
     config = SimConfig(
         deployment=DeploymentConfig(
@@ -829,12 +832,8 @@ def test_fast_forward_matches_step_loop_on_a_large_tree(tm):
         max_steps=300,
         metrics_stride=50,
     )
-    prepasses, compiled, built = [], [], Counter()
-    safe_rounds, compile_round = engine._safe_rounds, engine._compile_round
-
-    def recording(program, x, floors):
-        prepasses.append(len(program.nodes))
-        return safe_rounds(program, x, floors)
+    compiled, built = [], Counter()
+    compile_round = engine._compile_round
 
     def compiling(state, routes):
         program = compile_round(state, routes)
@@ -849,21 +848,23 @@ def test_fast_forward_matches_step_loop_on_a_large_tree(tm):
         return counted
 
     with (
-        mock.patch.object(engine, "_safe_rounds", recording),
         mock.patch.object(engine, "_compile_round", compiling),
         mock.patch.object(engine, "_relay_drains", counting("relay", engine._relay_drains)),
         mock.patch.object(engine, "_hop_order_drains", counting("hop", engine._hop_order_drains)),
     ):
         fast, fast_state, stretches = stretches_of(config)
-    assert prepasses and min(prepasses) >= engine._VECTOR_MIN_RELAYS
-    # a large program builds the drains of the relays it walks, and the hop
-    # order at the ledger's binade edges only: under 1 % of the relay lists
-    # of these runs, and the hop order of under a third of the compiles
+    # a program builds the drains of the relays it walks, and the hop order
+    # at the ledger's binade edges only: under 1 % of the relay lists of
+    # these runs, and the hop order of under a third of the compiles
     assert built["relay"] < sum(compiled) // 10
     assert built["hop"] < len(compiled)
     assert any(end - start > 1 for start, end in stretches)
     assert fast.death_times and fast.maintenance_events
-    with mock.patch.object(engine, "_VECTOR_MIN_RELAYS", math.inf):
+
+    def per_hop(state):
+        engine._per_hop_round(state, engine._routes(state))
+
+    with mock.patch.object(engine, "_traffic", per_hop):
         plain, plain_state = run_keeping_state(config, fast_forward=False)
     assert fast.to_dict() == plain.to_dict()
     assert [n.energy.hex() for n in fast_state.nodes] == [
@@ -914,21 +915,20 @@ def test_battery_is_the_one_record_of_life(tm, tc, data):
 
 TINY_ADVANCE_CASES = {
     # 1/g of x's binade is 2**1052: past the largest double
-    "far below the closed form": (2.0**-1000, sub, [2.0**-1010], 5),
-    "the lowest binade with a finite 1/g": (2.0**-971, sub, [2.0**-1010], 40),
-    "just below it": (2.0**-971 - 2.0**-1023, sub, [2.0**-1010], 40),
-    "ledger climbing into it": (2.0**-972, add, [2.0**-990, 2.0**-1000], 80),
-    "drained to zero": (2.0**-1000, sub, [2.0**-1004], 40),
+    "far below the closed form": (2.0**-1000, [2.0**-1010], 5),
+    "the lowest binade with a finite 1/g": (2.0**-971, [2.0**-1010], 40),
+    "just below it": (2.0**-971 - 2.0**-1023, [2.0**-1010], 40),
+    "drained to zero": (2.0**-1000, [2.0**-1004], 40),
 }
 
 
 @pytest.mark.parametrize("case", list(TINY_ADVANCE_CASES))
 def test_advance_tiny_normal_matches_iterated(case):
-    x, op, costs, steps = TINY_ADVANCE_CASES[case]
+    x, costs, steps = TINY_ADVANCE_CASES[case]
     for floor in (-math.inf, engine._DEATH_FLOOR):
         for limit in (1, 2, steps // 3, steps):
-            done, value = engine._advance(x, op, costs, limit, floor)
-            want_done, want = iterated(x, op, costs, limit, floor)
+            done, value = engine._advance(x, costs, limit, floor)
+            want_done, want = iterated(x, sub, costs, limit, floor)
             assert (done, value.hex()) == (want_done, want.hex())
 
 
@@ -952,7 +952,6 @@ def jump_program(rx, relays, order=None):
         carried=np.array(carried, dtype=np.float64),
         tx=np.array([r[1] for r in relays]),
         rx=rx,
-        totals=[(c - 1) * rx + c * r[1] for c, r in zip(carried, relays)],
         delivered=0,
         dropped=0,
         tree=None,
@@ -985,16 +984,16 @@ def iterated_jump(program, floors, rounds, ledger):
 
 
 def assert_jump_matches_iterated(program, floors, rounds, ledger):
-    """_jump with its numpy pre-pass on every relay and on none agrees with
-    iterated on the rounds taken and, by float.hex, every relay and the
-    ledger; the program's nodes are left as they were."""
+    """_jump agrees with iterated on the rounds taken and, by float.hex,
+    every relay and the ledger; the program's nodes are left as they were."""
     before = [node.energy.hex() for node in program.nodes]
     want, energies, after = iterated_jump(program, floors, rounds, ledger)
-    want = (want, [e.hex() for e in energies], after.hex())
-    for vector_min in (0, len(program.nodes) + 1):
-        with mock.patch.object(engine, "_VECTOR_MIN_RELAYS", vector_min):
-            n, energies, after = engine._jump(program, floors, rounds, ledger)
-        assert (n, [e.hex() for e in energies], after.hex()) == want, vector_min
+    n, got, got_after = engine._jump(program, floors, rounds, ledger)
+    assert (n, [e.hex() for e in got], got_after.hex()) == (
+        want,
+        [e.hex() for e in energies],
+        after.hex(),
+    )
     assert [node.energy.hex() for node in program.nodes] == before
 
 
@@ -1068,6 +1067,15 @@ JUMP_CASES = {
     # grid steps than a double holds
     "ledger at the closed form's floor, drains of joules": (2.5, [(1000.0, 3.0, 2, 1)], [DF], 30, TINY),
     "ledger crosses upward": (1.2e-4, [(0.9, 7.5e-5, 20, 5), (0.6, 5e-5, 20, 15)], [DF] * 2, 400, 1.0 - 3e-3),
+    # reduce up to the 64th round, which lands in _CLOSED_FORM_MIN's binade
+    "ledger climbing into it": (
+        2.0**-1000,
+        [(0.9, 2.0**-978, 1, 0), (0.9, 2.0**-1000, 1, 0)],
+        [DF] * 2,
+        80,
+        2.0**-972,
+    ),
+    "no relays": (5e-5, [], [], 50, 0.3),
 }
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -29,3 +30,23 @@ def test_benchmark_tracer_targets_resolve():
     ]
     assert missing == []
     assert hasattr(ConstructionCharge(), "sent")
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter runs on the package, so this stands in for its unused-import
+    rule; __init__.py imports to re-export."""
+    unused = []
+    for path in sorted(Path(wsnlife.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
+    assert unused == []
