@@ -28,6 +28,7 @@ from .metrics import (
     MetricsSample,
     alive_count,
     comm_coverage,
+    sense_probabilities,
     sense_probability,
     sensing_coverage,
     sink_reachable,
@@ -97,6 +98,7 @@ __all__ = [
     "received_power",
     "run",
     "rx_energy",
+    "sense_probabilities",
     "sense_probability",
     "sensing_coverage",
     "should_trigger",

@@ -9,15 +9,16 @@ topology is never free.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
 from .errors import ConfigError
-from .metrics import alive_count, sense_probability
-from .model import NetworkState, Topology, distance
-from .radio import rx_energy, tx_energy
+from .metrics import alive_count, sense_probabilities
+from .model import NetworkState, Topology
+from .radio import rx_energy, tx_coefficients
 
 
 class TCProtocol(Enum):
@@ -63,7 +64,9 @@ def _grow(
     charged, so each node hears at most one hello and answers it once: it is
     scored and charged on its battery as the state holds it, every count in
     the charge is 1, and the charged nodes are the ones reached besides the
-    sink."""
+    sink. A candidate's distance is distance()'s hypot and its handshake
+    costs rx_energy + tx_energy, both taken from hoisted terms with the
+    same bits."""
     nodes, links = state.nodes, state.links
     radio, energy = state.radio, state.energy
     radius = radio.communication_radius
@@ -71,6 +74,8 @@ def _grow(
     ew, dw = params.energy_weight, params.distance_weight
     control_bits = energy.control_packet_bits
     rx_cost = rx_energy(energy, control_bits)
+    tx_elec, tx_amp = tx_coefficients(energy, control_bits)
+    hypot = math.hypot
     sink = state.sink.id
 
     spent: dict[int, float] = {}  # each reached node's control energy
@@ -92,17 +97,20 @@ def _grow(
                 continue
             unvisited -= heard
             ppos = nodes[pid].position
+            px, py = ppos.x, ppos.y
             candidates = []
             for cid in heard:
                 node = nodes[cid]
-                d = distance(ppos, node.position)
+                pos = node.position
+                d = hypot(px - pos.x, py - pos.y)
                 e = node.energy
                 candidates.append((-(ew * e / e_init + dw * d / radius), cid, d, e))
             candidates.sort()  # best score first; ids are unique, so ties go by id
             appointed: set[int] = set()
             for _, cid, d, e in candidates:
                 # The candidate hears one hello and answers with its score.
-                drained = min(rx_cost + tx_energy(energy, control_bits, d), e)
+                cost = rx_cost + (tx_elec + tx_amp * d**2)
+                drained = e if e < cost else cost
                 spent[cid] = drained
                 if e - drained <= 0.0:
                     continue  # drained dry by the handshake; never attached
@@ -153,16 +161,14 @@ def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
 def prune_childless(topology: Topology) -> Topology:
     """Demote active non-sink nodes with no attached children back to
     sleeping leaves. Coverage-promoted nodes are kept. Demotion never
-    detaches a child, so a single bottom-up pass reaches the fixpoint."""
-    child_count = Counter(topology.parent.values())
-    active = set(topology.active_set)
-    for nid in sorted(topology.active_set):
-        if nid == topology.root or nid in topology.coverage_promoted:
-            continue
-        if child_count.get(nid, 0) == 0:
-            active.discard(nid)
+    detaches a child, so one pass over the parents reaches the fixpoint:
+    the kept nodes are the active ones that are a parent, the root or
+    promoted."""
+    kept = set(topology.parent.values())
+    kept.add(topology.root)
+    kept |= topology.coverage_promoted
     return Topology(
-        active_set=active,
+        active_set=topology.active_set & kept,
         parent=dict(topology.parent),
         root=topology.root,
         activation_time=topology.activation_time,
@@ -179,33 +185,40 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
 
     A sensor past r + r_u contributes a factor of exactly 1.0 to the miss
     product, so while that band lies within the radio range the sleeper's
-    links hold every sensor that matters."""
+    links hold every sensor that matters, and every active node near it is
+    one it can attach to. Distances are distance()'s hypot with the same
+    bits; the miss factors are folded in ascending id."""
     r = state.radio.sensing_radius
     radius = state.radio.communication_radius
     in_links = r + sp.uncertainty_radius <= radius
-    sleepers = sorted(set(topology.parent) - topology.active_set)
+    nodes, active, root = state.nodes, topology.active_set, topology.root
+    hypot = math.hypot
+    sleepers = sorted(set(topology.parent) - active)
     for sid in sleepers:
-        node = state.nodes[sid]
-        if not node.alive:
-            continue
+        node = nodes[sid]
+        if node.energy <= 0.0:
+            continue  # dead
         links = state.links[sid]
-        pool = links if in_links else sorted(topology.active_set)
-        near = [
-            (distance(node.position, state.nodes[aid].position), aid)
-            for aid in pool
-            if aid in topology.active_set
-        ]
+        pool = links if in_links else sorted(active)
+        sx, sy = node.position.x, node.position.y
+        near = []
+        for aid in pool:
+            if aid in active:
+                pos = nodes[aid].position
+                near.append((hypot(sx - pos.x, sy - pos.y), aid))
+        # the sink collects, it does not sense
+        sensed = [d for d, aid in near if aid != root]
         miss = 1.0
-        for d, aid in near:
-            if aid != topology.root:  # the sink collects, it does not sense
-                miss *= 1.0 - sense_probability(sp, r, d)
+        for p in sense_probabilities(sp, r, sensed):
+            miss *= 1.0 - p
         if 1.0 - miss >= sp.detection_threshold:
             continue
-        best = min(((d, aid) for d, aid in near if aid in links), default=None)
-        if best is None:
+        if not in_links:
+            near = [(d, aid) for d, aid in near if aid in links]
+        if not near:
             continue  # no active node in range; cannot attach
-        topology.parent[sid] = best[1]
-        topology.active_set.add(sid)
+        topology.parent[sid] = min(near)[1]
+        active.add(sid)
         topology.coverage_promoted.add(sid)
 
 

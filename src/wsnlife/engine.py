@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, sub
 
@@ -77,7 +77,7 @@ from .metrics import (
     sink_reachable,
 )
 from .model import EnergyParams, NetworkState, Node, RadioParams, Role, SensingParams
-from .radio import rx_energy, tx_energy
+from .radio import rx_energy, tx_coefficients
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,9 @@ class RoundProgram:
     delivers and drops. counts maps each relay's id to its carried count,
     so its keys are the alive set, and cuts holds, ascending, the places in
     tree.upward of the dead nodes whose parent is alive, where packets
-    stop.
+    stop. per_round is each relay's drain over one round,
+    (carried - 1) * rx + carried * tx, the denominator of _jump's
+    estimates.
 
     The drains themselves are built only when read, and kept: each relay's
     in order (relay_drains) and every drain in hop order, the ledger's
@@ -194,10 +196,12 @@ class RoundProgram:
     tree: Tree
     counts: dict[int, int]
     cuts: list[int]
+    per_round: np.ndarray = field(init=False, repr=False)
     relay_costs: list[list[float] | None] = field(init=False, repr=False)
     hop_order: list[float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self.per_round = (self.carried - 1.0) * self.rx + self.carried * self.tx
         self.relay_costs = [None] * len(self.nodes)
 
     def relay_drains(self, j: int) -> list[float]:
@@ -214,19 +218,38 @@ class RoundProgram:
         return self.hop_order
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Tree:
     """An installed tree's shape: traffic origins in ascending id; for each
     its parent hop with the precomputed transmit cost; the origins children
-    first, each subtree a run of upward ending at its root; each origin's
-    place in upward; and where each place's run starts, so that the
-    descendants of upward[k] are upward[first[k]:k]."""
+    first, each subtree a run of upward ending at its root. Laid out on
+    first read, as only _relay_drains and compiles with cuts read them:
+    each origin's place in upward, and where each place's run starts, so
+    that the descendants of upward[k] are upward[first[k]:k]."""
 
     origins: list[int]
     edges: dict[int, tuple[int, float]]
     upward: list[int]
-    place: dict[int, int]
-    first: list[int]
+    _place: dict[int, int] | None = field(default=None, init=False, repr=False)
+    _first: list[int] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def place(self) -> dict[int, int]:
+        if self._place is None:
+            self._place = dict(zip(self.upward, range(len(self.upward))))
+        return self._place
+
+    @property
+    def first(self) -> list[int]:
+        if self._first is None:
+            upward, place, edges = self.upward, self.place, self.edges
+            first = list(range(len(upward)))  # widened to each child's run in turn
+            for k, nid in enumerate(upward):
+                above = place.get(edges[nid][0])
+                if above is not None and first[k] < first[above]:
+                    first[above] = first[k]
+            self._first = first
+        return self._first
 
 
 @dataclass
@@ -239,21 +262,24 @@ class Routes:
 
 
 def _routes(state: NetworkState) -> Routes:
-    """The installed tree's routing cache, built on its first step."""
+    """The installed tree's routing cache, built on its first step. Each
+    edge's transmit cost is tx_energy's, from its hoisted terms."""
     topology = state.topology
     if topology.route_cache is not None:
         return topology.route_cache
-    energy, nodes = state.energy, state.nodes
+    nodes = state.nodes
+    elec, amp = tx_coefficients(state.energy, state.energy.data_packet_bits)
     origins = sorted(topology.active_set - {topology.root})
     edges: dict[int, tuple[int, float]] = {}
     children: dict[int, list[int]] = {}
     for nid in origins:
         parent = topology.parent[nid]
-        dx = nodes[nid].position.x - nodes[parent].position.x
-        dy = nodes[nid].position.y - nodes[parent].position.y
+        here, there = nodes[nid].position, nodes[parent].position
+        dx = here.x - there.x
+        dy = here.y - there.y
         # Must not become distance(): hypot differs on 23,418 of 141,742 pairs.
         hop = (dx * dx + dy * dy) ** 0.5
-        edges[nid] = (parent, tx_energy(energy, energy.data_packet_bits, hop))
+        edges[nid] = (parent, elec + amp * hop**2)
         children.setdefault(parent, []).append(nid)
     downward = []  # depth first, each node before its subtree
     stack = list(children.get(topology.root, ()))
@@ -261,14 +287,7 @@ def _routes(state: NetworkState) -> Routes:
         nid = stack.pop()
         downward.append(nid)
         stack += children.get(nid, ())
-    upward = downward[::-1]
-    place = dict(zip(upward, range(len(upward))))
-    first = list(range(len(upward)))  # widened to each child's run in turn
-    for k, nid in enumerate(upward):
-        above = place.get(edges[nid][0])
-        if above is not None and first[k] < first[above]:
-            first[above] = first[k]
-    topology.route_cache = Routes(Tree(origins, edges, upward, place, first))
+    topology.route_cache = Routes(Tree(origins, edges, downward[::-1]))
     return topology.route_cache
 
 
@@ -603,8 +622,7 @@ def _jump(
         return rounds, [], ledger  # nothing drains
     energies = [node.energy for node in nodes]
     x = np.array(energies)
-    carried = program.carried
-    estimates = (x - floors) / ((carried - 1.0) * program.rx + carried * program.tx)
+    estimates = (x - floors) / program.per_round
     n = rounds
     walked = []
     limits = None  # each relay's safe rounds, once the first walk took one
@@ -790,8 +808,9 @@ def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
         if _fast_forward(state, strategy, config):
             due = range(start // stride * stride + stride, state.time + 1, stride)
             if due:
-                sample = sample_metrics(state, config, grid)
-                series.extend(replace(sample, time=t) for t in due)
+                s = sample_metrics(state, config, grid)
+                values = s.alive, s.sink_reachable, s.comm_coverage, s.sensing_coverage
+                series.extend(MetricsSample(t, *values) for t in due)
     if series[-1].time != state.time:  # the horizon or the early end
         series.append(sample_metrics(state, config, grid))
     final = {

@@ -140,12 +140,23 @@ def _stamp_activation(state: NetworkState, topology: Topology) -> None:
 
 def activate_topology(state: NetworkState, topology: Topology) -> None:
     """Install a topology: stamp the activation clock and energy snapshot,
-    make its members active and every other alive non-sink node sleep."""
+    make its members active and every other alive non-sink node sleep.
+
+    Only this function assigns roles, and the topology a deployment starts
+    with, {sink}, matches the roles it deploys (the sink, every other node
+    sleeping). So before the call every alive non-sink node is active
+    exactly when it belongs to the installed topology, and only the nodes
+    that leave or join the active set need a new role: the result is that
+    of a pass over every node. A topology whose active set is changed in
+    place after it was installed breaks this."""
     _stamp_activation(state, topology)
-    active = topology.active_set
-    for node in state.nodes:
-        if node.energy > 0.0 and node.role is not Role.SINK:
-            node.role = Role.ACTIVE if node.id in active else Role.SLEEPING
+    old, new = state.topology.active_set, topology.active_set
+    nodes = state.nodes
+    for nids, role in ((old - new, Role.SLEEPING), (new - old, Role.ACTIVE)):
+        for nid in nids:
+            node = nodes[nid]
+            if node.energy > 0.0 and node.role is not Role.SINK:
+                node.role = role
     state.topology = topology
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +46,10 @@ class CoverageGrid:
     its row), so coverage ORs it into a packed grid as it stands. A
     footprint is keyed on its content, the radius or sensing parameters and
     the position, so one grid serves every run on its area and cell size,
-    whatever the deployment or radii, and never serves a stale patch.
+    whatever the deployment or radii, and never serves a stale patch. A
+    sensing key holds the sensing parameters' field values, not the
+    SensingParams object, so equal parameters from another config hit, and
+    a lookup hashes floats only.
 
     The footprints a coverage call lacks are built together, _FOOTPRINT_CHUNK
     at a time: each on a window as large as the chunk's largest patch, with
@@ -77,7 +80,9 @@ class CoverageGrid:
         and byte columns (iy0, iy1, bx0, bx1) and the d^2 <= r^2 mask over
         them, bit-packed, with zero bits outside the points [ix0, ix1) within
         reach along x; None when it misses the grid."""
-        return self._footprints(("disc", radius), points, self._build_discs)
+        return self._footprints(
+            ("disc", radius), points, lambda px, py: self._build_discs(radius, px, py)
+        )
 
     def miss_factors(
         self, sp: SensingParams, r: float, points: list[tuple[float, float]]
@@ -85,11 +90,14 @@ class CoverageGrid:
         """The footprint of a sensor of radius r at each of points: its patch
         bounds (iy0, iy1, ix0, ix1) out to r + r_u and 1 - p over the patch;
         None when it misses the grid."""
-        return self._footprints(("sense", sp, r), points, self._build_miss_factors)
+        kind = ("sense", r, *(getattr(sp, f.name) for f in fields(sp)))
+        return self._footprints(
+            kind, points, lambda px, py: self._build_miss_factors(sp, r, px, py)
+        )
 
     def _footprints(self, kind: tuple, points, build) -> list:
         """The footprints of kind at points, building the missing ones
-        (each once) a chunk at a time."""
+        (each once) a chunk at a time with build(px, py)."""
         footprints = self.footprints
         keys = [(*kind, px, py) for px, py in points]
         missing = list(dict.fromkeys(key for key in keys if key not in footprints))
@@ -97,7 +105,7 @@ class CoverageGrid:
             chunk = missing[start : start + _FOOTPRINT_CHUNK]
             px = np.array([key[-2] for key in chunk])
             py = np.array([key[-1] for key in chunk])
-            footprints.update(zip(chunk, build(*kind[1:], px, py)))
+            footprints.update(zip(chunk, build(px, py)))
         return [footprints[key] for key in keys]
 
     def _windows(self, px: np.ndarray, py: np.ndarray, reach: float, align: int):
@@ -148,7 +156,7 @@ class CoverageGrid:
         band = (factor == 1.0) & (d <= outer)
         rows = iy0[:, None] + np.arange(d.shape[1])
         band &= (rows < iy1[:, None])[:, :, None] & (cols < ix1[:, None])[:, None, :]
-        factor[band] = [1.0 - sense_probability(sp, r, x) for x in d[band].tolist()]
+        factor[band] = np.subtract(1.0, sense_probabilities(sp, r, d[band].tolist()))
         return [
             ((y0, y1, x0, x1), factor[i, : y1 - y0, : x1 - x0]) if hit[i] else None
             for i, (y0, y1, x0, x1) in enumerate(
@@ -166,19 +174,26 @@ class MetricsSample:
     sensing_coverage: float
 
 
-def sense_probability(sp: SensingParams, r: float, x: float) -> float:
-    """Detection probability of an event at distance x from a sensor of
-    radius r: certain inside r - r_u, exp(-lambda * alpha^beta) with
-    alpha = x - (r - r_u) across the uncertainty band, zero past r + r_u.
-    """
+def sense_probabilities(sp: SensingParams, r: float, xs: Iterable[float]) -> list[float]:
+    """Detection probability of an event at each distance x of xs from a
+    sensor of radius r: certain inside r - r_u, exp(-lambda * alpha^beta)
+    with alpha = x - (r - r_u) across the uncertainty band, zero past
+    r + r_u. The one home of the sensing formula: a miss factor is
+    1.0 - p of its value, in coverage footprints and A3Cov promotion
+    alike."""
     inner = r - sp.uncertainty_radius
     outer = r + sp.uncertainty_radius
-    if x <= inner:
-        return 1.0
-    if x > outer:
-        return 0.0
-    alpha = x - inner
-    return math.exp(-sp.decay_rate * alpha**sp.decay_exponent)
+    rate, beta = -sp.decay_rate, sp.decay_exponent
+    exp = math.exp
+    return [
+        1.0 if x <= inner else 0.0 if x > outer else exp(rate * (x - inner) ** beta)
+        for x in xs
+    ]
+
+
+def sense_probability(sp: SensingParams, r: float, x: float) -> float:
+    """sense_probabilities at the one distance x."""
+    return sense_probabilities(sp, r, (x,))[0]
 
 
 def alive_count(state: NetworkState) -> int:

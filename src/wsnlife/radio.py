@@ -39,13 +39,23 @@ def comm_range(transceiver_constant: float, tx_power: float) -> float:
     return 2.0 * (transceiver_constant * tx_power) ** 0.25
 
 
+def tx_coefficients(energy: EnergyParams, bits: float) -> tuple[float, float]:
+    """The transmit cost of `bits` as (E_elec * k, E_amp * k): a hop of l
+    meters costs elec + amp * l**2, bit for bit tx_energy. Loops over many
+    hops of one packet size take these once."""
+    if bits < 0:
+        raise ValueError("bits must be non-negative")
+    return energy.elec_energy_per_bit * bits, energy.amp_energy_per_bit_m2 * bits
+
+
 def tx_energy(energy: EnergyParams, bits: float, dist: float) -> float:
     """Transmit cost for `bits` over `dist` meters:
     E_elec * k + E_amp * k * l^2.
     """
-    if bits < 0 or dist < 0:
-        raise ValueError("bits and distance must be non-negative")
-    return energy.elec_energy_per_bit * bits + energy.amp_energy_per_bit_m2 * bits * dist**2
+    if dist < 0:
+        raise ValueError("distance must be non-negative")
+    elec, amp = tx_coefficients(energy, bits)
+    return elec + amp * dist**2
 
 
 def rx_energy(energy: EnergyParams, bits: float) -> float:

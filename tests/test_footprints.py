@@ -243,3 +243,18 @@ def test_batched_coverage_matches_disc_by_disc(extra, share):
             half = set(range(0, len(positions), 2))
             assert footprint_coverage(state, sp, grid, half) == disc_by_disc(state, sp, grid, half)
         assert footprint_coverage(state, sp, grid, reach) == disc_by_disc(state, sp, grid, reach)
+
+
+def test_equal_sensing_parameters_share_footprints():
+    # a sweep's configs each hold their own SensingParams: equal values must
+    # hit the footprints another config built, and other values must not
+    grid = CoverageGrid(AREA, 4.0)
+    points = [(10.0, 20.0), (60.0, 45.0), (-500.0, -500.0)]
+    built = grid.miss_factors(SensingParams(), 15.0, points)
+    again = grid.miss_factors(SensingParams(), 15.0, points)
+    assert all(a is b for a, b in zip(built, again))
+    assert len(grid.footprints) == len(points)
+    for sp, r in ((SensingParams(decay_exponent=2.0), 15.0), (SensingParams(), 10.0)):
+        other = grid.miss_factors(sp, r, points[:1])
+        assert other[0] is not built[0]
+    assert len(grid.footprints) == len(points) + 2

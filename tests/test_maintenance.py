@@ -1,6 +1,8 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnlife import (
     A3Params,
@@ -9,6 +11,7 @@ from wsnlife import (
     EnergyParams,
     MaintenanceStrategy,
     RadioParams,
+    SensingParams,
     StrategyKind,
     TCProtocol,
     TMProtocol,
@@ -261,3 +264,76 @@ def test_recreation_after_deaths_uses_survivors():
     assert action == "Recreated"
     for nid in rebuilt.active_set:
         assert state.nodes[nid].alive
+
+
+class ReadLog(list):
+    """A node list that records which ids are read, one at a time or all."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+
+def full_pass_roles(state, before):
+    """The roles a pass over every node gives once state.topology is
+    installed over roles `before`: its members active, every other alive
+    non-sink node asleep; dead nodes and the sink keep theirs."""
+    active = state.topology.active_set
+    return [
+        role
+        if node.energy <= 0.0 or role is Role.SINK
+        else Role.ACTIVE if node.id in active else Role.SLEEPING
+        for node, role in zip(state.nodes, before)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_activation_sets_the_roles_of_a_full_pass(data):
+    # installs in any order: fresh growths, rotation entries, the installed
+    # topology again, and static and hybrid maintenance, which re-installs a
+    # hybrid's one-entry set [topology]; nodes die between installs
+    tc = data.draw(st.sampled_from(TCProtocol))
+    sensing = SensingParams()
+    state = deploy(
+        DeploymentConfig(
+            node_count=40, area=DeploymentArea(260.0, 200.0), seed=data.draw(st.integers(0, 99))
+        ),
+        RadioParams(communication_radius=70.0, sensing_radius=20.0),
+        EnergyParams(),
+    )
+    rotation = precompute_rotation_set(state, tc, 3, PARAMS, sensing)
+    strategies = {
+        "static": MaintenanceStrategy(StrategyKind.STATIC_ROTATION, list(rotation)),
+        "hybrid": MaintenanceStrategy(StrategyKind.HYBRID, list(rotation)),
+    }
+    roles = [node.role for node in state.nodes]
+    for _ in range(data.draw(st.integers(1, 8))):
+        install = data.draw(st.sampled_from(["grow", "entry", "again", "static", "hybrid"]))
+        if install in strategies:
+            maintain(strategies[install], state, tc, PARAMS, sensing)
+        else:
+            if install == "grow":
+                topology, _ = construct(state, tc, PARAMS, sensing)
+            elif install == "entry":
+                topology = data.draw(st.sampled_from(rotation))
+            else:
+                topology = state.topology
+            old, nodes = state.topology.active_set, state.nodes
+            state.nodes = ReadLog(nodes)
+            activate_topology(state, topology)
+            read, state.nodes = state.nodes.read, nodes
+            assert read <= old | topology.active_set
+        roles = full_pass_roles(state, roles)
+        assert [node.role for node in state.nodes] == roles
+        alive = [node.id for node in state.nodes[1:] if node.alive]
+        for nid in data.draw(st.lists(st.sampled_from(alive), max_size=6)) if alive else []:
+            state.kill(nid)

@@ -12,6 +12,7 @@ from wsnlife import (
     SensingParams,
     alive_count,
     comm_coverage,
+    sense_probabilities,
     sense_probability,
     sensing_coverage,
     sink_reachable,
@@ -49,6 +50,40 @@ def test_sense_probability_boundaries():
 def test_sense_probability_non_increasing(x1, x2):
     lo, hi = sorted((x1, x2))
     assert sense_probability(SP, R_SENSE, lo) >= sense_probability(SP, R_SENSE, hi)
+
+
+def spelled_out_miss(sp, r, x):
+    """1 - p of the sensing model, written out apart from the package."""
+    inner = r - sp.uncertainty_radius
+    if x <= inner:
+        return 0.0
+    if x > r + sp.uncertainty_radius:
+        return 1.0
+    return 1.0 - math.exp(-sp.decay_rate * (x - inner) ** sp.decay_exponent)
+
+
+@pytest.mark.parametrize(
+    "sp, r",
+    [
+        (SP, R_SENSE),
+        (SensingParams(uncertainty_radius=3.0, decay_rate=0.8, decay_exponent=2.5), 15.0),
+        (SensingParams(uncertainty_radius=1.5, decay_rate=1.3, decay_exponent=0.4), 12.0),
+    ],
+)
+def test_batch_miss_factors_match_the_formula_bit_for_bit(sp, r):
+    # the band's two edges and their neighbouring doubles, the band itself,
+    # and the certain and empty sides
+    inner, outer = r - sp.uncertainty_radius, r + sp.uncertainty_radius
+    edges = [
+        math.nextafter(edge, toward) for edge in (inner, outer) for toward in (0.0, edge, 99.0)
+    ]
+    xs = edges + [0.0, inner / 2, r, (r + outer) / 2, outer * 2] + [
+        inner + k * (outer - inner) / 37 for k in range(1, 37)
+    ]
+    misses = [1.0 - p for p in sense_probabilities(sp, r, xs)]
+    want = [spelled_out_miss(sp, r, x).hex() for x in xs]
+    assert [m.hex() for m in misses] == want
+    assert [(1.0 - sense_probability(sp, r, x)).hex() for x in xs] == want
 
 
 def test_alive_count_and_decrement():

@@ -50,3 +50,38 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_energy_and_sensing_constants_are_read_in_one_home():
+    """The radio model's per-bit constants are read only in radio.py, the
+    sensing decay only in metrics.sense_probabilities, and model.py defines
+    them: a loop that hoists a cost takes radio.tx_coefficients or the
+    sensing batch, so no formula is copied beside its home."""
+    names = {"elec_energy_per_bit", "amp_energy_per_bit_m2", "decay_rate", "decay_exponent"}
+    homes = {("radio.py", None), ("metrics.py", "sense_probabilities"), ("model.py", None)}
+
+    def reads(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            yield function, node.attr
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in names
+        ):
+            yield function, node.args[1].value
+        for child in ast.iter_child_nodes(node):
+            yield from reads(child, function)
+
+    found = []
+    for path in sorted(Path(wsnlife.__file__).parent.glob("*.py")):
+        if (path.name, None) in homes:
+            continue
+        for function, name in reads(ast.parse(path.read_text()), None):
+            if (path.name, function) not in homes:
+                found.append((path.name, function, name))
+    assert found == []
