@@ -222,34 +222,15 @@ class RoundProgram:
 class Tree:
     """An installed tree's shape: traffic origins in ascending id; for each
     its parent hop with the precomputed transmit cost; the origins children
-    first, each subtree a run of upward ending at its root. Laid out on
-    first read, as only _relay_drains and compiles with cuts read them:
-    each origin's place in upward, and where each place's run starts, so
-    that the descendants of upward[k] are upward[first[k]:k]."""
+    first, each subtree a run of upward ending at its root; each origin's
+    place in upward, and where each place's run starts, so that the
+    descendants of upward[k] are upward[first[k]:k]."""
 
     origins: list[int]
     edges: dict[int, tuple[int, float]]
     upward: list[int]
-    _place: dict[int, int] | None = field(default=None, init=False, repr=False)
-    _first: list[int] | None = field(default=None, init=False, repr=False)
-
-    @property
-    def place(self) -> dict[int, int]:
-        if self._place is None:
-            self._place = dict(zip(self.upward, range(len(self.upward))))
-        return self._place
-
-    @property
-    def first(self) -> list[int]:
-        if self._first is None:
-            upward, place, edges = self.upward, self.place, self.edges
-            first = list(range(len(upward)))  # widened to each child's run in turn
-            for k, nid in enumerate(upward):
-                above = place.get(edges[nid][0])
-                if above is not None and first[k] < first[above]:
-                    first[above] = first[k]
-            self._first = first
-        return self._first
+    place: dict[int, int]
+    first: list[int]
 
 
 @dataclass
@@ -287,7 +268,14 @@ def _routes(state: NetworkState) -> Routes:
         nid = stack.pop()
         downward.append(nid)
         stack += children.get(nid, ())
-    topology.route_cache = Routes(Tree(origins, edges, downward[::-1]))
+    upward = downward[::-1]
+    place = dict(zip(upward, range(len(upward))))
+    first = list(range(len(upward)))  # widened to each child's run in turn
+    for k, nid in enumerate(upward):
+        above = place.get(edges[nid][0])
+        if above is not None and first[k] < first[above]:
+            first[above] = first[k]
+    topology.route_cache = Routes(Tree(origins, edges, upward, place, first))
     return topology.route_cache
 
 
@@ -436,15 +424,17 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     delivered = dropped = 0
     for origin in origins:
         sender = nodes[origin]
-        if not sender.alive:
+        battery = sender.energy
+        if battery <= 0.0:
             continue  # dead nodes generate nothing
         current = origin
         while True:
             parent, tx_cost = edges[current]
-            drained = min(tx_cost, sender.energy)
-            sender.energy -= drained
+            drained = tx_cost if tx_cost < battery else battery
+            battery -= drained
+            sender.energy = battery
             ledger += drained
-            if sender.energy <= 0.0:
+            if battery <= 0.0:
                 state.kill(current)
                 dropped += 1  # died mid-transmission
                 break
@@ -453,13 +443,15 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
                 delivered += 1
                 break
             receiver = nodes[parent]
-            if not receiver.alive:
+            battery = receiver.energy
+            if battery <= 0.0:
                 dropped += 1  # transmitted into a dead hop
                 break
-            drained = min(rx_cost, receiver.energy)
-            receiver.energy -= drained
+            drained = rx_cost if rx_cost < battery else battery
+            battery -= drained
+            receiver.energy = battery
             ledger += drained
-            if receiver.energy <= 0.0:
+            if battery <= 0.0:
                 state.kill(parent)
                 dropped += 1  # died receiving
                 break
@@ -701,28 +693,14 @@ def _network_finished(state: NetworkState) -> bool:
     sink-only deployment simply runs out its clock."""
     if len(state.nodes) <= 1:
         return False
-    return not any(n.alive for n in state.nodes if n.id != state.sink.id)
-
-
-@dataclass(frozen=True)
-class SampleMemo:
-    """The last metric sample's structural results, each keyed on all of its
-    inputs (positions never move): reach, the sink-reachable set, on active,
-    the ascending ids of the alive active nodes; coverage, the (comm,
-    sensing) pair, on coverage_key, (grid, sensing parameters, reach). The
-    keys hold content, not a version number, so a write to a battery or to
-    Node.role that bypasses NetworkState cannot leave them stale."""
-
-    active: tuple[int, ...]
-    reach: frozenset[int]
-    coverage_key: tuple[CoverageGrid, SensingParams, frozenset[int]]
-    coverage: tuple[float, float]
+    sink = state.sink.id
+    return all(n.energy <= 0.0 for n in state.nodes if n.id != sink)
 
 
 def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -> MetricsSample:
-    """Sample the metrics, reusing the previous sample's reachability and
-    coverage where their inputs are unchanged; a miss computes them as
-    before, so every value is the same either way."""
+    """Sample the metrics. One pass over the nodes counts the alive ones and
+    collects the ids of the alive active ones, from which sink_reachable
+    starts; both coverages are taken over the nodes it reaches."""
     alive = 0
     active = []
     for node in state.nodes:
@@ -730,27 +708,13 @@ def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -
             alive += 1
             if node.role is Role.ACTIVE:
                 active.append(node.id)
-    active = tuple(active)
-    memo = state.sample_memo
-    if memo is not None and memo.active == active:
-        reach = memo.reach
-    else:
-        reach = frozenset(sink_reachable(state, active))
-    key = (grid, config.sensing, reach)  # grid compares by identity
-    if memo is not None and memo.coverage_key == key:
-        coverage = memo.coverage
-    else:
-        coverage = (
-            comm_coverage(state, grid, reach),
-            sensing_coverage(state, config.sensing, grid, reach),
-        )
-    state.sample_memo = SampleMemo(active, reach, key, coverage)
+    reach = sink_reachable(state, active)
     return MetricsSample(
         time=state.time,
         alive=alive,
         sink_reachable=len(reach),
-        comm_coverage=coverage[0],
-        sensing_coverage=coverage[1],
+        comm_coverage=comm_coverage(state, grid, reach),
+        sensing_coverage=sensing_coverage(state, config.sensing, grid, reach),
     )
 
 
@@ -758,12 +722,10 @@ def step(
     state: NetworkState,
     strategy: MaintenanceStrategy | None,
     config: SimConfig,
-    grid: CoverageGrid | None = None,
+    grid: CoverageGrid,
 ) -> MetricsSample | None:
-    """Advance the simulation by one step; returns the metrics sample when
-    the step lands on the sampling stride, else None."""
-    if grid is None:
-        grid = CoverageGrid(state.area, config.grid_cell)
+    """Advance the simulation by one step; returns the metrics sample, taken
+    on grid, when the step lands on the sampling stride, else None."""
     state.in_step = True
     _traffic(state)
     if config.tm is not None and should_trigger(config.trigger, state):

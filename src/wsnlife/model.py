@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError
 
 if TYPE_CHECKING:
-    from .engine import Routes, SampleMemo
+    from .engine import Routes
 
 SINK_ID = 0
 
@@ -186,11 +186,6 @@ class NetworkState:
     packets_delivered: int = 0
     packets_dropped: int = 0
     in_step: bool = False
-    # The engine's last metric sample, which the next one reuses where the
-    # network it samples has not changed.
-    sample_memo: SampleMemo | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def links(self) -> list[list[int]]:

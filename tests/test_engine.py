@@ -32,13 +32,10 @@ from wsnlife import (
     TriggerPolicy,
     activate_topology,
     alive_count,
-    comm_coverage,
     construct,
     initialize,
     run,
     rx_energy,
-    sensing_coverage,
-    sink_reachable,
     step,
     tx_energy,
     validate_config,
@@ -359,86 +356,6 @@ def test_short_run_integrates_its_coverage():
     row = summarize(result, "A3", "DGETRec", 1, node_count=40)
     assert row.integrated_comm_coverage > 0.0
     assert row.integrated_sensing_coverage > 0.0
-
-
-def fresh_sample(state, sensing, grid):
-    """sample_metrics' values composed from the metric functions, with no
-    memo; the floats as hex strings, so equality is bitwise."""
-    return (
-        state.time,
-        alive_count(state),
-        len(sink_reachable(state)),
-        comm_coverage(state, grid).hex(),
-        sensing_coverage(state, sensing, grid).hex(),
-    )
-
-
-def memo_sample(state, sensing, grid):
-    s = engine.sample_metrics(state, SimConfig(sensing=sensing), grid)
-    return (
-        s.time,
-        s.alive,
-        s.sink_reachable,
-        s.comm_coverage.hex(),
-        s.sensing_coverage.hex(),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_sample_memo_matches_fresh_metrics(data):
-    n = data.draw(st.integers(min_value=2, max_value=10))
-    coord = st.floats(min_value=0.0, max_value=220.0)
-    positions = [(0.0, 0.0)] + [
-        (data.draw(coord), data.draw(coord)) for _ in range(n - 1)
-    ]
-    sensors = st.sampled_from(range(1, n))
-    state = make_state(positions, area=DeploymentArea(240.0, 240.0))
-    activate_topology(state, Topology(active_set=set(range(n)), parent={}))
-    grids = [CoverageGrid(state.area, 4.0), CoverageGrid(state.area, 2.0)]
-    sensings = [SensingParams(), SensingParams(uncertainty_radius=5.0)]
-    ops = st.one_of(
-        st.tuples(st.just("kill"), sensors),
-        st.tuples(st.just("activate"), st.sets(sensors)),
-        st.tuples(st.just("battery"), sensors, st.sampled_from([0.0, 0.5])),
-        st.tuples(st.just("none")),
-    )
-    for op in data.draw(st.lists(ops, max_size=12)):
-        if op[0] == "kill":
-            state.kill(op[1])
-        elif op[0] == "activate":
-            activate_topology(state, Topology(active_set={0, *op[1]}, parent={}))
-        elif op[0] == "battery":  # a direct write, as make_state's dead= does
-            state.nodes[op[1]].energy = op[2]
-        state.time += 1
-        grid = grids[data.draw(st.integers(0, 1))]
-        sensing = sensings[data.draw(st.integers(0, 1))]
-        assert memo_sample(state, sensing, grid) == fresh_sample(state, sensing, grid)
-
-
-def test_sample_memo_keyed_on_grid_and_sensing():
-    # sink plus three active sensors; the network never changes between samples
-    state = make_state(
-        [(0.0, 0.0), (37.0, 11.0), (81.0, 53.0), (23.0, 97.0)],
-        area=DeploymentArea(150.0, 150.0),
-        roles={1: Role.ACTIVE, 2: Role.ACTIVE, 3: Role.ACTIVE},
-    )
-    coarse, fine = CoverageGrid(state.area, 4.0), CoverageGrid(state.area, 2.0)
-    wide = SensingParams(uncertainty_radius=5.0)
-    turns = [
-        (SensingParams(), coarse),
-        (SensingParams(), fine),
-        (SensingParams(), coarse),
-        (wide, coarse),
-        (SensingParams(), coarse),
-        (wide, fine),
-    ]
-    samples = [memo_sample(state, sp, grid) for sp, grid in turns]
-    assert samples == [fresh_sample(state, sp, grid) for sp, grid in turns]
-    # each turn differs from the one before it, so no turn can pass on a
-    # value left over from the previous one
-    for before, after in zip(samples, samples[1:]):
-        assert before[3:] != after[3:]
 
 
 def _random_tree_state(positions, order, parent_picks, budgets, dead):
