@@ -449,7 +449,7 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
                 break
             drained = rx_cost if rx_cost < battery else battery
             battery -= drained
-            receiver.energy = battery
+            # left unstored: the receiver's transmit next stores it, or kill zeroes it
             ledger += drained
             if battery <= 0.0:
                 state.kill(parent)

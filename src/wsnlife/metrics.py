@@ -10,11 +10,15 @@ import numpy as np
 
 from .model import DeploymentArea, NetworkState, Role, SensingParams
 
-# Sample points a coverage grid may hold: each sensing recomputation
-# allocates a float array and a bool array of this size (comm coverage packs
-# eight points per byte). n = 3000 at the default density with 4 m cells
-# needs 443k points.
+# Sample points a coverage grid may hold: each comm coverage recomputation
+# allocates a packed array of this size, eight points per byte (1.25 MB at
+# the limit); sensing coverage folds band by band in a fixed buffer. n = 3000
+# at the default density with 4 m cells needs 443k points.
 MAX_GRID_POINTS = 10_000_000
+
+# Points in one band of the sensing fold: its float64 buffer is 256 KB, so
+# it stays in cache and outside the allocator's per-call mmaps.
+_BAND_POINTS = 1 << 15
 
 # Set bits of each byte value: counts a packed grid without unpacking it.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -56,6 +60,15 @@ class CoverageGrid:
     the points outside its own patch masked off or cut away. Every value is
     computed by the same elementwise expressions from the same coordinates
     as on the patch alone, so the values are the same bits.
+
+    Sensing coverage never holds the whole grid: it folds the miss factors
+    band by band in `band`, one float buffer of at most _BAND_POINTS points
+    allocated with the grid. A band is band_shape = (rows, columns) points:
+    whole rows, as many as fit, or pieces of one row when a row alone holds
+    more than _BAND_POINTS points. The bands tile the grid in row-major
+    order; the last of a row or column may be cut short by the grid's edge.
+    The buffer is scratch of one sensing_coverage call, so one grid serves
+    one call at a time.
     """
 
     area: DeploymentArea
@@ -63,6 +76,8 @@ class CoverageGrid:
     xs: np.ndarray = field(init=False, repr=False)
     ys: np.ndarray = field(init=False, repr=False)
     footprints: dict = field(init=False, repr=False, default_factory=dict)
+    band_shape: tuple[int, int] = field(init=False, repr=False)
+    band: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.cell_size > 0:
@@ -70,6 +85,10 @@ class CoverageGrid:
         nx, ny = grid_shape(self.area, self.cell_size)
         self.xs = (np.arange(nx) + 0.5) * self.cell_size
         self.ys = (np.arange(ny) + 0.5) * self.cell_size
+        width = min(nx, _BAND_POINTS)
+        height = min(ny, _BAND_POINTS // width)
+        self.band_shape = (height, width)
+        self.band = np.empty(height * width)
 
     @property
     def point_count(self) -> int:
@@ -253,21 +272,55 @@ def sensing_coverage(
 
     Sensors detect independently, so the combined probability at a point is
     1 - prod(1 - p_i). The sink is a collector, not a sensor, and does not
-    contribute. Sensors are folded in ascending id order so the float
-    reduction is reproducible. reach, when given, is sink_reachable(state)
-    already computed for this state.
+    contribute. reach, when given, is sink_reachable(state) already computed
+    for this state.
+
+    The products are folded band by band (see CoverageGrid). The sensors'
+    footprints are bucketed by the rows of bands they overlap, in ascending
+    id. For each band in a row of bands with any, the grid's band buffer is
+    filled with 1.0, each footprint multiplies its part in the band into
+    it, in place, and the points whose 1 - miss reaches the threshold are
+    counted. So every point's product is folded from 1.0 in ascending id,
+    as on a whole grid, with the same bits; where no footprint reaches,
+    1 - miss = 0 is below any threshold. The value is the summed count over
+    the grid's points.
     """
     r = state.radio.sensing_radius
     if reach is None:
         reach = sink_reachable(state)
     sensors = sorted(reach - {state.sink.id})
-    miss = np.ones((len(grid.ys), len(grid.xs)))
     nodes = state.nodes
     points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in sensors]
+    height, width = grid.band_shape
+    nx, ny = len(grid.xs), len(grid.ys)
+    buckets: list[list] = [[] for _ in range(-(-ny // height))]
     for footprint in grid.miss_factors(sp, r, points):
-        if footprint is None:
+        if footprint is not None:
+            (iy0, iy1, _, _), _ = footprint
+            for row in range(iy0 // height, (iy1 - 1) // height + 1):
+                buckets[row].append(footprint)
+    threshold = sp.detection_threshold
+    detected = 0
+    for row, bucket in enumerate(buckets):
+        if not bucket:
             continue
-        (iy0, iy1, ix0, ix1), factor = footprint
-        miss[iy0:iy1, ix0:ix1] *= factor
-    detected = np.subtract(1.0, miss, out=miss)  # in place: the grid may be large
-    return np.count_nonzero(detected >= sp.detection_threshold) / grid.point_count
+        by0 = row * height
+        by1 = min(by0 + height, ny)
+        for bx0 in range(0, nx, width):
+            bx1 = min(bx0 + width, nx)
+            miss = grid.band[: (by1 - by0) * (bx1 - bx0)].reshape(by1 - by0, bx1 - bx0)
+            miss.fill(1.0)
+            for (iy0, iy1, ix0, ix1), factor in bucket:
+                if by0 <= iy0 and iy1 <= by1 and bx0 <= ix0 and ix1 <= bx1:
+                    view = miss[iy0 - by0 : iy1 - by0, ix0 - bx0 : ix1 - bx0]
+                else:  # the band's edges cut the footprint, or miss it
+                    y0, y1 = max(iy0, by0), min(iy1, by1)
+                    x0, x1 = max(ix0, bx0), min(ix1, bx1)
+                    if x0 >= x1:
+                        continue
+                    view = miss[y0 - by0 : y1 - by0, x0 - bx0 : x1 - bx0]
+                    factor = factor[y0 - iy0 : y1 - iy0, x0 - ix0 : x1 - ix0]
+                np.multiply(view, factor, out=view)
+            np.subtract(1.0, miss, out=miss)
+            detected += np.count_nonzero(miss >= threshold)
+    return detected / grid.point_count

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wsnlife import metrics
 from wsnlife import (
     CoverageGrid,
     DeploymentArea,
@@ -214,6 +218,96 @@ def test_sensing_combination_two_weak_sensors():
     assert grid.point_count == 1
     assert grid.xs[0] == probe[0] and grid.ys[0] == probe[1]
     assert sensing_coverage(state, sp, grid) == 1.0
+
+
+def whole_grid_sensing_coverage(state, sp, grid, reach):
+    """The miss products folded on one array the size of the grid, in
+    ascending id: the reference for the banded fold."""
+    sensors = sorted(reach - {state.sink.id})
+    points = [(state.nodes[n].position.x, state.nodes[n].position.y) for n in sensors]
+    miss = np.ones((len(grid.ys), len(grid.xs)))
+    for footprint in grid.miss_factors(sp, state.radio.sensing_radius, points):
+        if footprint is not None:
+            (iy0, iy1, ix0, ix1), factor = footprint
+            miss[iy0:iy1, ix0:ix1] *= factor
+    return np.count_nonzero(1.0 - miss >= sp.detection_threshold) / grid.point_count
+
+
+# Band sizes for the banded fold: one point, pieces of a row, a few rows,
+# and the real size, under which the small grids below fit in one band.
+BAND_POINTS = [1, 5, 64, 700, metrics._BAND_POINTS]
+
+
+# Sensor spots on the grids below (at most 180 m a side), across their edges
+# and wholly off them.
+SPOT = st.floats(-40.0, 220.0)
+SPOTS = st.lists(st.tuples(SPOT, SPOT), max_size=12)
+COLUMN = [(1.0, 24.0 * k) for k in range(6)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cols=st.integers(1, 90),
+    rows=st.integers(1, 90),
+    band_points=st.sampled_from(BAND_POINTS),
+    r=st.floats(1.0, 30.0),
+    spots=SPOTS,
+    picks=st.sets(st.integers(1, 12)),
+)
+@example(cols=1, rows=60, band_points=7, r=8.0, spots=COLUMN, picks=set(range(6)))
+@example(cols=60, rows=1, band_points=7, r=8.0, spots=[p[::-1] for p in COLUMN], picks={1, 3})
+@example(cols=40, rows=30, band_points=64, r=8.0, spots=COLUMN, picks=set())
+def test_banded_sensing_coverage_matches_whole_grid_fold(
+    cols, rows, band_points, r, spots, picks
+):
+    cell = 2.0
+    area = DeploymentArea(cols * cell, rows * cell)
+    with mock.patch.object(metrics, "_BAND_POINTS", band_points):
+        grid = CoverageGrid(area, cell)
+    height, width = grid.band_shape
+    assert grid.band.size == height * width <= band_points
+    sp = SensingParams(uncertainty_radius=r / 4)
+    positions = [(0.0, 0.0), *spots]  # the sink first: never a sensor
+    reach = {0} | {k for k in picks if k < len(positions)}
+    radio = RadioParams(communication_radius=50.0, sensing_radius=r)
+    state = make_state(positions, area=area, radio=radio)
+    want = whole_grid_sensing_coverage(state, sp, grid, reach)
+    assert sensing_coverage(state, sp, grid, reach).hex() == want.hex()
+
+
+def test_banded_sensing_coverage_matches_whole_grid_fold_on_many_bands():
+    # 250 x 200 points at the real band size: bands of 131 rows, so the
+    # sensors' footprints straddle the one band edge at y = 262
+    area = DeploymentArea(500.0, 400.0)
+    grid = CoverageGrid(area, 2.0)
+    assert grid.band_shape == (131, 250) and grid.band.nbytes == 131 * 250 * 8
+    positions = [(250.0, 200.0)] + [
+        (12.5 + 37.0 * k, 262.0 + (-1) ** k * 9.0 * (k % 4)) for k in range(14)
+    ] + [(250.0, 130.0), (250.0, 131.0), (-30.0, 262.0)]
+    state = make_state(positions, area=area, radio=RadioParams(sensing_radius=20.0))
+    reach = set(range(len(positions)))
+    want = whole_grid_sensing_coverage(state, SP, grid, reach)
+    assert want > 0.0
+    assert sensing_coverage(state, SP, grid, reach).hex() == want.hex()
+
+
+def test_sensing_coverage_allocates_no_grid_sized_array():
+    # 2 M points: a float grid of them is 16 MB, a bool grid 2 MB
+    area = DeploymentArea(2000.0, 1000.0)
+    grid = CoverageGrid(area, 1.0)
+    assert grid.point_count == 2_000_000
+    positions = [(1000.0, 500.0)] + [(97.0 * k + 10.0, 45.0 * k + 30.0) for k in range(21)]
+    state = make_state(positions, area=area, radio=RadioParams(sensing_radius=R_SENSE))
+    reach = set(range(len(positions)))
+    first = sensing_coverage(state, SP, grid, reach)  # builds the footprints
+    tracemalloc.start()
+    try:
+        again = sensing_coverage(state, SP, grid, reach)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == first > 0.0
+    assert peak < 1 << 20
 
 
 def test_grid_tiling_counts():
