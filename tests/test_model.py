@@ -1,22 +1,29 @@
 import math
+import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnlife import (
     DeploymentArea,
+    DeploymentConfig,
     EnergyParams,
     Point,
     RadioParams,
     Role,
+    SimConfig,
     Topology,
     activate_topology,
     distance,
     engine,
+    model,
     rx_energy,
     tx_energy,
 )
+from wsnlife.deployment import deploy
 
 from helpers import make_state, neighbors
 
@@ -153,6 +160,198 @@ def test_links_fixed_when_nodes_die():
     state.kill(2)
     assert state.links == before
     assert neighbors(state, 1, 100.0) == [0, 3]
+
+
+def reference_links(nodes, radius):
+    """The per-pair loop that model._links replaced, kept as a second
+    oracle: the same cells in a dict keyed by their `//` indices, one
+    math.hypot per candidate pair. Above 2^53 a float index has no
+    neighbour (cx + 1 == cx), so it lists a node's own cell again and
+    repeats ids; the tests compare it only below that."""
+    side = math.nextafter(radius, math.inf)
+    xs = [n.position.x for n in nodes]
+    ys = [n.position.y for n in nodes]
+    cells = {}
+    for i in range(len(nodes)):
+        cells.setdefault((xs[i] // side, ys[i] // side), []).append(i)
+    links = [[] for _ in nodes]
+    hypot = math.hypot
+    for (cx, cy), members in cells.items():
+        pool = list(members)
+        for key in ((cx + 1, cy), (cx - 1, cy + 1), (cx, cy + 1), (cx + 1, cy + 1)):
+            pool += cells.get(key, ())
+        for k, i in enumerate(members, 1):
+            xi, yi, own = xs[i], ys[i], links[i]
+            for j in pool[k:]:
+                if hypot(xi - xs[j], yi - ys[j]) <= radius:
+                    own.append(j)
+                    links[j].append(i)
+    for own in links:
+        own.sort()
+    return links
+
+
+def assert_links_exact(positions, radius, chunk=model._LINK_CHUNK, reference=True):
+    """_links, screened in passes of chunk pairs, equals a scan of all
+    nodes and, where asked, the reference loop; and its lists share one
+    int object per node id."""
+    state = linked_state(positions, radius)
+    with mock.patch.object(model, "_LINK_CHUNK", chunk):
+        links = model._links(state.nodes, radius)
+    assert links == [neighbors(state, i, radius) for i in range(len(positions))]
+    if reference:
+        assert links == reference_links(state.nodes, radius)
+    assert_shared_ids(links)
+    return links
+
+
+def assert_shared_ids(links):
+    values = [v for own in links for v in own]
+    assert len({id(v) for v in values}) == len(set(values))
+
+
+def at_distance(px, py, angle, target):
+    """A point in direction angle from (px, py) whose distance from it, as
+    model.distance computes it, is target, where walking the point's
+    larger coordinate offset by ulps finds one (most draws); else the
+    last point of the walk."""
+    qx, qy = px + target * math.cos(angle), py + target * math.sin(angle)
+    walk_x = abs(math.cos(angle)) >= abs(math.sin(angle))
+    for _ in range(64):
+        d = math.hypot(qx - px, qy - py)
+        if d == target:
+            break
+        if walk_x:
+            qx = math.nextafter(qx, math.inf if (d < target) == (qx >= px) else -math.inf)
+        else:
+            qy = math.nextafter(qy, math.inf if (d < target) == (qy >= py) else -math.inf)
+    return qx, qy
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.1, 250.0),
+    st.lists(
+        st.tuples(
+            st.floats(-2.0, 2.0),
+            st.floats(-2.0, 2.0),
+            st.floats(0.0, 2 * math.pi),
+            st.sampled_from([-1, 0, 1]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([1, 5, 64, model._LINK_CHUNK]),
+)
+def test_links_on_the_rim(radius, pairs, chunk):
+    # Pairs R and R +- 1 ulp apart: the screen's band must send them to hypot.
+    targets = {-1: math.nextafter(radius, 0.0), 0: radius, 1: math.nextafter(radius, math.inf)}
+    positions = []
+    for u, v, angle, ulps in pairs:
+        px, py = u * radius, v * radius
+        positions += [(px, py), at_distance(px, py, angle, targets[ulps])]
+    assert_links_exact(positions, radius, chunk)
+
+
+@pytest.mark.parametrize("chunk", [3, 64, model._LINK_CHUNK])
+def test_links_with_coincident_nodes(chunk):
+    # 70 nodes on one point hold 2415 pairs, more than one pass screens.
+    radius = 100.0
+    positions = [(0.0, 0.0)] + [(250.0, 250.0)] * 70 + [(300.0, 250.0)] * 30
+    positions += [(250.0, 350.0), (250.0, math.nextafter(350.0, math.inf)), (-100.0, 0.0)]
+    links = assert_links_exact(positions, radius, chunk)
+    assert links[1] == list(range(2, 102)) and links[102] == [101] and links[0] == [103]
+
+
+@pytest.mark.parametrize("radius", [0.1, 1 / 3, 100 / 7, 60.0, 100.0, 250.0])
+def test_links_on_cell_edge_lattices(radius):
+    # Lattices R and one cell side apart put nodes on cell edges; the
+    # shifted copy puts them a hair before the edges.
+    side = math.nextafter(radius, math.inf)
+    for step in (radius, side):
+        lattice = [(i * step, j * step) for j in range(-3, 4) for i in range(-3, 4)]
+        shifted = [(x - step / 2**40, y - step / 2**40) for x, y in lattice]
+        assert_links_exact(lattice + shifted, radius)
+
+
+@pytest.fixture(scope="module")
+def deployments():
+    """The default 300-node deployment and one of large_network's 3000 nodes
+    at the default density (the default area scaled by sqrt(10) a side)."""
+    scale = math.sqrt(10.0)
+    configs = [
+        DeploymentConfig(),
+        DeploymentConfig(node_count=3000, area=DeploymentArea(1074.0 * scale, 660.0 * scale)),
+    ]
+    return [deploy(config, RadioParams(), EnergyParams()) for config in configs]
+
+
+def test_links_match_reference_on_deployments(deployments):
+    for state in deployments:
+        links = model._links(state.nodes, state.radio.communication_radius)
+        assert links == reference_links(state.nodes, state.radio.communication_radius)
+        assert_shared_ids(links)
+
+
+def test_links_memory_at_3000_nodes(deployments):
+    # The lists themselves take 0.56 MB; screening every candidate pair in
+    # one pass peaks at 2.8 MB.
+    state = deployments[1]
+    tracemalloc.start()
+    try:
+        model._links(state.nodes, state.radio.communication_radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+def test_links_on_the_largest_accepted_area():
+    # validate_config accepts any area whose grid it can build, so cell
+    # indices reach 2^1017 at R = 100: far past int64 and past 2^53.
+    big = sys.float_info.max
+    config = SimConfig(
+        deployment=DeploymentConfig(node_count=40, area=DeploymentArea(big, big)),
+        grid_cell=big,
+    )
+    engine.validate_config(config)
+    state = deploy(config.deployment, config.radio, config.energy)
+    positions = [(n.position.x, n.position.y) for n in state.nodes]
+    positions += [(big, big)] * 3 + [(big, 0.0), (big, 100.0), (big, 201.0)]
+    positions += [(1e21, 50.0 * k) for k in range(5)] + [(2.0**63 * 100.0, 0.0)] * 2
+    links = assert_links_exact(positions, 100.0, reference=False)
+    assert links[40] == [41, 42] and links[43] == [44] and links[45] == []
+    assert links[46] == [47, 48] and links[51] == [52]
+
+
+@pytest.mark.parametrize("radius", [5e-324, 1e-160, 1e200, math.inf])
+def test_links_at_extreme_radii(radius):
+    # Squares of the distances underflow or overflow: the band sends such
+    # pairs to hypot.
+    scale = radius if math.isfinite(radius) else 1e300
+    positions = [(k * scale / 2, (k % 3) * scale / 3) for k in range(-4, 5)]
+    positions += [(scale, 0.0), (math.nextafter(scale, math.inf), 0.0), (0.0, 0.0)]
+    assert_links_exact(positions, radius)
+
+
+@pytest.mark.parametrize(
+    "radius, dx, dy",
+    [
+        (1e-160, 1.3245283427134096e-161, 9.911883399733673e-161),  # linked
+        (2e-161, 8.16509556178561e-162, 1.825877825115569e-161),  # not linked
+    ],
+)
+def test_links_where_squares_underflow(radius, dx, dy):
+    # Subnormal squares round by far more than 1e-9 of R^2: these d2 fall
+    # outside the relative band on the wrong side, and only the 2^-1000
+    # widening sends them to hypot.
+    links = assert_links_exact([(0.0, 0.0), (dx, dy)], radius)
+    assert links == ([[1], [0]] if math.hypot(dx, dy) <= radius else [[], []])
+
+
+def test_links_of_no_node_and_of_one():
+    assert model._links([], 100.0) == []
+    assert assert_links_exact([(5.0, 5.0)], 100.0) == [[]]
 
 
 def _chain(batteries):

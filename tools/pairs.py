@@ -7,11 +7,11 @@ the environment `perfbench/run.py` gives its workers, and swaps which side
 runs first from one pair to the next. A pass's end-to-end metrics are
 `run.end_to_end([pass])`, and its failed cells are counted by run.py's
 checks against the recorded digests. For every end-to-end metric of
-BENCHMARK.json it prints each pair, both sides' medians and quartiles, the
-pairs the change won (ties count for neither side) and whether a gain may
-be claimed: the change wins at least nine tenths of the pairs and its
-median beats the parent's by more than the distance between the parent's
-quartiles.
+BENCHMARK.json it prints both sides' value in each pair, their medians and
+quartiles, the pairs the change won (ties count for neither side) and
+whether a gain may be claimed: the change wins at least nine tenths of the
+pairs and its median beats the parent's by more than the distance between
+the parent's quartiles.
 """
 from __future__ import annotations
 
@@ -93,8 +93,9 @@ def main() -> int:
                 failed[side] += run.check([report], recorded)[0]
                 for name, value in run.end_to_end([report]).items():
                     values[side].setdefault(name, []).append(value)
-                line.append(f"{side} peak_rss_mb {values[side]['peak_rss_mb'][-1]:.2f} "
-                            f"wall_s {values[side]['wall_s'][-1]:.3f}")
+                line.append(side + "".join(
+                    f" {metric['name']} {values[side][metric['name']][-1]:.6g}" for metric in spec
+                ))
             print(f"pair {pair + 1}: " + ", ".join(line), flush=True)
     finally:
         for checkout in sides.values():
