@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .engine import run
 from .errors import ConfigError
-from .experiment import config_for, emit_series, parse_config, run_experiment
+from .experiment import config_for, emit_series, parse_config, run_experiment, series_name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,9 +42,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out) if args.out is not None else spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     result = run(config)
-    path = emit_series(
-        result, out / f"series_{config.tc.value}_{tm_name}_seed{seed}.csv"
-    )
+    path = emit_series(result, out / series_name(config.tc.value, tm_name, seed))
     summary = result.final_summary
     print(f"wrote {path}")
     print(

@@ -41,7 +41,6 @@ ties.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, sub
@@ -123,8 +122,8 @@ def validate_config(config: SimConfig) -> None:
     for name in ("rotation_k", "max_steps", "metrics_stride"):
         if getattr(config, name) < 1:
             raise ConfigError(name, "must be at least 1")
-    if not config.grid_cell > 0:
-        raise ConfigError("grid_cell", "must be positive")
+    if not 0 < config.grid_cell < math.inf:
+        raise ConfigError("grid_cell", "must be positive and finite")
     try:
         nx, ny = grid_shape(config.deployment.area, config.grid_cell)
     except OverflowError:  # the cell count is not even finite
@@ -177,10 +176,8 @@ class RoundProgram:
     receive cost, so a relay's drains are carried - 1 receive costs and
     carried transmit costs. delivered and dropped are the packets the round
     delivers and drops. counts maps each relay's id to its carried count,
-    so its keys are the alive set, and cuts holds, ascending, the places in
-    tree.upward of the dead nodes whose parent is alive, where packets
-    stop. per_round is each relay's drain over one round,
-    (carried - 1) * rx + carried * tx, the denominator of _jump's
+    so its keys are the alive set. per_round is each relay's drain over one
+    round, (carried - 1) * rx + carried * tx, the denominator of _jump's
     estimates.
 
     The drains themselves are built only when read, and kept: each relay's
@@ -195,7 +192,6 @@ class RoundProgram:
     dropped: int
     tree: Tree
     counts: dict[int, int]
-    cuts: list[int]
     per_round: np.ndarray = field(init=False, repr=False)
     relay_costs: list[list[float] | None] = field(init=False, repr=False)
     hop_order: list[float] | None = field(default=None, init=False, repr=False)
@@ -220,17 +216,14 @@ class RoundProgram:
 
 @dataclass(eq=False)
 class Tree:
-    """An installed tree's shape: traffic origins in ascending id; for each
+    """An installed tree's shape: for each traffic origin, in ascending id,
     its parent hop with the precomputed transmit cost; the origins children
-    first, each subtree a run of upward ending at its root; each origin's
-    place in upward, and where each place's run starts, so that the
-    descendants of upward[k] are upward[first[k]:k]."""
+    first, each after its subtree; and each node's children in ascending
+    id."""
 
-    origins: list[int]
     edges: dict[int, tuple[int, float]]
     upward: list[int]
-    place: dict[int, int]
-    first: list[int]
+    children: dict[int, list[int]]
 
 
 @dataclass
@@ -268,14 +261,7 @@ def _routes(state: NetworkState) -> Routes:
         nid = stack.pop()
         downward.append(nid)
         stack += children.get(nid, ())
-    upward = downward[::-1]
-    place = dict(zip(upward, range(len(upward))))
-    first = list(range(len(upward)))  # widened to each child's run in turn
-    for k, nid in enumerate(upward):
-        above = place.get(edges[nid][0])
-        if above is not None and first[k] < first[above]:
-            first[above] = first[k]
-    topology.route_cache = Routes(Tree(origins, edges, upward, place, first))
+    topology.route_cache = Routes(Tree(edges, downward[::-1], children))
     return topology.route_cache
 
 
@@ -293,7 +279,6 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
     edges = tree.edges
     sink = state.sink.id
     counts: dict[int, int] = {}
-    dead = []
     delivered = 0
     for nid in tree.upward:
         if nodes[nid].energy > 0.0:
@@ -303,8 +288,6 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
                 delivered += count
             elif nodes[parent].energy > 0.0:
                 counts[parent] = counts.get(parent, 0) + count
-        else:
-            dead.append(nid)
     ids = sorted(counts)
     return RoundProgram(
         [nodes[nid] for nid in ids],
@@ -315,7 +298,6 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
         len(ids) - delivered,
         tree,
         counts,
-        [tree.place[nid] for nid in dead if edges[nid][0] in counts],
     )
 
 
@@ -324,21 +306,21 @@ def _relay_drains(program: RoundProgram, j: int) -> list[float]:
     alive origins in ascending id, so the relay spends [tx] on its own
     packet and [rx, tx] on each packet it carries, in the order of their
     senders: `below` packets from the lower ids of its alive subtree before
-    its own and the rest after it. Its alive subtree is its run of the
-    upward order less the runs of the cuts inside it."""
+    its own and the rest after it. Its alive subtree is walked down the
+    children lists through the ids in counts, the alive set: a dead child
+    stops the packets of its whole subtree, so the walk skips it."""
     nid = program.nodes[j].id
-    tree, cuts = program.tree, program.cuts
-    upward, first = tree.upward, tree.first
-    place = tree.place[nid]
-    below = sum(map(nid.__gt__, upward[first[place] : place]))
-    k = bisect_left(cuts, place) - 1
-    while k >= 0 and cuts[k] >= first[place]:
-        cut = cuts[k]
-        below -= sum(map(nid.__gt__, upward[first[cut] : cut + 1]))
-        k = bisect_left(cuts, first[cut]) - 1
-    tx_cost = tree.edges[nid][1]
+    counts, children = program.counts, program.tree.children
+    below = 0
+    stack = [nid]
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            if child in counts:
+                below += child < nid
+                stack.append(child)
+    tx_cost = program.tree.edges[nid][1]
     carry = [program.rx, tx_cost]
-    return carry * below + [tx_cost] + carry * (program.counts[nid] - 1 - below)
+    return carry * below + [tx_cost] + carry * (counts[nid] - 1 - below)
 
 
 def _hop_order_drains(program: RoundProgram) -> list[float]:
@@ -400,7 +382,6 @@ def _apply_rounds(
     for node, energy in zip(program.nodes, energies):
         node.energy = energy
     state.energy_ledger = ledger
-    state.sink_bits_last_step = program.delivered * state.energy.data_packet_bits
     state.packets_delivered += rounds * program.delivered
     state.packets_dropped += rounds * program.dropped
 
@@ -414,15 +395,13 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     debited and added to the ledger, and a battery drained to zero is a
     death, recorded by NetworkState.kill. A dead node is never drained, and
     the sink's battery is never drawn."""
-    origins, edges = routes.tree.origins, routes.tree.edges
-    energy = state.energy
-    bits = energy.data_packet_bits
-    rx_cost = rx_energy(energy, bits)
+    edges = routes.tree.edges
+    rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
     sink = state.sink.id
     nodes = state.nodes
     ledger = state.energy_ledger
     delivered = dropped = 0
-    for origin in origins:
+    for origin in edges:  # ascending id
         sender = nodes[origin]
         battery = sender.energy
         if battery <= 0.0:
@@ -457,7 +436,6 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
                 break
             current, sender = parent, receiver
     state.energy_ledger = ledger
-    state.sink_bits_last_step = delivered * bits
     state.packets_delivered += delivered
     state.packets_dropped += dropped
 
@@ -666,7 +644,7 @@ def _fast_forward(
         return 0
     routes = _routes(state)
     program = _program(state, routes)
-    if energy_triggered and len(program.nodes) < len(routes.tree.origins):
+    if energy_triggered and len(program.nodes) < len(routes.tree.edges):
         return 0  # a dead member trips the energy trigger on every step
     floors = [_DEATH_FLOOR] * len(program.nodes)
     if energy_triggered:

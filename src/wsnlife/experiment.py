@@ -183,6 +183,11 @@ def _round6(value: float) -> float:
     return float(f"{value:.6f}")
 
 
+def series_name(tc_name: str, tm_name: str, seed: int) -> str:
+    """The file name of one cell's series CSV."""
+    return f"series_{tc_name}_{tm_name}_seed{seed}.csv"
+
+
 def emit_series(result: RunResult, path: str | Path) -> Path:
     """Write the per-step metric series as CSV, coverages at 6 decimals."""
     path = Path(path)
@@ -322,8 +327,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
             raise RuntimeError(
                 f"run failed for tc={tc_name} tm={tm_name} seed={seed}: {exc}"
             ) from exc
-        series_path = out / f"series_{tc_name}_{tm_name}_seed{seed}.csv"
-        written.append(emit_series(result, series_path))
+        written.append(emit_series(result, out / series_name(tc_name, tm_name, seed)))
         rows.append(
             summarize(result, tc_name, tm_name, seed, config.deployment.node_count)
         )

@@ -189,7 +189,6 @@ class NetworkState:
     time: int = 0
     energy_ledger: float = 0.0
     death_step: dict[int, int] = field(default_factory=dict)
-    sink_bits_last_step: int = 0
     packets_delivered: int = 0
     packets_dropped: int = 0
     in_step: bool = False
