@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 from .errors import ConfigError
 from .metrics import alive_count, sense_probabilities
 from .model import NetworkState, Topology
-from .radio import rx_energy, tx_coefficients
+from .radio import QUANTIZER, rx_energy, tx_coefficients
 
 
 class TCProtocol(Enum):
@@ -66,7 +66,7 @@ def _grow(
     the charge is 1, and the charged nodes are the ones reached besides the
     sink. A candidate's distance is distance()'s hypot and its handshake
     costs rx_energy + tx_energy, both taken from hoisted terms with the
-    same bits."""
+    same bits, in whole quanta."""
     nodes, links = state.nodes, state.links
     radio, energy = state.radio, state.energy
     radius = radio.communication_radius
@@ -75,6 +75,7 @@ def _grow(
     control_bits = energy.control_packet_bits
     rx_cost = rx_energy(energy, control_bits)
     tx_elec, tx_amp = tx_coefficients(energy, control_bits)
+    quantizer = QUANTIZER
     hypot = math.hypot
     sink = state.sink.id
 
@@ -109,7 +110,7 @@ def _grow(
             appointed: set[int] = set()
             for _, cid, d, e in candidates:
                 # The candidate hears one hello and answers with its score.
-                cost = rx_cost + (tx_elec + tx_amp * d**2)
+                cost = rx_cost + ((tx_elec + tx_amp * d**2 + quantizer) - quantizer)
                 drained = e if e < cost else cost
                 spent[cid] = drained
                 if e - drained <= 0.0:

@@ -16,6 +16,7 @@ from .model import (
     Role,
     Topology,
 )
+from .radio import QUANTIZER
 
 
 @dataclass(frozen=True)
@@ -39,22 +40,24 @@ def deploy(
     The generator is Python's Mersenne Twister seeded with config.seed, drawn
     through random() only, node by node, x before y. That sequence is pinned:
     placements must be bit-stable across runs, so the generator is never
-    changed silently.
+    changed silently. Every battery starts at the initial energy rounded to
+    whole quanta.
     """
     rng = random.Random(config.seed)
     width, height = config.area.width, config.area.height
+    initial = (energy.initial_energy + QUANTIZER) - QUANTIZER
     nodes = [
         Node(
             id=SINK_ID,
             position=Point(width / 2.0, height / 2.0),
-            energy=energy.initial_energy,
+            energy=initial,
             role=Role.SINK,
         )
     ]
     for node_id in range(1, config.node_count):
         x = rng.random() * width
         y = rng.random() * height
-        nodes.append(Node(id=node_id, position=Point(x, y), energy=energy.initial_energy))
+        nodes.append(Node(id=node_id, position=Point(x, y), energy=initial))
     empty = Topology(active_set={SINK_ID}, parent={}, root=SINK_ID)
     return NetworkState(
         nodes=nodes, area=config.area, radio=radio, energy=energy, topology=empty

@@ -9,41 +9,30 @@ death is the only loss mechanism, and idle listening costs nothing.
 A node is alive exactly while its battery holds energy, so every liveness
 test reads the battery, and a drain that empties one calls
 NetworkState.kill to record the death step. Each tree caches its data round
-compiled over an alive set; a node that has died since has an empty
-battery, which drives its residual under the program to zero or below, so
-the step runs hop by hop and the next one recompiles. A compiled round is
-the packets each relay pays for, counted in one pass over the tree children
-first; the drains a relay takes, and the ledger's in hop order, are built
-from those counts only when a step reads them.
+compiled over an alive set, as each relay's drain over one round, counted
+in one pass over the tree children first; a node that has died since has an
+empty battery, which fails the program, so the step runs hop by hop and the
+next one recompiles.
+
+Every energy is a whole number of quanta (radio.QUANTUM), and the budget
+keeps every battery, drain and ledger value below 2^53 quanta, so every
+subtraction from a battery and every addition to the ledger is exact, in
+any order. So n rounds of a compiled round take n times its drain from each
+relay and add n times their sum to the ledger, bit for bit what n rounds
+drain by drain leave, and _jump computes them in one numpy pass.
 
 run() does not step through quiet stretches one at a time: steps on which
 no node dies and the trigger stays off (or, once a static rotation set is
 spent, fires only to re-stamp). There each battery and the ledger take the
 same drains every step, and _fast_forward moves them over the whole stretch
-at once with the same bits. Inside a binade of doubles every result of a
-subtraction or addition is rounded to one grid, so the same drains move a
-value by the same number of grid steps every time, unless a drain lies
-exactly halfway between two grid steps. A run of such moves is one exact
-multiply-add, and every other step is computed as it stands. Every
-eventful step goes through step(). A stretch runs through sample points:
-no alive set, role or position changes inside it, so one sample taken at
-its end stands for every stride point it crosses.
-
-A stretch, and the compiled round of a step, is one _jump. The grid steps
-of a round are counted from each relay's packets instead of found by a
-reduce over its drains: numpy finds at once every relay that stays inside
-its binade and above its floor, moves those by one exact multiply-add
-each, and leaves only the rest to _advance; the ledger's move is the sum
-of theirs, taken in its own grid. So a round builds the drains of the
-relays it walks, and the hop order only at the ledger's binade edges and
-ties.
+in one _jump. Every eventful step goes through step(). A stretch runs
+through sample points: no alive set, role or position changes inside it, so
+one sample taken at its end stands for every stride point it crosses.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, sub
 
 import numpy as np
 
@@ -76,7 +65,13 @@ from .metrics import (
     sink_reachable,
 )
 from .model import EnergyParams, NetworkState, Node, RadioParams, Role, SensingParams
-from .radio import rx_energy, tx_coefficients
+from .radio import QUANTIZER, QUANTUM, rx_energy, tx_coefficients
+
+# Every battery, drain and ledger value stays below 2^53 quanta, so that
+# each sum and difference of them is exact.
+_BUDGET_LIMIT = 2**53 * QUANTUM  # 8192 J
+# A residual of whole quanta above zero is at least one quantum.
+_DEATH_FLOOR = QUANTUM
 
 
 @dataclass(frozen=True)
@@ -137,6 +132,22 @@ def validate_config(config: SimConfig) -> None:
             "sensing.uncertainty_radius",
             "must be smaller than the sensing radius",
         )
+    energy = config.energy
+    # the batteries as deploy rounds them to whole quanta
+    budget = config.deployment.node_count * ((energy.initial_energy + QUANTIZER) - QUANTIZER)
+    if not 0.0 < budget < _BUDGET_LIMIT:
+        raise ConfigError(
+            "energy.initial_energy",
+            f"gives a budget of {budget} J in whole quanta (2^-40 J) over"
+            f" {config.deployment.node_count} nodes, not above 0 and under {_BUDGET_LIMIT:g} J",
+        )
+    for name in ("control_packet_bits", "data_packet_bits"):
+        if not 0.0 < rx_energy(energy, getattr(energy, name)) < math.inf:
+            raise ConfigError(
+                "energy.elec_energy_per_bit",
+                f"gives a receive cost of {name} that rounds to zero quanta (2^-40 J)"
+                " or is not finite",
+            )
     if config.tm is not None and config.trigger.kind is not config.tm.trigger_kind:
         raise ConfigError(
             "trigger.kind",
@@ -169,80 +180,41 @@ def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | N
 
 @dataclass(eq=False)
 class RoundProgram:
-    """A tree's data round compiled over one alive set, as packet counts,
-    valid while every node it charges is alive. nodes holds the charged
-    relays in ascending id; in their order, carried the packets each pays
-    for (its own and those it relays) and tx its transmit cost; rx is the
-    receive cost, so a relay's drains are carried - 1 receive costs and
-    carried transmit costs. delivered and dropped are the packets the round
-    delivers and drops. counts maps each relay's id to its carried count,
-    so its keys are the alive set. per_round is each relay's drain over one
-    round, (carried - 1) * rx + carried * tx, the denominator of _jump's
-    estimates.
-
-    The drains themselves are built only when read, and kept: each relay's
-    in order (relay_drains) and every drain in hop order, the ledger's
-    additions (drains)."""
+    """A tree's data round compiled over one alive set, valid while every
+    node it charges is alive. nodes holds the charged relays in ascending
+    id and per_round each one's drain over one round: a relay that pays for
+    k packets, its own and those it relays, takes k transmit drains and
+    k - 1 receive drains. spent is their sum, the ledger's addition, and
+    delivered and dropped are the packets the round delivers and drops."""
 
     nodes: list[Node]
-    carried: np.ndarray
-    tx: np.ndarray
-    rx: float
+    per_round: np.ndarray
+    spent: float
     delivered: int
     dropped: int
-    tree: Tree
-    counts: dict[int, int]
-    per_round: np.ndarray = field(init=False, repr=False)
-    relay_costs: list[list[float] | None] = field(init=False, repr=False)
-    hop_order: list[float] | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.per_round = (self.carried - 1.0) * self.rx + self.carried * self.tx
-        self.relay_costs = [None] * len(self.nodes)
-
-    def relay_drains(self, j: int) -> list[float]:
-        """The drains of relay j (in the order of nodes), in hop order."""
-        costs = self.relay_costs[j]
-        if costs is None:
-            costs = self.relay_costs[j] = _relay_drains(self, j)
-        return costs
-
-    def drains(self) -> list[float]:
-        """Every drain of the round in hop order."""
-        if self.hop_order is None:
-            self.hop_order = _hop_order_drains(self)
-        return self.hop_order
 
 
 @dataclass(eq=False)
 class Tree:
-    """An installed tree's shape: for each traffic origin, in ascending id,
-    its parent hop with the precomputed transmit cost; the origins children
-    first, each after its subtree; and each node's children in ascending
-    id."""
+    """An installed tree's routing cache, built on its first step: for each
+    traffic origin, in ascending id, its parent hop with the precomputed
+    transmit cost; the origins children first, each after its subtree; and
+    the round compiled over the latest alive set (one at a time)."""
 
     edges: dict[int, tuple[int, float]]
     upward: list[int]
-    children: dict[int, list[int]]
-
-
-@dataclass
-class Routes:
-    """Per-topology routing cache: the tree, and its round compiled over
-    the latest alive set (one at a time)."""
-
-    tree: Tree
     program: RoundProgram | None = None
 
 
-def _routes(state: NetworkState) -> Routes:
-    """The installed tree's routing cache, built on its first step. Each
-    edge's transmit cost is tx_energy's, from its hoisted terms."""
+def _routes(state: NetworkState) -> Tree:
+    """The installed tree, built on its first step. Each edge's transmit
+    cost is tx_energy's, from its hoisted terms."""
     topology = state.topology
     if topology.route_cache is not None:
         return topology.route_cache
     nodes = state.nodes
     elec, amp = tx_coefficients(state.energy, state.energy.data_packet_bits)
+    quantizer = QUANTIZER
     origins = sorted(topology.active_set - {topology.root})
     edges: dict[int, tuple[int, float]] = {}
     children: dict[int, list[int]] = {}
@@ -253,7 +225,7 @@ def _routes(state: NetworkState) -> Routes:
         dy = here.y - there.y
         # Must not become distance(): hypot differs on 23,418 of 141,742 pairs.
         hop = (dx * dx + dy * dy) ** 0.5
-        edges[nid] = (parent, elec + amp * hop**2)
+        edges[nid] = (parent, (elec + amp * hop**2 + quantizer) - quantizer)
         children.setdefault(parent, []).append(nid)
     downward = []  # depth first, each node before its subtree
     stack = list(children.get(topology.root, ()))
@@ -261,12 +233,13 @@ def _routes(state: NetworkState) -> Routes:
         nid = stack.pop()
         downward.append(nid)
         stack += children.get(nid, ())
-    topology.route_cache = Routes(Tree(edges, downward[::-1], children))
+    topology.route_cache = Tree(edges, downward[::-1])
     return topology.route_cache
 
 
-def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
-    """The round of _per_hop_round over the current alive set, as counts.
+def _compile_round(state: NetworkState, tree: Tree) -> RoundProgram:
+    """The round of _per_hop_round over the current alive set, as drains
+    per relay.
 
     A node's packet costs its own transmit drain, then, while the next hop
     is an alive relay, that relay's receive and transmit drains; it is
@@ -275,7 +248,6 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
     subtree, which one pass children first counts: each alive node adds
     its count to its parent's, or to the delivered packets at the sink."""
     nodes = state.nodes
-    tree = routes.tree
     edges = tree.edges
     sink = state.sink.id
     counts: dict[int, int] = {}
@@ -289,84 +261,43 @@ def _compile_round(state: NetworkState, routes: Routes) -> RoundProgram:
             elif nodes[parent].energy > 0.0:
                 counts[parent] = counts.get(parent, 0) + count
     ids = sorted(counts)
+    carried = np.array([counts[nid] for nid in ids], dtype=np.float64)
+    tx = np.array([edges[nid][1] for nid in ids])
+    rx = rx_energy(state.energy, state.energy.data_packet_bits)
+    per_round = (carried - 1.0) * rx + carried * tx
     return RoundProgram(
         [nodes[nid] for nid in ids],
-        np.array([counts[nid] for nid in ids], dtype=np.float64),
-        np.array([edges[nid][1] for nid in ids]),
-        rx_energy(state.energy, state.energy.data_packet_bits),
+        per_round,
+        float(per_round.sum()),
         delivered,
         len(ids) - delivered,
-        tree,
-        counts,
     )
 
 
-def _relay_drains(program: RoundProgram, j: int) -> list[float]:
-    """Relay j's drains in hop order. The round drains the paths of the
-    alive origins in ascending id, so the relay spends [tx] on its own
-    packet and [rx, tx] on each packet it carries, in the order of their
-    senders: `below` packets from the lower ids of its alive subtree before
-    its own and the rest after it. Its alive subtree is walked down the
-    children lists through the ids in counts, the alive set: a dead child
-    stops the packets of its whole subtree, so the walk skips it."""
-    nid = program.nodes[j].id
-    counts, children = program.counts, program.tree.children
-    below = 0
-    stack = [nid]
-    while stack:
-        for child in children.get(stack.pop(), ()):
-            if child in counts:
-                below += child < nid
-                stack.append(child)
-    tx_cost = program.tree.edges[nid][1]
-    carry = [program.rx, tx_cost]
-    return carry * below + [tx_cost] + carry * (counts[nid] - 1 - below)
-
-
-def _hop_order_drains(program: RoundProgram) -> list[float]:
-    """Every drain of the round in hop order: the path of each alive origin
-    in ascending id, where a node's path is [tx], then [rx] and its
-    parent's path while the parent is an alive relay. Built parents first,
-    so each path is built once, from its parent's."""
-    counts, edges, rx_cost = program.counts, program.tree.edges, program.rx
-    paths: dict[int, list[float]] = {}
-    for nid in reversed(program.tree.upward):
-        if nid in counts:
-            parent, tx_cost = edges[nid]
-            paths[nid] = [tx_cost, rx_cost] + paths[parent] if parent in paths else [tx_cost]
-    drains: list[float] = []
-    for node in program.nodes:
-        drains += paths[node.id]
-    return drains
-
-
-def _program(state: NetworkState, routes: Routes) -> RoundProgram:
+def _program(state: NetworkState, tree: Tree) -> RoundProgram:
     """The installed tree's round, compiled over the current alive set if
     the last one was dropped."""
-    if routes.program is None:
-        routes.program = _compile_round(state, routes)
-    return routes.program
+    if tree.program is None:
+        tree.program = _compile_round(state, tree)
+    return tree.program
 
 
 def _traffic(state: NetworkState) -> None:
     """Every alive active node sends one data packet up the tree.
 
-    On a step where no node dies the round is the same sequence of exact
-    subtractions every time, so it runs as the compiled program, one round
-    of _jump. A drain's result never exceeds the energy it was taken from,
-    so a final energy above zero means every drain on the way was taken in
-    full: the clamp never bit, nobody died, and each node's subtractions
-    and the ledger's additions are the per-hop round's own, in its order. A
-    node killed since the program was compiled has energy 0.0, so it fails
-    the same test. Otherwise the per-hop round runs on the untouched state,
-    and the next step compiles over the alive set it leaves."""
-    routes = _routes(state)
-    program = _program(state, routes)
-    floors = [_DEATH_FLOOR] * len(program.nodes)
-    rounds, energies, ledger = _jump(program, floors, 1, state.energy_ledger)
+    On a step where no node dies the round runs as the compiled program,
+    one round of _jump: every relay ends it at one quantum or more, so no
+    drain on the way was clamped and nobody died, and the exact drains give
+    the per-hop round's values. A node killed since the program was
+    compiled has energy 0.0, so it fails the same test. Otherwise the
+    per-hop round runs on the untouched state, and the next step compiles
+    over the alive set it leaves."""
+    tree = _routes(state)
+    program = _program(state, tree)
+    rounds, energies, ledger = _jump(program, _DEATH_FLOOR, 1, state.energy_ledger)
     if rounds == 0:
-        _per_hop_round(state, routes)
-        routes.program = None
+        _per_hop_round(state, tree)
+        tree.program = None
         return
     _apply_rounds(state, program, rounds, energies, ledger)
 
@@ -386,7 +317,7 @@ def _apply_rounds(
     state.packets_dropped += rounds * program.dropped
 
 
-def _per_hop_round(state: NetworkState, routes: Routes) -> None:
+def _per_hop_round(state: NetworkState, tree: Tree) -> None:
     """The data round hop by hop. Senders pay the transmit cost, receivers
     the receive cost; a node that dies mid-step drops the packet at the
     point of death and handles nothing further.
@@ -395,7 +326,7 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     debited and added to the ledger, and a battery drained to zero is a
     death, recorded by NetworkState.kill. A dead node is never drained, and
     the sink's battery is never drawn."""
-    edges = routes.tree.edges
+    edges = tree.edges
     rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
     sink = state.sink.id
     nodes = state.nodes
@@ -440,180 +371,31 @@ def _per_hop_round(state: NetworkState, routes: Routes) -> None:
     state.packets_dropped += dropped
 
 
-# A residual below the least positive double is at most zero: a death.
-_DEATH_FLOOR = math.ulp(0.0)
-# The grid steps from the bottom of a binade of doubles to its top.
-_BINADE_STEPS = 1 << 52
-# The bottom of the lowest binade whose grid step g has a finite 1/g.
-_CLOSED_FORM_MIN = math.ldexp(0.5, -970)
-
-
-def _advance(
-    x: float, costs: list[float], steps: int, floor: float = -math.inf
-) -> tuple[int, float]:
-    """Replace a battery x by reduce(sub, costs, x) up to `steps` times,
-    stopping before the first result below floor; return how many were
-    applied and the value. The costs are positive.
-
-    In the binade [lo, 2lo) every double is a multiple of g = ulp(lo). So a
-    correctly rounded x - c or x + c whose exact value lies in it is
-    x -/+ g*round(c/g), unless c/g is a half-integer: a tie, which rounds to
-    the even neighbour and so depends on x. While no cost is a tie and every
-    result stays in the binade with a grid step to spare, each application
-    therefore moves x by the same multiple of g, and k of them are one exact
-    multiply-add. Any other application (across a binade edge, on a tie, in
-    a binade so low that 1/g overflows, or the last one) is computed as it
-    stands. _safe_rounds and _ledger_after count the same moves from
-    packets.
-    """
-    done = 0
-    distinct = None
-    while done < steps:
-        y = reduce(sub, costs, x)
-        if y < floor:
-            break
-        done += 1
-        if steps - done > 1 and x >= _CLOSED_FORM_MIN:
-            if distinct is None:
-                distinct = set(costs)
-            exponent = math.frexp(x)[1]
-            lo = math.ldexp(0.5, exponent)
-            per_g = math.ldexp(1.0, 53 - exponent)  # 1 / g, a power of two
-            place = (y - lo) * per_g  # y's grid steps above lo
-            if 1.0 <= place < _BINADE_STEPS and not any(
-                (c * per_g) % 1.0 == 0.5 for c in distinct
-            ):
-                place = int(place)
-                drop = int((x - y) * per_g)  # exact: both on the grid
-                k = steps - done
-                if drop > 0:
-                    bottom = 1
-                    if floor > lo:  # on the grid too, as floor <= y
-                        bottom = max(bottom, int((floor - lo) * per_g))
-                    k = (place - bottom) // drop
-                k = min(k, steps - done)
-                y += k * (y - x)
-                done += k
-        x = y
-    return done, x
-
-
-def _grid_units(cost, lo, per_g):
-    """Each cost in grid steps of the binade at lo, rounded to the nearest
-    step, and whether it is a tie. A cost of a binade's width 2^52 steps or
-    more counts as 2^52 steps, so every count is an exact double; costs and
-    binades broadcast as numpy arrays or scalars."""
-    units = np.minimum(cost, lo) * per_g
-    return np.rint(units), units % 1.0 == 0.5
-
-
-def _safe_rounds(
-    program: RoundProgram, x: np.ndarray, floors: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each relay, at energy x, how many rounds of program surely move
-    it by the same grid steps each time, leaving it inside its binade with a
-    grid step to spare and at or above its floor; and the drop of one such
-    round. A round moves it by (carried - 1) * round(rx/g) +
-    carried * round(tx/g) steps when neither cost is a tie and the move is
-    under the binade's width. Elsewhere (and below _CLOSED_FORM_MIN) the
-    relay has no safe round and must be walked."""
-    exponent = np.frexp(np.maximum(x, _CLOSED_FORM_MIN))[1]
-    lo = np.ldexp(0.5, exponent)
-    per_g = np.ldexp(1.0, 53 - exponent)  # 1 / g, a power of two
-    carried = program.carried
-    rx_units, rx_tie = _grid_units(program.rx, lo, per_g)
-    tx_units, tx_tie = _grid_units(program.tx, lo, per_g)
-    move = (carried - 1.0) * rx_units + carried * tx_units
-    exact = (x >= _CLOSED_FORM_MIN) & ~(rx_tie | tx_tie) & (move < _BINADE_STEPS)
-    # Grid steps above lo: the battery's, and its floor's rounded up. A floor
-    # above x allows no round; one below lo leaves the spare step the bound.
-    place = (x - lo) * per_g
-    bottom = np.maximum(1.0, np.ceil((np.minimum(floors, x) - lo) * per_g))
-    spare = np.where(exact, place - bottom, -1.0)
-    safe = np.where(move > 0.0, spare // np.maximum(move, 1.0), np.inf)
-    return np.where(spare >= 0.0, safe, 0.0), move / per_g
-
-
-def _ledger_after(program: RoundProgram, ledger: float, rounds: int) -> float:
-    """The ledger after `rounds` rounds of program's drains in hop order,
-    one reduce(add) per round, bit for bit. Inside a binade the additions
-    move it by whole grid steps, as _advance's subtractions move a battery,
-    so each binade's move per round is counted from the relays' packets:
-    reduce runs only on the rounds that cross a binade edge, meet a tie or
-    start below _CLOSED_FORM_MIN."""
-    carried, tx = program.carried, program.tx
-    receives = float(carried.sum()) - len(program.nodes)
-    done = 0
-    while done < rounds:
-        k = 0
-        if ledger >= _CLOSED_FORM_MIN:
-            exponent = math.frexp(ledger)[1]
-            lo = math.ldexp(0.5, exponent)
-            per_g = math.ldexp(1.0, 53 - exponent)
-            rx_units, rx_tie = _grid_units(program.rx, lo, per_g)
-            tx_units, tx_tie = _grid_units(tx, lo, per_g)
-            move = float(receives * rx_units + carried @ tx_units)
-            if not (rx_tie or tx_tie.any()) and move < _BINADE_STEPS:
-                k = rounds - done
-                if move > 0.0:
-                    place = (ledger - lo) * per_g
-                    k = min(k, int((_BINADE_STEPS - 1 - place) // move))
-        if k > 0:
-            ledger += k * move / per_g
-            done += k
-        else:
-            ledger = reduce(add, program.drains(), ledger)
-            done += 1
-    return ledger
-
-
 def _jump(
-    program: RoundProgram, floors: list[float], rounds: int, ledger: float
+    program: RoundProgram, lowest: float | list[float], rounds: int, ledger: float
 ) -> tuple[int, list[float], float]:
     """Up to `rounds` rounds of program, stopping before the first round
-    that would leave a relay under its floor: the rounds taken, each relay's
-    energy after them (in the order of program.nodes) and the ledger's.
-    The values are those of reduce applied round by round, bit for bit. The
-    state is not changed; no round is taken when the first one fails.
+    that would leave a relay under `lowest`, its least allowed energy in
+    whole quanta (one for all, or one per relay in the order of
+    program.nodes): the rounds taken, each relay's energy after them and
+    the ledger's. The state is not changed; no round is taken when the
+    first one fails, and then no energies are returned.
 
-    Relays are independent of each other, so each is walked by _advance, as
-    far as the first round that would leave it under its floor. The relay
-    with the least estimated limit, energy above the floor over the round's
-    drains, is walked first. Once it has taken a round, a numpy pre-pass
-    (_safe_rounds) finds the relays that surely last the rounds in grid
-    steps, and applies them as one exact x - n*M*g; only the others are
-    walked, in ascending order of their estimates, so the first walks bound
-    the later ones and a relay is rarely walked twice. The limit is the
-    least one whatever the order. The first walk goes before the pre-pass
-    because a round on which some relay dies usually fails it. The ledger
-    moves by _ledger_after."""
-    nodes, costs = program.nodes, program.relay_drains
+    Drains only lower a battery, so a relay that ends the rounds at or
+    above lowest stayed there throughout. Every value is whole quanta, so
+    a relay lasts (x - lowest) // per_round rounds, a floor division of
+    integers times one quantum, which is exact; and n rounds are the exact
+    x - n * per_round and ledger + n * spent, the bits that n rounds drain
+    by drain leave."""
+    nodes = program.nodes
     if not nodes:
         return rounds, [], ledger  # nothing drains
-    energies = [node.energy for node in nodes]
-    x = np.array(energies)
-    estimates = (x - floors) / program.per_round
-    n = rounds
-    walked = []
-    limits = None  # each relay's safe rounds, once the first walk took one
-    for j in estimates.argsort(kind="stable").tolist():
-        if limits is not None and limits[j] >= n:
-            continue
-        done, energy = _advance(energies[j], costs(j), n, floors[j])
-        if done == 0:
-            return 0, energies, ledger
-        n = done
-        walked.append((j, done, energy))
-        if limits is None:
-            safe, drop = _safe_rounds(program, x, floors)
-            limits = safe.tolist()
-    after = (x - n * np.where(safe >= n, drop, 0.0)).tolist()
-    for j, done, energy in walked:
-        if done == n:
-            after[j] = energy
-        elif limits[j] < n:
-            after[j] = _advance(energies[j], costs(j), n)[1]
-    return n, after, _ledger_after(program, ledger, n)
+    x = np.array([node.energy for node in nodes])
+    per_round = program.per_round
+    n = min(rounds, int(((x - lowest) // per_round).min()))
+    if n < 1:
+        return 0, [], ledger
+    return n, (x - n * per_round).tolist(), ledger + n * program.spent
 
 
 def _fast_forward(
@@ -627,9 +409,10 @@ def _fast_forward(
 
     On such steps each relay's battery and the ledger take the compiled
     round's drains, and nothing else, so the stretch is one _jump as far as
-    the first step that would leave a relay at or below zero or under its
-    energy-trigger floor. Most relays move by counts of grid steps taken
-    from their packets, all at once; the others are walked one by one."""
+    the first step that would leave a relay at zero or under its
+    energy-trigger floor. A battery of whole quanta is at or above a floor
+    exactly when it is at or above the floor raised to whole quanta, which
+    is exact, as 1 / QUANTUM is a power of two."""
     room = config.max_steps - state.time
     policy = config.trigger
     retaining = energy_triggered = False
@@ -642,18 +425,16 @@ def _fast_forward(
             energy_triggered = True
     if room < 2:
         return 0
-    routes = _routes(state)
-    program = _program(state, routes)
-    if energy_triggered and len(program.nodes) < len(routes.tree.edges):
+    tree = _routes(state)
+    program = _program(state, tree)
+    if energy_triggered and len(program.nodes) < len(tree.edges):
         return 0  # a dead member trips the energy trigger on every step
-    floors = [_DEATH_FLOOR] * len(program.nodes)
+    lowest = _DEATH_FLOOR
     if energy_triggered:
         topology = state.topology
-        floors = [
-            max(_DEATH_FLOOR, energy_floor(policy, topology, node.id))
-            for node in program.nodes
-        ]
-    n, energies, ledger = _jump(program, floors, room, state.energy_ledger)
+        floors = (energy_floor(policy, topology, node.id) for node in program.nodes)
+        lowest = [max(_DEATH_FLOOR, math.ceil(f / QUANTUM) * QUANTUM) for f in floors]
+    n, energies, ledger = _jump(program, lowest, room, state.energy_ledger)
     if n == 0:
         return 0
     _apply_rounds(state, program, n, energies, ledger)

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError
 
 if TYPE_CHECKING:
-    from .engine import Routes
+    from .engine import Tree
 
 SINK_ID = 0
 
@@ -160,7 +160,7 @@ class Topology:
     coverage_promoted: set[int] = field(default_factory=set)
     # The engine's routing table for this tree, built on its first step,
     # with its data round compiled over the latest alive set.
-    route_cache: Routes | None = field(default=None, compare=False, repr=False)
+    route_cache: Tree | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass

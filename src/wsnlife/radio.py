@@ -4,12 +4,24 @@ Connectivity in the simulator itself uses the configured communication
 radius directly; received_power and comm_range are model utilities kept for
 validation and documentation. Energy dissipation follows the first-order
 radio model with a squared-distance amplifier term.
+
+Every energy the simulator holds is a whole number of quanta of QUANTUM =
+2^-40 J (about 0.9 pJ): each cost is rounded to its nearest quantum where it
+is made, and the initial battery once per deployment. Adding QUANTIZER =
+2^12 J and taking it away again is that rounding, ties to even, for any
+cost below 2^12 J (a larger one lands on a coarser grid of whole quanta).
+With every value whole quanta below 2^53 quanta = 8192 J, which
+validate_config holds the budget to, every subtraction from a battery and
+every addition to the ledger is exact.
 """
 from __future__ import annotations
 
 import math
 
 from .model import EnergyParams, RadioParams
+
+QUANTIZER = 4096.0
+QUANTUM = math.ulp(QUANTIZER)  # 2^-40 J
 
 
 def received_power(radio: RadioParams, d: float) -> float:
@@ -41,28 +53,29 @@ def comm_range(transceiver_constant: float, tx_power: float) -> float:
 
 def tx_coefficients(energy: EnergyParams, bits: float) -> tuple[float, float]:
     """The transmit cost of `bits` as (E_elec * k, E_amp * k): a hop of l
-    meters costs elec + amp * l**2, bit for bit tx_energy. Loops over many
-    hops of one packet size take these once."""
+    meters costs (elec + amp * l**2 + QUANTIZER) - QUANTIZER, bit for bit
+    tx_energy. Loops over many hops of one packet size take these once."""
     if bits < 0:
         raise ValueError("bits must be non-negative")
     return energy.elec_energy_per_bit * bits, energy.amp_energy_per_bit_m2 * bits
 
 
 def tx_energy(energy: EnergyParams, bits: float, dist: float) -> float:
-    """Transmit cost for `bits` over `dist` meters:
-    E_elec * k + E_amp * k * l^2.
+    """Transmit cost for `bits` over `dist` meters,
+    E_elec * k + E_amp * k * l^2, in whole quanta.
     """
     if dist < 0:
         raise ValueError("distance must be non-negative")
     elec, amp = tx_coefficients(energy, bits)
-    return elec + amp * dist**2
+    return (elec + amp * dist**2 + QUANTIZER) - QUANTIZER
 
 
 def rx_energy(energy: EnergyParams, bits: float) -> float:
-    """Receive cost for `bits`: electronics only, E_elec * k."""
+    """Receive cost for `bits`: electronics only, E_elec * k, in whole
+    quanta."""
     if bits < 0:
         raise ValueError("bits must be non-negative")
-    return energy.elec_energy_per_bit * bits
+    return (energy.elec_energy_per_bit * bits + QUANTIZER) - QUANTIZER
 
 
 def critical_transmission_range(n: int, f: str | float = "loglog") -> float:

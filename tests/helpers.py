@@ -34,6 +34,8 @@ def make_state(
             energy = EnergyParams(initial_energy=initial_energy)
         else:
             energy = EnergyParams()
+    # every battery in whole quanta of 2^-40 J, as deploy starts them
+    initial = round(energy.initial_energy * 2**40) / 2**40
     xs = [p[0] for p in positions]
     ys = [p[1] for p in positions]
     area = area or DeploymentArea(max(xs) + 100.0, max(ys) + 100.0)
@@ -43,7 +45,7 @@ def make_state(
         if roles and i in roles:
             role = roles[i]
         nodes.append(
-            Node(id=i, position=Point(x, y), energy=energy.initial_energy, role=role)
+            Node(id=i, position=Point(x, y), energy=initial, role=role)
         )
     state = NetworkState(
         nodes=nodes,

@@ -32,6 +32,14 @@ def test_validate_bad_config_exit_1(tmp_path, capsys):
     assert "trigger.kind" in capsys.readouterr().err
 
 
+def test_validate_budget_over_8192_joules_exit_1(tmp_path, capsys):
+    # 300 nodes of 30 J: 9000 J, past the 2^53 quanta of 2^-40 J that keep
+    # every energy sum exact
+    path = write_config(tmp_path, {"energy.initial_energy": 30.0})
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "energy.initial_energy" in capsys.readouterr().err
+
+
 def test_validate_null_output_dir_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, {**DESK, "output_dir": None})
     assert main(["validate", "--config", str(path)]) == 1

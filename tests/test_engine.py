@@ -2,8 +2,8 @@ import gc
 import math
 import random
 import weakref
-from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 from operator import add, sub
 from unittest import mock
@@ -21,6 +21,7 @@ from wsnlife import (
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
+    MaintenanceStrategy,
     Node,
     Point,
     RadioParams,
@@ -65,6 +66,11 @@ def small_config(**overrides):
     return SimConfig(**defaults)
 
 
+def quanta(joules):
+    """joules in whole quanta of 2^-40 J, the nearest, ties to even."""
+    return round(joules * 2**40)
+
+
 def test_family_mismatch_rejected():
     config = small_config(tm=TMProtocol.SGETROT, trigger=TT)
     with pytest.raises(ConfigError) as err:
@@ -87,6 +93,27 @@ def test_validate_names_offending_field():
             small_config(sensing=__import__("wsnlife").SensingParams(uncertainty_radius=20.0))
         )
     assert err.value.field == "sensing.uncertainty_radius"
+    # every energy is whole quanta of 2^-40 J below 2^53 quanta = 8192 J
+    for energy in (
+        EnergyParams(initial_energy=8192.0 / 40),
+        EnergyParams(initial_energy=2.0**-42),
+    ):
+        with pytest.raises(ConfigError) as err:
+            validate_config(small_config(energy=energy))
+        assert err.value.field == "energy.initial_energy"
+    # 40 batteries of the most whole quanta under 8192 J / 40
+    validate_config(small_config(energy=EnergyParams(initial_energy=8192.0 / 40 - 2.0**-40)))
+    for bits in ("control_packet_bits", "data_packet_bits"):
+        # at 2^-42 J a bit, 2 bits cost half a quantum, which rounds to even,
+        # zero, and 4 bits one quantum; at 1e306 J a bit, 1000 bits cost more
+        # than the largest double
+        for per_bit, size in ((2.0**-42, 2), (1e306, 1000)):
+            sizes = {"control_packet_bits": 4, "data_packet_bits": 4, bits: size}
+            energy = EnergyParams(elec_energy_per_bit=per_bit, **sizes)
+            with pytest.raises(ConfigError) as err:
+                validate_config(small_config(energy=energy))
+            assert err.value.field == "energy.elec_energy_per_bit"
+            assert bits in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -168,8 +195,8 @@ def test_two_node_per_step_cost():
     sink_before = state.sink.energy
     step(state, None, config, grid)
     cost = before - state.nodes[1].energy
-    assert cost == pytest.approx(7.5e-5, rel=1e-12)
-    assert cost == pytest.approx(tx_energy(config.energy, 1000, 50.0), rel=1e-12)
+    assert cost == quanta(7.5e-5) / 2**40  # the cost in whole quanta
+    assert cost == tx_energy(config.energy, 1000, 50.0)
     assert state.sink.energy == sink_before  # mains powered, never drained
 
 
@@ -233,12 +260,14 @@ def test_ledger_identity_across_run():
     config = small_config(max_steps=80, metrics_stride=8)
     state, strategy = initialize(config)
     grid = CoverageGrid(state.area, config.grid_cell)
-    initial = config.energy.initial_energy * (len(state.nodes) - 1)
+    # every battery starts at the initial energy in whole quanta, and every
+    # sum below is of whole quanta, so exact
+    initial = quanta(config.energy.initial_energy) / 2**40 * (len(state.nodes) - 1)
 
     def ledger_holds():
         current = sum(n.energy for n in state.nodes if n.id != 0)
         spent = initial - current
-        assert math.isclose(spent, state.energy_ledger, rel_tol=1e-9, abs_tol=1e-15)
+        assert spent == state.energy_ledger
 
     ledger_holds()
     while state.time < config.max_steps:
@@ -378,10 +407,12 @@ def _random_tree_state(positions, order, parent_picks, budgets, dead):
     for nid, (kind, scale) in budgets.items():
         if not state.nodes[nid].alive:
             continue
-        _, tx_cost = engine._routes(state).tree.edges[nid]
+        _, tx_cost = engine._routes(state).edges[nid]
         # "exact": a battery of one or two transmit costs, which the node's
-        # own drains take to exactly 0.0; otherwise a few rounds' worth
-        state.nodes[nid].energy = scale * tx_cost if kind == "exact" else scale * 1e-3
+        # own drains take to exactly 0.0; otherwise a few rounds' worth, in
+        # whole quanta like every battery
+        joules = scale * tx_cost if kind == "exact" else quanta(scale * 1e-3) / 2**40
+        state.nodes[nid].energy = joules
     return state
 
 
@@ -402,8 +433,8 @@ def test_compiled_round_matches_per_hop_round(data):
     budgets = {nid: data.draw(budget) for nid in range(1, n)}
     dead = data.draw(st.lists(st.sampled_from(range(1, n)), unique=True, max_size=2))
     steps = data.draw(st.integers(min_value=1, max_value=40))
-    # a ledger already holding earlier charges rounds each addition
-    ledger = data.draw(st.floats(min_value=0.0, max_value=1e-2))
+    # a ledger already holding earlier charges, in whole quanta up to 1e-2 J
+    ledger = data.draw(st.integers(0, 10**10)) / 2**40
     # a node killed between two steps, as maintenance's control traffic may
     killed = data.draw(
         st.none() | st.tuples(st.integers(0, steps - 1), st.integers(1, n - 1))
@@ -430,7 +461,7 @@ def test_compiled_round_matches_per_hop_round(data):
     assert compiled.death_step == reference.death_step
 
 
-def recorded_round(state, routes):
+def recorded_round(state, tree):
     """The data round walked hop by hop over the alive set, each drain
     recorded instead of applied: every drain in hop order, each node's own
     drains, and the packets delivered and dropped."""
@@ -438,12 +469,12 @@ def recorded_round(state, routes):
     nodes = state.nodes
     drains, own = [], {}
     delivered = dropped = 0
-    for origin in routes.tree.edges:
+    for origin in tree.edges:
         if not nodes[origin].alive:
             continue
         current = origin
         while True:
-            parent, tx_cost = routes.tree.edges[current]
+            parent, tx_cost = tree.edges[current]
             drains.append(tx_cost)
             own.setdefault(current, []).append(tx_cost)
             if parent == state.sink.id:
@@ -464,7 +495,8 @@ def _deep_tree_state(seed, n, fan):
     own id, and each node's parent is one of the `fan` nodes placed just
     before it, so chains run deep. A few relays with a parent and a child
     are dead, and a tenth of the batteries last only a few rounds: a leaf's
-    one or two transmit costs exactly, or 0.5 to 5 rounds of its drains."""
+    one or two transmit costs exactly, or 0.5 to 5 rounds of its drains in
+    whole quanta."""
     rng = random.Random(seed)
     positions = [(0.0, 0.0)] + [
         (rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)) for _ in range(n - 1)
@@ -488,7 +520,7 @@ def _deep_tree_state(seed, n, fan):
         if len(own[nid]) == 1:
             state.nodes[nid].energy = rng.choice([1.0, 2.0]) * own[nid][0]
         else:
-            state.nodes[nid].energy = rng.uniform(0.5, 5.0) * sum(own[nid])
+            state.nodes[nid].energy = quanta(rng.uniform(0.5, 5.0) * sum(own[nid])) / 2**40
     return state, dead
 
 
@@ -501,7 +533,7 @@ def _deep_tree_state(seed, n, fan):
 )
 def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
     state, dead = _deep_tree_state(seed, n, fan)
-    routes = engine._routes(state)
+    tree = engine._routes(state)
     parent = state.topology.parent
     # the scenarios this test exists for: a relay that carries packets from
     # ids on both sides of its own, and a dead relay between two live hops
@@ -514,19 +546,25 @@ def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
         parent[d] != 0 and any(p == d and state.nodes[c].alive for c, p in parent.items())
         for d in dead
     )
-    program = engine._compile_round(state, routes)
-    drains, own, delivered, dropped = recorded_round(state, routes)
-    assert_program_matches_recorded(program, drains, own, random.Random(seed))
+    # each relay's drain over the round is the sum of its recorded drains,
+    # and the ledger's the sum of them all; sums of whole quanta are exact
+    program = engine._compile_round(state, tree)
+    drains, own, delivered, dropped = recorded_round(state, tree)
+    assert [node.id for node in program.nodes] == sorted(own)
+    assert program.per_round.tolist() == [sum(own[nid]) for nid in sorted(own)]
+    assert program.spent == sum(drains)
     assert (program.delivered, program.dropped) == (delivered, dropped)
     assert dropped > 0
 
+    config = SimConfig(tm=None, max_steps=steps, metrics_stride=steps)
     compiled, _ = _deep_tree_state(seed, n, fan)
     reference, _ = _deep_tree_state(seed, n, fan)
+    grid = CoverageGrid(compiled.area, config.grid_cell)
     for _ in range(steps):
-        engine._traffic(compiled)
-        engine._per_hop_round(reference, engine._routes(reference))
-        compiled.time += 1
-        reference.time += 1
+        step(compiled, None, config, grid)
+    with mock.patch.object(engine, "_traffic", per_hop):
+        for _ in range(steps):
+            step(reference, None, config, grid)
     assert [nd.energy.hex() for nd in compiled.nodes] == [
         nd.energy.hex() for nd in reference.nodes
     ]
@@ -536,22 +574,10 @@ def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
     assert compiled.death_step == reference.death_step
 
 
-def assert_program_matches_recorded(program, drains, own, rng):
-    """The program's counts, and its drains built on demand, are the
-    recorded round's: each relay's, read in a shuffled order, and the hop
-    order, read after them; nothing is built before it is read."""
-    assert [node.id for node in program.nodes] == sorted(own)
-    assert program.relay_costs == [None] * len(own) and program.hop_order is None
-    for j, nid in enumerate(sorted(own)):
-        assert program.carried[j] == (len(own[nid]) + 1) / 2
-        assert program.tx[j].hex() == own[nid][-1].hex()
-    reads = list(enumerate(sorted(own)))
-    rng.shuffle(reads)
-    for j, nid in reads:
-        assert [c.hex() for c in program.relay_drains(j)] == [c.hex() for c in own[nid]]
-    assert [c.hex() for c in program.drains()] == [c.hex() for c in drains]
-    assert program.relay_drains(0) is program.relay_drains(0)  # kept once built
-    assert program.drains() is program.drains()
+def per_hop(state):
+    """engine._traffic as the hop-by-hop round alone, which shares no code
+    with _jump."""
+    engine._per_hop_round(state, engine._routes(state))
 
 
 def _descendant_id_range(parent):
@@ -579,7 +605,7 @@ def test_replaced_topology_is_freed_without_the_cycle_collector():
         step(state, strategy, config, grid)
         routes = state.topology.route_cache
         assert routes.program is not None
-        held = [state.topology, routes, routes.tree, routes.program]
+        held = [state.topology, routes, routes.program, routes.program.per_round]
         refs = [weakref.ref(obj) for obj in held]
         del routes, held
         for _ in range(config.trigger.period + 1):
@@ -596,27 +622,27 @@ def test_kill_between_steps_recompiles_round():
     state = make_state([(0.0, 0.0), (80.0, 0.0), (160.0, 0.0), (240.0, 0.0)])
     topology = Topology(active_set={0, 1, 2, 3}, parent={1: 0, 2: 1, 3: 2}, root=0)
     activate_topology(state, topology)
-    engine._traffic(state)
+    config = SimConfig(tm=None, max_steps=10, metrics_stride=10)
+    grid = CoverageGrid(state.area, config.grid_cell)
+    tx = tx_energy(state.energy, state.energy.data_packet_bits, 80.0)
+    step(state, None, config, grid)
     program = topology.route_cache.program
     assert (program.delivered, program.dropped) == (3, 0)
-    engine._traffic(state)
+    step(state, None, config, grid)
     assert topology.route_cache.program is program  # nobody died: reused
     state.kill(2)
     before = state.nodes[3].energy
-    engine._traffic(state)  # node 2's zeroed battery fails the program: hop by hop
+    step(state, None, config, grid)  # node 2's zeroed battery fails the program: hop by hop
     assert state.packets_delivered == 3 + 3 + 1
     assert state.packets_dropped == 1
-    assert state.nodes[3].energy == before - topology.route_cache.tree.edges[3][1]
+    assert state.nodes[3].energy == before - tx
     assert topology.route_cache.program is None
-    engine._traffic(state)  # compiled over the alive set that round left
+    step(state, None, config, grid)  # compiled over the alive set that round left
     program = topology.route_cache.program
     assert (program.delivered, program.dropped) == (1, 1)
     assert [node.id for node in program.nodes] == [1, 3]
-    assert program.carried.tolist() == [1.0, 1.0]
-    tx = topology.route_cache.tree.edges
-    assert program.relay_drains(0) == [tx[1][1]]
-    assert program.relay_drains(1) == [tx[3][1]]
-    assert program.drains() == [tx[1][1], tx[3][1]]
+    assert program.per_round.tolist() == [tx, tx]
+    assert (state.packets_delivered, state.packets_dropped) == (8, 2)
 
 
 def test_relay_drains_stop_at_nested_dead_hops():
@@ -626,17 +652,22 @@ def test_relay_drains_stop_at_nested_dead_hops():
     positions = [(0.0, 0.0)] + [(10.0 * nid, 5.0) for nid in range(1, 12)]
     state = make_state(positions, dead=[2, 3, 9])
     activate_topology(state, Topology(active_set={0, *parent}, parent=parent, root=0))
-    routes = engine._routes(state)
-    program = engine._compile_round(state, routes)
-    drains, own, delivered, dropped = recorded_round(state, routes)
+    tree = engine._routes(state)
+    program = engine._compile_round(state, tree)
+    drains, own, delivered, dropped = recorded_round(state, tree)
     assert (delivered, dropped) == (4, 4)  # 5, 4, 6, 8; and 7, 1, 10, 11
-    assert program.carried.tolist() == [1, 2, 4, 1, 2, 1, 1, 1]  # 1 4 5 6 7 8 10 11
-    assert_program_matches_recorded(program, drains, own, random.Random(0))
+    # a relay that carries k packets takes k transmit and k - 1 receive drains
+    assert [node.id for node in program.nodes] == [1, 4, 5, 6, 7, 8, 10, 11]
+    assert [(len(own[nid]) + 1) // 2 for nid in sorted(own)] == [1, 2, 4, 1, 2, 1, 1, 1]
+    assert program.per_round.tolist() == [sum(own[nid]) for nid in sorted(own)]
+    assert program.spent == sum(drains)
     assert (program.delivered, program.dropped) == (delivered, dropped)
 
 
 def iterated(x, op, costs, steps, floor=-math.inf):
-    """engine._advance's reference: one reduce per step."""
+    """_jump's reference: one reduce of the drains per round, stopping
+    before a round that would leave x under floor; the rounds taken and x
+    after them."""
     done = 0
     while done < steps:
         y = reduce(op, costs, x)
@@ -646,58 +677,204 @@ def iterated(x, op, costs, steps, floor=-math.inf):
     return done, x
 
 
-G = 2.0**-53  # the grid of the binade [0.5, 1)
-ADVANCE_CASES = {
-    # from an odd grid place the tie rounds to 1001 grid steps, then to
-    # 1000 from every even place after: the decrement is not constant
-    "tie": (0.75 + G, sub, [1000.5 * G], 60, -math.inf),
-    "tie among others": (0.75 + G, sub, [7.5e-5, 1000.5 * G, 5e-5], 60, -math.inf),
-    "at a binade edge": (0.5, sub, [7.5e-5, 5e-5], 300, -math.inf),
-    "a grid step above an edge": (0.5 + G, sub, [7.5e-5, 5e-5], 300, -math.inf),
-    # the step onto 0.5 is exactly 0.5 - 0.375 G, which rounds to the finer
-    # grid below the edge, to 0.5 - 0.5 G
-    "onto an edge": (0.5 + 5000 * G, sub, [1000.375 * G], 8, -math.inf),
-    "reaches an edge": (0.5 + 1000 * 1.25e-4, sub, [7.5e-5, 5e-5], 3000, -math.inf),
-    "drained to zero": (1e-3, sub, [7.5e-5, 5e-5], 100, engine._DEATH_FLOOR),
-    "drained exactly to zero": (2.5e-4, sub, [1.25e-4], 100, engine._DEATH_FLOOR),
-    "energy-trigger floor": (0.9, sub, [7.5e-5, 5e-5], 5000, 0.6 * 0.9),
-    # the ledger's additions, by _ledger_after on a round of one-packet
-    # relays whose drains in hop order are the costs
-    "ledger crosses upward": (1.0 - 3e-3, add, [7.5e-5, 5e-5, 1.2e-4] * 20, 400, -math.inf),
-    "ledger from zero": (0.0, add, [7.5e-5, 5e-5], 50, -math.inf),
+def jump_program(rx, relays, order=None):
+    """A RoundProgram of relays given as (energy, tx, carried, below), with
+    rx the receive cost, and the round's drains: each relay's, charged in
+    the order a round charges them, and every drain, in `order` (a
+    permutation) or one relay after another. No tree stands behind it."""
+    nodes, charged = [], []
+    for j, (energy, tx, carried, below) in enumerate(relays):
+        carry = [rx, tx]
+        charged.append(carry * below + [tx] + carry * (carried - 1 - below))
+        nodes.append(Node(id=j + 1, position=Point(0.0, 0.0), energy=energy, role=Role.ACTIVE))
+    drains = [c for costs in charged for c in costs]
+    if order is not None:
+        drains = [drains[i] for i in order]
+    program = engine.RoundProgram(
+        nodes=nodes,
+        per_round=np.array([sum(costs) for costs in charged], dtype=np.float64),
+        spent=sum(drains),
+        delivered=0,
+        dropped=0,
+    )
+    return program, charged, drains
+
+
+def iterated_jump(energies, charged, drains, floors, rounds, ledger):
+    """engine._jump's reference: every relay and the ledger by iterated."""
+    n = min(
+        [rounds]
+        + [
+            iterated(x, sub, c, rounds, floor)[0]
+            for x, c, floor in zip(energies, charged, floors)
+        ]
+    )
+    if n == 0:
+        return 0, [], ledger
+    return (
+        n,
+        [iterated(x, sub, c, n)[1] for x, c in zip(energies, charged)],
+        iterated(ledger, add, drains, n)[1],
+    )
+
+
+def assert_jump_matches_iterated(rx, relays, floors, rounds, ledger, order=None):
+    """_jump, given each floor raised to whole quanta as _fast_forward
+    raises it, agrees with iterated on the rounds taken and, by float.hex,
+    every relay and the ledger; the program's nodes are left as they were."""
+    program, charged, drains = jump_program(rx, relays, order)
+    energies = [node.energy for node in program.nodes]
+    want, after, ledger_after = iterated_jump(energies, charged, drains, floors, rounds, ledger)
+    lowest = [math.ceil(f * 2**40) / 2**40 for f in floors]
+    n, got, got_ledger = engine._jump(program, lowest, rounds, ledger)
+    assert (n, [e.hex() for e in got], got_ledger.hex()) == (
+        want,
+        [e.hex() for e in after],
+        ledger_after.hex(),
+    )
+    assert [node.energy for node in program.nodes] == energies
+
+
+Q = 2.0**-40  # one quantum
+DF = Q  # the death floor: a battery of whole quanta is alive from one up
+
+
+def whole(joules):
+    """joules rounded to whole quanta."""
+    return quanta(joules) / 2**40
+
+
+# name: (rx, [(energy, tx, carried, below)], floors, rounds, ledger), in
+# joules; _jump sees rx, every energy and tx, and the ledger rounded to
+# whole quanta, and each floor raised to them. The cases put a battery,
+# a floor or the ledger at an edge of float arithmetic (a binade edge, a
+# cost that was a half-quantum tie, the fewest quanta, joules of drains on
+# a ledger of one quantum), where a subtraction of floats that were not
+# whole quanta would round.
+JUMP_CASES = {
+    "receive cost a tie": (1000.5 * Q, [(0.75 + Q, 7.5e-5, 3, 1)], [DF], 60, 0.3),
+    "transmit cost a tie": (5e-5, [(0.75 + Q, 1001.5 * Q, 2, 0)], [DF], 60, 0.3),
+    "a tie among safe relays": (
+        5e-5,
+        [(0.75, 7.5e-5, 2, 1), (0.75 + Q, 1000.5 * Q, 1, 0), (0.9, 6e-5, 4, 2)],
+        [DF] * 3,
+        60,
+        0.3,
+    ),
+    "a tie on the ledger only": (1000.5 * Q, [(3.0, 7.5e-5, 2, 1)], [DF], 60, 0.75 + Q),
+    "at a binade edge": (5e-5, [(0.5, 7.5e-5, 2, 0)], [DF], 300, 0.3),
+    "a grid step above an edge": (5e-5, [(0.5 + Q, 7.5e-5, 2, 1)], [DF], 300, 0.3),
+    # the fifth round lands on 0.5 exactly
+    "onto an edge": (5e-5, [(0.5 + 5000 * Q, 1000 * Q, 1, 0)], [DF], 8, 0.3),
+    "onto an edge among safe relays": (
+        5e-5,
+        [(0.9, 7.5e-5, 2, 1), (0.5 + 5000 * Q, 1000 * Q, 1, 0), (0.7, 6e-5, 3, 0)],
+        [DF] * 3,
+        8,
+        0.3,
+    ),
+    # the other relay cuts the rounds to the fifth
+    "onto an edge on the last round": (
+        5e-5,
+        [(1e-3, 1.9e-4, 1, 0), (0.5 + 5000 * Q, 1000 * Q, 1, 0)],
+        [DF] * 2,
+        8,
+        0.3,
+    ),
+    "a floor inside the binade": (5e-5, [(0.9, 7.5e-5, 2, 1)], [0.6 * 0.9], 5000, 0.3),
+    # the third round lands on the floor exactly, which it may
+    "a floor on the grid": (
+        5e-5,
+        [(0.5 + 5000 * Q, 1000 * Q, 1, 0), (0.8, 6e-5, 2, 1)],
+        [0.5 + 2000 * Q, DF],
+        50,
+        0.3,
+    ),
+    "a floor below the binade": (5e-5, [(0.6, 7.5e-5, 2, 1)], [0.3], 5000, 0.3),
+    "a floor above the energy": (5e-5, [(0.9, 7.5e-5, 2, 1), (0.6, 6e-5, 1, 0)], [DF, 0.7], 20, 0.3),
+    "drained to zero": (5e-5, [(1e-3, 7.5e-5, 2, 1), (0.7, 6e-5, 1, 0)], [DF] * 2, 100, 0.3),
+    "walks cut the safe ones": (
+        5e-5,
+        [(0.9, 7.5e-5, 3, 1), (0.5 + 7e-4, 7.5e-5, 2, 0), (2.5e-3, 1e-4, 2, 1)],
+        [DF, DF, 0.5 * 2.5e-3],
+        200,
+        0.3,
+    ),
+    # batteries and drains of a few quanta; the second relay ends on one
+    "near the closed form's floor": (
+        Q,
+        [(40 * Q, 2 * Q, 2, 1), (7 * Q, 2 * Q, 1, 0), (90 * Q, 4 * Q, 2, 0)],
+        [DF] * 3,
+        40,
+        Q,
+    ),
+    "ledger from zero": (5e-5, [(0.9, 7.5e-5, 3, 1)], [DF], 50, 0.0),
+    "ledger from the least double": (5e-5, [(0.9, 7.5e-5, 3, 1)], [DF], 50, Q),
+    "ledger below the closed form": (Q, [(0.9, 32 * Q, 1, 0)], [DF], 50, Q),
+    "ledger at the closed form's floor, drains of joules": (2.5, [(1000.0, 3.0, 2, 1)], [DF], 30, Q),
+    "ledger crosses upward": (1.2e-4, [(0.9, 7.5e-5, 20, 5), (0.6, 5e-5, 20, 15)], [DF] * 2, 400, 1.0 - 3e-3),
+    "ledger climbing into it": (
+        Q,
+        [(0.9, 2**22 * Q, 1, 0), (0.9, Q, 1, 0)],
+        [DF] * 2,
+        80,
+        2 * Q,
+    ),
+    "no relays": (5e-5, [], [], 50, 0.3),
 }
 
 
-@pytest.mark.parametrize("case", list(ADVANCE_CASES))
-def test_advance_matches_iterated_reduce(case):
-    x, op, costs, steps, floor = ADVANCE_CASES[case]
-    for limit in (1, 2, steps // 3, steps):
-        if op is sub:
-            done, value = engine._advance(x, costs, limit, floor)
-        else:
-            program = jump_program(5e-5, [(0.9, c, 1, 0) for c in costs])
-            assert program.drains() == costs
-            done, value = limit, engine._ledger_after(program, x, limit)
-        want_done, want = iterated(x, op, costs, limit, floor)
-        assert (done, value.hex()) == (want_done, want.hex())
+@pytest.mark.parametrize("case", list(JUMP_CASES))
+def test_jump_matches_iterated(case):
+    rx, relays, floors, rounds, ledger = JUMP_CASES[case]
+    relays = [(whole(x), whole(tx), carried, below) for x, tx, carried, below in relays]
+    for limit in (1, 2, rounds // 3, rounds):
+        assert_jump_matches_iterated(whole(rx), relays, floors, limit, whole(ledger))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_advance_matches_iterated_reduce_random(data):
-    x = data.draw(st.floats(min_value=1e-4, max_value=8.0))
-    grid = math.ulp(2.0 ** (math.frexp(x)[1] - 1))
-    plain = st.floats(min_value=1e-7, max_value=1e-3)
-    tie = st.integers(0, 10**6).map(lambda m: (m + 0.5) * grid)
-    costs = data.draw(st.lists(plain | tie, min_size=1, max_size=6))
-    steps = data.draw(st.integers(1, 1000))
-    floor = data.draw(
-        st.sampled_from([-math.inf, engine._DEATH_FLOOR])
-        | st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * x)
+def test_jump_matches_iterated_random(data):
+    # energies, costs and the ledger in whole quanta, drawn around one
+    # binade [lo, 2 lo) and among the fewest quanta; floors anywhere
+    lo = 2.0 ** data.draw(st.integers(-12, 1))
+    energy = st.one_of(
+        st.sampled_from([lo, lo + Q, 2 * lo - Q, Q, 2 * Q]),
+        st.integers(0, 64).map(lambda j: lo + j * Q),
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True).map(lambda f: whole(f * lo)),
     )
-    done, value = engine._advance(x, costs, steps, floor)
-    want_done, want = iterated(x, sub, costs, steps, floor)
-    assert (done, value.hex()) == (want_done, want.hex())
+    cost = st.one_of(
+        st.floats(min_value=1e-9, max_value=1e-3).map(lambda f: max(Q, whole(f * lo))),
+        st.integers(1, 10**6).map(lambda m: m * Q),
+    )
+    rx = data.draw(cost)
+    relays = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        carried = data.draw(st.integers(1, 4))
+        below = data.draw(st.integers(0, carried - 1))
+        relays.append((data.draw(energy), data.draw(cost), carried, below))
+    floors = [
+        data.draw(
+            st.one_of(
+                st.just(DF),
+                st.integers(0, 64).map(lambda j: lo + j * Q),
+                st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * x),
+                st.sampled_from([x, x + Q]),
+            )
+        )
+        for x, *_ in relays
+    ]
+    drain_count = sum(2 * r[2] - 1 for r in relays)
+    order = data.draw(st.permutations(range(drain_count)))
+    ledger = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, Q, 2 * Q]),
+            energy,
+            st.floats(min_value=0.0, max_value=4.0).map(whole),
+        )
+    )
+    rounds = data.draw(st.integers(1, 300))
+    assert_jump_matches_iterated(rx, relays, floors, rounds, ledger, order)
 
 
 def run_keeping_state(config, fast_forward=True):
@@ -760,6 +937,111 @@ def test_fast_forward_matches_step_loop(tm, tc, data):
     assert activation_stamp(fast_state) == activation_stamp(plain_state)
     alives = [s.alive for s in fast.series]
     assert all(a >= b for a, b in zip(alives, alives[1:]))
+    # every battery and the ledger are whole quanta of 2^-40 J, so nothing
+    # was lost to rounding: the ledger and the residuals add up to the
+    # initial budget exactly
+    residuals = [n.energy for n in fast_state.nodes if n.id != 0]
+    assert all((e * 2**40).is_integer() for e in [*residuals, fast_state.energy_ledger])
+    initial = quanta(config.energy.initial_energy) / 2**40
+    assert fast_state.energy_ledger + sum(residuals) == len(residuals) * initial
+
+
+def packet_costs(positions, parent):
+    """The costs of one data packet in quanta under the default energy
+    model: the receive cost, and each node's transmit cost over its hop.
+    Every coordinate is a whole number of meters and every hop lies along
+    an axis, so each hop length and its square are exact."""
+    energy = EnergyParams()
+    bits = energy.data_packet_bits
+    elec = energy.elec_energy_per_bit * bits
+    amp = energy.amp_energy_per_bit_m2 * bits
+    tx = {}
+    for nid, pid in parent.items():
+        (x, y), (px, py) = positions[nid], positions[pid]
+        tx[nid] = quanta(elec + amp * (abs(x - px) + abs(y - py)) ** 2)
+    return quanta(elec), tx
+
+
+def run_hand_built(positions, parent, batteries, max_steps=1000, **overrides):
+    """run() on a hand-built tree in place of a deployment, every node of it
+    active, with the batteries given in quanta; without maintenance unless
+    the overrides of the config name a tm."""
+    state = make_state(positions)
+    for nid, joules in batteries.items():
+        state.nodes[nid].energy = joules / 2**40
+    activate_topology(state, Topology(active_set={0, *parent}, parent=parent, root=0))
+    config = SimConfig(
+        **{"tm": None, "max_steps": max_steps, "metrics_stride": max_steps, **overrides}
+    )
+    strategy = None if config.tm is None else MaintenanceStrategy(config.tm.strategy_kind)
+    with mock.patch.object(engine, "initialize", lambda cfg: (state, strategy)):
+        return run(config)
+
+
+def test_star_leaves_die_at_their_closed_form_step():
+    # each leaf is one hop from the sink, so a battery of E quanta and a
+    # transmit cost of tx quanta last ceil(E / tx) rounds; some batteries
+    # are whole multiples of the cost, and run dry exactly. The costs of
+    # leaves 1 and 4 lie 0.99 and 0.9 of a quantum above a whole one, and
+    # that of leaf 5 0.03 above: rounded down, or up, they die a step late
+    distances = {1: 17, 2: 35, 3: 50, 4: 63, 5: 99}
+    positions = [(100.0, 100.0)] + [
+        (100.0 + d, 100.0) if nid % 2 else (100.0, 100.0 + d) for nid, d in distances.items()
+    ]
+    parent = dict.fromkeys(distances, 0)
+    _, tx = packet_costs(positions, parent)
+    rounds = {1: 7, 2: 12, 3: 12, 4: 30, 5: 45}
+    extra = {1: 0, 2: 1, 3: -1, 4: 0, 5: 1}
+    batteries = {nid: rounds[nid] * tx[nid] + extra[nid] for nid in distances}
+    want = {nid: -(-batteries[nid] // tx[nid]) for nid in distances}
+    assert want == {1: 7, 2: 13, 3: 12, 4: 30, 5: 46}
+    assert run_hand_built(positions, parent, batteries).death_times == want
+
+
+def test_chain_first_death_at_its_closed_form_step():
+    # sink <- 1 <- 2 <- 3 along the x axis: relay i pays for its own packet
+    # and every packet behind it, k_i transmits and k_i - 1 receives a
+    # round, so the first death is at the least ceil(E_i / drain_i); relay
+    # 2, whose hop is the longest, is first, and its battery is a whole
+    # multiple of its drain
+    positions = [(100.0, 100.0), (110.0, 100.0), (209.0, 100.0), (259.0, 100.0)]
+    parent = {1: 0, 2: 1, 3: 2}
+    carried = {1: 3, 2: 2, 3: 1}
+    rx, tx = packet_costs(positions, parent)
+    drain = {nid: k * tx[nid] + (k - 1) * rx for nid, k in carried.items()}
+    batteries = {1: quanta(5e-3), 2: 15 * drain[2], 3: quanta(5e-3)}
+    lasts = {nid: -(-batteries[nid] // drain[nid]) for nid in parent}
+    assert lasts[2] == 15 and min(lasts[1], lasts[3]) > 15
+    deaths = run_hand_built(positions, parent, batteries).death_times
+    assert min(deaths.values()) == deaths[2] == 15
+
+
+def test_energy_trigger_fires_at_its_closed_form_step():
+    # one leaf 50 m from the sink, activated with 1 J, so its floor is the
+    # threshold in joules; the floor lies 2^-56 J above W, the battery after
+    # K rounds, so the trigger first fires in step K. The jump before it
+    # must stop at step K - 1: x - floor is a whole number of drains less
+    # 2^-56 J, which rounds to that whole number, and only the floor raised
+    # to whole quanta keeps the last of those rounds out
+    positions = [(100.0, 100.0), (150.0, 100.0)]
+    parent = {1: 0}
+    _, tx = packet_costs(positions, parent)
+    K = 12000
+    W = quanta(1.0) - K * tx[1]
+    threshold = W / 2**40 + 2.0**-56
+    floor = Fraction(threshold) * 2**40  # in quanta, exactly
+    assert floor - W == Fraction(1, 2**16)
+    first = math.floor((quanta(1.0) - floor) / tx[1]) + 1  # the least k with E - k*tx < floor
+    assert first == K
+    result = run_hand_built(
+        positions,
+        parent,
+        {},
+        max_steps=K + 10,
+        tm=TMProtocol.DGETREC,
+        trigger=TriggerPolicy(TriggerKind.ENERGY, energy_threshold=threshold),
+    )
+    assert result.maintenance_events[0] == (first, "Recreated")
 
 
 @pytest.mark.parametrize("tm", [TMProtocol.DGETREC, TMProtocol.DGTTREC])
@@ -776,37 +1058,9 @@ def test_fast_forward_matches_step_loop_on_a_large_tree(tm):
         max_steps=300,
         metrics_stride=50,
     )
-    compiled, built = [], Counter()
-    compile_round = engine._compile_round
-
-    def compiling(state, routes):
-        program = compile_round(state, routes)
-        compiled.append(len(program.nodes))
-        return program
-
-    def counting(name, build):
-        def counted(*args):
-            built[name] += 1
-            return build(*args)
-
-        return counted
-
-    with (
-        mock.patch.object(engine, "_compile_round", compiling),
-        mock.patch.object(engine, "_relay_drains", counting("relay", engine._relay_drains)),
-        mock.patch.object(engine, "_hop_order_drains", counting("hop", engine._hop_order_drains)),
-    ):
-        fast, fast_state, stretches = stretches_of(config)
-    # a program builds the drains of the relays it walks, and the hop order
-    # at the ledger's binade edges only: under 1 % of the relay lists of
-    # these runs, and the hop order of under a third of the compiles
-    assert built["relay"] < sum(compiled) // 10
-    assert built["hop"] < len(compiled)
+    fast, fast_state, stretches = stretches_of(config)
     assert any(end - start > 1 for start, end in stretches)
     assert fast.death_times and fast.maintenance_events
-
-    def per_hop(state):
-        engine._per_hop_round(state, engine._routes(state))
 
     with mock.patch.object(engine, "_traffic", per_hop):
         plain, plain_state = run_keeping_state(config, fast_forward=False)
@@ -826,7 +1080,7 @@ def assert_one_record_of_life(state, initial, alive_before):
     alive = alive_count(state)
     assert alive <= alive_before
     spent = math.fsum(initial) - math.fsum(n.energy for n in sensors)
-    assert math.isclose(spent, state.energy_ledger, rel_tol=1e-9)
+    assert spent == state.energy_ledger  # whole quanta: no sum rounds
     return alive
 
 
@@ -848,236 +1102,14 @@ def test_battery_is_the_one_record_of_life(tm, tc, data):
         trigger=TriggerPolicy(kind, period=data.draw(st.integers(1, 30))),
         max_steps=200,
     )
-    initial = [config.energy.initial_energy] * (config.deployment.node_count - 1)
+    quantized = quanta(config.energy.initial_energy) / 2**40
+    initial = [quantized] * (config.deployment.node_count - 1)
     state, strategy = initialize(config)
     grid = CoverageGrid(state.area, config.grid_cell)
     alive = assert_one_record_of_life(state, initial, len(state.nodes))
     while state.time < config.max_steps and not engine._network_finished(state):
         step(state, strategy, config, grid)
         alive = assert_one_record_of_life(state, initial, alive)
-
-
-TINY_ADVANCE_CASES = {
-    # 1/g of x's binade is 2**1052: past the largest double
-    "far below the closed form": (2.0**-1000, [2.0**-1010], 5),
-    "the lowest binade with a finite 1/g": (2.0**-971, [2.0**-1010], 40),
-    "just below it": (2.0**-971 - 2.0**-1023, [2.0**-1010], 40),
-    "drained to zero": (2.0**-1000, [2.0**-1004], 40),
-}
-
-
-@pytest.mark.parametrize("case", list(TINY_ADVANCE_CASES))
-def test_advance_tiny_normal_matches_iterated(case):
-    x, costs, steps = TINY_ADVANCE_CASES[case]
-    for floor in (-math.inf, engine._DEATH_FLOOR):
-        for limit in (1, 2, steps // 3, steps):
-            done, value = engine._advance(x, costs, limit, floor)
-            want_done, want = iterated(x, sub, costs, limit, floor)
-            assert (done, value.hex()) == (want_done, want.hex())
-
-
-def jump_program(rx, relays, order=None):
-    """A RoundProgram of relays given as (energy, tx, carried, below), with
-    rx the receive cost, and its drains already built: each relay's laid
-    out as _relay_drains lays them, and the ledger's all of theirs, in
-    `order` (a permutation) or one relay after another. No tree stands
-    behind it, so it builds nothing itself."""
-    nodes, charged = [], []
-    for j, (energy, tx, carried, below) in enumerate(relays):
-        carry = [rx, tx]
-        charged.append(carry * below + [tx] + carry * (carried - 1 - below))
-        nodes.append(Node(id=j + 1, position=Point(0.0, 0.0), energy=energy, role=Role.ACTIVE))
-    drains = [c for costs in charged for c in costs]
-    if order is not None:
-        drains = [drains[i] for i in order]
-    carried = [r[2] for r in relays]
-    program = engine.RoundProgram(
-        nodes=nodes,
-        carried=np.array(carried, dtype=np.float64),
-        tx=np.array([r[1] for r in relays]),
-        rx=rx,
-        delivered=0,
-        dropped=0,
-        tree=None,
-        counts={node.id: c for node, c in zip(nodes, carried)},
-    )
-    program.relay_costs = charged
-    program.hop_order = drains
-    return program
-
-
-def iterated_jump(program, floors, rounds, ledger):
-    """engine._jump's reference: every relay and the ledger by iterated."""
-    energies = [node.energy for node in program.nodes]
-    costs = [program.relay_drains(j) for j in range(len(program.nodes))]
-    n = min(
-        [rounds]
-        + [
-            iterated(x, sub, c, rounds, floor)[0]
-            for x, c, floor in zip(energies, costs, floors)
-        ]
-    )
-    if n == 0:
-        return 0, energies, ledger
-    return (
-        n,
-        [iterated(x, sub, c, n)[1] for x, c in zip(energies, costs)],
-        iterated(ledger, add, program.drains(), n)[1],
-    )
-
-
-def assert_jump_matches_iterated(program, floors, rounds, ledger):
-    """_jump agrees with iterated on the rounds taken and, by float.hex,
-    every relay and the ledger; the program's nodes are left as they were."""
-    before = [node.energy.hex() for node in program.nodes]
-    want, energies, after = iterated_jump(program, floors, rounds, ledger)
-    n, got, got_after = engine._jump(program, floors, rounds, ledger)
-    assert (n, [e.hex() for e in got], got_after.hex()) == (
-        want,
-        [e.hex() for e in energies],
-        after.hex(),
-    )
-    assert [node.energy.hex() for node in program.nodes] == before
-
-
-TINY = engine._CLOSED_FORM_MIN  # 2**-971
-DF = engine._DEATH_FLOOR
-# name: (rx, [(energy, tx, carried, below)], floors, rounds, ledger)
-JUMP_CASES = {
-    # from an odd grid place a tie rounds one way, then the other way from
-    # every even place after: the move is not constant
-    "receive cost a tie": (1000.5 * G, [(0.75 + G, 7.5e-5, 3, 1)], [DF], 60, 0.3),
-    "transmit cost a tie": (5e-5, [(0.75 + G, 1000.5 * G, 2, 0)], [DF], 60, 0.3),
-    "a tie among safe relays": (
-        5e-5,
-        [(0.75, 7.5e-5, 2, 1), (0.75 + G, 1000.5 * G, 1, 0), (0.9, 6e-5, 4, 2)],
-        [DF] * 3,
-        60,
-        0.3,
-    ),
-    "a tie on the ledger only": (1000.5 * G, [(3.0, 7.5e-5, 2, 1)], [DF], 60, 0.75 + G),
-    "at a binade edge": (5e-5, [(0.5, 7.5e-5, 2, 0)], [DF], 300, 0.3),
-    "a grid step above an edge": (5e-5, [(0.5 + G, 7.5e-5, 2, 1)], [DF], 300, 0.3),
-    # the fifth round's exact result is 0.5 - 0.375 G, which rounds to the
-    # finer grid below the edge: landing on 0.5 needs the spare step
-    "onto an edge": (5e-5, [(0.5 + 5000 * G, 1000.375 * G, 1, 0)], [DF], 8, 0.3),
-    "onto an edge among safe relays": (
-        5e-5,
-        [(0.9, 7.5e-5, 2, 1), (0.5 + 5000 * G, 1000.375 * G, 1, 0), (0.7, 6e-5, 3, 0)],
-        [DF] * 3,
-        8,
-        0.3,
-    ),
-    # the other relay, walked first, cuts the rounds to the fifth: the edge
-    # relay may not skip its walk
-    "onto an edge on the last round": (
-        5e-5,
-        [(1e-3, 1.9e-4, 1, 0), (0.5 + 5000 * G, 1000.375 * G, 1, 0)],
-        [DF] * 2,
-        8,
-        0.3,
-    ),
-    "a floor inside the binade": (5e-5, [(0.9, 7.5e-5, 2, 1)], [0.6 * 0.9], 5000, 0.3),
-    # the third round lands on the floor exactly, which it may
-    "a floor on the grid": (
-        5e-5,
-        [(0.5 + 5000 * G, 1000 * G, 1, 0), (0.8, 6e-5, 2, 1)],
-        [0.5 + 2000 * G, DF],
-        50,
-        0.3,
-    ),
-    "a floor below the binade": (5e-5, [(0.6, 7.5e-5, 2, 1)], [0.3], 5000, 0.3),
-    "a floor above the energy": (5e-5, [(0.9, 7.5e-5, 2, 1), (0.6, 6e-5, 1, 0)], [DF, 0.7], 20, 0.3),
-    "drained to zero": (5e-5, [(1e-3, 7.5e-5, 2, 1), (0.7, 6e-5, 1, 0)], [DF] * 2, 100, 0.3),
-    "walks cut the safe ones": (
-        5e-5,
-        [(0.9, 7.5e-5, 3, 1), (0.5 + 7e-4, 7.5e-5, 2, 0), (2.5e-3, 1e-4, 2, 1)],
-        [DF, DF, 0.5 * 2.5e-3],
-        200,
-        0.3,
-    ),
-    "near the closed form's floor": (
-        2.0**-1010,
-        [(1.5 * TINY, 2.0**-1012, 2, 1), (TINY - 2.0**-1023, 2.0**-1012, 1, 0), (3 * TINY, 2.0**-1005, 2, 0)],
-        [DF] * 3,
-        40,
-        TINY,
-    ),
-    "ledger from zero": (5e-5, [(0.9, 7.5e-5, 3, 1)], [DF], 50, 0.0),
-    "ledger from the least double": (5e-5, [(0.9, 7.5e-5, 3, 1)], [DF], 50, DF),
-    "ledger below the closed form": (2.0**-1010, [(0.9, 2.0**-1005, 1, 0)], [DF], 50, 2.0**-1000),
-    # 1/g of the ledger's binade is 2**1023, so a cost of joules has more
-    # grid steps than a double holds
-    "ledger at the closed form's floor, drains of joules": (2.5, [(1000.0, 3.0, 2, 1)], [DF], 30, TINY),
-    "ledger crosses upward": (1.2e-4, [(0.9, 7.5e-5, 20, 5), (0.6, 5e-5, 20, 15)], [DF] * 2, 400, 1.0 - 3e-3),
-    # reduce up to the 64th round, which lands in _CLOSED_FORM_MIN's binade
-    "ledger climbing into it": (
-        2.0**-1000,
-        [(0.9, 2.0**-978, 1, 0), (0.9, 2.0**-1000, 1, 0)],
-        [DF] * 2,
-        80,
-        2.0**-972,
-    ),
-    "no relays": (5e-5, [], [], 50, 0.3),
-}
-
-
-@pytest.mark.parametrize("case", list(JUMP_CASES))
-def test_jump_matches_iterated(case):
-    rx, relays, floors, rounds, ledger = JUMP_CASES[case]
-    program = jump_program(rx, relays)
-    for limit in (1, 2, rounds // 3, rounds):
-        assert_jump_matches_iterated(program, floors, limit, ledger)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_jump_matches_iterated_random(data):
-    # one binade [lo, 2 lo) with grid g that energies, costs and floors are
-    # drawn around; the lowest ones straddle _CLOSED_FORM_MIN
-    lo = 2.0 ** data.draw(st.sampled_from([*range(-12, 2), -970, -971, -972]))
-    g = lo * 2.0**-52
-    steps = st.integers(0, 64).map(lambda j: j * g)
-    energy = st.one_of(
-        st.sampled_from([lo, lo + g, 2 * lo - g, lo - g / 2, TINY, TINY - 2.0**-1023]),
-        steps.map(lambda d: lo + d),
-        st.floats(min_value=1.0, max_value=2.0, exclude_max=True).map(lambda f: f * lo),
-    )
-    cost = st.one_of(
-        st.floats(min_value=1e-9, max_value=1e-3).map(lambda f: f * lo),
-        st.integers(0, 10**6).map(lambda m: (m + 0.5) * g),  # ties
-        st.tuples(st.integers(1, 16), st.sampled_from([0.0, 0.25, 0.375, 0.75])).map(
-            lambda mf: (mf[0] + mf[1]) * g
-        ),
-    )
-    rx = data.draw(cost)
-    relays = []
-    for _ in range(data.draw(st.integers(1, 5))):
-        carried = data.draw(st.integers(1, 4))
-        below = data.draw(st.integers(0, carried - 1))
-        relays.append((data.draw(energy), data.draw(cost), carried, below))
-    floors = [
-        data.draw(
-            st.one_of(
-                st.just(DF),
-                steps.map(lambda d: lo + d),  # inside the binade
-                st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * x),
-                st.sampled_from([x, x + g]),
-            )
-        )
-        for x, *_ in relays
-    ]
-    drain_count = sum(2 * r[2] - 1 for r in relays)
-    order = data.draw(st.permutations(range(drain_count)))
-    ledger = data.draw(
-        st.one_of(
-            st.sampled_from([0.0, DF, 2.0**-1000, TINY, TINY - 2.0**-1023]),
-            energy,
-            st.floats(min_value=0.0, max_value=4.0),
-        )
-    )
-    rounds = data.draw(st.integers(1, 300))
-    assert_jump_matches_iterated(jump_program(rx, relays, order), floors, rounds, ledger)
 
 
 def stretches_of(config):
