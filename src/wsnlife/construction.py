@@ -49,7 +49,6 @@ class ConstructionCharge:
     """Per-node control traffic accounted during one construction."""
 
     sent: dict[int, int] = field(default_factory=dict)
-    received: dict[int, int] = field(default_factory=dict)
     energy: dict[int, float] = field(default_factory=dict)
 
 
@@ -137,9 +136,7 @@ def _grow(
         queue.append(woken)
 
     topology = Topology(active_set=active, parent=parent, root=sink)
-    charge = ConstructionCharge(
-        sent=dict.fromkeys(spent, 1), received=dict.fromkeys(spent, 1), energy=spent
-    )
+    charge = ConstructionCharge(sent=dict.fromkeys(spent, 1), energy=spent)
     return topology, charge
 
 

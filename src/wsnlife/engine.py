@@ -22,12 +22,13 @@ relay and add n times their sum to the ledger, bit for bit what n rounds
 drain by drain leave, and _jump computes them in one numpy pass.
 
 run() does not step through quiet stretches one at a time: steps on which
-no node dies and the trigger stays off (or, once a static rotation set is
-spent, fires only to re-stamp). There each battery and the ledger take the
-same drains every step, and _fast_forward moves them over the whole stretch
-in one _jump. Every eventful step goes through step(). A stretch runs
-through sample points: no alive set, role or position changes inside it, so
-one sample taken at its end stands for every stride point it crosses.
+no node dies and the trigger stays off, as it does for good once a spent
+static rotation set has logged its one "Exhausted". There each battery and
+the ledger take the same drains every step, and _fast_forward moves them
+over the whole stretch in one _jump. Every eventful step goes through
+step(). A stretch runs through sample points: no alive set, role or
+position changes inside it, so one sample taken at its end stands for every
+stride point it crosses.
 """
 from __future__ import annotations
 
@@ -46,11 +47,10 @@ from .maintenance import (
     TriggerKind,
     TriggerPolicy,
     activate_topology,
+    armed,
     energy_floor,
     maintain,
     precompute_rotation_set,
-    retain,
-    retains_every_step,
     should_trigger,
     steps_to_time_trigger,
 )
@@ -403,9 +403,10 @@ def _fast_forward(
 ) -> int:
     """Run the quiet stretch that starts at state.time in one move and
     return how many steps it jumped: the steps on which no node dies and
-    the trigger stays off, or, once a static set is spent, fires only to
-    re-stamp. The stretch ends at max_steps, not at the sampling stride.
-    The end state is the one step() would leave, bit for bit.
+    the trigger stays off, which it does to the end once a spent static set
+    has logged "Exhausted". The stretch ends at max_steps, not at the
+    sampling stride. The end state is the one step() would leave, bit for
+    bit.
 
     On such steps each relay's battery and the ledger take the compiled
     round's drains, and nothing else, so the stretch is one _jump as far as
@@ -415,11 +416,9 @@ def _fast_forward(
     is exact, as 1 / QUANTUM is a power of two."""
     room = config.max_steps - state.time
     policy = config.trigger
-    retaining = energy_triggered = False
-    if config.tm is not None:
-        if retains_every_step(policy, strategy):
-            retaining = True
-        elif policy.kind is TriggerKind.TIME:
+    energy_triggered = False
+    if armed(strategy):
+        if policy.kind is TriggerKind.TIME:
             room = min(room, steps_to_time_trigger(policy, state))
         else:
             energy_triggered = True
@@ -438,12 +437,7 @@ def _fast_forward(
     if n == 0:
         return 0
     _apply_rounds(state, program, n, energies, ledger)
-    if retaining:
-        state.time += n - 1  # maintain runs before the clock advances
-        retain(strategy, state, n)
-        state.time += 1
-    else:
-        state.time += n
+    state.time += n
     return n
 
 
@@ -487,7 +481,7 @@ def step(
     on grid, when the step lands on the sampling stride, else None."""
     state.in_step = True
     _traffic(state)
-    if config.tm is not None and should_trigger(config.trigger, state):
+    if armed(strategy) and should_trigger(config.trigger, state):
         _, action = maintain(strategy, state, config.tc, config.a3, config.sensing)
         strategy.events.append((state.time + 1, action))
     state.in_step = False

@@ -60,7 +60,8 @@ class TriggerPolicy:
     as soon as any active non-sink node drops below `energy_threshold` times
     the energy it had at activation, or dies outright. Comparing against
     activation-time energy (not the initial budget) re-arms the trigger at
-    every activation.
+    every activation. Once a static rotation set is spent, the run logs one
+    "Exhausted" and the trigger stays off for the rest of it (see armed).
     """
 
     kind: TriggerKind
@@ -107,35 +108,13 @@ def energy_floor(policy: TriggerPolicy, topology: Topology, nid: int) -> float:
     return policy.energy_threshold * topology.activation_energy[nid]
 
 
-def retains_every_step(policy: TriggerPolicy, strategy: MaintenanceStrategy) -> bool:
-    """True once an energy-triggered static strategy has logged "Retained".
-    Its entries only ever lose nodes, so none becomes usable again, and the
-    installed one keeps a dead member: the trigger fires on every step, and
-    maintain only re-stamps."""
-    return (
-        policy.kind is TriggerKind.ENERGY
-        and strategy.kind is StrategyKind.STATIC_ROTATION
-        and bool(strategy.events)
-        and strategy.events[-1][1] == "Retained"
+def armed(strategy: MaintenanceStrategy | None) -> bool:
+    """False without maintenance, and once a static strategy has logged
+    "Exhausted": its entries only ever lose nodes, so none becomes usable
+    again, and the trigger stays off for the rest of the run."""
+    return strategy is not None and not (
+        strategy.events and strategy.events[-1][1] == "Exhausted"
     )
-
-
-def retain(strategy: MaintenanceStrategy, state: NetworkState, steps: int) -> None:
-    """What maintain does for a strategy that retains on every step, over
-    the `steps` steps that end with the one in progress at state.time: each
-    logs "Retained" and re-stamps the installed topology, and each stamp
-    overwrites the one before, so one stamp now stands for them all."""
-    end = state.time + 1
-    strategy.events.extend((t, "Retained") for t in range(end - steps + 1, end + 1))
-    _stamp_activation(state, state.topology)
-
-
-def _stamp_activation(state: NetworkState, topology: Topology) -> None:
-    """Stamp the activation clock and energy snapshot, re-arming the trigger."""
-    topology.activation_time = state.time
-    topology.activation_energy = {
-        nid: state.nodes[nid].energy for nid in sorted(topology.active_set)
-    }
 
 
 def activate_topology(state: NetworkState, topology: Topology) -> None:
@@ -149,7 +128,10 @@ def activate_topology(state: NetworkState, topology: Topology) -> None:
     that leave or join the active set need a new role: the result is that
     of a pass over every node. A topology whose active set is changed in
     place after it was installed breaks this."""
-    _stamp_activation(state, topology)
+    topology.activation_time = state.time
+    topology.activation_energy = {
+        nid: state.nodes[nid].energy for nid in sorted(topology.active_set)
+    }
     old, new = state.topology.active_set, topology.active_set
     nodes = state.nodes
     for nids, role in ((old - new, Role.SLEEPING), (new - old, Role.ACTIVE)):
@@ -212,11 +194,12 @@ def maintain(
     params: A3Params,
     sensing=None,
 ) -> tuple[Topology, str]:
-    """Replace (or retain) the reduced topology after a trigger fired.
+    """Replace the reduced topology after a trigger fired.
 
-    Returns the activated topology and what happened: "Rotated",
-    "Recreated", or "Retained". Every branch re-stamps the activation clock
-    and snapshot, which re-arms the trigger.
+    Returns the installed topology and what happened: "Rotated" or
+    "Recreated", which re-stamp the activation clock and snapshot and so
+    re-arm the trigger, or "Exhausted": a static set with no usable entry
+    changes no state, and its trigger stays off from then on (see armed).
     """
     if strategy.kind is StrategyKind.DYNAMIC_RECREATION:
         topology, _ = construct(state, tc, params, sensing)
@@ -224,10 +207,7 @@ def maintain(
     elif strategy.kind is StrategyKind.STATIC_ROTATION:
         idx = _next_usable(strategy, state)
         if idx is None:
-            # The installed topology stays. Only activate_topology assigns
-            # roles, so they are already its roles; re-stamping is enough.
-            _stamp_activation(state, state.topology)
-            return state.topology, "Retained"
+            return state.topology, "Exhausted"
         strategy.cursor = idx
         topology = strategy.rotation_set[idx]
         action = "Rotated"

@@ -47,6 +47,7 @@ from wsnlife.experiment import summarize
 from wsnlife.metrics import MAX_GRID_POINTS
 
 from helpers import make_state
+from test_golden import desk_config
 
 ET = TriggerPolicy(TriggerKind.ENERGY)
 TT = TriggerPolicy(TriggerKind.TIME)
@@ -353,8 +354,29 @@ def test_maintenance_events_recorded():
     assert result.maintenance_events, "energy trigger should fire on a tiny budget"
     for step_no, action in result.maintenance_events:
         assert 1 <= step_no <= 300
-        assert action in {"Rotated", "Recreated", "Retained"}
+        assert action in {"Rotated", "Recreated", "Exhausted"}
         assert action == "Recreated"  # dynamic recreation only recreates
+
+
+@pytest.mark.parametrize("tm", [TMProtocol.SGETROT, TMProtocol.SGTTROT])
+def test_spent_static_set_disarms_its_trigger(tm):
+    # on the desk scenario the rotation set runs out long before the horizon
+    checked = []  # the step each trigger check would log its event at
+    check = engine.should_trigger
+
+    def counting(policy, state):
+        checked.append(state.time + 1)
+        return check(policy, state)
+
+    with mock.patch.object(engine, "should_trigger", counting):
+        result = run(desk_config(TCProtocol.A3, tm, 1))
+    events = result.maintenance_events
+    actions = [action for _, action in events]
+    assert actions.count("Exhausted") == 1
+    assert actions[-1] == "Exhausted"
+    spent = events[-1][0]
+    assert spent < result.final_summary["steps"]
+    assert max(checked) == spent  # no trigger check after that step
 
 
 def test_time_triggered_cadence():

@@ -168,9 +168,10 @@ def test_static_rotation_retains_when_none_usable():
         state.kill(nid)
     state.time = 77
     result, action = maintain(strategy, state, TCProtocol.A3, PARAMS)
-    assert action == "Retained"
-    assert result is state.topology
-    assert result.activation_time == 77  # re-stamped, the trigger re-arms
+    assert action == "Exhausted"
+    assert result is state.topology is rotation[0]
+    assert result.activation_time == 0  # not re-stamped: the trigger stays off
+    assert strategy.cursor == 0
 
 
 def test_retained_leaves_state_as_reactivation_would():
@@ -190,17 +191,21 @@ def test_retained_leaves_state_as_reactivation_would():
         state.kill(nid)
     state.nodes[4].energy = 0.375
     state.time = 77
+    before_state, before_strategy = copy.deepcopy((state, strategy))
     reference = copy.deepcopy(state)
     activate_topology(reference, reference.topology)
     result, action = maintain(strategy, state, TCProtocol.A3, PARAMS)
-    assert action == "Retained"
+    assert action == "Exhausted"
     assert result is state.topology is rotation[0]
     assert [n.role for n in state.nodes] == [n.role for n in reference.nodes]
     assert state.nodes[4].role is Role.ACTIVE
     assert state.nodes[5].role is Role.SLEEPING
-    assert result.activation_time == reference.topology.activation_time == 77
-    assert result.activation_energy == reference.topology.activation_energy
-    assert list(result.activation_energy) == list(reference.topology.activation_energy)
+    # no state changes: no re-stamp, no role change, no cursor move
+    assert [n.role for n in state.nodes] == [n.role for n in before_state.nodes]
+    assert [n.energy for n in state.nodes] == [n.energy for n in before_state.nodes]
+    assert result.activation_time == before_state.topology.activation_time == 0
+    assert result.activation_energy == before_state.topology.activation_energy
+    assert strategy.cursor == before_strategy.cursor
 
 
 def test_hybrid_rotates_then_recreates():
