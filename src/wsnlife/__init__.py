@@ -41,7 +41,6 @@ from .model import (
     Node,
     Point,
     RadioParams,
-    Role,
     SensingParams,
     Topology,
     distance,
@@ -71,7 +70,6 @@ __all__ = [
     "Node",
     "Point",
     "RadioParams",
-    "Role",
     "RunResult",
     "SINK_ID",
     "SensingParams",

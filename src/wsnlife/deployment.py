@@ -13,7 +13,6 @@ from .model import (
     Node,
     Point,
     RadioParams,
-    Role,
     Topology,
 )
 from .radio import QUANTIZER
@@ -46,14 +45,8 @@ def deploy(
     rng = random.Random(config.seed)
     width, height = config.area.width, config.area.height
     initial = (energy.initial_energy + QUANTIZER) - QUANTIZER
-    nodes = [
-        Node(
-            id=SINK_ID,
-            position=Point(width / 2.0, height / 2.0),
-            energy=initial,
-            role=Role.SINK,
-        )
-    ]
+    center = Point(width / 2.0, height / 2.0)
+    nodes = [Node(id=SINK_ID, position=center, energy=initial)]
     for node_id in range(1, config.node_count):
         x = rng.random() * width
         y = rng.random() * height

@@ -26,7 +26,7 @@ no node dies and the trigger stays off, as it does for good once a spent
 static rotation set has logged its one "Exhausted". There each battery and
 the ledger take the same drains every step, and _fast_forward moves them
 over the whole stretch in one _jump. Every eventful step goes through
-step(). A stretch runs through sample points: no alive set, role or
+step(). A stretch runs through sample points: no alive set, topology or
 position changes inside it, so one sample taken at its end stands for every
 stride point it crosses.
 """
@@ -64,7 +64,7 @@ from .metrics import (
     sensing_coverage,
     sink_reachable,
 )
-from .model import EnergyParams, NetworkState, Node, RadioParams, Role, SensingParams
+from .model import EnergyParams, NetworkState, Node, RadioParams, SensingParams
 from .radio import QUANTIZER, QUANTUM, rx_energy, tx_coefficients
 
 # Every battery, drain and ledger value stays below 2^53 quanta, so that
@@ -451,20 +451,12 @@ def _network_finished(state: NetworkState) -> bool:
 
 
 def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -> MetricsSample:
-    """Sample the metrics. One pass over the nodes counts the alive ones and
-    collects the ids of the alive active ones, from which sink_reachable
-    starts; both coverages are taken over the nodes it reaches."""
-    alive = 0
-    active = []
-    for node in state.nodes:
-        if node.energy > 0.0:
-            alive += 1
-            if node.role is Role.ACTIVE:
-                active.append(node.id)
-    reach = sink_reachable(state, active)
+    """Sample the metrics: both coverages are taken over the nodes that
+    sink_reachable reaches."""
+    reach = sink_reachable(state)
     return MetricsSample(
         time=state.time,
-        alive=alive,
+        alive=alive_count(state),
         sink_reachable=len(reach),
         comm_coverage=comm_coverage(state, grid, reach),
         sensing_coverage=sensing_coverage(state, config.sensing, grid, reach),

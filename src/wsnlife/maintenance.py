@@ -12,7 +12,7 @@ from enum import Enum
 
 from .construction import A3Params, TCProtocol, construct
 from .errors import ConfigError
-from .model import NetworkState, Role, Topology
+from .model import NetworkState, Topology
 
 # A rotation-set growth that reaches under half of the alive nodes lifts its
 # exclusion list: better to reuse relays than to precompute a stump.
@@ -118,27 +118,13 @@ def armed(strategy: MaintenanceStrategy | None) -> bool:
 
 
 def activate_topology(state: NetworkState, topology: Topology) -> None:
-    """Install a topology: stamp the activation clock and energy snapshot,
-    make its members active and every other alive non-sink node sleep.
-
-    Only this function assigns roles, and the topology a deployment starts
-    with, {sink}, matches the roles it deploys (the sink, every other node
-    sleeping). So before the call every alive non-sink node is active
-    exactly when it belongs to the installed topology, and only the nodes
-    that leave or join the active set need a new role: the result is that
-    of a pass over every node. A topology whose active set is changed in
-    place after it was installed breaks this."""
+    """Install a topology: stamp the activation clock and energy snapshot.
+    The installed topology is the one record of which nodes are awake: its
+    active set's members relay and sense, and every other node sleeps."""
     topology.activation_time = state.time
     topology.activation_energy = {
         nid: state.nodes[nid].energy for nid in sorted(topology.active_set)
     }
-    old, new = state.topology.active_set, topology.active_set
-    nodes = state.nodes
-    for nids, role in ((old - new, Role.SLEEPING), (new - old, Role.ACTIVE)):
-        for nid in nids:
-            node = nodes[nid]
-            if node.energy > 0.0 and node.role is not Role.SINK:
-                node.role = role
     state.topology = topology
 
 
@@ -201,26 +187,20 @@ def maintain(
     re-arm the trigger, or "Exhausted": a static set with no usable entry
     changes no state, and its trigger stays off from then on (see armed).
     """
-    if strategy.kind is StrategyKind.DYNAMIC_RECREATION:
-        topology, _ = construct(state, tc, params, sensing)
-        action = "Recreated"
-    elif strategy.kind is StrategyKind.STATIC_ROTATION:
+    idx = None
+    if strategy.kind is not StrategyKind.DYNAMIC_RECREATION:
         idx = _next_usable(strategy, state)
-        if idx is None:
-            return state.topology, "Exhausted"
+    if idx is not None:
         strategy.cursor = idx
         topology = strategy.rotation_set[idx]
         action = "Rotated"
-    else:  # hybrid: rotate while possible, rebuild once the set is spent
-        idx = _next_usable(strategy, state)
-        if idx is not None:
-            strategy.cursor = idx
-            topology = strategy.rotation_set[idx]
-            action = "Rotated"
-        else:
-            topology, _ = construct(state, tc, params, sensing)
+    elif strategy.kind is StrategyKind.STATIC_ROTATION:
+        return state.topology, "Exhausted"
+    else:  # dynamic always rebuilds; hybrid once its set is spent
+        topology, _ = construct(state, tc, params, sensing)
+        if strategy.kind is StrategyKind.HYBRID:
             strategy.rotation_set = [topology]
             strategy.cursor = 0
-            action = "Recreated"
+        action = "Recreated"
     activate_topology(state, topology)
     return topology, action

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import DeploymentArea, NetworkState, Role, SensingParams
+from .model import DeploymentArea, NetworkState, SensingParams
 
 # Sample points a coverage grid may hold: each comm coverage recomputation
 # allocates a packed array of this size, eight points per byte (1.25 MB at
@@ -80,8 +80,8 @@ class CoverageGrid:
     band: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.cell_size > 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be positive and finite")
         nx, ny = grid_shape(self.area, self.cell_size)
         self.xs = (np.arange(nx) + 0.5) * self.cell_size
         self.ys = (np.arange(ny) + 0.5) * self.cell_size
@@ -216,19 +216,19 @@ def sense_probability(sp: SensingParams, r: float, x: float) -> float:
 
 
 def alive_count(state: NetworkState) -> int:
-    return sum(1 for n in state.nodes if n.alive)
+    return sum(1 for n in state.nodes if n.energy > 0.0)
 
 
-def sink_reachable(
-    state: NetworkState, active: Iterable[int] | None = None
-) -> set[int]:
-    """The sink plus every alive active node joined to it by a chain of
-    alive active nodes, each hop a radio link of state.links. active, when
-    given, holds the ids of the alive active nodes, already collected for
-    this state."""
-    if active is None:
-        active = [n.id for n in state.nodes if n.role is Role.ACTIVE and n.alive]
-    unreached = set(active)
+def sink_reachable(state: NetworkState) -> set[int]:
+    """The sink plus every alive member of the installed topology's active
+    set joined to it by a chain of alive members, each hop a radio link of
+    state.links."""
+    topology = state.topology
+    nodes = state.nodes
+    unreached = {
+        nid for nid in topology.active_set
+        if nid != topology.root and nodes[nid].energy > 0.0
+    }
     links = state.links
     reached = {state.sink.id}
     frontier = [state.sink.id]

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from itertools import pairwise
 from typing import TYPE_CHECKING
@@ -16,12 +15,6 @@ if TYPE_CHECKING:
     from .engine import Tree
 
 SINK_ID = 0
-
-
-class Role(Enum):
-    SINK = "sink"
-    ACTIVE = "active"
-    SLEEPING = "sleeping"
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,6 @@ class Node:
     id: int
     position: Point
     energy: float
-    role: Role = Role.SLEEPING
 
     @property
     def alive(self) -> bool:
@@ -206,10 +198,9 @@ class NetworkState:
         against the step in progress. A drain that empties a battery calls
         it, so it cannot test `alive`; a second call keeps the first step,
         and the sink never dies."""
-        node = self.nodes[node_id]
-        if node.role is Role.SINK:
+        if node_id == SINK_ID:
             return
-        node.energy = 0.0
+        self.nodes[node_id].energy = 0.0
         self.death_step.setdefault(node_id, self.time + 1 if self.in_step else self.time)
 
 

@@ -8,7 +8,6 @@ from wsnlife import (
     Node,
     Point,
     RadioParams,
-    Role,
     Topology,
     distance,
 )
@@ -20,13 +19,14 @@ def make_state(
     radio=None,
     energy=None,
     initial_energy=None,
-    roles=None,
+    active=(),
     dead=(),
 ):
     """Build a NetworkState with node 0 as the sink at positions[0].
 
-    roles maps node id to Role for non-default assignments (default: every
-    non-sink node sleeps); dead lists ids to kill outright.
+    active lists the ids of the installed topology's active set besides the
+    sink (default: every non-sink node sleeps); dead lists ids to kill
+    outright.
     """
     radio = radio or RadioParams()
     if energy is None:
@@ -39,20 +39,16 @@ def make_state(
     xs = [p[0] for p in positions]
     ys = [p[1] for p in positions]
     area = area or DeploymentArea(max(xs) + 100.0, max(ys) + 100.0)
-    nodes = []
-    for i, (x, y) in enumerate(positions):
-        role = Role.SINK if i == 0 else Role.SLEEPING
-        if roles and i in roles:
-            role = roles[i]
-        nodes.append(
-            Node(id=i, position=Point(x, y), energy=initial, role=role)
-        )
+    nodes = [
+        Node(id=i, position=Point(x, y), energy=initial)
+        for i, (x, y) in enumerate(positions)
+    ]
     state = NetworkState(
         nodes=nodes,
         area=area,
         radio=radio,
         energy=energy,
-        topology=Topology(active_set={0}, parent={}, root=0),
+        topology=Topology(active_set={0, *active}, parent={}, root=0),
     )
     for nid in dead:
         state.nodes[nid].energy = 0.0

@@ -18,7 +18,6 @@ from wsnlife import (
     DeploymentConfig,
     EnergyParams,
     RadioParams,
-    Role,
     SensingParams,
     SimConfig,
     TCProtocol,
@@ -204,22 +203,17 @@ def test_criterion_4_reachability_oracle():
                 (rng.uniform(0, 200.0), rng.uniform(0, 200.0)) for _ in range(n)
             ]
             radius = rng.choice([60.0, 90.0, 120.0])
-            roles = {
-                i: (Role.ACTIVE if rng.random() < 0.6 else Role.SLEEPING)
-                for i in range(1, n)
-            }
+            active = [i for i in range(1, n) if rng.random() < 0.6]
             dead = [i for i in range(1, n) if rng.random() < 0.2]
             state = make_state(
                 positions,
                 radio=RadioParams(communication_radius=radius),
-                roles=roles,
+                active=active,
                 dead=dead,
             )
             got = sink_reachable(state)
 
-            members = [0] + [
-                m.id for m in state.nodes if m.alive and m.role is Role.ACTIVE
-            ]
+            members = [0] + [m for m in active if state.nodes[m].alive]
             closure = {0}
             changed = True
             while changed:

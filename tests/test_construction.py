@@ -254,13 +254,17 @@ def test_grow_charges_each_reached_node_once_and_leaves_state_untouched():
         state.energy_ledger = rng.uniform(0.0, 1.0)
         exclude = frozenset(rng.sample(others, k=len(others) // 5))
         before = (
-            [(n.energy.hex(), n.role) for n in state.nodes],
+            [n.energy.hex() for n in state.nodes],
+            state.topology,
+            sorted(state.topology.active_set),
             state.energy_ledger.hex(),
             dict(state.death_step),
         )
         topology, charge = _grow(state, PARAMS, exclude)
         after = (
-            [(n.energy.hex(), n.role) for n in state.nodes],
+            [n.energy.hex() for n in state.nodes],
+            state.topology,
+            sorted(state.topology.active_set),
             state.energy_ledger.hex(),
             dict(state.death_step),
         )

@@ -7,7 +7,6 @@ from wsnlife import (
     DeploymentConfig,
     EnergyParams,
     RadioParams,
-    Role,
     deploy,
 )
 
@@ -23,13 +22,13 @@ def test_default_deployment_matches_design_values():
     assert len(state.nodes) == 300
     assert state.sink.position.x == pytest.approx(537.0)
     assert state.sink.position.y == pytest.approx(330.0)
-    assert state.sink.role is Role.SINK
+    assert state.sink.id == state.topology.root == 0
 
 
 def test_non_sink_nodes_start_sleeping_alive_at_full_charge():
     state = deploy(DeploymentConfig(node_count=40, seed=5), RADIO, ENERGY)
     for node in state.nodes[1:]:
-        assert node.role is Role.SLEEPING
+        assert node.id not in state.topology.active_set
         assert node.alive
         assert node.energy == ENERGY.initial_energy
     assert state.time == 0
@@ -40,7 +39,7 @@ def test_non_sink_nodes_start_sleeping_alive_at_full_charge():
 def test_sink_only_deployment():
     state = deploy(DeploymentConfig(node_count=1, seed=0), RADIO, ENERGY)
     assert len(state.nodes) == 1
-    assert state.sink.role is Role.SINK
+    assert state.topology.active_set == {state.sink.id}
 
 
 def test_zero_nodes_rejected():

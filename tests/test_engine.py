@@ -25,7 +25,6 @@ from wsnlife import (
     Node,
     Point,
     RadioParams,
-    Role,
     SensingParams,
     SimConfig,
     TCProtocol,
@@ -184,7 +183,7 @@ def two_node_state(budget):
     )
     topology, _ = construct(state, TCProtocol.A3COV, A3Params(), SimConfig().sensing)
     activate_topology(state, topology)
-    assert state.nodes[1].role is Role.ACTIVE
+    assert 1 in state.topology.active_set
     return state
 
 
@@ -708,7 +707,7 @@ def jump_program(rx, relays, order=None):
     for j, (energy, tx, carried, below) in enumerate(relays):
         carry = [rx, tx]
         charged.append(carry * below + [tx] + carry * (carried - 1 - below))
-        nodes.append(Node(id=j + 1, position=Point(0.0, 0.0), energy=energy, role=Role.ACTIVE))
+        nodes.append(Node(id=j + 1, position=Point(0.0, 0.0), energy=energy))
     drains = [c for costs in charged for c in costs]
     if order is not None:
         drains = [drains[i] for i in order]

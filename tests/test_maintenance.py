@@ -1,8 +1,6 @@
 import copy
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wsnlife import (
     A3Params,
@@ -11,7 +9,6 @@ from wsnlife import (
     EnergyParams,
     MaintenanceStrategy,
     RadioParams,
-    SensingParams,
     StrategyKind,
     TCProtocol,
     TMProtocol,
@@ -25,7 +22,6 @@ from wsnlife import (
     precompute_rotation_set,
     should_trigger,
 )
-from wsnlife.model import Role
 
 from helpers import make_state
 
@@ -157,8 +153,9 @@ def test_static_rotation_skips_dead_entry():
     assert action == "Rotated"
     assert strategy.cursor == 2
     assert result.active_set == {0, 3}
-    assert state.nodes[3].role is Role.ACTIVE
-    assert state.nodes[1].role is Role.SLEEPING
+    assert state.topology is result
+    assert 3 in state.topology.active_set
+    assert 1 not in state.topology.active_set
 
 
 def test_static_rotation_retains_when_none_usable():
@@ -192,16 +189,12 @@ def test_retained_leaves_state_as_reactivation_would():
     state.nodes[4].energy = 0.375
     state.time = 77
     before_state, before_strategy = copy.deepcopy((state, strategy))
-    reference = copy.deepcopy(state)
-    activate_topology(reference, reference.topology)
     result, action = maintain(strategy, state, TCProtocol.A3, PARAMS)
     assert action == "Exhausted"
     assert result is state.topology is rotation[0]
-    assert [n.role for n in state.nodes] == [n.role for n in reference.nodes]
-    assert state.nodes[4].role is Role.ACTIVE
-    assert state.nodes[5].role is Role.SLEEPING
-    # no state changes: no re-stamp, no role change, no cursor move
-    assert [n.role for n in state.nodes] == [n.role for n in before_state.nodes]
+    assert 4 in state.topology.active_set
+    assert 5 not in state.topology.active_set
+    # no state changes: no re-stamp, no new topology, no cursor move
     assert [n.energy for n in state.nodes] == [n.energy for n in before_state.nodes]
     assert result.activation_time == before_state.topology.activation_time == 0
     assert result.activation_energy == before_state.topology.activation_energy
@@ -240,7 +233,7 @@ def test_hybrid_fallback_matches_dynamic_recreation():
     assert h_topo.active_set == d_topo.active_set
 
 
-def test_maintain_restamps_and_sets_roles():
+def test_maintain_restamps_and_installs():
     state, rotation = star_state_and_rotation()
     strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0)
     state.nodes[2].energy = 0.25
@@ -249,9 +242,9 @@ def test_maintain_restamps_and_sets_roles():
     assert result.active_set == {0, 2}
     assert result.activation_time == 10
     assert result.activation_energy[2] == 0.25
-    assert state.nodes[2].role is Role.ACTIVE
-    assert state.nodes[1].role is Role.SLEEPING
-    assert state.nodes[3].role is Role.SLEEPING
+    assert state.topology is result
+    assert 2 in state.topology.active_set
+    assert not {1, 3} & state.topology.active_set
 
 
 def test_recreation_after_deaths_uses_survivors():
@@ -269,76 +262,3 @@ def test_recreation_after_deaths_uses_survivors():
     assert action == "Recreated"
     for nid in rebuilt.active_set:
         assert state.nodes[nid].alive
-
-
-class ReadLog(list):
-    """A node list that records which ids are read, one at a time or all."""
-
-    def __init__(self, nodes):
-        super().__init__(nodes)
-        self.read = set()
-
-    def __getitem__(self, i):
-        self.read.add(i)
-        return super().__getitem__(i)
-
-    def __iter__(self):
-        self.read.update(range(len(self)))
-        return super().__iter__()
-
-
-def full_pass_roles(state, before):
-    """The roles a pass over every node gives once state.topology is
-    installed over roles `before`: its members active, every other alive
-    non-sink node asleep; dead nodes and the sink keep theirs."""
-    active = state.topology.active_set
-    return [
-        role
-        if node.energy <= 0.0 or role is Role.SINK
-        else Role.ACTIVE if node.id in active else Role.SLEEPING
-        for node, role in zip(state.nodes, before)
-    ]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_activation_sets_the_roles_of_a_full_pass(data):
-    # installs in any order: fresh growths, rotation entries, the installed
-    # topology again, and static and hybrid maintenance, which re-installs a
-    # hybrid's one-entry set [topology]; nodes die between installs
-    tc = data.draw(st.sampled_from(TCProtocol))
-    sensing = SensingParams()
-    state = deploy(
-        DeploymentConfig(
-            node_count=40, area=DeploymentArea(260.0, 200.0), seed=data.draw(st.integers(0, 99))
-        ),
-        RadioParams(communication_radius=70.0, sensing_radius=20.0),
-        EnergyParams(),
-    )
-    rotation = precompute_rotation_set(state, tc, 3, PARAMS, sensing)
-    strategies = {
-        "static": MaintenanceStrategy(StrategyKind.STATIC_ROTATION, list(rotation)),
-        "hybrid": MaintenanceStrategy(StrategyKind.HYBRID, list(rotation)),
-    }
-    roles = [node.role for node in state.nodes]
-    for _ in range(data.draw(st.integers(1, 8))):
-        install = data.draw(st.sampled_from(["grow", "entry", "again", "static", "hybrid"]))
-        if install in strategies:
-            maintain(strategies[install], state, tc, PARAMS, sensing)
-        else:
-            if install == "grow":
-                topology, _ = construct(state, tc, PARAMS, sensing)
-            elif install == "entry":
-                topology = data.draw(st.sampled_from(rotation))
-            else:
-                topology = state.topology
-            old, nodes = state.topology.active_set, state.nodes
-            state.nodes = ReadLog(nodes)
-            activate_topology(state, topology)
-            read, state.nodes = state.nodes.read, nodes
-            assert read <= old | topology.active_set
-        roles = full_pass_roles(state, roles)
-        assert [node.role for node in state.nodes] == roles
-        alive = [node.id for node in state.nodes[1:] if node.alive]
-        for nid in data.draw(st.lists(st.sampled_from(alive), max_size=6)) if alive else []:
-            state.kill(nid)

@@ -12,7 +12,6 @@ from wsnlife import (
     CoverageGrid,
     DeploymentArea,
     RadioParams,
-    Role,
     SensingParams,
     alive_count,
     comm_coverage,
@@ -106,21 +105,19 @@ def test_sink_reachable_empty_topology():
 
 def test_sink_reachable_chain():
     positions = [(0, 0), (90, 0), (180, 0)]
-    roles = {1: Role.ACTIVE, 2: Role.ACTIVE}
-    state = make_state(positions, roles=roles)
+    state = make_state(positions, active=[1, 2])
     assert sink_reachable(state) == {0, 1, 2}
 
 
 def test_sink_reachable_chain_broken_by_death():
     positions = [(0, 0), (90, 0), (180, 0)]
-    roles = {1: Role.ACTIVE, 2: Role.ACTIVE}
-    state = make_state(positions, roles=roles, dead=[1])
+    state = make_state(positions, active=[1, 2], dead=[1])
     assert sink_reachable(state) == {0}
 
 
 def test_sink_reachable_ignores_sleeping_relays():
     positions = [(0, 0), (90, 0), (180, 0)]
-    state = make_state(positions, roles={1: Role.SLEEPING, 2: Role.ACTIVE})
+    state = make_state(positions, active=[2])
     assert sink_reachable(state) == {0}
 
 
@@ -138,7 +135,7 @@ def test_sink_reachable_uses_link_predicate_at_radius(radius, x, y):
     state = make_state(
         [(0.0, 0.0), (x, y)],
         radio=RadioParams(communication_radius=radius),
-        roles={1: Role.ACTIVE},
+        active=[1],
     )
     assert sink_reachable(state) == {0, 1}
     assert state.links[0] == [1]
@@ -171,7 +168,7 @@ def test_coverage_monotone_in_reachable_set():
     base = make_state([(100.0, 100.0), (190.0, 100.0)], area=area)
     lone = comm_coverage(base, grid)
     grown = make_state(
-        [(100.0, 100.0), (190.0, 100.0)], area=area, roles={1: Role.ACTIVE}
+        [(100.0, 100.0), (190.0, 100.0)], area=area, active=[1]
     )
     assert comm_coverage(grown, grid) >= lone
     assert sensing_coverage(grown, SP, grid) >= sensing_coverage(base, SP, grid)
@@ -185,7 +182,7 @@ def test_sensing_coverage_no_active_sensors_is_zero():
 
 def test_sensing_coverage_single_sensor_disk():
     area = DeploymentArea(200.0, 200.0)
-    state = make_state([(100.0, 100.0), (100.0, 100.0)], area=area, roles={1: Role.ACTIVE})
+    state = make_state([(100.0, 100.0), (100.0, 100.0)], area=area, active=[1])
     grid = CoverageGrid(area, 2.0)
     got = sensing_coverage(state, SP, grid)
     # points within r - r_u are certain; the p >= 0.5 contour sits at
@@ -211,7 +208,7 @@ def test_sensing_combination_two_weak_sensors():
     state = make_state(
         [(1.0, 1.0), (60.0 - x, 60.0), (60.0 + x, 60.0)],
         area=area,
-        roles={1: Role.ACTIVE, 2: Role.ACTIVE},
+        active=[1, 2],
         radio=RadioParams(communication_radius=130.0),
     )
     grid = CoverageGrid(area, 120.0)  # single sample point at (60, 60)
@@ -318,5 +315,6 @@ def test_grid_tiling_counts():
 
 
 def test_grid_rejects_bad_cell():
-    with pytest.raises(ValueError):
-        CoverageGrid(DeploymentArea(10.0, 10.0), 0.0)
+    for cell in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CoverageGrid(DeploymentArea(10.0, 10.0), cell)

@@ -13,7 +13,6 @@ from wsnlife import (
     EnergyParams,
     Point,
     RadioParams,
-    Role,
     SimConfig,
     Topology,
     activate_topology,
@@ -408,7 +407,7 @@ def test_delivery_leaves_sink_battery_untouched():
         _data_round(state, routes)
     assert state.packets_delivered == 6 and state.packets_dropped == 0
     assert state.sink.energy == sink_before
-    assert state.sink.alive and state.sink.role is Role.SINK
+    assert state.sink.alive and state.sink.id == state.topology.root
 
 
 def test_kill_sink_does_nothing_and_second_kill_keeps_first_step():

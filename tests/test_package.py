@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import wsnlife
-from wsnlife import ConstructionCharge
+from wsnlife import ConstructionCharge, engine, experiment
 
 
 def test_all_exports_resolve_sorted_and_unique():
@@ -17,19 +17,32 @@ def test_all_exports_resolve_sorted_and_unique():
 
 def test_benchmark_tracer_targets_resolve():
     """perfbench/tracing.py wraps module globals of the simulator and reads
-    ConstructionCharge.sent; the tests never run the tracer, so a deletion
-    in the package that breaks it shows here."""
+    ConstructionCharge.sent; perfbench/worker.py times engine.run and
+    engine.initialize, wraps experiment.run and calls
+    experiment.run_experiment for the desk sweep. The tests never run the
+    tracer or the worker, so a deletion in the package that breaks them
+    shows here. A wrap takes effect only where the caller looks the global
+    up by name at call time, so each wrapped one must be named in its
+    caller's code."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    targets = [(module, attr) for module, attr, _ in tracing.TRACED] + [
+        ("engine", "run"),
+        ("engine", "initialize"),
+        ("experiment", "run"),
+        ("experiment", "run_experiment"),
+    ]
     missing = [
         (module, attr)
-        for module, attr, _ in tracing.TRACED
+        for module, attr in targets
         if not hasattr(importlib.import_module(f"wsnlife.{module}"), attr)
     ]
     assert missing == []
     assert hasattr(ConstructionCharge(), "sent")
+    assert "initialize" in engine.run.__code__.co_names
+    assert "run" in experiment.run_experiment.__code__.co_names
 
 
 def test_no_module_imports_a_name_it_never_uses():
