@@ -237,6 +237,8 @@ def construct(
     """
     if state.sink.id in exclude:
         raise ValueError("the sink cannot be excluded from construction")
+    if tc is TCProtocol.A3COV and sensing is None:
+        raise ValueError("A3Cov requires sensing parameters")
     grown, charge = _grow(state, params, frozenset(exclude))
     reached = len(charge.energy) + 1  # the charged nodes and the sink
     if relax_below is not None and reached < relax_below * alive_count(state):
@@ -244,7 +246,5 @@ def construct(
     _apply_charge(state, charge)
     topology = prune_childless(grown)
     if tc is TCProtocol.A3COV:
-        if sensing is None:
-            raise ValueError("A3Cov requires sensing parameters")
         _promote_for_sensing(state, topology, sensing)
     return topology, charge

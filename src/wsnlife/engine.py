@@ -1,10 +1,10 @@
 """Time-stepped lifetime loop.
 
 Each step runs, in order: data traffic over the active tree, the
-maintenance trigger check (and maintenance itself when it fires), the clock
-advance, and metric sampling when due. A node dies the moment its battery
-is drained. One data round per step; the link layer is lossless, so node
-death is the only loss mechanism, and idle listening costs nothing.
+maintenance trigger check (and maintenance itself when it fires), and the
+clock advance. A node dies the moment its battery is drained. One data
+round per step; the link layer is lossless, so node death is the only loss
+mechanism, and idle listening costs nothing.
 
 A node is alive exactly while its battery holds energy, so every liveness
 test reads the battery, and a drain that empties one calls
@@ -26,14 +26,15 @@ no node dies and the trigger stays off, as it does for good once a spent
 static rotation set has logged its one "Exhausted". There each battery and
 the ledger take the same drains every step, and _fast_forward moves them
 over the whole stretch in one _jump. Every eventful step goes through
-step(). A stretch runs through sample points: no alive set, topology or
-position changes inside it, so one sample taken at its end stands for every
-stride point it crosses.
+step(), which only advances the network. run() is the one sampler: it
+samples once after each step and the stretch that follows it, for every
+stride point they cross. No alive set, topology or position changes inside
+a stretch, so that sample, re-timed, stands for each of them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,7 +200,8 @@ class Tree:
     """An installed tree's routing cache, built on its first step: for each
     traffic origin, in ascending id, its parent hop with the precomputed
     transmit cost; the origins children first, each after its subtree; and
-    the round compiled over the latest alive set (one at a time)."""
+    the round compiled over the latest alive set, None once a round that
+    killed or met a dead node dropped it."""
 
     edges: dict[int, tuple[int, float]]
     upward: list[int]
@@ -207,34 +209,37 @@ class Tree:
 
 
 def _routes(state: NetworkState) -> Tree:
-    """The installed tree, built on its first step. Each edge's transmit
-    cost is tx_energy's, from its hoisted terms."""
+    """The installed tree, built on its first step, with its round compiled
+    over the current alive set whenever the last one was dropped. Each
+    edge's transmit cost is tx_energy's, from its hoisted terms."""
     topology = state.topology
-    if topology.route_cache is not None:
-        return topology.route_cache
-    nodes = state.nodes
-    elec, amp = tx_coefficients(state.energy, state.energy.data_packet_bits)
-    quantizer = QUANTIZER
-    origins = sorted(topology.active_set - {topology.root})
-    edges: dict[int, tuple[int, float]] = {}
-    children: dict[int, list[int]] = {}
-    for nid in origins:
-        parent = topology.parent[nid]
-        here, there = nodes[nid].position, nodes[parent].position
-        dx = here.x - there.x
-        dy = here.y - there.y
-        # Must not become distance(): hypot differs on 23,418 of 141,742 pairs.
-        hop = (dx * dx + dy * dy) ** 0.5
-        edges[nid] = (parent, (elec + amp * hop**2 + quantizer) - quantizer)
-        children.setdefault(parent, []).append(nid)
-    downward = []  # depth first, each node before its subtree
-    stack = list(children.get(topology.root, ()))
-    while stack:
-        nid = stack.pop()
-        downward.append(nid)
-        stack += children.get(nid, ())
-    topology.route_cache = Tree(edges, downward[::-1])
-    return topology.route_cache
+    tree = topology.route_cache
+    if tree is None:
+        nodes = state.nodes
+        elec, amp = tx_coefficients(state.energy, state.energy.data_packet_bits)
+        quantizer = QUANTIZER
+        origins = sorted(topology.active_set - {topology.root})
+        edges: dict[int, tuple[int, float]] = {}
+        children: dict[int, list[int]] = {}
+        for nid in origins:
+            parent = topology.parent[nid]
+            here, there = nodes[nid].position, nodes[parent].position
+            dx = here.x - there.x
+            dy = here.y - there.y
+            # Must not become distance(): hypot differs on 23,418 of 141,742 pairs.
+            hop = (dx * dx + dy * dy) ** 0.5
+            edges[nid] = (parent, (elec + amp * hop**2 + quantizer) - quantizer)
+            children.setdefault(parent, []).append(nid)
+        downward = []  # depth first, each node before its subtree
+        stack = list(children.get(topology.root, ()))
+        while stack:
+            nid = stack.pop()
+            downward.append(nid)
+            stack += children.get(nid, ())
+        tree = topology.route_cache = Tree(edges, downward[::-1])
+    if tree.program is None:
+        tree.program = _compile_round(state, tree)
+    return tree
 
 
 def _compile_round(state: NetworkState, tree: Tree) -> RoundProgram:
@@ -274,14 +279,6 @@ def _compile_round(state: NetworkState, tree: Tree) -> RoundProgram:
     )
 
 
-def _program(state: NetworkState, tree: Tree) -> RoundProgram:
-    """The installed tree's round, compiled over the current alive set if
-    the last one was dropped."""
-    if tree.program is None:
-        tree.program = _compile_round(state, tree)
-    return tree.program
-
-
 def _traffic(state: NetworkState) -> None:
     """Every alive active node sends one data packet up the tree.
 
@@ -293,7 +290,7 @@ def _traffic(state: NetworkState) -> None:
     per-hop round runs on the untouched state, and the next step compiles
     over the alive set it leaves."""
     tree = _routes(state)
-    program = _program(state, tree)
+    program = tree.program
     rounds, energies, ledger = _jump(program, _DEATH_FLOOR, 1, state.energy_ledger)
     if rounds == 0:
         _per_hop_round(state, tree)
@@ -405,31 +402,29 @@ def _fast_forward(
     return how many steps it jumped: the steps on which no node dies and
     the trigger stays off, which it does to the end once a spent static set
     has logged "Exhausted". The stretch ends at max_steps, not at the
-    sampling stride. The end state is the one step() would leave, bit for
-    bit.
+    sampling stride, and may be a single step. The end state is the one
+    step() would leave, bit for bit.
 
     On such steps each relay's battery and the ledger take the compiled
     round's drains, and nothing else, so the stretch is one _jump as far as
     the first step that would leave a relay at zero or under its
-    energy-trigger floor. A battery of whole quanta is at or above a floor
-    exactly when it is at or above the floor raised to whole quanta, which
-    is exact, as 1 / QUANTUM is a power of two."""
-    room = config.max_steps - state.time
+    energy-trigger floor. The time trigger caps the stretch instead. A
+    battery of whole quanta is at or above a floor exactly when it is at or
+    above the floor raised to whole quanta, which is exact, as 1 / QUANTUM
+    is a power of two."""
     policy = config.trigger
-    energy_triggered = False
-    if armed(strategy):
-        if policy.kind is TriggerKind.TIME:
-            room = min(room, steps_to_time_trigger(policy, state))
-        else:
-            energy_triggered = True
-    if room < 2:
+    trigger = policy.kind if armed(strategy) else None
+    room = config.max_steps - state.time
+    if trigger is TriggerKind.TIME:
+        room = min(room, steps_to_time_trigger(policy, state))
+    if room < 1:
         return 0
     tree = _routes(state)
-    program = _program(state, tree)
-    if energy_triggered and len(program.nodes) < len(tree.edges):
-        return 0  # a dead member trips the energy trigger on every step
+    program = tree.program
     lowest = _DEATH_FLOOR
-    if energy_triggered:
+    if trigger is TriggerKind.ENERGY:
+        if len(program.nodes) < len(tree.edges):
+            return 0  # a dead member trips the energy trigger on every step
         topology = state.topology
         floors = (energy_floor(policy, topology, node.id) for node in program.nodes)
         lowest = [max(_DEATH_FLOOR, math.ceil(f / QUANTUM) * QUANTUM) for f in floors]
@@ -464,13 +459,10 @@ def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -
 
 
 def step(
-    state: NetworkState,
-    strategy: MaintenanceStrategy | None,
-    config: SimConfig,
-    grid: CoverageGrid,
-) -> MetricsSample | None:
-    """Advance the simulation by one step; returns the metrics sample, taken
-    on grid, when the step lands on the sampling stride, else None."""
+    state: NetworkState, strategy: MaintenanceStrategy | None, config: SimConfig
+) -> None:
+    """Advance the simulation by one step: the data round, the trigger
+    check and maintenance when it fires, and the clock."""
     state.in_step = True
     _traffic(state)
     if armed(strategy) and should_trigger(config.trigger, state):
@@ -478,18 +470,16 @@ def step(
         strategy.events.append((state.time + 1, action))
     state.in_step = False
     state.time += 1
-    if state.time % config.metrics_stride == 0:
-        return sample_metrics(state, config, grid)
-    return None
 
 
 def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
     """Initialize and step to max_steps, or stop early once every sensor
-    node is dead and maintenance has nothing to activate. Each quiet stretch
-    is jumped in one move, through any sample points it crosses: nothing a
-    sample reads but the clock changes inside it, so one sample at its end,
-    re-timed, stands for each of them. The last step is always sampled, on
-    the stride or not.
+    node is dead and maintenance has nothing to activate. After each step
+    the quiet stretch that follows it, if any, is jumped in one move, and
+    one sample, re-timed to each stride point the two crossed, stands for
+    all of them: nothing a sample reads but the clock changes inside a
+    stretch. Time 0 and the last step are always sampled, on the stride or
+    not.
 
     grid, when given, is a coverage grid on the config's area and cell size,
     shared with other runs so that each footprint is computed once for all
@@ -506,18 +496,17 @@ def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
     stride = config.metrics_stride
     series = [sample_metrics(state, config, grid)]
     while state.time < config.max_steps:
-        sample = step(state, strategy, config, grid)
-        if sample is not None:
-            series.append(sample)
-        if _network_finished(state):
-            break
         start = state.time
-        if _fast_forward(state, strategy, config):
-            due = range(start // stride * stride + stride, state.time + 1, stride)
-            if due:
-                s = sample_metrics(state, config, grid)
-                values = s.alive, s.sink_reachable, s.comm_coverage, s.sensing_coverage
-                series.extend(MetricsSample(t, *values) for t in due)
+        step(state, strategy, config)
+        finished = _network_finished(state)
+        if not finished:
+            _fast_forward(state, strategy, config)
+        due = range(start // stride * stride + stride, state.time + 1, stride)
+        if due:
+            sample = sample_metrics(state, config, grid)
+            series += (replace(sample, time=t) for t in due)
+        if finished:
+            break
     if series[-1].time != state.time:  # the horizon or the early end
         series.append(sample_metrics(state, config, grid))
     final = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -247,28 +247,11 @@ def write_summary(rows: list[SummaryRow], path: str | Path) -> Path:
     path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "tc",
-                "tm",
-                "seed",
-                "time_to_first_death",
-                "time_to_low_reachability",
-                "integrated_comm_coverage",
-                "integrated_sensing_coverage",
-            ]
-        )
+        writer.writerow(f.name for f in fields(SummaryRow))
         for row in rows:
             writer.writerow(
-                [
-                    row.tc,
-                    row.tm,
-                    row.seed,
-                    row.time_to_first_death,
-                    row.time_to_low_reachability,
-                    f"{row.integrated_comm_coverage:.6f}",
-                    f"{row.integrated_sensing_coverage:.6f}",
-                ]
+                f"{value:.6f}" if isinstance(value, float) else value
+                for value in astuple(row)
             )
     return path
 

@@ -241,15 +241,11 @@ def sink_reachable(state: NetworkState) -> set[int]:
     return reached
 
 
-def comm_coverage(
-    state: NetworkState, grid: CoverageGrid, reach: set[int] | None = None
-) -> float:
+def comm_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> float:
     """Fraction of grid points within the communication radius of at least
-    one sink-reachable node (sink included). reach, when given, is
-    sink_reachable(state) already computed for this state."""
+    one node of reach, sink_reachable(state): the sink-reachable nodes,
+    sink included."""
     radius = state.radio.communication_radius
-    if reach is None:
-        reach = sink_reachable(state)
     covered = np.zeros((len(grid.ys), (len(grid.xs) + 7) // 8), dtype=np.uint8)
     nodes = state.nodes
     points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in reach]
@@ -262,18 +258,15 @@ def comm_coverage(
 
 
 def sensing_coverage(
-    state: NetworkState,
-    sp: SensingParams,
-    grid: CoverageGrid,
-    reach: set[int] | None = None,
+    state: NetworkState, sp: SensingParams, grid: CoverageGrid, reach: set[int]
 ) -> float:
     """Fraction of grid points whose combined detection probability under the
-    sink-reachable active sensors reaches the detection threshold.
+    sink-reachable active sensors, those of reach = sink_reachable(state),
+    reaches the detection threshold.
 
     Sensors detect independently, so the combined probability at a point is
     1 - prod(1 - p_i). The sink is a collector, not a sensor, and does not
-    contribute. reach, when given, is sink_reachable(state) already computed
-    for this state.
+    contribute.
 
     The products are folded band by band (see CoverageGrid). The sensors'
     footprints are bucketed by the rows of bands they overlap, in ascending
@@ -286,8 +279,6 @@ def sensing_coverage(
     the grid's points.
     """
     r = state.radio.sensing_radius
-    if reach is None:
-        reach = sink_reachable(state)
     sensors = sorted(reach - {state.sink.id})
     nodes = state.nodes
     points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in sensors]

@@ -138,8 +138,9 @@ class Node:
 class Topology:
     """A reduced topology: a tree rooted at the sink.
 
-    active_set holds the relays (sink included); parent maps every attached
-    node, relays and sleeping leaves alike, to its parent. coverage_promoted
+    active_set holds the awake nodes (sink included): the relays and
+    A3Cov's coverage-promoted leaves. parent maps every attached node,
+    awake and sleeping alike, to its parent. coverage_promoted
     marks leaves activated purely for sensing coverage, which exempts them
     from childless pruning.
     """

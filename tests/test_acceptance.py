@@ -189,9 +189,9 @@ def test_criterion_3_cds_properties():
             assert topology.active_set <= cov_topology.active_set
             activate_topology(state, topology)
             activate_topology(cov_state, cov_topology)
-            assert sensing_coverage(cov_state, sp, grid) >= sensing_coverage(
-                state, sp, grid
-            )
+            assert sensing_coverage(
+                cov_state, sp, grid, sink_reachable(cov_state)
+            ) >= sensing_coverage(state, sp, grid, sink_reachable(state))
 
 
 def test_criterion_4_reachability_oracle():
@@ -232,7 +232,6 @@ def test_criterion_5_energy_conservation_full_run():
     with criterion(5, "energy conservation on the full default run"):
         config = SimConfig()  # 300 nodes, 1074 x 660, 5000 steps
         state, strategy = initialize(config)
-        grid = CoverageGrid(state.area, config.grid_cell)
         initial = config.energy.initial_energy * (len(state.nodes) - 1)
         alive_series = [alive_count(state)]
 
@@ -244,10 +243,10 @@ def test_criterion_5_energy_conservation_full_run():
 
         ledger_holds()
         while state.time < config.max_steps:
-            sample = step(state, strategy, config, grid)
-            if sample is not None:
+            step(state, strategy, config)
+            if state.time % config.metrics_stride == 0:
                 ledger_holds()
-                alive_series.append(sample.alive)
+                alive_series.append(alive_count(state))
         assert state.time == config.max_steps
         assert all(a >= b for a, b in zip(alive_series, alive_series[1:]))
 
@@ -257,18 +256,24 @@ def test_criterion_6_coverage_estimator_stability():
         # geometric oracle: lone sink centered in 200 x 200 with R = 100
         lone = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
         grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-        assert comm_coverage(lone, grid) == pytest.approx(math.pi / 4, abs=0.01)
+        assert comm_coverage(lone, grid, sink_reachable(lone)) == pytest.approx(
+            math.pi / 4, abs=0.01
+        )
 
         # grid refinement on a seeded 300-node scenario
         config = SimConfig()
         state, _ = initialize(config)
+        reach = sink_reachable(state)
         coarse = CoverageGrid(state.area, 4.0)
         fine = CoverageGrid(state.area, 2.0)
-        assert abs(comm_coverage(state, coarse) - comm_coverage(state, fine)) < 0.01
+        assert (
+            abs(comm_coverage(state, coarse, reach) - comm_coverage(state, fine, reach))
+            < 0.01
+        )
         assert (
             abs(
-                sensing_coverage(state, config.sensing, coarse)
-                - sensing_coverage(state, config.sensing, fine)
+                sensing_coverage(state, config.sensing, coarse, reach)
+                - sensing_coverage(state, config.sensing, fine, reach)
             )
             < 0.01
         )

@@ -20,6 +20,7 @@ from wsnlife import (
     prune_childless,
     rx_energy,
     sensing_coverage,
+    sink_reachable,
     tx_energy,
 )
 
@@ -228,6 +229,18 @@ def random_instance(seed, n_range=(5, 30), area=300.0):
     return deploy(config, RadioParams(), EnergyParams())
 
 
+def test_a3cov_without_sensing_parameters_charges_nothing():
+    state = random_instance(7)
+    before = copy.deepcopy(state)
+    _, charge = construct(copy.deepcopy(state), TCProtocol.A3, PARAMS)
+    assert charge.energy  # construction would charge some battery
+    with pytest.raises(ValueError, match="A3Cov requires sensing parameters"):
+        construct(state, TCProtocol.A3COV, PARAMS)
+    assert [n.energy for n in state.nodes] == [n.energy for n in before.nodes]
+    assert state.energy_ledger == before.energy_ledger
+    assert state.death_step == before.death_step
+
+
 def test_construction_invariants_random_instances():
     for seed in range(60):
         state = random_instance(seed)
@@ -300,7 +313,8 @@ def test_a3cov_superset_and_sensing_gain_random_instances():
         assert a3_topo.active_set <= cov_topo.active_set
         activate_topology(plain, a3_topo)
         activate_topology(cov, cov_topo)
-        assert sensing_coverage(cov, SP, grid) >= sensing_coverage(plain, SP, grid)
+        got = sensing_coverage(cov, SP, grid, sink_reachable(cov))
+        assert got >= sensing_coverage(plain, SP, grid, sink_reachable(plain))
 
 
 def test_reduction_on_dense_deployment():

@@ -190,10 +190,9 @@ def two_node_state(budget):
 def test_two_node_per_step_cost():
     state = two_node_state(budget=1.0)
     config = SimConfig(tm=None, metrics_stride=1, max_steps=10)
-    grid = CoverageGrid(state.area, 4.0)
     before = state.nodes[1].energy
     sink_before = state.sink.energy
-    step(state, None, config, grid)
+    step(state, None, config)
     cost = before - state.nodes[1].energy
     assert cost == quanta(7.5e-5) / 2**40  # the cost in whole quanta
     assert cost == tx_energy(config.energy, 1000, 50.0)
@@ -203,9 +202,8 @@ def test_two_node_per_step_cost():
 def test_two_node_child_dies_at_step_ten():
     state = two_node_state(budget=7.5e-4)
     config = SimConfig(tm=None, metrics_stride=1, max_steps=50)
-    grid = CoverageGrid(state.area, 4.0)
     while state.time < 50 and state.nodes[1].alive:
-        step(state, None, config, grid)
+        step(state, None, config)
     assert not state.nodes[1].alive
     assert state.death_step[1] == 10
     assert state.nodes[1].energy == 0.0
@@ -259,7 +257,6 @@ def test_series_length_and_monotone_alive():
 def test_ledger_identity_across_run():
     config = small_config(max_steps=80, metrics_stride=8)
     state, strategy = initialize(config)
-    grid = CoverageGrid(state.area, config.grid_cell)
     # every battery starts at the initial energy in whole quanta, and every
     # sum below is of whole quanta, so exact
     initial = quanta(config.energy.initial_energy) / 2**40 * (len(state.nodes) - 1)
@@ -271,10 +268,8 @@ def test_ledger_identity_across_run():
 
     ledger_holds()
     while state.time < config.max_steps:
-        sample = step(state, strategy, config, grid)
-        if sample is not None:
-            ledger_holds()
-    ledger_holds()
+        step(state, strategy, config)
+        ledger_holds()
 
 
 def test_sink_bits_counter_matches_surviving_paths():
@@ -283,8 +278,7 @@ def test_sink_bits_counter_matches_surviving_paths():
     topology = Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1}, root=0)
     activate_topology(state, topology)
     config = SimConfig(tm=None, metrics_stride=1, max_steps=5)
-    grid = CoverageGrid(state.area, 4.0)
-    step(state, None, config, grid)
+    step(state, None, config)
     assert state.packets_delivered == 2
     assert state.packets_dropped == 0
 
@@ -294,9 +288,8 @@ def test_packet_dropped_at_dead_relay():
     topology = Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1}, root=0)
     activate_topology(state, topology)
     config = SimConfig(tm=None, metrics_stride=1, max_steps=1)
-    grid = CoverageGrid(state.area, 4.0)
     energy_before = state.nodes[2].energy
-    step(state, None, config, grid)
+    step(state, None, config)
     # the origin paid its transmit cost but the packet went nowhere
     assert state.packets_dropped == 1
     assert state.nodes[2].energy < energy_before
@@ -313,12 +306,8 @@ def test_early_termination_with_final_sample():
         max_steps=50,
         energy=EnergyParams(initial_energy=7.5e-4),
     )
-    grid = CoverageGrid(state.area, config.grid_cell)
-    series = []
     while state.time < config.max_steps:
-        sample = step(state, None, config, grid)
-        if sample is not None:
-            series.append(sample)
+        step(state, None, config)
         if not any(n.alive for n in state.nodes if n.id != 0):
             break
     assert state.time == 10  # the lone sensor died during step 10
@@ -580,12 +569,11 @@ def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
     config = SimConfig(tm=None, max_steps=steps, metrics_stride=steps)
     compiled, _ = _deep_tree_state(seed, n, fan)
     reference, _ = _deep_tree_state(seed, n, fan)
-    grid = CoverageGrid(compiled.area, config.grid_cell)
     for _ in range(steps):
-        step(compiled, None, config, grid)
+        step(compiled, None, config)
     with mock.patch.object(engine, "_traffic", per_hop):
         for _ in range(steps):
-            step(reference, None, config, grid)
+            step(reference, None, config)
     assert [nd.energy.hex() for nd in compiled.nodes] == [
         nd.energy.hex() for nd in reference.nodes
     ]
@@ -622,15 +610,14 @@ def test_replaced_topology_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         state, strategy = initialize(config)
-        grid = CoverageGrid(state.area, config.grid_cell)
-        step(state, strategy, config, grid)
+        step(state, strategy, config)
         routes = state.topology.route_cache
         assert routes.program is not None
         held = [state.topology, routes, routes.program, routes.program.per_round]
         refs = [weakref.ref(obj) for obj in held]
         del routes, held
         for _ in range(config.trigger.period + 1):
-            step(state, strategy, config, grid)
+            step(state, strategy, config)
         assert strategy.events  # the topology was replaced
         assert [ref() for ref in refs] == [None] * 4
     finally:
@@ -644,21 +631,20 @@ def test_kill_between_steps_recompiles_round():
     topology = Topology(active_set={0, 1, 2, 3}, parent={1: 0, 2: 1, 3: 2}, root=0)
     activate_topology(state, topology)
     config = SimConfig(tm=None, max_steps=10, metrics_stride=10)
-    grid = CoverageGrid(state.area, config.grid_cell)
     tx = tx_energy(state.energy, state.energy.data_packet_bits, 80.0)
-    step(state, None, config, grid)
+    step(state, None, config)
     program = topology.route_cache.program
     assert (program.delivered, program.dropped) == (3, 0)
-    step(state, None, config, grid)
+    step(state, None, config)
     assert topology.route_cache.program is program  # nobody died: reused
     state.kill(2)
     before = state.nodes[3].energy
-    step(state, None, config, grid)  # node 2's zeroed battery fails the program: hop by hop
+    step(state, None, config)  # node 2's zeroed battery fails the program: hop by hop
     assert state.packets_delivered == 3 + 3 + 1
     assert state.packets_dropped == 1
     assert state.nodes[3].energy == before - tx
     assert topology.route_cache.program is None
-    step(state, None, config, grid)  # compiled over the alive set that round left
+    step(state, None, config)  # compiled over the alive set that round left
     program = topology.route_cache.program
     assert (program.delivered, program.dropped) == (1, 1)
     assert [node.id for node in program.nodes] == [1, 3]
@@ -1126,10 +1112,9 @@ def test_battery_is_the_one_record_of_life(tm, tc, data):
     quantized = quanta(config.energy.initial_energy) / 2**40
     initial = [quantized] * (config.deployment.node_count - 1)
     state, strategy = initialize(config)
-    grid = CoverageGrid(state.area, config.grid_cell)
     alive = assert_one_record_of_life(state, initial, len(state.nodes))
     while state.time < config.max_steps and not engine._network_finished(state):
-        step(state, strategy, config, grid)
+        step(state, strategy, config)
         alive = assert_one_record_of_life(state, initial, alive)
 
 
@@ -1195,3 +1180,22 @@ def test_run_through_samples_matches_step_loop(tm, scenario):
     ]
     assert fast_state.energy_ledger.hex() == plain_state.energy_ledger.hex()
     assert activation_stamp(fast_state) == activation_stamp(plain_state)
+    if scenario == "stride 1":
+        # one sample at time 0, then one per step, however far the stretch
+        # after it runs: run() is the one place that samples
+        calls = {"step": 0, "sample_metrics": 0}
+
+        def counted(name):
+            fn = getattr(engine, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        with mock.patch.object(engine, "step", counted("step")), mock.patch.object(
+            engine, "sample_metrics", counted("sample_metrics")
+        ):
+            assert run(config).to_dict() == fast.to_dict()
+        assert calls["sample_metrics"] == 1 + calls["step"]

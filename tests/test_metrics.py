@@ -145,46 +145,48 @@ def test_comm_coverage_inscribed_circle():
     # lone sink centered in a 200 x 200 area with R = 100: pi/4 of the area
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
     grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert comm_coverage(state, grid) == pytest.approx(math.pi / 4, abs=0.01)
+    reach = sink_reachable(state)
+    assert comm_coverage(state, grid, reach) == pytest.approx(math.pi / 4, abs=0.01)
 
 
 def test_comm_coverage_full_when_radius_exceeds_diagonal():
     radio = RadioParams(communication_radius=300.0)
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0), radio=radio)
     grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert comm_coverage(state, grid) == 1.0
+    assert comm_coverage(state, grid, sink_reachable(state)) == 1.0
 
 
 def test_comm_coverage_vanishes_as_radius_shrinks():
     radio = RadioParams(communication_radius=1e-6)
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0), radio=radio)
     grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert comm_coverage(state, grid) < 0.002
+    assert comm_coverage(state, grid, sink_reachable(state)) < 0.002
 
 
 def test_coverage_monotone_in_reachable_set():
     area = DeploymentArea(400.0, 200.0)
     grid = CoverageGrid(area, 4.0)
     base = make_state([(100.0, 100.0), (190.0, 100.0)], area=area)
-    lone = comm_coverage(base, grid)
+    lone = comm_coverage(base, grid, sink_reachable(base))
     grown = make_state(
         [(100.0, 100.0), (190.0, 100.0)], area=area, active=[1]
     )
-    assert comm_coverage(grown, grid) >= lone
-    assert sensing_coverage(grown, SP, grid) >= sensing_coverage(base, SP, grid)
+    assert comm_coverage(grown, grid, sink_reachable(grown)) >= lone
+    lone = sensing_coverage(base, SP, grid, sink_reachable(base))
+    assert sensing_coverage(grown, SP, grid, sink_reachable(grown)) >= lone
 
 
 def test_sensing_coverage_no_active_sensors_is_zero():
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
     grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert sensing_coverage(state, SP, grid) == 0.0
+    assert sensing_coverage(state, SP, grid, sink_reachable(state)) == 0.0
 
 
 def test_sensing_coverage_single_sensor_disk():
     area = DeploymentArea(200.0, 200.0)
     state = make_state([(100.0, 100.0), (100.0, 100.0)], area=area, active=[1])
     grid = CoverageGrid(area, 2.0)
-    got = sensing_coverage(state, SP, grid)
+    got = sensing_coverage(state, SP, grid, sink_reachable(state))
     # points within r - r_u are certain; the p >= 0.5 contour sits at
     # x = inner + ln(2)/lambda = 18 + 1.386..., inside the 22 m outer edge
     contour = (R_SENSE - SP.uncertainty_radius) + math.log(2.0) / SP.decay_rate
@@ -214,7 +216,7 @@ def test_sensing_combination_two_weak_sensors():
     grid = CoverageGrid(area, 120.0)  # single sample point at (60, 60)
     assert grid.point_count == 1
     assert grid.xs[0] == probe[0] and grid.ys[0] == probe[1]
-    assert sensing_coverage(state, sp, grid) == 1.0
+    assert sensing_coverage(state, sp, grid, sink_reachable(state)) == 1.0
 
 
 def whole_grid_sensing_coverage(state, sp, grid, reach):

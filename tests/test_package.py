@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import wsnlife
-from wsnlife import ConstructionCharge, engine, experiment
+from wsnlife import ConstructionCharge, engine, experiment, maintenance
 
 
 def test_all_exports_resolve_sorted_and_unique():
@@ -41,8 +41,20 @@ def test_benchmark_tracer_targets_resolve():
     ]
     assert missing == []
     assert hasattr(ConstructionCharge(), "sent")
-    assert "initialize" in engine.run.__code__.co_names
     assert "run" in experiment.run_experiment.__code__.co_names
+    callers = {
+        engine.run: {"initialize", "step", "sample_metrics"},
+        engine.step: {"should_trigger", "maintain"},
+        engine.sample_metrics: {
+            "alive_count",
+            "sink_reachable",
+            "comm_coverage",
+            "sensing_coverage",
+        },
+        maintenance.maintain: {"construct"},
+    }
+    for caller, names in callers.items():
+        assert names <= set(caller.__code__.co_names), caller.__name__
 
 
 def test_no_module_imports_a_name_it_never_uses():
