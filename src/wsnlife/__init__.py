@@ -2,13 +2,7 @@
 topology construction (A3, A3Cov) and maintenance (rotation, recreation,
 hybrid; time- or energy-triggered)."""
 
-from .construction import (
-    A3Params,
-    ConstructionCharge,
-    TCProtocol,
-    construct,
-    prune_childless,
-)
+from .construction import A3Params, ConstructionCharge, TCProtocol, construct
 from .deployment import DeploymentConfig, deploy
 from .engine import RunResult, SimConfig, initialize, run, step, validate_config
 from .errors import ConfigError
@@ -92,7 +86,6 @@ __all__ = [
     "initialize",
     "maintain",
     "precompute_rotation_set",
-    "prune_childless",
     "received_power",
     "run",
     "rx_energy",

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 
 from .errors import ConfigError
 from .metrics import alive_count, sense_probabilities
-from .model import NetworkState, Topology
+from .model import SINK_ID, NetworkState, Topology
 from .radio import QUANTIZER, rx_energy, tx_coefficients
 
 
@@ -55,9 +55,9 @@ class ConstructionCharge:
 def _grow(
     state: NetworkState, params: A3Params, exclude: frozenset[int]
 ) -> tuple[Topology, ConstructionCharge]:
-    """One growth pass. Does not touch the state: it returns the tree and
-    the control energy each node would spend, so callers can preview a
-    construction.
+    """One growth pass. Does not touch the state: it returns the tree,
+    childless relays still active, and the control energy each node would
+    spend, so callers can preview a construction.
 
     Every node a relay's hello reaches leaves `unvisited` before it is
     charged, so each node hears at most one hello and answers it once: it is
@@ -76,17 +76,16 @@ def _grow(
     tx_elec, tx_amp = tx_coefficients(energy, control_bits)
     quantizer = QUANTIZER
     hypot = math.hypot
-    sink = state.sink.id
 
     spent: dict[int, float] = {}  # each reached node's control energy
     unvisited = {
         n.id
         for n in nodes
-        if n.energy > 0.0 and n.id != sink and n.id not in exclude
+        if n.energy > 0.0 and n.id != SINK_ID and n.id not in exclude
     }
-    active = {sink}
+    active = {SINK_ID}
     parent: dict[int, int] = {}
-    queue = deque([sink])
+    queue = deque([SINK_ID])
     leaves: list[int] = []  # a heap of the sleeping leaves not yet rejected
 
     while True:
@@ -135,7 +134,7 @@ def _grow(
         active.add(woken)
         queue.append(woken)
 
-    topology = Topology(active_set=active, parent=parent, root=sink)
+    topology = Topology(active_set=active, parent=parent)
     charge = ConstructionCharge(sent=dict.fromkeys(spent, 1), energy=spent)
     return topology, charge
 
@@ -156,25 +155,6 @@ def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
     state.energy_ledger = ledger
 
 
-def prune_childless(topology: Topology) -> Topology:
-    """Demote active non-sink nodes with no attached children back to
-    sleeping leaves. Coverage-promoted nodes are kept. Demotion never
-    detaches a child, so one pass over the parents reaches the fixpoint:
-    the kept nodes are the active ones that are a parent, the root or
-    promoted."""
-    kept = set(topology.parent.values())
-    kept.add(topology.root)
-    kept |= topology.coverage_promoted
-    return Topology(
-        active_set=topology.active_set & kept,
-        parent=dict(topology.parent),
-        root=topology.root,
-        activation_time=topology.activation_time,
-        activation_energy=dict(topology.activation_energy),
-        coverage_promoted=set(topology.coverage_promoted),
-    )
-
-
 def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
     """Activate sleeping leaves whose own positions are not sensed with
     probability detection_threshold by the current active sensors. Each
@@ -189,7 +169,7 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
     r = state.radio.sensing_radius
     radius = state.radio.communication_radius
     in_links = r + sp.uncertainty_radius <= radius
-    nodes, active, root = state.nodes, topology.active_set, topology.root
+    nodes, active = state.nodes, topology.active_set
     hypot = math.hypot
     sleepers = sorted(set(topology.parent) - active)
     for sid in sleepers:
@@ -205,7 +185,7 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
                 pos = nodes[aid].position
                 near.append((hypot(sx - pos.x, sy - pos.y), aid))
         # the sink collects, it does not sense
-        sensed = [d for d, aid in near if aid != root]
+        sensed = [d for d, aid in near if aid != SINK_ID]
         miss = 1.0
         for p in sense_probabilities(sp, r, sensed):
             miss *= 1.0 - p
@@ -220,31 +200,38 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
         topology.coverage_promoted.add(sid)
 
 
+# An excluding growth that reaches under half of the alive nodes lifts its
+# exclusion: better to reuse relays than to precompute a stump.
+RELAX_REACH_FRACTION = 0.5
+
+
 def construct(
     state: NetworkState,
     tc: TCProtocol,
     params: A3Params,
     sensing=None,
     exclude: frozenset[int] = frozenset(),
-    relax_below: float | None = None,
 ) -> tuple[Topology, ConstructionCharge]:
-    """Build a reduced topology with the selected protocol and charge the
-    control traffic to the batteries.
+    """Build a reduced topology with the selected protocol, charge the
+    control traffic to the batteries and return the finished tree.
 
-    relax_below, when set, lifts the exclusion set if the excluded growth
-    reaches fewer than that fraction of the alive nodes; rotation-set
-    precomputation uses it to allow relay reuse in sparse networks.
+    A growth that excludes nodes yet reaches fewer than
+    RELAX_REACH_FRACTION of the alive nodes is grown again without the
+    exclusion, and that growth is charged instead. Relays left without a
+    child after the growth are demoted to sleeping leaves; demotion never
+    detaches a child, so the active nodes left are the sink and the
+    parents. A3Cov then promotes its sensing leaves.
     """
-    if state.sink.id in exclude:
+    if SINK_ID in exclude:
         raise ValueError("the sink cannot be excluded from construction")
     if tc is TCProtocol.A3COV and sensing is None:
         raise ValueError("A3Cov requires sensing parameters")
-    grown, charge = _grow(state, params, frozenset(exclude))
+    topology, charge = _grow(state, params, frozenset(exclude))
     reached = len(charge.energy) + 1  # the charged nodes and the sink
-    if relax_below is not None and reached < relax_below * alive_count(state):
-        grown, charge = _grow(state, params, frozenset())
+    if exclude and reached < RELAX_REACH_FRACTION * alive_count(state):
+        topology, charge = _grow(state, params, frozenset())
     _apply_charge(state, charge)
-    topology = prune_childless(grown)
+    topology.active_set &= {SINK_ID, *topology.parent.values()}
     if tc is TCProtocol.A3COV:
         _promote_for_sensing(state, topology, sensing)
     return topology, charge

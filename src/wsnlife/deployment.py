@@ -51,7 +51,7 @@ def deploy(
         x = rng.random() * width
         y = rng.random() * height
         nodes.append(Node(id=node_id, position=Point(x, y), energy=initial))
-    empty = Topology(active_set={SINK_ID}, parent={}, root=SINK_ID)
+    empty = Topology(active_set={SINK_ID}, parent={})
     return NetworkState(
         nodes=nodes, area=config.area, radio=radio, energy=energy, topology=empty
     )

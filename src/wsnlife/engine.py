@@ -65,7 +65,7 @@ from .metrics import (
     sensing_coverage,
     sink_reachable,
 )
-from .model import EnergyParams, NetworkState, Node, RadioParams, SensingParams
+from .model import SINK_ID, EnergyParams, NetworkState, Node, RadioParams, SensingParams
 from .radio import QUANTIZER, QUANTUM, rx_energy, tx_coefficients
 
 # Every battery, drain and ledger value stays below 2^53 quanta, so that
@@ -161,21 +161,17 @@ def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | N
     static and hybrid strategies), and activate it at time zero."""
     validate_config(config)
     state = deploy(config.deployment, config.radio, config.energy)
-    strategy: MaintenanceStrategy | None = None
-    if config.tm is None:
+    kind = None if config.tm is None else config.tm.strategy_kind
+    if kind in (None, StrategyKind.DYNAMIC_RECREATION):
         topology, _ = construct(state, config.tc, config.a3, config.sensing)
+        rotation = []
     else:
-        kind = config.tm.strategy_kind
-        if kind is StrategyKind.DYNAMIC_RECREATION:
-            topology, _ = construct(state, config.tc, config.a3, config.sensing)
-            strategy = MaintenanceStrategy(kind)
-        else:
-            rotation = precompute_rotation_set(
-                state, config.tc, config.rotation_k, config.a3, config.sensing
-            )
-            topology = rotation[0]
-            strategy = MaintenanceStrategy(kind, rotation_set=rotation)
+        rotation = precompute_rotation_set(
+            state, config.tc, config.rotation_k, config.a3, config.sensing
+        )
+        topology = rotation[0]
     activate_topology(state, topology)
+    strategy = None if kind is None else MaintenanceStrategy(kind, rotation_set=rotation)
     return state, strategy
 
 
@@ -218,7 +214,7 @@ def _routes(state: NetworkState) -> Tree:
         nodes = state.nodes
         elec, amp = tx_coefficients(state.energy, state.energy.data_packet_bits)
         quantizer = QUANTIZER
-        origins = sorted(topology.active_set - {topology.root})
+        origins = sorted(topology.active_set - {SINK_ID})
         edges: dict[int, tuple[int, float]] = {}
         children: dict[int, list[int]] = {}
         for nid in origins:
@@ -231,7 +227,7 @@ def _routes(state: NetworkState) -> Tree:
             edges[nid] = (parent, (elec + amp * hop**2 + quantizer) - quantizer)
             children.setdefault(parent, []).append(nid)
         downward = []  # depth first, each node before its subtree
-        stack = list(children.get(topology.root, ()))
+        stack = list(children.get(SINK_ID, ()))
         while stack:
             nid = stack.pop()
             downward.append(nid)
@@ -254,14 +250,13 @@ def _compile_round(state: NetworkState, tree: Tree) -> RoundProgram:
     its count to its parent's, or to the delivered packets at the sink."""
     nodes = state.nodes
     edges = tree.edges
-    sink = state.sink.id
     counts: dict[int, int] = {}
     delivered = 0
     for nid in tree.upward:
         if nodes[nid].energy > 0.0:
             count = counts[nid] = counts.get(nid, 0) + 1
             parent = edges[nid][0]
-            if parent == sink:
+            if parent == SINK_ID:
                 delivered += count
             elif nodes[parent].energy > 0.0:
                 counts[parent] = counts.get(parent, 0) + count
@@ -325,7 +320,6 @@ def _per_hop_round(state: NetworkState, tree: Tree) -> None:
     the sink's battery is never drawn."""
     edges = tree.edges
     rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
-    sink = state.sink.id
     nodes = state.nodes
     ledger = state.energy_ledger
     delivered = dropped = 0
@@ -345,7 +339,7 @@ def _per_hop_round(state: NetworkState, tree: Tree) -> None:
                 state.kill(current)
                 dropped += 1  # died mid-transmission
                 break
-            if parent == sink:
+            if parent == SINK_ID:
                 # The sink is mains powered; its receive cost is not metered.
                 delivered += 1
                 break
@@ -441,8 +435,7 @@ def _network_finished(state: NetworkState) -> bool:
     sink-only deployment simply runs out its clock."""
     if len(state.nodes) <= 1:
         return False
-    sink = state.sink.id
-    return all(n.energy <= 0.0 for n in state.nodes if n.id != sink)
+    return all(n.energy <= 0.0 for n in state.nodes if n.id != SINK_ID)
 
 
 def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -> MetricsSample:

@@ -12,11 +12,7 @@ from enum import Enum
 
 from .construction import A3Params, TCProtocol, construct
 from .errors import ConfigError
-from .model import NetworkState, Topology
-
-# A rotation-set growth that reaches under half of the alive nodes lifts its
-# exclusion list: better to reuse relays than to precompute a stump.
-RELAX_REACH_FRACTION = 0.5
+from .model import SINK_ID, NetworkState, Topology
 
 
 class TriggerKind(Enum):
@@ -88,7 +84,7 @@ def should_trigger(policy: TriggerPolicy, state: NetworkState) -> bool:
     if policy.kind is TriggerKind.TIME:
         return steps_to_time_trigger(policy, state) <= 0
     for nid in topology.active_set:
-        if nid == topology.root:
+        if nid == SINK_ID:
             continue
         node = state.nodes[nid]
         if not node.alive or node.energy < energy_floor(policy, topology, nid):
@@ -135,9 +131,10 @@ def precompute_rotation_set(
     params: A3Params,
     sensing=None,
 ) -> list[Topology]:
-    """Build k alternative topologies up front, excluding the relays of each
-    run from the next so rotations drain different nodes. Construction energy
-    for all k is charged here, at precomputation time."""
+    """Build k alternative topologies up front, each excluding the awake
+    nodes of the entries before it so rotations drain different nodes; an
+    entry whose exclusion would leave a stump reuses them (see construct).
+    Construction energy for all k is charged here, at precomputation time."""
     if k < 1:
         raise ValueError("rotation set size must be at least 1")
     if state.time != 0:
@@ -145,16 +142,9 @@ def precompute_rotation_set(
     topologies: list[Topology] = []
     exclude: set[int] = set()
     for _ in range(k):
-        topology, _charge = construct(
-            state,
-            tc,
-            params,
-            sensing,
-            exclude=frozenset(exclude),
-            relax_below=RELAX_REACH_FRACTION,
-        )
+        topology, _charge = construct(state, tc, params, sensing, frozenset(exclude))
         topologies.append(topology)
-        exclude |= topology.active_set - {topology.root}
+        exclude |= topology.active_set - {SINK_ID}
     return topologies
 
 
@@ -166,9 +156,7 @@ def _next_usable(strategy: MaintenanceStrategy, state: NetworkState) -> int | No
     for offset in range(1, k + 1):
         idx = (strategy.cursor + offset) % k
         candidate = strategy.rotation_set[idx]
-        if all(
-            nodes[nid].alive for nid in candidate.active_set if nid != candidate.root
-        ):
+        if all(nodes[nid].alive for nid in candidate.active_set if nid != SINK_ID):
             return idx
     return None
 

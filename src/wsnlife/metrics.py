@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import DeploymentArea, NetworkState, SensingParams
+from .model import SINK_ID, DeploymentArea, NetworkState, SensingParams
 
 # Sample points a coverage grid may hold: each comm coverage recomputation
 # allocates a packed array of this size, eight points per byte (1.25 MB at
@@ -227,11 +227,11 @@ def sink_reachable(state: NetworkState) -> set[int]:
     nodes = state.nodes
     unreached = {
         nid for nid in topology.active_set
-        if nid != topology.root and nodes[nid].energy > 0.0
+        if nid != SINK_ID and nodes[nid].energy > 0.0
     }
     links = state.links
-    reached = {state.sink.id}
-    frontier = [state.sink.id]
+    reached = {SINK_ID}
+    frontier = [SINK_ID]
     while frontier:
         for nid in links[frontier.pop()]:
             if nid in unreached:
@@ -279,7 +279,7 @@ def sensing_coverage(
     the grid's points.
     """
     r = state.radio.sensing_radius
-    sensors = sorted(reach - {state.sink.id})
+    sensors = sorted(reach - {SINK_ID})
     nodes = state.nodes
     points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in sensors]
     height, width = grid.band_shape

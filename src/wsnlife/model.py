@@ -136,18 +136,18 @@ class Node:
 
 @dataclass
 class Topology:
-    """A reduced topology: a tree rooted at the sink.
+    """A reduced topology: a tree rooted at the sink, node SINK_ID.
 
     active_set holds the awake nodes (sink included): the relays and
-    A3Cov's coverage-promoted leaves. parent maps every attached node,
-    awake and sleeping alike, to its parent. coverage_promoted
-    marks leaves activated purely for sensing coverage, which exempts them
-    from childless pruning.
+    A3Cov's coverage-promoted leaves. construct leaves every relay a
+    parent, though a promoted leaf may move to a nearer active node. parent
+    maps every attached node, awake and sleeping alike, to its parent.
+    coverage_promoted marks the leaves activated purely for sensing
+    coverage.
     """
 
     active_set: set[int]
     parent: dict[int, int]
-    root: int = SINK_ID
     activation_time: int = 0
     activation_energy: dict[int, float] = field(default_factory=dict)
     coverage_promoted: set[int] = field(default_factory=set)

@@ -48,7 +48,7 @@ def make_state(
         area=area,
         radio=radio,
         energy=energy,
-        topology=Topology(active_set={0, *active}, parent={}, root=0),
+        topology=Topology(active_set={0, *active}, parent={}),
     )
     for nid in dead:
         state.nodes[nid].energy = 0.0

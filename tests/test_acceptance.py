@@ -18,6 +18,7 @@ from wsnlife import (
     DeploymentConfig,
     EnergyParams,
     RadioParams,
+    SINK_ID,
     SensingParams,
     SimConfig,
     TCProtocol,
@@ -152,15 +153,15 @@ def test_criterion_3_cds_properties():
             assert again.active_set == topology.active_set
 
             # tree-connectivity: acyclic parent chains ending at the sink
-            assert topology.root not in topology.parent
+            assert SINK_ID not in topology.parent
             for child in topology.parent:
                 seen = {child}
                 node = child
-                while node != topology.root:
+                while node != SINK_ID:
                     node = topology.parent[node]
                     assert node not in seen, "cycle in parent links"
                     seen.add(node)
-            for nid in topology.active_set - {topology.root}:
+            for nid in topology.active_set - {SINK_ID}:
                 assert nid in topology.parent
 
             # domination over the sink's disk-graph component

@@ -10,14 +10,15 @@ from wsnlife import (
     DeploymentConfig,
     EnergyParams,
     RadioParams,
+    SINK_ID,
     SensingParams,
     TCProtocol,
     Topology,
     activate_topology,
+    alive_count,
     construct,
     deploy,
     distance,
-    prune_childless,
     rx_energy,
     sensing_coverage,
     sink_reachable,
@@ -35,18 +36,18 @@ SP = SensingParams()
 def check_tree(topology: Topology):
     """Parent links must form a cycle-free tree rooted at the sink, with
     every interior node active."""
-    assert topology.root not in topology.parent
+    assert SINK_ID not in topology.parent
     for child, parent in topology.parent.items():
         assert parent in topology.active_set
     for start in topology.parent:
         seen = {start}
         current = start
-        while current != topology.root:
+        while current != SINK_ID:
             current = topology.parent[current]
             assert current not in seen, "cycle in parent links"
             seen.add(current)
     for nid in topology.active_set:
-        if nid != topology.root:
+        if nid != SINK_ID:
             assert nid in topology.parent
 
 
@@ -154,32 +155,20 @@ def test_wakeup_reaches_node_behind_sleeping_leaf():
     check_tree(topology)
 
 
-def test_prune_childless_star():
-    topology = Topology(
-        active_set={0, 1, 2, 3}, parent={1: 0, 2: 0, 3: 0}, root=0
-    )
-    pruned = prune_childless(topology)
-    assert pruned.active_set == {0}
-    assert pruned.parent == {1: 0, 2: 0, 3: 0}
-
-
-def test_prune_sink_only_unchanged():
-    topology = Topology(active_set={0}, parent={}, root=0)
-    assert prune_childless(topology).active_set == {0}
-
-
-def test_prune_fixpoint_when_all_have_children():
-    topology = Topology(active_set={0, 1}, parent={1: 0, 2: 1}, root=0)
-    pruned = prune_childless(topology)
-    assert pruned.active_set == {0, 1}
-    assert prune_childless(pruned).active_set == {0, 1}
-
-
-def test_prune_keeps_coverage_promoted():
-    topology = Topology(
-        active_set={0, 1}, parent={1: 0}, root=0, coverage_promoted={1}
-    )
-    assert prune_childless(topology).active_set == {0, 1}
+def test_sparse_exclusion_is_lifted():
+    # with relay 1 excluded the growth reaches the sink alone, one of five
+    # alive nodes, so construct grows and charges the unexcluded tree
+    state = make_state([(0.0, 0.0), (60.0, 0.0), (120.0, 0.0), (180.0, 0.0), (240.0, 0.0)])
+    _, stump = _grow(state, PARAMS, frozenset({1}))
+    assert len(stump.energy) + 1 < alive_count(state) / 2
+    for tc in TCProtocol:
+        relaxed = copy.deepcopy(state)
+        plain = copy.deepcopy(state)
+        got = construct(relaxed, tc, PARAMS, SP, exclude=frozenset({1}))
+        assert got == construct(plain, tc, PARAMS, SP)
+        assert 1 in got[0].active_set
+        assert [n.energy for n in relaxed.nodes] == [n.energy for n in plain.nodes]
+        assert relaxed.energy_ledger == plain.energy_ledger
 
 
 def test_excluded_nodes_untouched():
@@ -239,6 +228,36 @@ def test_a3cov_without_sensing_parameters_charges_nothing():
     assert [n.energy for n in state.nodes] == [n.energy for n in before.nodes]
     assert state.energy_ledger == before.energy_ledger
     assert state.death_step == before.death_step
+
+
+def test_every_active_node_is_a_parent_sink_or_promoted():
+    demoted = 0
+    for seed in range(40):
+        state = random_instance(seed + 3000)
+        grown, _ = _grow(state, PARAMS, frozenset())
+        for tc in TCProtocol:
+            topology, _ = construct(copy.deepcopy(state), tc, PARAMS, SP)
+            check_tree(topology)
+            kept = {SINK_ID, *topology.parent.values()}
+            if tc is TCProtocol.A3:
+                assert topology.active_set <= kept
+                assert topology.parent == grown.parent
+                demoted += len(grown.active_set - topology.active_set)
+            else:
+                # promotion may re-attach all of an A3 relay's sleeping
+                # children to nearer active nodes; the relay stays awake
+                relays = set(grown.parent.values())
+                assert topology.active_set <= kept | topology.coverage_promoted | relays
+    assert demoted > 0  # the growths left childless relays to demote
+
+
+def test_sink_only_deployment_constructs_the_sink():
+    for tc in TCProtocol:
+        state = deploy(DeploymentConfig(node_count=1), RadioParams(), EnergyParams())
+        topology, charge = construct(state, tc, PARAMS, SP)
+        assert topology.active_set == {SINK_ID}
+        assert topology.parent == {}
+        assert charge.energy == {}
 
 
 def test_construction_invariants_random_instances():

@@ -6,6 +6,7 @@ from wsnlife import (
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
+    SINK_ID,
     RadioParams,
     deploy,
 )
@@ -22,7 +23,7 @@ def test_default_deployment_matches_design_values():
     assert len(state.nodes) == 300
     assert state.sink.position.x == pytest.approx(537.0)
     assert state.sink.position.y == pytest.approx(330.0)
-    assert state.sink.id == state.topology.root == 0
+    assert state.sink.id == SINK_ID == 0
 
 
 def test_non_sink_nodes_start_sleeping_alive_at_full_charge():

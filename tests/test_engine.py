@@ -275,7 +275,7 @@ def test_ledger_identity_across_run():
 def test_sink_bits_counter_matches_surviving_paths():
     # chain sink <- 1 <- 2, both active, no deaths: every packet arrives
     state = make_state([(0.0, 0.0), (80.0, 0.0), (160.0, 0.0)])
-    topology = Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1}, root=0)
+    topology = Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1})
     activate_topology(state, topology)
     config = SimConfig(tm=None, metrics_stride=1, max_steps=5)
     step(state, None, config)
@@ -285,7 +285,7 @@ def test_sink_bits_counter_matches_surviving_paths():
 
 def test_packet_dropped_at_dead_relay():
     state = make_state([(0.0, 0.0), (80.0, 0.0), (160.0, 0.0)], dead=[1])
-    topology = Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1}, root=0)
+    topology = Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1})
     activate_topology(state, topology)
     config = SimConfig(tm=None, metrics_stride=1, max_steps=1)
     energy_before = state.nodes[2].energy
@@ -298,20 +298,16 @@ def test_packet_dropped_at_dead_relay():
 
 
 def test_early_termination_with_final_sample():
-    state = two_node_state(budget=7.5e-4)
-    # drive through run(): rebuild an equivalent scenario via the public API
-    config = SimConfig(
-        tm=None,
-        metrics_stride=7,
-        max_steps=50,
-        energy=EnergyParams(initial_energy=7.5e-4),
-    )
-    while state.time < config.max_steps:
-        step(state, None, config)
-        if not any(n.alive for n in state.nodes if n.id != 0):
-            break
-    assert state.time == 10  # the lone sensor died during step 10
-    assert not state.nodes[1].alive
+    # a lone sensor 50 m from the sink pays about 7.5e-5 J a step; ten whole
+    # drains, 7.5e-4 J less one quantum, last ten steps, and the run ends on
+    # the step it dies in, sampled there off the stride of 7
+    positions, parent = [(0.0, 0.0), (50.0, 0.0)], {1: 0}
+    _, tx = packet_costs(positions, parent)
+    assert 10 * tx[1] == quanta(7.5e-4) - 1
+    result = run_hand_built(positions, parent, {1: 10 * tx[1]}, max_steps=50, metrics_stride=7)
+    assert [s.time for s in result.series] == [0, 7, 10]
+    assert result.series[-1].alive == 1
+    assert result.death_times == {1: 10}
 
 
 def test_run_early_termination_series_truncated():
@@ -412,7 +408,7 @@ def _random_tree_state(positions, order, parent_picks, budgets, dead):
     for k, nid in enumerate(order):
         earlier = [0] + order[:k]
         parent[nid] = earlier[parent_picks[k] % len(earlier)]
-    topology = Topology(active_set={0, *order}, parent=parent, root=0)
+    topology = Topology(active_set={0, *order}, parent=parent)
     activate_topology(state, topology)
     for nid, (kind, scale) in budgets.items():
         if not state.nodes[nid].alive:
@@ -521,7 +517,7 @@ def _deep_tree_state(seed, n, fan):
     mid_chain = [nid for nid in order if nid in children and parent[nid] != 0]
     dead = rng.sample(mid_chain, k=min(len(mid_chain), rng.randint(1, 4)))
     state = make_state(positions, dead=dead)
-    topology = Topology(active_set={0, *order}, parent=parent, root=0)
+    topology = Topology(active_set={0, *order}, parent=parent)
     activate_topology(state, topology)
     _, own, _, _ = recorded_round(state, engine._routes(state))
     for nid in rng.sample(order, k=n // 10):
@@ -628,7 +624,7 @@ def test_replaced_topology_is_freed_without_the_cycle_collector():
 def test_kill_between_steps_recompiles_round():
     # chain sink <- 1 <- 2 <- 3 with generous batteries: no step kills
     state = make_state([(0.0, 0.0), (80.0, 0.0), (160.0, 0.0), (240.0, 0.0)])
-    topology = Topology(active_set={0, 1, 2, 3}, parent={1: 0, 2: 1, 3: 2}, root=0)
+    topology = Topology(active_set={0, 1, 2, 3}, parent={1: 0, 2: 1, 3: 2})
     activate_topology(state, topology)
     config = SimConfig(tm=None, max_steps=10, metrics_stride=10)
     tx = tx_energy(state.energy, state.energy.data_packet_bits, 80.0)
@@ -658,7 +654,7 @@ def test_relay_drains_stop_at_nested_dead_hops():
     parent = {5: 0, 2: 5, 7: 2, 3: 7, 1: 3, 9: 2, 10: 9, 4: 5, 6: 4, 8: 5, 11: 7}
     positions = [(0.0, 0.0)] + [(10.0 * nid, 5.0) for nid in range(1, 12)]
     state = make_state(positions, dead=[2, 3, 9])
-    activate_topology(state, Topology(active_set={0, *parent}, parent=parent, root=0))
+    activate_topology(state, Topology(active_set={0, *parent}, parent=parent))
     tree = engine._routes(state)
     program = engine._compile_round(state, tree)
     drains, own, delivered, dropped = recorded_round(state, tree)
@@ -976,7 +972,7 @@ def run_hand_built(positions, parent, batteries, max_steps=1000, **overrides):
     state = make_state(positions)
     for nid, joules in batteries.items():
         state.nodes[nid].energy = joules / 2**40
-    activate_topology(state, Topology(active_set={0, *parent}, parent=parent, root=0))
+    activate_topology(state, Topology(active_set={0, *parent}, parent=parent))
     config = SimConfig(
         **{"tm": None, "max_steps": max_steps, "metrics_stride": max_steps, **overrides}
     )

@@ -127,7 +127,7 @@ def star_state_and_rotation():
     """Three interchangeable relays around the sink, one topology each."""
     state = make_state([(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0)])
     rotation = [
-        Topology(active_set={0, nid}, parent={nid: 0}, root=0) for nid in (1, 2, 3)
+        Topology(active_set={0, nid}, parent={nid: 0}) for nid in (1, 2, 3)
     ]
     activate_topology(state, rotation[0])
     return state, rotation
@@ -135,7 +135,7 @@ def star_state_and_rotation():
 
 def test_static_rotation_k1_wraps_to_itself():
     state = make_state([(0.0, 0.0), (50.0, 0.0)])
-    topology = Topology(active_set={0, 1}, parent={1: 0}, root=0)
+    topology = Topology(active_set={0, 1}, parent={1: 0})
     activate_topology(state, topology)
     strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, [topology], 0)
     state.time = 40
@@ -158,7 +158,7 @@ def test_static_rotation_skips_dead_entry():
     assert 1 not in state.topology.active_set
 
 
-def test_static_rotation_retains_when_none_usable():
+def test_static_rotation_exhausted_when_none_usable():
     state, rotation = star_state_and_rotation()
     strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0)
     for nid in (1, 2, 3):
@@ -171,16 +171,16 @@ def test_static_rotation_retains_when_none_usable():
     assert strategy.cursor == 0
 
 
-def test_retained_leaves_state_as_reactivation_would():
+def test_exhausted_leaves_state_untouched():
     # the installed entry keeps the alive relay 4 active and 5 asleep; every
     # entry holds a dead relay, so nothing is usable
     state = make_state(
         [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0), (60.0, 0.0), (0.0, 60.0)]
     )
     rotation = [
-        Topology(active_set={0, 1, 4}, parent={1: 0, 4: 1, 5: 0}, root=0),
-        Topology(active_set={0, 2}, parent={2: 0, 4: 2, 5: 2}, root=0),
-        Topology(active_set={0, 3, 5}, parent={3: 0, 5: 3, 4: 0}, root=0),
+        Topology(active_set={0, 1, 4}, parent={1: 0, 4: 1, 5: 0}),
+        Topology(active_set={0, 2}, parent={2: 0, 4: 2, 5: 2}),
+        Topology(active_set={0, 3, 5}, parent={3: 0, 5: 3, 4: 0}),
     ]
     activate_topology(state, rotation[0])
     strategy = MaintenanceStrategy(StrategyKind.STATIC_ROTATION, rotation, 0)
@@ -219,7 +219,7 @@ def test_hybrid_fallback_matches_dynamic_recreation():
     base = make_state(
         [(0.0, 0.0), (50.0, 0.0), (90.0, 0.0), (180.0, 0.0), (60.0, 60.0)]
     )
-    dead_entry = Topology(active_set={0, 1}, parent={1: 0}, root=0)
+    dead_entry = Topology(active_set={0, 1}, parent={1: 0})
     activate_topology(base, dead_entry)
     base.kill(1)
     hybrid_state = copy.deepcopy(base)

@@ -13,6 +13,7 @@ from wsnlife import (
     EnergyParams,
     Point,
     RadioParams,
+    SINK_ID,
     SimConfig,
     Topology,
     activate_topology,
@@ -407,7 +408,7 @@ def test_delivery_leaves_sink_battery_untouched():
         _data_round(state, routes)
     assert state.packets_delivered == 6 and state.packets_dropped == 0
     assert state.sink.energy == sink_before
-    assert state.sink.alive and state.sink.id == state.topology.root
+    assert state.sink.alive and state.sink.id == SINK_ID
 
 
 def test_kill_sink_does_nothing_and_second_kill_keeps_first_step():

@@ -110,3 +110,18 @@ def test_energy_and_sensing_constants_are_read_in_one_home():
             if (path.name, function) not in homes:
                 found.append((path.name, function, name))
     assert found == []
+
+
+def test_the_sink_has_one_name():
+    """SINK_ID is the one spelling of the sink's id: no module reads a
+    `root` attribute or spells `sink.id`, so a second name for the one
+    value cannot creep back."""
+    found = []
+    for path in sorted(Path(wsnlife.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+            if node.attr == "root" or (node.attr, owner) == ("id", "sink"):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
