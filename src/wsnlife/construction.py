@@ -13,7 +13,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heappop, heappush
 
 from .errors import ConfigError
 from .metrics import alive_count, sense_probabilities
@@ -65,7 +64,10 @@ def _grow(
     the charge is 1, and the charged nodes are the ones reached besides the
     sink. A candidate's distance is distance()'s hypot and its handshake
     costs rx_energy + tx_energy, both taken from hoisted terms with the
-    same bits, in whole quanta."""
+    same bits, in whole quanta. Each time the relays' queue drains, the
+    lowest-id sleeping leaf linked to an unvisited node wakes as a relay;
+    the growth ends when no such gateway is left. The charge lists the
+    reached nodes in growth order."""
     nodes, links = state.nodes, state.links
     radio, energy = state.radio, state.energy
     radius = radio.communication_radius
@@ -78,15 +80,13 @@ def _grow(
     hypot = math.hypot
 
     spent: dict[int, float] = {}  # each reached node's control energy
-    unvisited = {
-        n.id
-        for n in nodes
-        if n.energy > 0.0 and n.id != SINK_ID and n.id not in exclude
-    }
+    unvisited = {n.id for n in nodes if n.energy > 0.0}
+    unvisited.discard(SINK_ID)
+    unvisited -= exclude
     active = {SINK_ID}
     parent: dict[int, int] = {}
     queue = deque([SINK_ID])
-    leaves: list[int] = []  # a heap of the sleeping leaves not yet rejected
+    leaves: list[int] = []  # the sleeping leaves not yet rejected
 
     while True:
         while queue:
@@ -121,16 +121,24 @@ def _grow(
                     active.add(cid)
                     queue.append(cid)
                 else:
-                    heappush(leaves, cid)
+                    leaves.append(cid)
         # Wake-up pass: a sleeping leaf may be the sole gateway to nodes the
         # relays never saw; promote the lowest-id such leaf and keep growing,
         # otherwise the tree would not dominate its disk-graph component.
-        # unvisited only shrinks, so a leaf rejected once is rejected for good.
-        while leaves and unvisited.isdisjoint(links[leaves[0]]):
-            heappop(leaves)
+        # The leaves shrink to the gateways, the ones linked to an unvisited
+        # node, found from the smaller side: links are symmetric, so the
+        # unvisited nodes' links hold every gateway. unvisited only shrinks,
+        # so a leaf rejected once is rejected for good. A list holds them in
+        # an eighth of a set's memory, and min() scans either.
+        if len(unvisited) < len(leaves):
+            near = set().union(*[links[u] for u in unvisited])
+            leaves = [leaf for leaf in leaves if leaf in near]
+        else:
+            leaves = [leaf for leaf in leaves if not unvisited.isdisjoint(links[leaf])]
         if not leaves:
             break
-        woken = heappop(leaves)
+        woken = min(leaves)
+        leaves.remove(woken)
         active.add(woken)
         queue.append(woken)
 
@@ -140,13 +148,14 @@ def _grow(
 
 
 def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
-    """Debit a growth's charge, in ascending id. Each drain was clamped to
+    """Debit a growth's charge, in growth order. Each drain was clamped to
     the battery it was computed from, which nothing has touched since, so it
-    is taken in full; a battery it empties dies."""
+    is taken in full; a battery it empties dies. Every drain is whole quanta
+    and the ledger stays under 2^53 of them, so the batteries, the ledger's
+    sum and the death steps are the same bits in any order."""
     nodes = state.nodes
     ledger = state.energy_ledger
-    for nid in sorted(charge.energy):
-        drained = charge.energy[nid]
+    for nid, drained in charge.energy.items():
         node = nodes[nid]
         node.energy -= drained
         ledger += drained

@@ -1,5 +1,8 @@
 import copy
+import math
 import random
+from collections import deque
+from heapq import heappop, heappush
 
 import pytest
 
@@ -25,7 +28,8 @@ from wsnlife import (
     tx_energy,
 )
 
-from wsnlife.construction import _grow
+from wsnlife.construction import ConstructionCharge, _apply_charge, _grow
+from wsnlife.radio import QUANTIZER, QUANTUM, tx_coefficients
 
 from helpers import make_state
 
@@ -359,3 +363,137 @@ def test_handshake_can_kill_a_depleted_candidate():
     assert 1 not in topology.parent
     assert charge.energy[1] == pytest.approx(1e-6)
     assert state.energy_ledger == pytest.approx(1e-6)
+
+
+def heap_grow(state, params, exclude, drains):
+    """The growth as it was while the sleeping leaves waited in a heap: each
+    time the queue drains, the leaves that no longer border an unvisited
+    node are popped off its top and the top wakes. At each drain it appends
+    to drains the two sizes _grow's wake-up pass compares: the unvisited
+    nodes, and the leaves neither woken nor rejected at an earlier drain."""
+    nodes, links = state.nodes, state.links
+    radius = state.radio.communication_radius
+    e_init = state.energy.initial_energy
+    ew, dw = params.energy_weight, params.distance_weight
+    bits = state.energy.control_packet_bits
+    rx_cost = rx_energy(state.energy, bits)
+    tx_elec, tx_amp = tx_coefficients(state.energy, bits)
+    spent = {}
+    unvisited = {
+        n.id for n in nodes if n.energy > 0.0 and n.id != SINK_ID and n.id not in exclude
+    }
+    active = {SINK_ID}
+    parent = {}
+    queue = deque([SINK_ID])
+    leaves = []  # a heap
+    standing = set()  # the leaves _grow would still hold
+    while True:
+        while queue:
+            pid = queue.popleft()
+            heard = unvisited.intersection(links[pid])
+            if not heard:
+                continue
+            unvisited -= heard
+            ppos = nodes[pid].position
+            candidates = []
+            for cid in heard:
+                node = nodes[cid]
+                d = math.hypot(ppos.x - node.position.x, ppos.y - node.position.y)
+                e = node.energy
+                candidates.append((-(ew * e / e_init + dw * d / radius), cid, d, e))
+            candidates.sort()
+            appointed = set()
+            for _, cid, d, e in candidates:
+                cost = rx_cost + ((tx_elec + tx_amp * d**2 + QUANTIZER) - QUANTIZER)
+                drained = e if e < cost else cost
+                spent[cid] = drained
+                if e - drained <= 0.0:
+                    continue
+                parent[cid] = pid
+                if appointed.isdisjoint(links[cid]):
+                    appointed.add(cid)
+                    active.add(cid)
+                    queue.append(cid)
+                else:
+                    heappush(leaves, cid)
+                    standing.add(cid)
+        drains.append((len(unvisited), len(standing)))
+        standing = {leaf for leaf in standing if not unvisited.isdisjoint(links[leaf])}
+        while leaves and unvisited.isdisjoint(links[leaves[0]]):
+            heappop(leaves)
+        if not leaves:
+            break
+        woken = heappop(leaves)
+        standing.remove(woken)
+        active.add(woken)
+        queue.append(woken)
+    return Topology(active_set=active, parent=parent), spent
+
+
+def test_wakeup_pass_matches_the_heap_growth():
+    growths = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        # dense, with one alive node cut off: few unvisited, many leaves
+        state = random_instance(seed + 4000, n_range=(120, 160))
+        for nid in state.links[rng.randrange(1, len(state.nodes))]:
+            state.kill(nid)
+        growths.append((state, frozenset()))
+        # sparse, all of the sink's range dead but one: a large unreached
+        # remainder, few leaves
+        state = random_instance(seed + 5000, n_range=(60, 120), area=600.0)
+        near = state.links[SINK_ID]
+        for nid in near[1:]:
+            state.kill(nid)
+        growths.append((state, frozenset()))
+        # an excluding growth
+        state = random_instance(seed + 6000, n_range=(60, 120))
+        others = range(1, len(state.nodes))
+        growths.append((state, frozenset(rng.sample(others, k=len(others) // 4))))
+    drains = []
+    for state, exclude in growths:
+        topology, charge = _grow(state, PARAMS, exclude)
+        reference, spent = heap_grow(state, PARAMS, exclude, drains)
+        assert topology.parent == reference.parent
+        assert topology.active_set == reference.active_set
+        assert list(charge.energy.items()) == list(spent.items())
+    sides = {unvisited < leaves for unvisited, leaves in drains if unvisited and leaves}
+    assert sides == {True, False}  # both enumeration sides ran
+
+
+def test_wakeup_wakes_the_lowest_id_gateway():
+    # relay 1 covers leaves 3 and 2, which sleep in that order; node 4 lies
+    # beyond the sink's and the relay's range, beside both leaves
+    state = make_state([(0.0, 0.0), (90.0, 0.0), (40.0, 60.0), (45.0, 70.0), (45.0, 150.0)])
+    grown, charge = _grow(state, PARAMS, frozenset())
+    assert list(charge.energy) == [1, 3, 2, 4]
+    assert grown.active_set == {0, 1, 2, 4}
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
+    assert topology.parent == {1: 0, 2: 0, 3: 0, 4: 2}
+    assert topology.active_set == {0, 2}
+
+
+def test_charge_debit_does_not_depend_on_order():
+    rng = random.Random(11)
+    state = random_instance(7000, n_range=(60, 60))
+    others = list(range(1, len(state.nodes)))
+    for nid in rng.sample(others, k=15):  # less than one control exchange
+        state.nodes[nid].energy = rng.randrange(10**5, 10**6) * QUANTUM
+    state.energy_ledger = rng.randrange(10**9, 10**12) * QUANTUM
+    state.time = 17
+    _, charge = _grow(state, PARAMS, frozenset())
+    assert any(spent == state.nodes[nid].energy for nid, spent in charge.energy.items())
+    ids = sorted(charge.energy)
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    outcomes = []
+    for order in (ids, ids[::-1], shuffled):
+        debited = copy.deepcopy(state)
+        _apply_charge(debited, ConstructionCharge(energy={nid: charge.energy[nid] for nid in order}))
+        outcomes.append((
+            [n.energy.hex() for n in debited.nodes],
+            debited.energy_ledger.hex(),
+            debited.death_step,
+        ))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][2]  # the handshake drained a battery dry

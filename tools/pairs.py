@@ -11,7 +11,8 @@ BENCHMARK.json it prints both sides' value in each pair, their medians and
 quartiles, the pairs the change won (ties count for neither side) and
 whether a gain may be claimed: the change wins at least nine tenths of the
 pairs and its median beats the parent's by more than the distance between
-the parent's quartiles.
+the parent's quartiles. `--workload all` runs the pairs of every workload
+in WORKLOADS order and prints one such table per workload.
 """
 from __future__ import annotations
 
@@ -69,39 +70,26 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 to give quartiles")
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+def run_pairs(sides: dict[str, Path], workload: str, seed: int, pairs: int) -> None:
+    """Run the pairs of one workload and print its table."""
     spec = json.loads(run.SPEC.read_text())["end_to_end"]
     recorded, _ = run.load_recorded()
     values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
     failed = dict.fromkeys(sides, 0)
-    try:
-        for pair in range(args.pairs):
-            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-            line = []
-            for side in order:
-                report = one_pass(sides[side], args.workload, args.seed)
-                failed[side] += run.check([report], recorded)[0]
-                for name, value in run.end_to_end([report]).items():
-                    values[side].setdefault(name, []).append(value)
-                line.append(side + "".join(
-                    f" {metric['name']} {values[side][metric['name']][-1]:.6g}" for metric in spec
-                ))
-            print(f"pair {pair + 1}: " + ", ".join(line), flush=True)
-    finally:
-        for checkout in sides.values():
-            shutil.rmtree(checkout / ".perfbench_tmp", ignore_errors=True)
+    for pair in range(pairs):
+        order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+        line = []
+        for side in order:
+            report = one_pass(sides[side], workload, seed)
+            failed[side] += run.check([report], recorded)[0]
+            for name, value in run.end_to_end([report]).items():
+                values[side].setdefault(name, []).append(value)
+            line.append(side + "".join(
+                f" {metric['name']} {values[side][metric['name']][-1]:.6g}" for metric in spec
+            ))
+        print(f"pair {pair + 1}: " + ", ".join(line), flush=True)
 
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; failed cells: "
+    print(f"{workload}, seed {seed}, {pairs} pairs; failed cells: "
           f"parent {failed['parent']}, change {failed['change']}")
     print(f"  {'metric':16s} {'parent median [q1, q3]':34s} "
           f"{'change median [q1, q3]':34s} {'change':>7s}  wins  claim")
@@ -111,7 +99,27 @@ def main() -> int:
         parent, change = ("{:.4f} [{:.4f}, {:.4f}]".format(*out[s]) for s in sides)
         shift = 100 * (out["change"][0] / out["parent"][0] - 1)
         print(f"  {name:16s} {parent:34s} {change:34s} {shift:+6.1f}% "
-              f"{out['wins']:>2d}/{args.pairs:<3d} {'yes' if out['claim'] else 'no'}")
+              f"{out['wins']:>2d}/{pairs:<3d} {'yes' if out['claim'] else 'no'}", flush=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", choices=WORKLOADS + ("all",), required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    try:
+        for workload in workloads:
+            run_pairs(sides, workload, args.seed, args.pairs)
+    finally:
+        for checkout in sides.values():
+            shutil.rmtree(checkout / ".perfbench_tmp", ignore_errors=True)
     return 0
 
 
