@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .metrics import alive_count, sense_probabilities
-from .model import SINK_ID, NetworkState, Topology
+from .model import SINK_ID, NetworkState, Topology, _links
 from .radio import QUANTIZER, rx_energy, tx_coefficients
 
 
@@ -167,46 +167,74 @@ def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
 def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
     """Activate sleeping leaves whose own positions are not sensed with
     probability detection_threshold by the current active sensors. Each
-    promotion joins as a leaf under the nearest linked active node and
+    promotion joins as a leaf under its nearest linked active node, the
+    least (distance, id), even a leaf that was attached before, and
     immediately counts as a sensor for the leaves tested after it.
 
-    A sensor past r + r_u contributes a factor of exactly 1.0 to the miss
-    product, so while that band lies within the radio range the sleeper's
-    links hold every sensor that matters, and every active node near it is
-    one it can attach to. Distances are distance()'s hypot with the same
-    bits; the miss factors are folded in ascending id."""
-    r = state.radio.sensing_radius
-    radius = state.radio.communication_radius
-    in_links = r + sp.uncertainty_radius <= radius
-    nodes, active = state.nodes, topology.active_set
-    hypot = math.hypot
-    sleepers = sorted(set(topology.parent) - active)
-    for sid in sleepers:
-        node = nodes[sid]
-        if node.energy <= 0.0:
+    A test reads the sleeper's entries in state.promotion, built on its
+    first test by _sensors: it folds the miss factors of its active sensors
+    in ascending id, and attaches over the distances to its links. Every
+    factor left out is exactly 1.0, which changes no bit of the product, so
+    the miss is the one a fold over every active sensor gives."""
+    threshold = sp.detection_threshold
+    distances = state.promotion.distances
+    sensors = state.promotion.sensors.setdefault(sp, {})
+    nodes, links, active = state.nodes, state.links, topology.active_set
+    for sid in sorted(set(topology.parent) - active):
+        if nodes[sid].energy <= 0.0:
             continue  # dead
-        links = state.links[sid]
-        pool = links if in_links else sorted(active)
-        sx, sy = node.position.x, node.position.y
-        near = []
-        for aid in pool:
-            if aid in active:
-                pos = nodes[aid].position
-                near.append((hypot(sx - pos.x, sy - pos.y), aid))
-        # the sink collects, it does not sense
-        sensed = [d for d, aid in near if aid != SINK_ID]
+        entry = sensors.get(sid)
+        if entry is None:
+            entry = sensors[sid] = _sensors(state, sp, sid)
         miss = 1.0
-        for p in sense_probabilities(sp, r, sensed):
-            miss *= 1.0 - p
-        if 1.0 - miss >= sp.detection_threshold:
+        for aid, factor in entry:
+            if aid in active:
+                miss *= factor
+        if 1.0 - miss >= threshold:
             continue
-        if not in_links:
-            near = [(d, aid) for d, aid in near if aid in links]
+        near = [(d, aid) for aid, d in zip(links[sid], distances[sid]) if aid in active]
         if not near:
             continue  # no active node in range; cannot attach
         topology.parent[sid] = min(near)[1]
         active.add(sid)
         topology.coverage_promoted.add(sid)
+
+
+def _sensors(state: NetworkState, sp, sid: int) -> list[tuple[int, float]]:
+    """Node sid's sensors under sp with their miss factors, in ascending id:
+    the non-sink nodes within r + r_u whose factor is not exactly 1.0. Its
+    distances to its links are filled in state.promotion on the way, unless
+    another sp filled them. Every distance is distance()'s hypot with the
+    same bits.
+
+    A sensor past r + r_u has a factor of exactly 1.0. While that band lies
+    within the radio range, sid's links hold every sensor that matters;
+    otherwise they come from _links at r + r_u, built once per band."""
+    inputs = state.promotion
+    r = state.radio.sensing_radius
+    nodes, links = state.nodes, state.links[sid]
+    hypot = math.hypot
+    pos = nodes[sid].position
+    sx, sy = pos.x, pos.y
+    dists = inputs.distances.get(sid)
+    if dists is None:
+        dists = inputs.distances[sid] = [
+            hypot(sx - nodes[nid].position.x, sy - nodes[nid].position.y) for nid in links
+        ]
+    outer = r + sp.uncertainty_radius
+    if outer <= state.radio.communication_radius:
+        near = [(nid, d) for nid, d in zip(links, dists) if d <= outer and nid != SINK_ID]
+    else:
+        wide = inputs.wide_links.get(outer)
+        if wide is None:
+            wide = inputs.wide_links[outer] = _links(nodes, outer)
+        near = [
+            (nid, hypot(sx - nodes[nid].position.x, sy - nodes[nid].position.y))
+            for nid in wide[sid]
+            if nid != SINK_ID
+        ]
+    probabilities = sense_probabilities(sp, r, [d for _, d in near])
+    return [(nid, 1.0 - p) for (nid, _), p in zip(near, probabilities) if 1.0 - p != 1.0]
 
 
 # An excluding growth that reaches under half of the alive nodes lifts its

@@ -29,12 +29,14 @@ over the whole stretch in one _jump. Every eventful step goes through
 step(), which only advances the network. run() is the one sampler: it
 samples once after each step and the stretch that follows it, for every
 stride point they cross. No alive set, topology or position changes inside
-a stretch, so that sample, re-timed, stands for each of them.
+a stretch, so that sample, re-timed, stands for each of them. Within a run
+both coverages depend on the sink-reachable set alone, so a sample that
+reaches the set its predecessor reached takes its coverages as they are.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -438,17 +440,24 @@ def _network_finished(state: NetworkState) -> bool:
     return all(n.energy <= 0.0 for n in state.nodes if n.id != SINK_ID)
 
 
-def sample_metrics(state: NetworkState, config: SimConfig, grid: CoverageGrid) -> MetricsSample:
-    """Sample the metrics: both coverages are taken over the nodes that
-    sink_reachable reaches."""
+def sample_metrics(
+    state: NetworkState,
+    config: SimConfig,
+    grid: CoverageGrid,
+    last: tuple[set[int], MetricsSample] | None = None,
+) -> tuple[set[int], MetricsSample]:
+    """Sample the metrics, and return the set sink_reachable reaches with
+    the sample: both coverages are taken over that set. last, when given,
+    is what this returned for the same run's previous sample. Within a run
+    the coverages depend on that set alone, so while it is unchanged they
+    are last's, the same bits, and neither is recomputed."""
     reach = sink_reachable(state)
-    return MetricsSample(
-        time=state.time,
-        alive=alive_count(state),
-        sink_reachable=len(reach),
-        comm_coverage=comm_coverage(state, grid, reach),
-        sensing_coverage=sensing_coverage(state, config.sensing, grid, reach),
-    )
+    if last is not None and last[0] == reach:
+        comm, sensing = last[1].comm_coverage, last[1].sensing_coverage
+    else:
+        comm = comm_coverage(state, grid, reach)
+        sensing = sensing_coverage(state, config.sensing, grid, reach)
+    return reach, MetricsSample(state.time, alive_count(state), len(reach), comm, sensing)
 
 
 def step(
@@ -472,7 +481,8 @@ def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
     one sample, re-timed to each stride point the two crossed, stands for
     all of them: nothing a sample reads but the clock changes inside a
     stretch. Time 0 and the last step are always sampled, on the stride or
-    not.
+    not. Each sample is handed the previous one, whose coverages it reuses
+    while the sink-reachable set is unchanged.
 
     grid, when given, is a coverage grid on the config's area and cell size,
     shared with other runs so that each footprint is computed once for all
@@ -487,7 +497,8 @@ def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
             f" config has {state.area} with {config.grid_cell} m cells"
         )
     stride = config.metrics_stride
-    series = [sample_metrics(state, config, grid)]
+    last = sample_metrics(state, config, grid)
+    series = [last[1]]
     while state.time < config.max_steps:
         start = state.time
         step(state, strategy, config)
@@ -496,12 +507,22 @@ def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
             _fast_forward(state, strategy, config)
         due = range(start // stride * stride + stride, state.time + 1, stride)
         if due:
-            sample = sample_metrics(state, config, grid)
-            series += (replace(sample, time=t) for t in due)
+            last = sample_metrics(state, config, grid, last)
+            _, sample = last
+            series += (
+                MetricsSample(
+                    t,
+                    sample.alive,
+                    sample.sink_reachable,
+                    sample.comm_coverage,
+                    sample.sensing_coverage,
+                )
+                for t in due
+            )
         if finished:
             break
     if series[-1].time != state.time:  # the horizon or the early end
-        series.append(sample_metrics(state, config, grid))
+        series.append(sample_metrics(state, config, grid, last)[1])
     final = {
         "steps": state.time,
         "alive": alive_count(state),

@@ -17,7 +17,7 @@ if TYPE_CHECKING:
 SINK_ID = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: float
     y: float
@@ -118,7 +118,7 @@ class SensingParams:
             raise ConfigError("detection_threshold", "must lie strictly between 0 and 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A sensor, or the sink. Its battery is its life: a node is alive
     exactly while energy is above zero, the test that loops over every node
@@ -156,6 +156,25 @@ class Topology:
     route_cache: Tree | None = field(default=None, compare=False, repr=False)
 
 
+@dataclass(eq=False)
+class PromotionInputs:
+    """A3Cov promotion's inputs for one deployment. Positions never move,
+    so a node's entry is built on its first test as a sleeper and kept.
+
+    distances[i] holds the math.hypot distance from node i to each node of
+    links[i], in the same order. sensors[sp][i] holds, in ascending id, the
+    non-sink nodes within r + r_u of node i whose miss factor 1 - p under
+    sp is not exactly 1.0, each with that factor. When r + r_u reaches past
+    the communication radius, wide_links[r + r_u] holds the nodes within
+    it, as links holds those within the radius."""
+
+    distances: dict[int, list[float]] = field(default_factory=dict)
+    sensors: dict[SensingParams, dict[int, list[tuple[int, float]]]] = field(
+        default_factory=dict
+    )
+    wide_links: dict[float, list[list[int]]] = field(default_factory=dict)
+
+
 @dataclass
 class NetworkState:
     """Mutable simulation state, owned by exactly one run at a time.
@@ -171,7 +190,8 @@ class NetworkState:
     _links finds them in numpy passes of a bounded number of candidate
     pairs, screened by squared distance; a pair near the radius is decided
     by model.distance's own `math.hypot(dx, dy) <= R`, so membership is
-    exactly that of a scan of all nodes.
+    exactly that of a scan of all nodes. promotion holds A3Cov promotion's
+    inputs, derived from the positions alone as links are.
     """
 
     nodes: list[Node]
@@ -185,6 +205,9 @@ class NetworkState:
     packets_delivered: int = 0
     packets_dropped: int = 0
     in_step: bool = False
+    promotion: PromotionInputs = field(
+        default_factory=PromotionInputs, repr=False, compare=False
+    )
 
     @cached_property
     def links(self) -> list[list[int]]:

@@ -28,7 +28,13 @@ from wsnlife import (
     tx_energy,
 )
 
-from wsnlife.construction import ConstructionCharge, _apply_charge, _grow
+from wsnlife.construction import (
+    ConstructionCharge,
+    _apply_charge,
+    _grow,
+    _promote_for_sensing,
+)
+from wsnlife.metrics import sense_probabilities
 from wsnlife.radio import QUANTIZER, QUANTUM, tx_coefficients
 
 from helpers import make_state
@@ -497,3 +503,154 @@ def test_charge_debit_does_not_depend_on_order():
         ))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][2]  # the handshake drained a battery dry
+
+
+def reference_promote(state, topology, sp):
+    """A3Cov promotion with nothing kept between tests: each test computes
+    the sleeper's distances to the active nodes, of its links or of the
+    whole active set when r + r_u reaches past the radio range, and folds
+    every one's miss factor."""
+    r = state.radio.sensing_radius
+    radius = state.radio.communication_radius
+    in_links = r + sp.uncertainty_radius <= radius
+    nodes, active = state.nodes, topology.active_set
+    for sid in sorted(set(topology.parent) - active):
+        node = nodes[sid]
+        if node.energy <= 0.0:
+            continue
+        links = state.links[sid]
+        pool = links if in_links else sorted(active)
+        sx, sy = node.position.x, node.position.y
+        near = []
+        for aid in pool:
+            if aid in active:
+                pos = nodes[aid].position
+                near.append((math.hypot(sx - pos.x, sy - pos.y), aid))
+        sensed = [d for d, aid in near if aid != SINK_ID]
+        miss = 1.0
+        for p in sense_probabilities(sp, r, sensed):
+            miss *= 1.0 - p
+        if 1.0 - miss >= sp.detection_threshold:
+            continue
+        if not in_links:
+            near = [(d, aid) for d, aid in near if aid in links]
+        if not near:
+            continue
+        topology.parent[sid] = min(near)[1]
+        active.add(sid)
+        topology.coverage_promoted.add(sid)
+
+
+# r + r_u = 34 m past R = 30 m, with r - r_u = 24 m inside it, a slow decay
+# and a low threshold, so that sensors beyond the radio range decide some
+# tests
+PAST_LINKS = (
+    RadioParams(communication_radius=30.0, sensing_radius=29.0),
+    SensingParams(uncertainty_radius=5.0, decay_rate=0.2, detection_threshold=0.3),
+)
+
+# r + r_u = 20 m, a lattice distance, inside R = 30 m; at 20 m p = 0.135, so
+# two sensors there sense a sleeper
+ON_A_LATTICE_DISTANCE = (
+    RadioParams(communication_radius=30.0, sensing_radius=18.0),
+    SensingParams(detection_threshold=0.2),
+)
+
+
+def promotion_instances():
+    """Forty-two (state, sensing parameters) pairs: random deployments with
+    the band inside the radio range (22 m within 100 m) and past it, and
+    nodes on a 10 m lattice, where equal distances abound."""
+    lattice = [(10.0 * i, 10.0 * j) for i in range(12) for j in range(12)]
+    for seed in range(14):
+        yield random_instance(seed + 8000, n_range=(20, 80)), SP
+        state = random_instance(seed + 8100, n_range=(30, 80), area=120.0)
+        positions = [(n.position.x, n.position.y) for n in state.nodes]
+        yield make_state(positions, area=state.area, radio=PAST_LINKS[0]), PAST_LINKS[1]
+        spots = random.Random(seed).sample(lattice[1:], k=50)  # (0, 0) is the sink's
+        radio, sp = PAST_LINKS if seed % 2 else ON_A_LATTICE_DISTANCE
+        yield make_state([(0.0, 0.0), *spots], radio=radio), sp
+
+
+def test_promotion_matches_the_reference_pass():
+    seen = dict(promoted=0, covered=0, dead=0, ties=0, moved=0, past_links=0, reused=0)
+    for index, (state, sp) in enumerate(promotion_instances()):
+        rng = random.Random(index)
+        for _ in range(3):  # later rounds read the inputs earlier ones built
+            built = set(state.promotion.sensors.get(sp, ()))
+            topology, _ = construct(state, TCProtocol.A3, PARAMS)
+            sleepers = sorted(set(topology.parent) - topology.active_set)
+            for sid in rng.sample(sleepers, k=len(sleepers) // 6):
+                state.kill(sid)
+            before = copy.deepcopy(topology)
+            expected = copy.deepcopy(topology)
+            reference_promote(state, expected, sp)
+            _promote_for_sensing(state, topology, sp)
+            assert topology.parent == expected.parent
+            assert topology.active_set == expected.active_set
+            assert topology.coverage_promoted == expected.coverage_promoted
+            tested = {sid for sid in sleepers if state.nodes[sid].alive}
+            seen["promoted"] += len(topology.coverage_promoted)
+            seen["covered"] += len(tested - topology.coverage_promoted)
+            seen["dead"] += len(sleepers) - len(tested)
+            seen["reused"] += len(tested & built)
+            for sid in topology.coverage_promoted:
+                # the active nodes when sid is tested: leaves promoted
+                # earlier in the pass have lower ids
+                awake = before.active_set | {a for a in topology.coverage_promoted if a < sid}
+                linked = [
+                    distance(state.nodes[sid].position, state.nodes[aid].position)
+                    for aid in state.links[sid]
+                    if aid in awake
+                ]
+                seen["ties"] += linked.count(min(linked)) > 1
+                seen["moved"] += topology.parent[sid] != before.parent[sid]
+            sensors = state.promotion.sensors[sp]
+            seen["past_links"] += sum(
+                aid not in state.links[sid] for sid in tested for aid, _ in sensors[sid]
+            )
+            for _ in range(len(state.nodes) // 5):  # the network wears down
+                state.kill(rng.randrange(1, len(state.nodes)))
+    assert all(seen.values()), seen
+
+
+def test_a_leaf_promoted_earlier_in_the_pass_senses_for_later_ones():
+    # both leaves sleep under the sink; leaf 1 is sensed by no active node
+    # and is promoted, and then senses leaf 2, 10 m away, for certain
+    state = make_state([(0.0, 0.0), (50.0, 0.0), (60.0, 0.0)])
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
+    assert topology.active_set == {SINK_ID}
+    assert topology.parent == {1: 0, 2: 0}
+    _promote_for_sensing(state, topology, SP)
+    assert topology.coverage_promoted == {1}
+    assert topology.parent == {1: 0, 2: 0}
+    assert state.promotion.sensors[SP][2] == [(1, 0.0)]
+
+
+def test_promotion_inputs_are_built_per_tested_sleeper_and_sensing_params():
+    state = random_instance(8300, n_range=(40, 40))
+    topology, _ = construct(state, TCProtocol.A3, PARAMS)
+    sleepers = sorted(set(topology.parent) - topology.active_set)
+    dead = sleepers[::4]
+    for sid in dead:
+        state.kill(sid)
+    tested = set(sleepers) - set(dead)
+    slow = SensingParams(decay_rate=0.05)
+    for sp in (SP, slow):
+        promoted = copy.deepcopy(topology)
+        expected = copy.deepcopy(topology)
+        _promote_for_sensing(state, promoted, sp)
+        reference_promote(state, expected, sp)
+        assert (promoted.parent, promoted.active_set) == (expected.parent, expected.active_set)
+        assert set(state.promotion.sensors[sp]) == tested
+        assert set(state.promotion.distances) == tested
+    assert state.promotion.sensors.keys() == {SP, slow}
+    fast, slow = state.promotion.sensors[SP], state.promotion.sensors[slow]
+    ids = [[aid for aid, _ in fast[sid]] for sid in sorted(tested)]
+    assert ids == [[aid for aid, _ in slow[sid]] for sid in sorted(tested)]
+    assert any(fast[sid] != slow[sid] for sid in tested)
+    for sid in tested:
+        links = state.links[sid]
+        assert state.promotion.distances[sid] == [
+            distance(state.nodes[sid].position, state.nodes[nid].position) for nid in links
+        ]

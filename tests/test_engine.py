@@ -5,6 +5,7 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from itertools import pairwise
 from operator import add, sub
 from unittest import mock
 
@@ -38,6 +39,7 @@ from wsnlife import (
     initialize,
     run,
     rx_energy,
+    sink_reachable,
     step,
     tx_energy,
     validate_config,
@@ -1195,3 +1197,32 @@ def test_run_through_samples_matches_step_loop(tm, scenario):
         ):
             assert run(config).to_dict() == fast.to_dict()
         assert calls["sample_metrics"] == 1 + calls["step"]
+
+
+def test_coverage_is_computed_once_per_change_of_the_reach_set():
+    reaches = []
+    calls = {"comm_coverage": 0, "sensing_coverage": 0}
+
+    def reached(state):
+        reach = sink_reachable(state)
+        reaches.append(frozenset(reach))
+        return reach
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    config = desk_config(TCProtocol.A3COV, TMProtocol.DGETREC, 1)
+    with mock.patch.object(engine, "sink_reachable", reached), mock.patch.object(
+        engine, "comm_coverage", counted("comm_coverage")
+    ), mock.patch.object(engine, "sensing_coverage", counted("sensing_coverage")):
+        result = run(config)
+    changes = sum(a != b for a, b in pairwise(reaches))
+    assert calls == {"comm_coverage": 1 + changes, "sensing_coverage": 1 + changes}
+    assert 0 < changes < len(reaches) - 1  # some samples reuse, some recompute
+    assert len(result.series) >= len(reaches)

@@ -2,9 +2,11 @@
 
     python3 tools/outputs.py PARENT CHANGE --seed 1
 
-Runs the golden cells (tests/test_golden.py) and every benchmark workload's
-cells on one workload seed (perfbench/workloads.py) in both checkouts, one
-subprocess per side, each importing the simulator from its own `src/`. For
+Runs the golden cells (tests/test_golden.py), every benchmark workload's
+cells on one workload seed (perfbench/workloads.py) and the
+`protocols_default` cells of that seed again with `tc = A3Cov`, in both
+checkouts, one subprocess per side, each importing the simulator from its
+own `src/`. For
 each cell whose `RunResult.to_dict()` differs it prints the keys that differ,
 with the length of each side's value (the event count, for
 `maintenance_events`). Exits 1 when some cell differs, else 0.
@@ -16,6 +18,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -32,6 +35,10 @@ def collect(checkout: Path, seed: int) -> dict:
     configs = {f"golden/{key}": config for key, config in golden_cells().items()}
     for name in workloads.WORKLOADS:
         configs.update((f"{name}/{c.key}", c.config) for c in workloads.cells(name, seed))
+    # no golden or benchmark cell runs A3Cov at the default scale
+    for c in workloads.cells("protocols_default", seed):
+        config = replace(c.config, tc=wsnlife.TCProtocol.A3COV)
+        configs[f"a3cov_default/{workloads.cell_key('default', config)}"] = config
     found = {}
     for key, config in configs.items():
         found[key] = {
