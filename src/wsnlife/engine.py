@@ -10,9 +10,10 @@ A node is alive exactly while its battery holds energy, so every liveness
 test reads the battery, and a drain that empties one calls
 NetworkState.kill to record the death step. Each tree caches its data round
 compiled over an alive set, as each relay's drain over one round, counted
-in one pass over the tree children first; a node that has died since has an
-empty battery, which fails the program, so the step runs hop by hop and the
-next one recompiles.
+in one pass over the tree children first. _take_rounds, the one mover of
+compiled rounds, takes none when the first would empty a relay, or meets a
+node dead since the compile; the step then runs hop by hop, dropping the
+stale program, and the next one recompiles.
 
 Every energy is a whole number of quanta (radio.QUANTUM), and the budget
 keeps every battery, drain and ledger value below 2^53 quanta, so every
@@ -25,7 +26,8 @@ run() does not step through quiet stretches one at a time: steps on which
 no node dies and the trigger stays off, as it does for good once a spent
 static rotation set has logged its one "Exhausted". There each battery and
 the ledger take the same drains every step, and _fast_forward moves them
-over the whole stretch in one _jump. Every eventful step goes through
+over the whole stretch in one _take_rounds, down to the trip levels of
+maintenance.energy_floor. Every eventful step goes through
 step(), which only advances the network. run() is the one sampler: it
 samples once after each step and the stretch that follows it, for every
 stride point they cross. No alive set, topology or position changes inside
@@ -151,11 +153,10 @@ def validate_config(config: SimConfig) -> None:
                 f"gives a receive cost of {name} that rounds to zero quanta (2^-40 J)"
                 " or is not finite",
             )
-    if config.tm is not None and config.trigger.kind is not config.tm.trigger_kind:
-        raise ConfigError(
-            "trigger.kind",
-            f"{config.tm.value} requires a {config.tm.trigger_kind.value}-triggered policy",
-        )
+    tm = config.tm
+    if tm is not None and config.trigger.kind is not tm.trigger_kind:
+        family = "an energy" if tm.trigger_kind is TriggerKind.ENERGY else "a time"
+        raise ConfigError("trigger.kind", f"{tm.value} requires {family}-triggered policy")
 
 
 def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | None]:
@@ -276,50 +277,32 @@ def _compile_round(state: NetworkState, tree: Tree) -> RoundProgram:
     )
 
 
-def _traffic(state: NetworkState) -> None:
-    """Every alive active node sends one data packet up the tree.
-
-    On a step where no node dies the round runs as the compiled program,
-    one round of _jump: every relay ends it at one quantum or more, so no
-    drain on the way was clamped and nobody died, and the exact drains give
-    the per-hop round's values. A node killed since the program was
-    compiled has energy 0.0, so it fails the same test. Otherwise the
-    per-hop round runs on the untouched state, and the next step compiles
-    over the alive set it leaves."""
-    tree = _routes(state)
-    program = tree.program
-    rounds, energies, ledger = _jump(program, _DEATH_FLOOR, 1, state.energy_ledger)
-    if rounds == 0:
-        _per_hop_round(state, tree)
-        tree.program = None
-        return
-    _apply_rounds(state, program, rounds, energies, ledger)
+def _take_rounds(state: NetworkState, lowest: float | list[float], rounds: int) -> int:
+    """Take as many of `rounds` compiled rounds as _jump allows with
+    `lowest` and return how many: 0 leaves the state as it was."""
+    program = _routes(state).program
+    n, energies, ledger = _jump(program, lowest, rounds, state.energy_ledger)
+    if n:
+        for node, energy in zip(program.nodes, energies):
+            node.energy = energy
+        state.energy_ledger = ledger
+        state.packets_delivered += n * program.delivered
+        state.packets_dropped += n * program.dropped
+    return n
 
 
-def _apply_rounds(
-    state: NetworkState,
-    program: RoundProgram,
-    rounds: int,
-    energies: list[float],
-    ledger: float,
-) -> None:
-    """Record `rounds` rounds of program that _jump computed."""
-    for node, energy in zip(program.nodes, energies):
-        node.energy = energy
-    state.energy_ledger = ledger
-    state.packets_delivered += rounds * program.delivered
-    state.packets_dropped += rounds * program.dropped
-
-
-def _per_hop_round(state: NetworkState, tree: Tree) -> None:
-    """The data round hop by hop. Senders pay the transmit cost, receivers
-    the receive cost; a node that dies mid-step drops the packet at the
-    point of death and handles nothing further.
+def _per_hop_round(state: NetworkState) -> None:
+    """The data round hop by hop, where the compiled round fails. Senders
+    pay the transmit cost, receivers the receive cost; a node that dies
+    mid-step drops the packet at the point of death and handles nothing
+    further.
 
     Each drain follows the battery rule: it is clamped to the residual,
     debited and added to the ledger, and a battery drained to zero is a
     death, recorded by NetworkState.kill. A dead node is never drained, and
-    the sink's battery is never drawn."""
+    the sink's battery is never drawn. The compiled round, now stale, goes,
+    and the next step compiles over the alive set this one leaves."""
+    tree = _routes(state)
     edges = tree.edges
     rx_cost = rx_energy(state.energy, state.energy.data_packet_bits)
     nodes = state.nodes
@@ -362,6 +345,7 @@ def _per_hop_round(state: NetworkState, tree: Tree) -> None:
     state.energy_ledger = ledger
     state.packets_delivered += delivered
     state.packets_dropped += dropped
+    tree.program = None
 
 
 def _jump(
@@ -380,12 +364,9 @@ def _jump(
     integers times one quantum, which is exact; and n rounds are the exact
     x - n * per_round and ledger + n * spent, the bits that n rounds drain
     by drain leave."""
-    nodes = program.nodes
-    if not nodes:
-        return rounds, [], ledger  # nothing drains
-    x = np.array([node.energy for node in nodes])
+    x = np.array([node.energy for node in program.nodes])
     per_round = program.per_round
-    n = min(rounds, int(((x - lowest) // per_round).min()))
+    n = int(((x - lowest) // per_round).min(initial=rounds))
     if n < 1:
         return 0, [], ledger
     return n, (x - n * per_round).tolist(), ledger + n * program.spent
@@ -402,12 +383,9 @@ def _fast_forward(
     step() would leave, bit for bit.
 
     On such steps each relay's battery and the ledger take the compiled
-    round's drains, and nothing else, so the stretch is one _jump as far as
-    the first step that would leave a relay at zero or under its
-    energy-trigger floor. The time trigger caps the stretch instead. A
-    battery of whole quanta is at or above a floor exactly when it is at or
-    above the floor raised to whole quanta, which is exact, as 1 / QUANTUM
-    is a power of two."""
+    round's drains, and nothing else, so the stretch is one _take_rounds as
+    far as the first step that would leave a relay empty or under its
+    energy_floor. The time trigger caps the stretch instead."""
     policy = config.trigger
     trigger = policy.kind if armed(strategy) else None
     room = config.max_steps - state.time
@@ -415,19 +393,14 @@ def _fast_forward(
         room = min(room, steps_to_time_trigger(policy, state))
     if room < 1:
         return 0
-    tree = _routes(state)
-    program = tree.program
     lowest = _DEATH_FLOOR
     if trigger is TriggerKind.ENERGY:
-        if len(program.nodes) < len(tree.edges):
+        tree = _routes(state)
+        nodes = tree.program.nodes
+        if len(nodes) < len(tree.edges):
             return 0  # a dead member trips the energy trigger on every step
-        topology = state.topology
-        floors = (energy_floor(policy, topology, node.id) for node in program.nodes)
-        lowest = [max(_DEATH_FLOOR, math.ceil(f / QUANTUM) * QUANTUM) for f in floors]
-    n, energies, ledger = _jump(program, lowest, room, state.energy_ledger)
-    if n == 0:
-        return 0
-    _apply_rounds(state, program, n, energies, ledger)
+        lowest = [energy_floor(policy, state.topology, node.id) for node in nodes]
+    n = _take_rounds(state, lowest, room)
     state.time += n
     return n
 
@@ -464,9 +437,12 @@ def step(
     state: NetworkState, strategy: MaintenanceStrategy | None, config: SimConfig
 ) -> None:
     """Advance the simulation by one step: the data round, the trigger
-    check and maintenance when it fires, and the clock."""
+    check and maintenance when it fires, and the clock. The data round is
+    the compiled round when every relay ends it with a quantum or more (no
+    drain was clamped, nobody died), bit for bit the hop-by-hop round."""
     state.in_step = True
-    _traffic(state)
+    if not _take_rounds(state, _DEATH_FLOOR, 1):
+        _per_hop_round(state)
     if armed(strategy) and should_trigger(config.trigger, state):
         _, action = maintain(strategy, state, config.tc, config.a3, config.sensing)
         strategy.events.append((state.time + 1, action))

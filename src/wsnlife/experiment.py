@@ -141,10 +141,12 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         values[w_d] = 1.0 - values[w_e]
     elif w_d in values and w_e not in values:
         values[w_e] = 1.0 - values[w_d]
-    # Unless set, the trigger kind follows the maintenance protocol's family.
+    # The trigger kind follows the protocol's family, in the base as in each
+    # cell (config_for); an explicit one must fit every protocol swept.
+    kind = values.get("trigger.kind")
     tm = values.get("tm", CONFIG_KEYS["tm"].default)
     if tm is not None:
-        values.setdefault("trigger.kind", tm.trigger_kind)
+        values["trigger.kind"] = tm.trigger_kind
     base = _with_values(SimConfig(), values)
     validate_config(base)
 
@@ -161,6 +163,11 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         if len(set(entries)) < len(entries):
             raise ConfigError(key, "entries must be distinct")
         sweep[key] = entries
+    if kind is not None:
+        trigger = replace(base.trigger, kind=kind)
+        for name in sweep["tm_list"]:
+            if name != "None":
+                validate_config(replace(base, tm=TMProtocol(name), trigger=trigger))
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir", "must be a string")

@@ -7,12 +7,14 @@ ET/TT for energy- and time-triggered; Rec/Rot for recreation and rotation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .construction import A3Params, TCProtocol, construct
 from .errors import ConfigError
 from .model import SINK_ID, NetworkState, Topology
+from .radio import QUANTUM
 
 
 class TriggerKind(Enum):
@@ -83,11 +85,9 @@ def should_trigger(policy: TriggerPolicy, state: NetworkState) -> bool:
     topology = state.topology
     if policy.kind is TriggerKind.TIME:
         return steps_to_time_trigger(policy, state) <= 0
+    nodes = state.nodes
     for nid in topology.active_set:
-        if nid == SINK_ID:
-            continue
-        node = state.nodes[nid]
-        if not node.alive or node.energy < energy_floor(policy, topology, nid):
+        if nid != SINK_ID and nodes[nid].energy < energy_floor(policy, topology, nid):
             return True
     return False
 
@@ -98,10 +98,14 @@ def steps_to_time_trigger(policy: TriggerPolicy, state: NetworkState) -> int:
 
 
 def energy_floor(policy: TriggerPolicy, topology: Topology, nid: int) -> float:
-    """The residual below which active node nid trips the energy trigger.
-    A residual at or above it keeps the node quiet: this is the compare that
-    both should_trigger and the engine's look-ahead make."""
-    return policy.energy_threshold * topology.activation_energy[nid]
+    """The one home of the energy trigger's trip level for active node nid,
+    which should_trigger and the engine's look-ahead both compare with: the
+    threshold times its activation energy, raised to whole quanta and at
+    least one. A battery of whole quanta is under it exactly when it is
+    under the product or empty, a dead member; raising is exact, as
+    1 / QUANTUM is a power of two."""
+    product = policy.energy_threshold * topology.activation_energy[nid]
+    return math.ceil(product / QUANTUM) * QUANTUM or QUANTUM  # only 0.0 raises to 0
 
 
 def armed(strategy: MaintenanceStrategy | None) -> bool:

@@ -45,6 +45,7 @@ from wsnlife import (
     validate_config,
 )
 from wsnlife.experiment import summarize
+from wsnlife.maintenance import energy_floor
 from wsnlife.metrics import MAX_GRID_POINTS
 
 from helpers import make_state
@@ -451,11 +452,11 @@ def test_compiled_round_matches_per_hop_round(data):
     compiled = _random_tree_state(positions, order, picks, budgets, dead)
     reference = _random_tree_state(positions, order, picks, budgets, dead)
     compiled.energy_ledger = reference.energy_ledger = ledger
+    config = SimConfig(tm=None)
     for k in range(steps):
-        engine._traffic(compiled)
-        engine._per_hop_round(reference, engine._routes(reference))
-        compiled.time += 1
-        reference.time += 1
+        step(compiled, None, config)
+        with hop_by_hop():
+            step(reference, None, config)
         if killed is not None and killed[0] == k:
             compiled.kill(killed[1])
             reference.kill(killed[1])
@@ -569,7 +570,7 @@ def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
     reference, _ = _deep_tree_state(seed, n, fan)
     for _ in range(steps):
         step(compiled, None, config)
-    with mock.patch.object(engine, "_traffic", per_hop):
+    with hop_by_hop():
         for _ in range(steps):
             step(reference, None, config)
     assert [nd.energy.hex() for nd in compiled.nodes] == [
@@ -581,10 +582,11 @@ def test_compiled_round_matches_hop_by_hop_on_deep_trees(seed, n, fan, steps):
     assert compiled.death_step == reference.death_step
 
 
-def per_hop(state):
-    """engine._traffic as the hop-by-hop round alone, which shares no code
-    with _jump."""
-    engine._per_hop_round(state, engine._routes(state))
+def hop_by_hop():
+    """A patch of the one mover of compiled rounds that takes none, so that
+    every step runs its data round hop by hop, which shares no code with
+    _jump."""
+    return mock.patch.object(engine, "_take_rounds", lambda *args: 0)
 
 
 def _descendant_id_range(parent):
@@ -671,12 +673,12 @@ def test_relay_drains_stop_at_nested_dead_hops():
 
 def iterated(x, op, costs, steps, floor=-math.inf):
     """_jump's reference: one reduce of the drains per round, stopping
-    before a round that would leave x under floor; the rounds taken and x
-    after them."""
+    before a round that would leave x under floor or empty, a death; the
+    rounds taken and x after them."""
     done = 0
     while done < steps:
         y = reduce(op, costs, x)
-        if y < floor:
+        if y < floor or y <= 0.0:
             break
         x, done = y, done + 1
     return done, x
@@ -723,14 +725,22 @@ def iterated_jump(energies, charged, drains, floors, rounds, ledger):
     )
 
 
+def trip_level(product):
+    """energy_floor's value for a member whose threshold times activation
+    energy is product: a threshold of 0.5 on twice it, an exact product."""
+    policy = TriggerPolicy(TriggerKind.ENERGY, energy_threshold=0.5)
+    topology = Topology(active_set={0, 1}, parent={1: 0}, activation_energy={1: 2 * product})
+    return energy_floor(policy, topology, 1)
+
+
 def assert_jump_matches_iterated(rx, relays, floors, rounds, ledger, order=None):
-    """_jump, given each floor raised to whole quanta as _fast_forward
-    raises it, agrees with iterated on the rounds taken and, by float.hex,
+    """_jump, given energy_floor's value for each floor, as _fast_forward
+    gives it, agrees with iterated on the rounds taken and, by float.hex,
     every relay and the ledger; the program's nodes are left as they were."""
     program, charged, drains = jump_program(rx, relays, order)
     energies = [node.energy for node in program.nodes]
     want, after, ledger_after = iterated_jump(energies, charged, drains, floors, rounds, ledger)
-    lowest = [math.ceil(f * 2**40) / 2**40 for f in floors]
+    lowest = [trip_level(f) for f in floors]
     n, got, got_ledger = engine._jump(program, lowest, rounds, ledger)
     assert (n, [e.hex() for e in got], got_ledger.hex()) == (
         want,
@@ -1067,7 +1077,7 @@ def test_fast_forward_matches_step_loop_on_a_large_tree(tm):
     assert any(end - start > 1 for start, end in stretches)
     assert fast.death_times and fast.maintenance_events
 
-    with mock.patch.object(engine, "_traffic", per_hop):
+    with hop_by_hop():
         plain, plain_state = run_keeping_state(config, fast_forward=False)
     assert fast.to_dict() == plain.to_dict()
     assert [n.energy.hex() for n in fast_state.nodes] == [

@@ -76,6 +76,24 @@ def test_family_mismatch_names_trigger_kind(tmp_path):
     assert err.value.field == "trigger.kind"
 
 
+def test_explicit_trigger_kind_is_checked_against_the_swept_tm_only(tmp_path):
+    # the default tm, DGETRec, is energy-triggered, but the sweep never runs it
+    payload = {"tm_list": ["DGTTRec"], "trigger.kind": "time", "seeds": [1]}
+    spec = parse_config(write_config(tmp_path, payload))
+    assert spec.tm_list == ["DGTTRec"]
+    config = config_for(spec, "A3", "DGTTRec", 1)
+    assert config.trigger.kind is TriggerKind.TIME
+
+
+def test_explicit_trigger_kind_is_checked_against_every_swept_tm(tmp_path):
+    # the base runs no maintenance, but the sweep runs an energy-triggered one
+    payload = {"tm": "None", "trigger.kind": "time", "tm_list": ["DGETRec"], "seeds": [1]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, payload))
+    assert err.value.field == "trigger.kind"
+    assert "DGETRec requires an energy-triggered policy" in str(err.value)
+
+
 def test_trigger_kind_inferred_from_tm(tmp_path):
     spec = parse_config(write_config(tmp_path, {"tm": "SGTTRot"}))
     assert spec.base.trigger.kind is TriggerKind.TIME

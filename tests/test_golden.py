@@ -30,6 +30,7 @@ from wsnlife import (
     DeploymentConfig,
     EnergyParams,
     RadioParams,
+    RunResult,
     SimConfig,
     TCProtocol,
     TMProtocol,
@@ -77,7 +78,11 @@ def golden_cells() -> dict[str, SimConfig]:
 
 
 def cell_digests(config: SimConfig, scratch: Path) -> dict[str, str]:
-    result = run(config)
+    return digests_of(run(config), scratch)
+
+
+def digests_of(result: RunResult, scratch: Path) -> dict[str, str]:
+    """The digests of a run's to_dict() and of its series CSV."""
     text = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
     csv_bytes = emit_series(result, scratch / "series.csv").read_bytes()
     return {

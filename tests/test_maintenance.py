@@ -22,6 +22,8 @@ from wsnlife import (
     precompute_rotation_set,
     should_trigger,
 )
+from wsnlife.maintenance import energy_floor
+from wsnlife.radio import QUANTUM
 
 from helpers import make_state
 
@@ -85,6 +87,33 @@ def test_energy_trigger_on_dead_active():
     activate_topology(state, topology)
     policy = TriggerPolicy(TriggerKind.ENERGY, energy_threshold=0.5)
     state.kill(1)
+    assert should_trigger(policy, state)
+
+
+def test_energy_floor_trips_as_the_product_does_for_whole_quanta():
+    state = chain_state()
+    topology = Topology(active_set={0, 1}, parent={1: 0})
+    activate_topology(state, topology)
+    policy = TriggerPolicy(TriggerKind.ENERGY, energy_threshold=0.6)
+    product = policy.energy_threshold * topology.activation_energy[1]
+    assert not (product / QUANTUM).is_integer()
+    floor = energy_floor(policy, topology, 1)
+    assert floor - QUANTUM < product < floor
+    for battery in (floor - QUANTUM, floor, floor + QUANTUM):
+        state.nodes[1].energy = battery
+        assert should_trigger(policy, state) == (battery < product)
+
+
+def test_member_activated_empty_trips_the_energy_trigger():
+    # a later rotation entry's handshake can drain a member of entry 0 dry
+    # before entry 0 is activated, which then snapshots 0.0 for it
+    state = chain_state()
+    topology = Topology(active_set={0, 1}, parent={1: 0})
+    state.kill(1)
+    activate_topology(state, topology)
+    assert topology.activation_energy[1] == 0.0
+    policy = TriggerPolicy(TriggerKind.ENERGY, energy_threshold=0.5)
+    assert energy_floor(policy, topology, 1) == QUANTUM
     assert should_trigger(policy, state)
 
 

@@ -361,13 +361,13 @@ def _chain(batteries):
     activate_topology(state, Topology(active_set={0, 1, 2}, parent={1: 0, 2: 1}))
     for nid, joules in batteries.items():
         state.nodes[nid].energy = joules
-    return state, engine._routes(state)
+    return state
 
 
-def _data_round(state, routes):
+def _data_round(state):
     """One data round hop by hop, as step() runs it at state.time."""
     state.in_step = True
-    engine._per_hop_round(state, routes)
+    engine._per_hop_round(state)
     state.in_step = False
 
 
@@ -380,10 +380,10 @@ def test_per_hop_round_clamps_and_kills():
     tx = tx_energy(EnergyParams(), bits, 40.0)
     rx = rx_energy(EnergyParams(), bits)
     # relay 1 pays its own transmit in full, then runs dry receiving for 2
-    state, routes = _chain({1: tx + rx / 2, 2: 1.0})
+    state = _chain({1: tx + rx / 2, 2: 1.0})
     state.time = 4
     full = sum(n.energy for n in state.nodes if n.id != 0)
-    _data_round(state, routes)
+    _data_round(state)
     relay = state.nodes[1]
     assert relay.energy == 0.0  # clamped to the residual, never negative
     assert not relay.alive
@@ -393,7 +393,7 @@ def test_per_hop_round_clamps_and_kills():
     # the next round: 2 transmits into the dead hop, which is not drained
     state.time = 5
     sender_before = state.nodes[2].energy
-    _data_round(state, routes)
+    _data_round(state)
     assert relay.energy == 0.0
     assert state.nodes[2].energy == sender_before - tx
     assert state.death_step == {1: 5}
@@ -402,10 +402,10 @@ def test_per_hop_round_clamps_and_kills():
 
 
 def test_delivery_leaves_sink_battery_untouched():
-    state, routes = _chain({})
+    state = _chain({})
     sink_before = state.sink.energy
     for _ in range(3):
-        _data_round(state, routes)
+        _data_round(state)
     assert state.packets_delivered == 6 and state.packets_dropped == 0
     assert state.sink.energy == sink_before
     assert state.sink.alive and state.sink.id == SINK_ID
@@ -427,10 +427,10 @@ def test_kill_sink_does_nothing_and_second_kill_keeps_first_step():
 
 def test_ledger_matches_energy_drop():
     # uneven batteries, so the two sensors die on different rounds
-    state, routes = _chain({1: 3.3e-4, 2: 2.1e-4})
+    state = _chain({1: 3.3e-4, 2: 2.1e-4})
     full = sum(n.energy for n in state.nodes if n.id != 0)
     while any(n.alive for n in state.nodes[1:]):
-        _data_round(state, routes)
+        _data_round(state)
         state.time += 1
         assert math.isclose(
             _battery_drop(state, full), state.energy_ledger, rel_tol=1e-9
