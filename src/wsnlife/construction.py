@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .metrics import alive_count, sense_probabilities
-from .model import SINK_ID, NetworkState, Topology, _links
+from .model import SINK_ID, NetworkState, Topology, distance
 from .radio import QUANTIZER, rx_energy, tx_coefficients
 
 
@@ -164,35 +164,40 @@ def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
     state.energy_ledger = ledger
 
 
-def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
+def _promote_for_sensing(state: NetworkState, topology: Topology) -> None:
     """Activate sleeping leaves whose own positions are not sensed with
-    probability detection_threshold by the current active sensors. Each
-    promotion joins as a leaf under its nearest linked active node, the
-    least (distance, id), even a leaf that was attached before, and
-    immediately counts as a sensor for the leaves tested after it.
+    probability detection_threshold, under state.sensing, by the current
+    active sensors. Each promotion joins as a leaf under its nearest linked
+    active node, the least (distance, id), even a leaf that was attached
+    before, and immediately counts as a sensor for the leaves tested after
+    it.
 
-    A test reads the sleeper's entries in state.promotion, built on its
-    first test by _sensors: it folds the miss factors of its active sensors
-    in ascending id, and attaches over the distances to its links. Every
-    factor left out is exactly 1.0, which changes no bit of the product, so
-    the miss is the one a fold over every active sensor gives."""
-    threshold = sp.detection_threshold
-    distances = state.promotion.distances
-    sensors = state.promotion.sensors.setdefault(sp, {})
+    A test reads the sleeper's sensors in state.promotion, built on its
+    first test by _sensors, and folds the miss factors of the active ones
+    in ascending id. Every factor left out is exactly 1.0, which changes no
+    bit of the product, so the miss is the one a fold over every active
+    sensor gives. A promotion attaches over the sleeper's distances to its
+    links, built on its first promotion."""
+    threshold = state.sensing.detection_threshold
+    distances, sensors = state.promotion.distances, state.promotion.sensors
     nodes, links, active = state.nodes, state.links, topology.active_set
     for sid in sorted(set(topology.parent) - active):
         if nodes[sid].energy <= 0.0:
             continue  # dead
         entry = sensors.get(sid)
         if entry is None:
-            entry = sensors[sid] = _sensors(state, sp, sid)
+            entry = sensors[sid] = _sensors(state, sid)
         miss = 1.0
         for aid, factor in entry:
             if aid in active:
                 miss *= factor
         if 1.0 - miss >= threshold:
             continue
-        near = [(d, aid) for aid, d in zip(links[sid], distances[sid]) if aid in active]
+        dists = distances.get(sid)
+        if dists is None:
+            at = nodes[sid].position
+            dists = distances[sid] = [distance(at, nodes[nid].position) for nid in links[sid]]
+        near = [(d, aid) for aid, d in zip(links[sid], dists) if aid in active]
         if not near:
             continue  # no active node in range; cannot attach
         topology.parent[sid] = min(near)[1]
@@ -200,40 +205,21 @@ def _promote_for_sensing(state: NetworkState, topology: Topology, sp) -> None:
         topology.coverage_promoted.add(sid)
 
 
-def _sensors(state: NetworkState, sp, sid: int) -> list[tuple[int, float]]:
-    """Node sid's sensors under sp with their miss factors, in ascending id:
-    the non-sink nodes within r + r_u whose factor is not exactly 1.0. Its
-    distances to its links are filled in state.promotion on the way, unless
-    another sp filled them. Every distance is distance()'s hypot with the
-    same bits.
-
-    A sensor past r + r_u has a factor of exactly 1.0. While that band lies
-    within the radio range, sid's links hold every sensor that matters;
-    otherwise they come from _links at r + r_u, built once per band."""
-    inputs = state.promotion
-    r = state.radio.sensing_radius
-    nodes, links = state.nodes, state.links[sid]
-    hypot = math.hypot
-    pos = nodes[sid].position
-    sx, sy = pos.x, pos.y
-    dists = inputs.distances.get(sid)
-    if dists is None:
-        dists = inputs.distances[sid] = [
-            hypot(sx - nodes[nid].position.x, sy - nodes[nid].position.y) for nid in links
-        ]
-    outer = r + sp.uncertainty_radius
-    if outer <= state.radio.communication_radius:
-        near = [(nid, d) for nid, d in zip(links, dists) if d <= outer and nid != SINK_ID]
-    else:
-        wide = inputs.wide_links.get(outer)
-        if wide is None:
-            wide = inputs.wide_links[outer] = _links(nodes, outer)
-        near = [
-            (nid, hypot(sx - nodes[nid].position.x, sy - nodes[nid].position.y))
-            for nid in wide[sid]
-            if nid != SINK_ID
-        ]
-    probabilities = sense_probabilities(sp, r, [d for _, d in near])
+def _sensors(state: NetworkState, sid: int) -> list[tuple[int, float]]:
+    """Node sid's sensors under state.sensing with their miss factors, in
+    ascending id: the non-sink nodes of state.sensing_links[sid], those
+    within r + r_u, whose factor is not exactly 1.0. A sensor past r + r_u
+    has a factor of exactly 1.0, so these are all that matter."""
+    nodes = state.nodes
+    at = nodes[sid].position
+    near = [
+        (nid, distance(at, nodes[nid].position))
+        for nid in state.sensing_links[sid]
+        if nid != SINK_ID
+    ]
+    probabilities = sense_probabilities(
+        state.sensing, state.radio.sensing_radius, [d for _, d in near]
+    )
     return [(nid, 1.0 - p) for (nid, _), p in zip(near, probabilities) if 1.0 - p != 1.0]
 
 
@@ -246,7 +232,6 @@ def construct(
     state: NetworkState,
     tc: TCProtocol,
     params: A3Params,
-    sensing=None,
     exclude: frozenset[int] = frozenset(),
 ) -> tuple[Topology, ConstructionCharge]:
     """Build a reduced topology with the selected protocol, charge the
@@ -257,12 +242,10 @@ def construct(
     exclusion, and that growth is charged instead. Relays left without a
     child after the growth are demoted to sleeping leaves; demotion never
     detaches a child, so the active nodes left are the sink and the
-    parents. A3Cov then promotes its sensing leaves.
+    parents. A3Cov then promotes its sensing leaves under state.sensing.
     """
     if SINK_ID in exclude:
         raise ValueError("the sink cannot be excluded from construction")
-    if tc is TCProtocol.A3COV and sensing is None:
-        raise ValueError("A3Cov requires sensing parameters")
     topology, charge = _grow(state, params, frozenset(exclude))
     reached = len(charge.energy) + 1  # the charged nodes and the sink
     if exclude and reached < RELAX_REACH_FRACTION * alive_count(state):
@@ -270,5 +253,5 @@ def construct(
     _apply_charge(state, charge)
     topology.active_set &= {SINK_ID, *topology.parent.values()}
     if tc is TCProtocol.A3COV:
-        _promote_for_sensing(state, topology, sensing)
+        _promote_for_sensing(state, topology)
     return topology, charge

@@ -13,6 +13,7 @@ from .model import (
     Node,
     Point,
     RadioParams,
+    SensingParams,
     Topology,
 )
 from .radio import QUANTIZER
@@ -32,9 +33,13 @@ class DeploymentConfig:
 
 
 def deploy(
-    config: DeploymentConfig, radio: RadioParams, energy: EnergyParams
+    config: DeploymentConfig,
+    radio: RadioParams,
+    energy: EnergyParams,
+    sensing: SensingParams,
 ) -> NetworkState:
-    """Place node 0 (the sink) at the area center and the rest uniformly at random.
+    """Place node 0 (the sink) at the area center and the rest uniformly at
+    random, in a state that carries the radio, energy and sensing models.
 
     The generator is Python's Mersenne Twister seeded with config.seed, drawn
     through random() only, node by node, x before y. That sequence is pinned:
@@ -52,6 +57,4 @@ def deploy(
         y = rng.random() * height
         nodes.append(Node(id=node_id, position=Point(x, y), energy=initial))
     empty = Topology(active_set={SINK_ID}, parent={})
-    return NetworkState(
-        nodes=nodes, area=config.area, radio=radio, energy=energy, topology=empty
-    )
+    return NetworkState(nodes, config.area, radio, energy, sensing, empty)

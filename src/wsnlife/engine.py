@@ -163,15 +163,13 @@ def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | N
     """Deploy, build the first reduced topology (plus the rotation set for
     static and hybrid strategies), and activate it at time zero."""
     validate_config(config)
-    state = deploy(config.deployment, config.radio, config.energy)
+    state = deploy(config.deployment, config.radio, config.energy, config.sensing)
     kind = None if config.tm is None else config.tm.strategy_kind
     if kind in (None, StrategyKind.DYNAMIC_RECREATION):
-        topology, _ = construct(state, config.tc, config.a3, config.sensing)
+        topology, _ = construct(state, config.tc, config.a3)
         rotation = []
     else:
-        rotation = precompute_rotation_set(
-            state, config.tc, config.rotation_k, config.a3, config.sensing
-        )
+        rotation = precompute_rotation_set(state, config.tc, config.rotation_k, config.a3)
         topology = rotation[0]
     activate_topology(state, topology)
     strategy = None if kind is None else MaintenanceStrategy(kind, rotation_set=rotation)
@@ -429,7 +427,7 @@ def sample_metrics(
         comm, sensing = last[1].comm_coverage, last[1].sensing_coverage
     else:
         comm = comm_coverage(state, grid, reach)
-        sensing = sensing_coverage(state, config.sensing, grid, reach)
+        sensing = sensing_coverage(state, grid, reach)
     return reach, MetricsSample(state.time, alive_count(state), len(reach), comm, sensing)
 
 
@@ -444,7 +442,7 @@ def step(
     if not _take_rounds(state, _DEATH_FLOOR, 1):
         _per_hop_round(state)
     if armed(strategy) and should_trigger(config.trigger, state):
-        _, action = maintain(strategy, state, config.tc, config.a3, config.sensing)
+        _, action = maintain(strategy, state, config.tc, config.a3)
         strategy.events.append((state.time + 1, action))
     state.in_step = False
     state.time += 1

@@ -133,7 +133,6 @@ def precompute_rotation_set(
     tc: TCProtocol,
     k: int,
     params: A3Params,
-    sensing=None,
 ) -> list[Topology]:
     """Build k alternative topologies up front, each excluding the awake
     nodes of the entries before it so rotations drain different nodes; an
@@ -146,7 +145,7 @@ def precompute_rotation_set(
     topologies: list[Topology] = []
     exclude: set[int] = set()
     for _ in range(k):
-        topology, _charge = construct(state, tc, params, sensing, frozenset(exclude))
+        topology, _charge = construct(state, tc, params, frozenset(exclude))
         topologies.append(topology)
         exclude |= topology.active_set - {SINK_ID}
     return topologies
@@ -170,7 +169,6 @@ def maintain(
     state: NetworkState,
     tc: TCProtocol,
     params: A3Params,
-    sensing=None,
 ) -> tuple[Topology, str]:
     """Replace the reduced topology after a trigger fired.
 
@@ -189,7 +187,7 @@ def maintain(
     elif strategy.kind is StrategyKind.STATIC_ROTATION:
         return state.topology, "Exhausted"
     else:  # dynamic always rebuilds; hybrid once its set is spent
-        topology, _ = construct(state, tc, params, sensing)
+        topology, _ = construct(state, tc, params)
         if strategy.kind is StrategyKind.HYBRID:
             strategy.rotation_set = [topology]
             strategy.cursor = 0

@@ -257,12 +257,11 @@ def comm_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> f
     return int(_POPCOUNT[covered].sum()) / grid.point_count
 
 
-def sensing_coverage(
-    state: NetworkState, sp: SensingParams, grid: CoverageGrid, reach: set[int]
-) -> float:
+def sensing_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> float:
     """Fraction of grid points whose combined detection probability under the
     sink-reachable active sensors, those of reach = sink_reachable(state),
-    reaches the detection threshold.
+    reaches the detection threshold of state.sensing, the sensing model the
+    state carries.
 
     Sensors detect independently, so the combined probability at a point is
     1 - prod(1 - p_i). The sink is a collector, not a sensor, and does not
@@ -278,7 +277,7 @@ def sensing_coverage(
     1 - miss = 0 is below any threshold. The value is the summed count over
     the grid's points.
     """
-    r = state.radio.sensing_radius
+    sp, r = state.sensing, state.radio.sensing_radius
     sensors = sorted(reach - {SINK_ID})
     nodes = state.nodes
     points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in sensors]

@@ -158,26 +158,26 @@ class Topology:
 
 @dataclass(eq=False)
 class PromotionInputs:
-    """A3Cov promotion's inputs for one deployment. Positions never move,
-    so a node's entry is built on its first test as a sleeper and kept.
+    """A3Cov promotion's inputs for one deployment and its sensing model.
+    Positions never move, so a node's entry is built once and kept.
 
-    distances[i] holds the math.hypot distance from node i to each node of
-    links[i], in the same order. sensors[sp][i] holds, in ascending id, the
-    non-sink nodes within r + r_u of node i whose miss factor 1 - p under
-    sp is not exactly 1.0, each with that factor. When r + r_u reaches past
-    the communication radius, wide_links[r + r_u] holds the nodes within
-    it, as links holds those within the radius."""
+    sensors[i], built on node i's first test as a sleeper, holds in
+    ascending id the non-sink nodes of sensing_links[i] whose miss factor
+    1 - p is not exactly 1.0, each with that factor. distances[i], built on
+    node i's first promotion, holds the math.hypot distance from node i to
+    each node of links[i], in the same order."""
 
     distances: dict[int, list[float]] = field(default_factory=dict)
-    sensors: dict[SensingParams, dict[int, list[tuple[int, float]]]] = field(
-        default_factory=dict
-    )
-    wide_links: dict[float, list[list[int]]] = field(default_factory=dict)
+    sensors: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
 
 
 @dataclass
 class NetworkState:
     """Mutable simulation state, owned by exactly one run at a time.
+
+    radio, energy and sensing are the deployment's models. The sensing
+    model travels with the state, so A3Cov promotion and sensing coverage
+    read it here, with radio.sensing_radius r.
 
     energy_ledger accumulates every joule actually drained from non-sink
     batteries, so that sum(initial) - sum(current) over non-sink nodes
@@ -190,14 +190,17 @@ class NetworkState:
     _links finds them in numpy passes of a bounded number of candidate
     pairs, screened by squared distance; a pair near the radius is decided
     by model.distance's own `math.hypot(dx, dy) <= R`, so membership is
-    exactly that of a scan of all nodes. promotion holds A3Cov promotion's
-    inputs, derived from the positions alone as links are.
+    exactly that of a scan of all nodes. sensing_links[i] holds, the same
+    way, the nodes within r + r_u, the reach of a sensor under the sensing
+    model. promotion holds A3Cov promotion's inputs, derived from the
+    positions and the sensing model alone as these lists are.
     """
 
     nodes: list[Node]
     area: DeploymentArea
     radio: RadioParams
     energy: EnergyParams
+    sensing: SensingParams
     topology: Topology
     time: int = 0
     energy_ledger: float = 0.0
@@ -212,6 +215,10 @@ class NetworkState:
     @cached_property
     def links(self) -> list[list[int]]:
         return _links(self.nodes, self.radio.communication_radius)
+
+    @cached_property
+    def sensing_links(self) -> list[list[int]]:
+        return _links(self.nodes, self.radio.sensing_radius + self.sensing.uncertainty_radius)
 
     @property
     def sink(self) -> Node:

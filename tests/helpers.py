@@ -8,6 +8,7 @@ from wsnlife import (
     Node,
     Point,
     RadioParams,
+    SensingParams,
     Topology,
     distance,
 )
@@ -17,6 +18,7 @@ def make_state(
     positions,
     area=None,
     radio=None,
+    sensing=None,
     energy=None,
     initial_energy=None,
     active=(),
@@ -29,6 +31,7 @@ def make_state(
     outright.
     """
     radio = radio or RadioParams()
+    sensing = sensing or SensingParams()
     if energy is None:
         if initial_energy is not None:
             energy = EnergyParams(initial_energy=initial_energy)
@@ -48,6 +51,7 @@ def make_state(
         area=area,
         radio=radio,
         energy=energy,
+        sensing=sensing,
         topology=Topology(active_set={0, *active}, parent={}),
     )
     for nid in dead:

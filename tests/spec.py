@@ -109,7 +109,7 @@ class Spec:
             state.in_step = True
             self.data_round()
             if armed and should_trigger(config.trigger, state):
-                _, action = maintain(self.strategy, state, config.tc, config.a3, config.sensing)
+                _, action = maintain(self.strategy, state, config.tc, config.a3)
                 self.events.append((state.time + 1, action))
                 armed = action != "Exhausted"
                 self.battery = [quanta(node.energy) for node in state.nodes]

@@ -143,9 +143,9 @@ def test_criterion_3_cds_properties():
         for _ in range(1000):
             n = rng.randint(5, 50)
             config = DeploymentConfig(node_count=n, area=area, seed=rng.getrandbits(64))
-            state = deploy(config, radio, energy)
-            twin = deploy(config, radio, energy)
-            cov_state = deploy(config, radio, energy)
+            state = deploy(config, radio, energy, sp)
+            twin = deploy(config, radio, energy, sp)
+            cov_state = deploy(config, radio, energy, sp)
 
             topology, _ = construct(state, TCProtocol.A3, params)
             again, _ = construct(twin, TCProtocol.A3, params)
@@ -186,13 +186,13 @@ def test_criterion_3_cds_properties():
                     for a in topology.active_set
                 ), "reachable node left undominated"
 
-            cov_topology, _ = construct(cov_state, TCProtocol.A3COV, params, sp)
+            cov_topology, _ = construct(cov_state, TCProtocol.A3COV, params)
             assert topology.active_set <= cov_topology.active_set
             activate_topology(state, topology)
             activate_topology(cov_state, cov_topology)
             assert sensing_coverage(
-                cov_state, sp, grid, sink_reachable(cov_state)
-            ) >= sensing_coverage(state, sp, grid, sink_reachable(state))
+                cov_state, grid, sink_reachable(cov_state)
+            ) >= sensing_coverage(state, grid, sink_reachable(state))
 
 
 def test_criterion_4_reachability_oracle():
@@ -272,10 +272,7 @@ def test_criterion_6_coverage_estimator_stability():
             < 0.01
         )
         assert (
-            abs(
-                sensing_coverage(state, config.sensing, coarse, reach)
-                - sensing_coverage(state, config.sensing, fine, reach)
-            )
+            abs(sensing_coverage(state, coarse, reach) - sensing_coverage(state, fine, reach))
             < 0.01
         )
 

@@ -174,8 +174,8 @@ def test_sparse_exclusion_is_lifted():
     for tc in TCProtocol:
         relaxed = copy.deepcopy(state)
         plain = copy.deepcopy(state)
-        got = construct(relaxed, tc, PARAMS, SP, exclude=frozenset({1}))
-        assert got == construct(plain, tc, PARAMS, SP)
+        got = construct(relaxed, tc, PARAMS, exclude=frozenset({1}))
+        assert got == construct(plain, tc, PARAMS)
         assert 1 in got[0].active_set
         assert [n.energy for n in relaxed.nodes] == [n.energy for n in plain.nodes]
         assert relaxed.energy_ledger == plain.energy_ledger
@@ -193,7 +193,7 @@ def test_excluded_nodes_untouched():
 
 def test_a3cov_promotes_uncovered_neighbor():
     state = make_state([(0.0, 0.0), (50.0, 0.0)])
-    topology, _ = construct(state, TCProtocol.A3COV, PARAMS, SP)
+    topology, _ = construct(state, TCProtocol.A3COV, PARAMS)
     assert topology.active_set == {0, 1}
     assert topology.parent == {1: 0}
     assert topology.coverage_promoted == {1}
@@ -203,7 +203,7 @@ def test_a3cov_no_promotion_when_covered():
     # the sleeping leaf sits 15 m from an active sensor: certain detection
     state = make_state([(0.0, 0.0), (90.0, 0.0), (105.0, 0.0)])
     a3_topo, _ = construct(copy.deepcopy(state), TCProtocol.A3, PARAMS)
-    cov_topo, _ = construct(state, TCProtocol.A3COV, PARAMS, SP)
+    cov_topo, _ = construct(state, TCProtocol.A3COV, PARAMS)
     assert cov_topo.active_set == a3_topo.active_set
     assert cov_topo.parent == a3_topo.parent
     assert cov_topo.coverage_promoted == set()
@@ -212,7 +212,7 @@ def test_a3cov_no_promotion_when_covered():
 def test_a3cov_promotion_attaches_to_nearest_active():
     # two actives; the promoted node must pick the closer one
     state = make_state([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0), (150.0, 40.0)])
-    topology, _ = construct(state, TCProtocol.A3COV, PARAMS, SP)
+    topology, _ = construct(state, TCProtocol.A3COV, PARAMS)
     assert 3 in topology.coverage_promoted
     d1 = distance(state.nodes[3].position, state.nodes[1].position)
     d2 = distance(state.nodes[3].position, state.nodes[2].position)
@@ -225,19 +225,7 @@ def random_instance(seed, n_range=(5, 30), area=300.0):
     config = DeploymentConfig(
         node_count=n, area=DeploymentArea(area, area), seed=rng.getrandbits(64)
     )
-    return deploy(config, RadioParams(), EnergyParams())
-
-
-def test_a3cov_without_sensing_parameters_charges_nothing():
-    state = random_instance(7)
-    before = copy.deepcopy(state)
-    _, charge = construct(copy.deepcopy(state), TCProtocol.A3, PARAMS)
-    assert charge.energy  # construction would charge some battery
-    with pytest.raises(ValueError, match="A3Cov requires sensing parameters"):
-        construct(state, TCProtocol.A3COV, PARAMS)
-    assert [n.energy for n in state.nodes] == [n.energy for n in before.nodes]
-    assert state.energy_ledger == before.energy_ledger
-    assert state.death_step == before.death_step
+    return deploy(config, RadioParams(), EnergyParams(), SP)
 
 
 def test_every_active_node_is_a_parent_sink_or_promoted():
@@ -246,7 +234,7 @@ def test_every_active_node_is_a_parent_sink_or_promoted():
         state = random_instance(seed + 3000)
         grown, _ = _grow(state, PARAMS, frozenset())
         for tc in TCProtocol:
-            topology, _ = construct(copy.deepcopy(state), tc, PARAMS, SP)
+            topology, _ = construct(copy.deepcopy(state), tc, PARAMS)
             check_tree(topology)
             kept = {SINK_ID, *topology.parent.values()}
             if tc is TCProtocol.A3:
@@ -263,8 +251,8 @@ def test_every_active_node_is_a_parent_sink_or_promoted():
 
 def test_sink_only_deployment_constructs_the_sink():
     for tc in TCProtocol:
-        state = deploy(DeploymentConfig(node_count=1), RadioParams(), EnergyParams())
-        topology, charge = construct(state, tc, PARAMS, SP)
+        state = deploy(DeploymentConfig(node_count=1), RadioParams(), EnergyParams(), SP)
+        topology, charge = construct(state, tc, PARAMS)
         assert topology.active_set == {SINK_ID}
         assert topology.parent == {}
         assert charge.energy == {}
@@ -338,16 +326,16 @@ def test_a3cov_superset_and_sensing_gain_random_instances():
         plain = random_instance(seed + 1000)
         cov = copy.deepcopy(plain)
         a3_topo, _ = construct(plain, TCProtocol.A3, PARAMS)
-        cov_topo, _ = construct(cov, TCProtocol.A3COV, PARAMS, SP)
+        cov_topo, _ = construct(cov, TCProtocol.A3COV, PARAMS)
         assert a3_topo.active_set <= cov_topo.active_set
         activate_topology(plain, a3_topo)
         activate_topology(cov, cov_topo)
-        got = sensing_coverage(cov, SP, grid, sink_reachable(cov))
-        assert got >= sensing_coverage(plain, SP, grid, sink_reachable(plain))
+        got = sensing_coverage(cov, grid, sink_reachable(cov))
+        assert got >= sensing_coverage(plain, grid, sink_reachable(plain))
 
 
 def test_reduction_on_dense_deployment():
-    state = deploy(DeploymentConfig(), RadioParams(), EnergyParams())
+    state = deploy(DeploymentConfig(), RadioParams(), EnergyParams(), SP)
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert len(topology.active_set) < len(state.nodes)
 
@@ -505,11 +493,12 @@ def test_charge_debit_does_not_depend_on_order():
     assert outcomes[0][2]  # the handshake drained a battery dry
 
 
-def reference_promote(state, topology, sp):
+def reference_promote(state, topology):
     """A3Cov promotion with nothing kept between tests: each test computes
     the sleeper's distances to the active nodes, of its links or of the
     whole active set when r + r_u reaches past the radio range, and folds
-    every one's miss factor."""
+    every one's miss factor under state.sensing."""
+    sp = state.sensing
     r = state.radio.sensing_radius
     radius = state.radio.communication_radius
     in_links = r + sp.uncertainty_radius <= radius
@@ -558,34 +547,57 @@ ON_A_LATTICE_DISTANCE = (
 
 
 def promotion_instances():
-    """Forty-two (state, sensing parameters) pairs: random deployments with
-    the band inside the radio range (22 m within 100 m) and past it, and
-    nodes on a 10 m lattice, where equal distances abound."""
+    """Forty-two states: random deployments with the band inside the radio
+    range (22 m within 100 m) and past it, and nodes on a 10 m lattice,
+    where equal distances abound."""
     lattice = [(10.0 * i, 10.0 * j) for i in range(12) for j in range(12)]
     for seed in range(14):
-        yield random_instance(seed + 8000, n_range=(20, 80)), SP
+        yield random_instance(seed + 8000, n_range=(20, 80))
         state = random_instance(seed + 8100, n_range=(30, 80), area=120.0)
         positions = [(n.position.x, n.position.y) for n in state.nodes]
-        yield make_state(positions, area=state.area, radio=PAST_LINKS[0]), PAST_LINKS[1]
+        radio, sp = PAST_LINKS
+        yield make_state(positions, area=state.area, radio=radio, sensing=sp)
         spots = random.Random(seed).sample(lattice[1:], k=50)  # (0, 0) is the sink's
         radio, sp = PAST_LINKS if seed % 2 else ON_A_LATTICE_DISTANCE
-        yield make_state([(0.0, 0.0), *spots], radio=radio), sp
+        yield make_state([(0.0, 0.0), *spots], radio=radio, sensing=sp)
+
+
+def test_sensing_links_are_the_nodes_within_the_band():
+    # one list at r + r_u on both sides of the radio range: the links cut
+    # to the band inside it, a pairwise scan past it
+    seen = dict(inside=0, past=0, on_edge=0)
+    for state in promotion_instances():
+        positions = [(n.position.x, n.position.y) for n in state.nodes]
+        outer = state.radio.sensing_radius + state.sensing.uncertainty_radius
+        apart = [[math.hypot(xi - xj, yi - yj) for xj, yj in positions] for xi, yi in positions]
+        if outer <= state.radio.communication_radius:
+            seen["inside"] += 1
+            want = [[j for j in state.links[i] if apart[i][j] <= outer] for i in range(len(apart))]
+        else:
+            seen["past"] += 1
+            want = [
+                [j for j, d in enumerate(row) if j != i and d <= outer]
+                for i, row in enumerate(apart)
+            ]
+        assert state.sensing_links == want
+        seen["on_edge"] += sum(row.count(outer) for row in apart)
+    assert all(seen.values()), seen
 
 
 def test_promotion_matches_the_reference_pass():
     seen = dict(promoted=0, covered=0, dead=0, ties=0, moved=0, past_links=0, reused=0)
-    for index, (state, sp) in enumerate(promotion_instances()):
+    for index, state in enumerate(promotion_instances()):
         rng = random.Random(index)
         for _ in range(3):  # later rounds read the inputs earlier ones built
-            built = set(state.promotion.sensors.get(sp, ()))
+            built = set(state.promotion.sensors)
             topology, _ = construct(state, TCProtocol.A3, PARAMS)
             sleepers = sorted(set(topology.parent) - topology.active_set)
             for sid in rng.sample(sleepers, k=len(sleepers) // 6):
                 state.kill(sid)
             before = copy.deepcopy(topology)
             expected = copy.deepcopy(topology)
-            reference_promote(state, expected, sp)
-            _promote_for_sensing(state, topology, sp)
+            reference_promote(state, expected)
+            _promote_for_sensing(state, topology)
             assert topology.parent == expected.parent
             assert topology.active_set == expected.active_set
             assert topology.coverage_promoted == expected.coverage_promoted
@@ -605,7 +617,7 @@ def test_promotion_matches_the_reference_pass():
                 ]
                 seen["ties"] += linked.count(min(linked)) > 1
                 seen["moved"] += topology.parent[sid] != before.parent[sid]
-            sensors = state.promotion.sensors[sp]
+            sensors = state.promotion.sensors
             seen["past_links"] += sum(
                 aid not in state.links[sid] for sid in tested for aid, _ in sensors[sid]
             )
@@ -621,13 +633,13 @@ def test_a_leaf_promoted_earlier_in_the_pass_senses_for_later_ones():
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert topology.active_set == {SINK_ID}
     assert topology.parent == {1: 0, 2: 0}
-    _promote_for_sensing(state, topology, SP)
+    _promote_for_sensing(state, topology)
     assert topology.coverage_promoted == {1}
     assert topology.parent == {1: 0, 2: 0}
-    assert state.promotion.sensors[SP][2] == [(1, 0.0)]
+    assert state.promotion.sensors[2] == [(1, 0.0)]
 
 
-def test_promotion_inputs_are_built_per_tested_sleeper_and_sensing_params():
+def test_promotion_inputs_are_built_per_tested_sleeper():
     state = random_instance(8300, n_range=(40, 40))
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     sleepers = sorted(set(topology.parent) - topology.active_set)
@@ -635,21 +647,15 @@ def test_promotion_inputs_are_built_per_tested_sleeper_and_sensing_params():
     for sid in dead:
         state.kill(sid)
     tested = set(sleepers) - set(dead)
-    slow = SensingParams(decay_rate=0.05)
-    for sp in (SP, slow):
-        promoted = copy.deepcopy(topology)
-        expected = copy.deepcopy(topology)
-        _promote_for_sensing(state, promoted, sp)
-        reference_promote(state, expected, sp)
-        assert (promoted.parent, promoted.active_set) == (expected.parent, expected.active_set)
-        assert set(state.promotion.sensors[sp]) == tested
-        assert set(state.promotion.distances) == tested
-    assert state.promotion.sensors.keys() == {SP, slow}
-    fast, slow = state.promotion.sensors[SP], state.promotion.sensors[slow]
-    ids = [[aid for aid, _ in fast[sid]] for sid in sorted(tested)]
-    assert ids == [[aid for aid, _ in slow[sid]] for sid in sorted(tested)]
-    assert any(fast[sid] != slow[sid] for sid in tested)
-    for sid in tested:
+    promoted = copy.deepcopy(topology)
+    expected = copy.deepcopy(topology)
+    _promote_for_sensing(state, promoted)
+    reference_promote(state, expected)
+    assert (promoted.parent, promoted.active_set) == (expected.parent, expected.active_set)
+    assert set(state.promotion.sensors) == tested
+    assert set(state.promotion.distances) == promoted.coverage_promoted
+    assert tested - promoted.coverage_promoted  # some sleepers are sensed
+    for sid in promoted.coverage_promoted:
         links = state.links[sid]
         assert state.promotion.distances[sid] == [
             distance(state.nodes[sid].position, state.nodes[nid].position) for nid in links

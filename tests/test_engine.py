@@ -184,7 +184,7 @@ def two_node_state(budget):
     state = make_state(
         [(0.0, 0.0), (50.0, 0.0)], energy=EnergyParams(initial_energy=budget)
     )
-    topology, _ = construct(state, TCProtocol.A3COV, A3Params(), SimConfig().sensing)
+    topology, _ = construct(state, TCProtocol.A3COV, A3Params())
     activate_topology(state, topology)
     assert 1 in state.topology.active_set
     return state

@@ -57,10 +57,10 @@ def disc_by_disc(state, sp, grid, reach):
     return float(covered.mean()).hex(), float(sensed.mean()).hex()
 
 
-def footprint_coverage(state, sp, grid, reach):
+def footprint_coverage(state, grid, reach):
     return (
         comm_coverage(state, grid, reach).hex(),
-        sensing_coverage(state, sp, grid, reach).hex(),
+        sensing_coverage(state, grid, reach).hex(),
     )
 
 
@@ -96,14 +96,14 @@ def test_footprint_coverage_matches_fresh_grid(data):
         positions.append((-500.0, -500.0))  # its disc misses the grid
         earlier = positions
         radio = RadioParams(communication_radius=R, sensing_radius=r)
-        state = make_state(positions, area=area, radio=radio)
+        state = make_state(positions, area=area, radio=radio, sensing=sp)
         everyone = set(range(len(positions)))
         subsets = st.lists(st.sets(st.sampled_from(sorted(everyone))), max_size=3)
         for reach in [everyone, *data.draw(subsets)]:
             want = disc_by_disc(state, sp, shared, reach)
             fresh = CoverageGrid(area, shared.cell_size)
-            assert footprint_coverage(state, sp, fresh, reach) == want
-            assert footprint_coverage(state, sp, shared, reach) == want
+            assert footprint_coverage(state, fresh, reach) == want
+            assert footprint_coverage(state, shared, reach) == want
         assert shared.discs(R, [(-500.0, -500.0)]) == [None]
         assert shared.miss_factors(sp, r, [(-500.0, -500.0)]) == [None]
 
@@ -236,13 +236,13 @@ def test_batched_coverage_matches_disc_by_disc(extra, share):
         positions[-1] = positions[-2]  # two sensors at one position
     for R, r, sp in FOOTPRINT_RADII:
         radio = RadioParams(communication_radius=R, sensing_radius=r)
-        state = make_state(positions, area=AREA, radio=radio)
+        state = make_state(positions, area=AREA, radio=radio, sensing=sp)
         reach = set(range(len(positions)))
         grid = CoverageGrid(AREA, 4.0)
         if share == "half cached":
             half = set(range(0, len(positions), 2))
-            assert footprint_coverage(state, sp, grid, half) == disc_by_disc(state, sp, grid, half)
-        assert footprint_coverage(state, sp, grid, reach) == disc_by_disc(state, sp, grid, reach)
+            assert footprint_coverage(state, grid, half) == disc_by_disc(state, sp, grid, half)
+        assert footprint_coverage(state, grid, reach) == disc_by_disc(state, sp, grid, reach)
 
 
 def test_equal_sensing_parameters_share_footprints():

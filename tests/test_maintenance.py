@@ -9,6 +9,7 @@ from wsnlife import (
     EnergyParams,
     MaintenanceStrategy,
     RadioParams,
+    SensingParams,
     StrategyKind,
     TCProtocol,
     TMProtocol,
@@ -281,6 +282,7 @@ def test_recreation_after_deaths_uses_survivors():
         DeploymentConfig(node_count=30, area=DeploymentArea(250.0, 250.0), seed=11),
         RadioParams(),
         EnergyParams(),
+        SensingParams(),
     )
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     activate_topology(state, topology)

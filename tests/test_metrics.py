@@ -172,21 +172,21 @@ def test_coverage_monotone_in_reachable_set():
         [(100.0, 100.0), (190.0, 100.0)], area=area, active=[1]
     )
     assert comm_coverage(grown, grid, sink_reachable(grown)) >= lone
-    lone = sensing_coverage(base, SP, grid, sink_reachable(base))
-    assert sensing_coverage(grown, SP, grid, sink_reachable(grown)) >= lone
+    lone = sensing_coverage(base, grid, sink_reachable(base))
+    assert sensing_coverage(grown, grid, sink_reachable(grown)) >= lone
 
 
 def test_sensing_coverage_no_active_sensors_is_zero():
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
     grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert sensing_coverage(state, SP, grid, sink_reachable(state)) == 0.0
+    assert sensing_coverage(state, grid, sink_reachable(state)) == 0.0
 
 
 def test_sensing_coverage_single_sensor_disk():
     area = DeploymentArea(200.0, 200.0)
     state = make_state([(100.0, 100.0), (100.0, 100.0)], area=area, active=[1])
     grid = CoverageGrid(area, 2.0)
-    got = sensing_coverage(state, SP, grid, sink_reachable(state))
+    got = sensing_coverage(state, grid, sink_reachable(state))
     # points within r - r_u are certain; the p >= 0.5 contour sits at
     # x = inner + ln(2)/lambda = 18 + 1.386..., inside the 22 m outer edge
     contour = (R_SENSE - SP.uncertainty_radius) + math.log(2.0) / SP.decay_rate
@@ -212,16 +212,18 @@ def test_sensing_combination_two_weak_sensors():
         area=area,
         active=[1, 2],
         radio=RadioParams(communication_radius=130.0),
+        sensing=sp,
     )
     grid = CoverageGrid(area, 120.0)  # single sample point at (60, 60)
     assert grid.point_count == 1
     assert grid.xs[0] == probe[0] and grid.ys[0] == probe[1]
-    assert sensing_coverage(state, sp, grid, sink_reachable(state)) == 1.0
+    assert sensing_coverage(state, grid, sink_reachable(state)) == 1.0
 
 
-def whole_grid_sensing_coverage(state, sp, grid, reach):
+def whole_grid_sensing_coverage(state, grid, reach):
     """The miss products folded on one array the size of the grid, in
     ascending id: the reference for the banded fold."""
+    sp = state.sensing
     sensors = sorted(reach - {state.sink.id})
     points = [(state.nodes[n].position.x, state.nodes[n].position.y) for n in sensors]
     miss = np.ones((len(grid.ys), len(grid.xs)))
@@ -269,9 +271,9 @@ def test_banded_sensing_coverage_matches_whole_grid_fold(
     positions = [(0.0, 0.0), *spots]  # the sink first: never a sensor
     reach = {0} | {k for k in picks if k < len(positions)}
     radio = RadioParams(communication_radius=50.0, sensing_radius=r)
-    state = make_state(positions, area=area, radio=radio)
-    want = whole_grid_sensing_coverage(state, sp, grid, reach)
-    assert sensing_coverage(state, sp, grid, reach).hex() == want.hex()
+    state = make_state(positions, area=area, radio=radio, sensing=sp)
+    want = whole_grid_sensing_coverage(state, grid, reach)
+    assert sensing_coverage(state, grid, reach).hex() == want.hex()
 
 
 def test_banded_sensing_coverage_matches_whole_grid_fold_on_many_bands():
@@ -285,9 +287,9 @@ def test_banded_sensing_coverage_matches_whole_grid_fold_on_many_bands():
     ] + [(250.0, 130.0), (250.0, 131.0), (-30.0, 262.0)]
     state = make_state(positions, area=area, radio=RadioParams(sensing_radius=20.0))
     reach = set(range(len(positions)))
-    want = whole_grid_sensing_coverage(state, SP, grid, reach)
+    want = whole_grid_sensing_coverage(state, grid, reach)
     assert want > 0.0
-    assert sensing_coverage(state, SP, grid, reach).hex() == want.hex()
+    assert sensing_coverage(state, grid, reach).hex() == want.hex()
 
 
 def test_sensing_coverage_allocates_no_grid_sized_array():
@@ -298,10 +300,10 @@ def test_sensing_coverage_allocates_no_grid_sized_array():
     positions = [(1000.0, 500.0)] + [(97.0 * k + 10.0, 45.0 * k + 30.0) for k in range(21)]
     state = make_state(positions, area=area, radio=RadioParams(sensing_radius=R_SENSE))
     reach = set(range(len(positions)))
-    first = sensing_coverage(state, SP, grid, reach)  # builds the footprints
+    first = sensing_coverage(state, grid, reach)  # builds the footprints
     tracemalloc.start()
     try:
-        again = sensing_coverage(state, SP, grid, reach)
+        again = sensing_coverage(state, grid, reach)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

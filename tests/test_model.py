@@ -14,6 +14,7 @@ from wsnlife import (
     Point,
     RadioParams,
     SINK_ID,
+    SensingParams,
     SimConfig,
     Topology,
     activate_topology,
@@ -283,7 +284,7 @@ def deployments():
         DeploymentConfig(),
         DeploymentConfig(node_count=3000, area=DeploymentArea(1074.0 * scale, 660.0 * scale)),
     ]
-    return [deploy(config, RadioParams(), EnergyParams()) for config in configs]
+    return [deploy(config, RadioParams(), EnergyParams(), SensingParams()) for config in configs]
 
 
 def test_links_match_reference_on_deployments(deployments):
@@ -315,7 +316,7 @@ def test_links_on_the_largest_accepted_area():
         grid_cell=big,
     )
     engine.validate_config(config)
-    state = deploy(config.deployment, config.radio, config.energy)
+    state = deploy(config.deployment, config.radio, config.energy, config.sensing)
     positions = [(n.position.x, n.position.y) for n in state.nodes]
     positions += [(big, big)] * 3 + [(big, 0.0), (big, 100.0), (big, 201.0)]
     positions += [(1e21, 50.0 * k) for k in range(5)] + [(2.0**63 * 100.0, 0.0)] * 2
