@@ -3,7 +3,7 @@ topology construction (A3, A3Cov) and maintenance (rotation, recreation,
 hybrid; time- or energy-triggered)."""
 
 from .construction import A3Params, ConstructionCharge, TCProtocol, construct
-from .deployment import DeploymentConfig, deploy
+from .deployment import DeploymentConfig, Site, deploy
 from .engine import RunResult, SimConfig, initialize, run, step, validate_config
 from .errors import ConfigError
 from .maintenance import (
@@ -68,6 +68,7 @@ __all__ = [
     "SINK_ID",
     "SensingParams",
     "SimConfig",
+    "Site",
     "StrategyKind",
     "TCProtocol",
     "TMProtocol",

@@ -68,8 +68,8 @@ def _grow(
     lowest-id sleeping leaf linked to an unvisited node wakes as a relay;
     the growth ends when no such gateway is left. The charge lists the
     reached nodes in growth order."""
-    nodes, links = state.nodes, state.links
-    radio, energy = state.radio, state.energy
+    nodes, links = state.nodes, state.site.links
+    radio, energy = state.site.radio, state.energy
     radius = radio.communication_radius
     e_init = energy.initial_energy
     ew, dw = params.energy_weight, params.distance_weight
@@ -166,21 +166,23 @@ def _apply_charge(state: NetworkState, charge: ConstructionCharge) -> None:
 
 def _promote_for_sensing(state: NetworkState, topology: Topology) -> None:
     """Activate sleeping leaves whose own positions are not sensed with
-    probability detection_threshold, under state.sensing, by the current
-    active sensors. Each promotion joins as a leaf under its nearest linked
-    active node, the least (distance, id), even a leaf that was attached
-    before, and immediately counts as a sensor for the leaves tested after
-    it.
+    probability detection_threshold, under the site's sensing model, by the
+    current active sensors. Each promotion joins as a leaf under its
+    nearest linked active node, the least (distance, id), even a leaf that
+    was attached before, and immediately counts as a sensor for the leaves
+    tested after it.
 
-    A test reads the sleeper's sensors in state.promotion, built on its
-    first test by _sensors, and folds the miss factors of the active ones
-    in ascending id. Every factor left out is exactly 1.0, which changes no
-    bit of the product, so the miss is the one a fold over every active
-    sensor gives. A promotion attaches over the sleeper's distances to its
-    links, built on its first promotion."""
-    threshold = state.sensing.detection_threshold
-    distances, sensors = state.promotion.distances, state.promotion.sensors
-    nodes, links, active = state.nodes, state.links, topology.active_set
+    A test reads the sleeper's sensors in site.promotion, built by
+    _sensors on its first test in any run on the site, and folds the miss
+    factors of the active ones in ascending id. Every factor left out is
+    exactly 1.0, which changes no bit of the product, so the miss is the
+    one a fold over every active sensor gives. A promotion attaches over
+    the sleeper's distances to its links, built on its first promotion on
+    the site."""
+    site = state.site
+    threshold = site.sensing.detection_threshold
+    distances, sensors = site.promotion.distances, site.promotion.sensors
+    nodes, links, active = state.nodes, site.links, topology.active_set
     for sid in sorted(set(topology.parent) - active):
         if nodes[sid].energy <= 0.0:
             continue  # dead
@@ -206,19 +208,19 @@ def _promote_for_sensing(state: NetworkState, topology: Topology) -> None:
 
 
 def _sensors(state: NetworkState, sid: int) -> list[tuple[int, float]]:
-    """Node sid's sensors under state.sensing with their miss factors, in
-    ascending id: the non-sink nodes of state.sensing_links[sid], those
-    within r + r_u, whose factor is not exactly 1.0. A sensor past r + r_u
-    has a factor of exactly 1.0, so these are all that matter."""
-    nodes = state.nodes
+    """Node sid's sensors under the site's sensing model with their miss
+    factors, in ascending id: the non-sink nodes of sensing_links[sid],
+    those within r + r_u, whose factor is not exactly 1.0. A sensor past
+    r + r_u has a factor of exactly 1.0, so these are all that matter."""
+    nodes, site = state.nodes, state.site
     at = nodes[sid].position
     near = [
         (nid, distance(at, nodes[nid].position))
-        for nid in state.sensing_links[sid]
+        for nid in site.sensing_links[sid]
         if nid != SINK_ID
     ]
     probabilities = sense_probabilities(
-        state.sensing, state.radio.sensing_radius, [d for _, d in near]
+        site.sensing, site.radio.sensing_radius, [d for _, d in near]
     )
     return [(nid, 1.0 - p) for (nid, _), p in zip(near, probabilities) if 1.0 - p != 1.0]
 
@@ -242,7 +244,8 @@ def construct(
     exclusion, and that growth is charged instead. Relays left without a
     child after the growth are demoted to sleeping leaves; demotion never
     detaches a child, so the active nodes left are the sink and the
-    parents. A3Cov then promotes its sensing leaves under state.sensing.
+    parents. A3Cov then promotes its sensing leaves under the site's
+    sensing model.
     """
     if SINK_ID in exclude:
         raise ValueError("the sink cannot be excluded from construction")

@@ -1,8 +1,10 @@
-"""Initial node placement: uniform random positions with the sink at the center."""
+"""Initial node placement: uniform random positions with the sink at the
+center, on a site that runs of one deployment share."""
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError
 from .model import (
@@ -12,9 +14,11 @@ from .model import (
     NetworkState,
     Node,
     Point,
+    PromotionInputs,
     RadioParams,
     SensingParams,
     Topology,
+    _links,
 )
 from .radio import QUANTIZER
 
@@ -32,29 +36,59 @@ class DeploymentConfig:
             raise ConfigError("seed", "must fit in 64 unsigned bits")
 
 
-def deploy(
-    config: DeploymentConfig,
-    radio: RadioParams,
-    energy: EnergyParams,
-    sensing: SensingParams,
-) -> NetworkState:
-    """Place node 0 (the sink) at the area center and the rest uniformly at
-    random, in a state that carries the radio, energy and sensing models.
+@dataclass(eq=False)
+class Site:
+    """The part of a deployment that never changes, shared by every run on
+    it: the positions, the area, the radio and sensing models, and what is
+    derived from them alone. A site is keyed on its DeploymentConfig, radio
+    and sensing models; each part is a pure function of them, built on
+    first use and read-only after, so runs that share a site build each
+    part once and read the bits a fresh site gives. A sweep keeps one site
+    per seed for as long as it runs, as its grid keeps the footprints.
 
-    The generator is Python's Mersenne Twister seeded with config.seed, drawn
-    through random() only, node by node, x before y. That sequence is pinned:
-    placements must be bit-stable across runs, so the generator is never
-    changed silently. Every battery starts at the initial energy rounded to
-    whole quanta.
-    """
-    rng = random.Random(config.seed)
-    width, height = config.area.width, config.area.height
+    positions holds the sink at the area center and the rest uniformly at
+    random, drawn from Python's Mersenne Twister seeded with the seed,
+    through random() only, node by node, x before y. That sequence is
+    pinned: placements must be bit-stable across runs, so the generator is
+    never changed silently. links[i] holds, in ascending order, every other
+    node, dead or alive, within the communication radius of node i (see
+    model._links); sensing_links[i] those within r + r_u, the reach of a
+    sensor under the sensing model. promotion holds A3Cov promotion's
+    inputs, filled node by node as promotions first need them."""
+
+    deployment: DeploymentConfig
+    radio: RadioParams
+    sensing: SensingParams
+    promotion: PromotionInputs = field(default_factory=PromotionInputs, repr=False)
+
+    @property
+    def area(self) -> DeploymentArea:
+        return self.deployment.area
+
+    @cached_property
+    def positions(self) -> list[Point]:
+        rng = random.Random(self.deployment.seed)
+        width, height = self.area.width, self.area.height
+        positions = [Point(width / 2.0, height / 2.0)]
+        for _ in range(1, self.deployment.node_count):
+            x = rng.random() * width
+            y = rng.random() * height
+            positions.append(Point(x, y))
+        return positions
+
+    @cached_property
+    def links(self) -> list[list[int]]:
+        return _links(self.positions, self.radio.communication_radius)
+
+    @cached_property
+    def sensing_links(self) -> list[list[int]]:
+        return _links(self.positions, self.radio.sensing_radius + self.sensing.uncertainty_radius)
+
+
+def deploy(site: Site, energy: EnergyParams) -> NetworkState:
+    """A fresh state on site, its positions drawn if no run has drawn
+    them: node i at position i, node 0 the sink, every battery the initial
+    energy rounded to whole quanta, and the sink alone awake."""
     initial = (energy.initial_energy + QUANTIZER) - QUANTIZER
-    center = Point(width / 2.0, height / 2.0)
-    nodes = [Node(id=SINK_ID, position=center, energy=initial)]
-    for node_id in range(1, config.node_count):
-        x = rng.random() * width
-        y = rng.random() * height
-        nodes.append(Node(id=node_id, position=Point(x, y), energy=initial))
-    empty = Topology(active_set={SINK_ID}, parent={})
-    return NetworkState(nodes, config.area, radio, energy, sensing, empty)
+    nodes = [Node(i, position, initial) for i, position in enumerate(site.positions)]
+    return NetworkState(nodes, site, energy, Topology(active_set={SINK_ID}, parent={}))

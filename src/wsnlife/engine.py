@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import A3Params, TCProtocol, construct
-from .deployment import DeploymentConfig, deploy
+from .deployment import DeploymentConfig, Site, deploy
 from .errors import ConfigError
 from .maintenance import (
     MaintenanceStrategy,
@@ -159,11 +159,25 @@ def validate_config(config: SimConfig) -> None:
         raise ConfigError("trigger.kind", f"{tm.value} requires {family}-triggered policy")
 
 
-def initialize(config: SimConfig) -> tuple[NetworkState, MaintenanceStrategy | None]:
+def initialize(
+    config: SimConfig, site: Site | None = None
+) -> tuple[NetworkState, MaintenanceStrategy | None]:
     """Deploy, build the first reduced topology (plus the rotation set for
-    static and hybrid strategies), and activate it at time zero."""
+    static and hybrid strategies), and activate it at time zero.
+
+    site, when given, is the site of the config's deployment, radio and
+    sensing models, shared with other runs so that its positions, links
+    and promotion inputs are built once for all of them, here or in the
+    run that first needs them; a site of another config raises ValueError
+    before anything runs. Without one, a fresh site is built."""
     validate_config(config)
-    state = deploy(config.deployment, config.radio, config.energy, config.sensing)
+    if site is None:
+        site = Site(config.deployment, config.radio, config.sensing)
+    elif (site.deployment, site.radio, site.sensing) != (
+        config.deployment, config.radio, config.sensing
+    ):
+        raise ValueError(f"{site} does not fit the config's deployment, radio or sensing")
+    state = deploy(site, config.energy)
     kind = None if config.tm is None else config.tm.strategy_kind
     if kind in (None, StrategyKind.DYNAMIC_RECREATION):
         topology, _ = construct(state, config.tc, config.a3)
@@ -448,7 +462,9 @@ def step(
     state.time += 1
 
 
-def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
+def run(
+    config: SimConfig, grid: CoverageGrid | None = None, site: Site | None = None
+) -> RunResult:
     """Initialize and step to max_steps, or stop early once every sensor
     node is dead and maintenance has nothing to activate. After each step
     the quiet stretch that follows it, if any, is jumped in one move, and
@@ -460,15 +476,16 @@ def run(config: SimConfig, grid: CoverageGrid | None = None) -> RunResult:
 
     grid, when given, is a coverage grid on the config's area and cell size,
     shared with other runs so that each footprint is computed once for all
-    of them; a grid on another area or cell size raises ValueError. The
-    values are the same bits as on a fresh grid."""
-    state, strategy = initialize(config)
+    of them, and site is the config's site (see initialize); a grid on
+    another area or cell size raises ValueError. The values are the same
+    bits as on a fresh grid and site."""
+    state, strategy = initialize(config, site)
     if grid is None:
-        grid = CoverageGrid(state.area, config.grid_cell)
-    elif (grid.area, grid.cell_size) != (state.area, config.grid_cell):
+        grid = CoverageGrid(state.site.area, config.grid_cell)
+    elif (grid.area, grid.cell_size) != (state.site.area, config.grid_cell):
         raise ValueError(
             f"coverage grid on {grid.area} with {grid.cell_size} m cells, but the"
-            f" config has {state.area} with {config.grid_cell} m cells"
+            f" config has {state.site.area} with {config.grid_cell} m cells"
         )
     stride = config.metrics_stride
     last = sample_metrics(state, config, grid)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .construction import TCProtocol
+from .deployment import Site
 from .engine import RunResult, SimConfig, run, validate_config
 from .errors import ConfigError
 from .maintenance import TMProtocol
@@ -293,8 +294,10 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
 
     Every cell's config is checked before anything runs. The cells differ
     only in protocols and seed, so they share one coverage grid, which
-    computes each node's footprint once for the whole sweep; it lives as
-    long as this call."""
+    computes each node's footprint once for the whole sweep, and the cells
+    of a seed share one site (deployment.Site), whose positions, links and
+    A3Cov promotion inputs the first cell that needs them builds. Both
+    live as long as this call."""
     cells = [
         (tc_name, tm_name, seed, config_for(spec, tc_name, tm_name, seed))
         for tc_name in spec.tc_list
@@ -304,13 +307,14 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     for *_, config in cells:
         validate_config(config)
     grid = CoverageGrid(spec.base.deployment.area, spec.base.grid_cell)
+    sites = {seed: Site(c.deployment, c.radio, c.sensing) for _, _, seed, c in cells}
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     rows: list[SummaryRow] = []
     written: list[Path] = []
     for tc_name, tm_name, seed, config in cells:
         try:
-            result = run(config, grid)
+            result = run(config, grid, sites[seed])
         except ConfigError:
             raise
         except Exception as exc:

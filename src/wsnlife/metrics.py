@@ -222,14 +222,14 @@ def alive_count(state: NetworkState) -> int:
 def sink_reachable(state: NetworkState) -> set[int]:
     """The sink plus every alive member of the installed topology's active
     set joined to it by a chain of alive members, each hop a radio link of
-    state.links."""
+    state.site.links."""
     topology = state.topology
     nodes = state.nodes
     unreached = {
         nid for nid in topology.active_set
         if nid != SINK_ID and nodes[nid].energy > 0.0
     }
-    links = state.links
+    links = state.site.links
     reached = {SINK_ID}
     frontier = [SINK_ID]
     while frontier:
@@ -245,7 +245,7 @@ def comm_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> f
     """Fraction of grid points within the communication radius of at least
     one node of reach, sink_reachable(state): the sink-reachable nodes,
     sink included."""
-    radius = state.radio.communication_radius
+    radius = state.site.radio.communication_radius
     covered = np.zeros((len(grid.ys), (len(grid.xs) + 7) // 8), dtype=np.uint8)
     nodes = state.nodes
     points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in reach]
@@ -260,8 +260,7 @@ def comm_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> f
 def sensing_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> float:
     """Fraction of grid points whose combined detection probability under the
     sink-reachable active sensors, those of reach = sink_reachable(state),
-    reaches the detection threshold of state.sensing, the sensing model the
-    state carries.
+    reaches the detection threshold of the site's sensing model.
 
     Sensors detect independently, so the combined probability at a point is
     1 - prod(1 - p_i). The sink is a collector, not a sensor, and does not
@@ -277,7 +276,7 @@ def sensing_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -
     1 - miss = 0 is below any threshold. The value is the summed count over
     the grid's points.
     """
-    sp, r = state.sensing, state.radio.sensing_radius
+    sp, r = state.site.sensing, state.site.radio.sensing_radius
     sensors = sorted(reach - {SINK_ID})
     nodes = state.nodes
     points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in sensors]

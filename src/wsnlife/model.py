@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import pairwise
 from typing import TYPE_CHECKING
 
@@ -12,6 +11,7 @@ import numpy as np
 from .errors import ConfigError
 
 if TYPE_CHECKING:
+    from .deployment import Site
     from .engine import Tree
 
 SINK_ID = 0
@@ -158,8 +158,9 @@ class Topology:
 
 @dataclass(eq=False)
 class PromotionInputs:
-    """A3Cov promotion's inputs for one deployment and its sensing model.
-    Positions never move, so a node's entry is built once and kept.
+    """A3Cov promotion's inputs for one site: its positions, links and
+    sensing model. Positions never move, so a node's entry is built once
+    and kept for every run on the site.
 
     sensors[i], built on node i's first test as a sleeper, holds in
     ascending id the non-sink nodes of sensing_links[i] whose miss factor
@@ -173,34 +174,20 @@ class PromotionInputs:
 
 @dataclass
 class NetworkState:
-    """Mutable simulation state, owned by exactly one run at a time.
-
-    radio, energy and sensing are the deployment's models. The sensing
-    model travels with the state, so A3Cov promotion and sensing coverage
-    read it here, with radio.sensing_radius r.
+    """Mutable simulation state, owned by exactly one run at a time: the
+    batteries, the installed topology, the clock, the ledger and the
+    counters, on a site (deployment.Site) that holds what never changes,
+    the positions, area, radio and sensing models and the links, and may
+    be shared with other runs. Each node's position is its site's Point.
 
     energy_ledger accumulates every joule actually drained from non-sink
     batteries, so that sum(initial) - sum(current) over non-sink nodes
     equals the ledger at any instant.
-
-    Node.position is the one store of geometry. Positions never move, so
-    the radio links are fixed at deployment and built on first use:
-    links[i] holds, in ascending order, the id of every other node, dead or
-    alive, whose distance from node i is within the communication radius.
-    _links finds them in numpy passes of a bounded number of candidate
-    pairs, screened by squared distance; a pair near the radius is decided
-    by model.distance's own `math.hypot(dx, dy) <= R`, so membership is
-    exactly that of a scan of all nodes. sensing_links[i] holds, the same
-    way, the nodes within r + r_u, the reach of a sensor under the sensing
-    model. promotion holds A3Cov promotion's inputs, derived from the
-    positions and the sensing model alone as these lists are.
     """
 
     nodes: list[Node]
-    area: DeploymentArea
-    radio: RadioParams
+    site: Site
     energy: EnergyParams
-    sensing: SensingParams
     topology: Topology
     time: int = 0
     energy_ledger: float = 0.0
@@ -208,17 +195,6 @@ class NetworkState:
     packets_delivered: int = 0
     packets_dropped: int = 0
     in_step: bool = False
-    promotion: PromotionInputs = field(
-        default_factory=PromotionInputs, repr=False, compare=False
-    )
-
-    @cached_property
-    def links(self) -> list[list[int]]:
-        return _links(self.nodes, self.radio.communication_radius)
-
-    @cached_property
-    def sensing_links(self) -> list[list[int]]:
-        return _links(self.nodes, self.radio.sensing_radius + self.sensing.uncertainty_radius)
 
     @property
     def sink(self) -> Node:
@@ -242,9 +218,10 @@ class NetworkState:
 _LINK_CHUNK = 4096
 
 
-def _links(nodes: list[Node], radius: float) -> list[list[int]]:
-    """Ascending neighbour ids of every node: the pairs with
-    distance(a, b) <= radius, found by bucketing the nodes in square cells.
+def _links(positions: list[Point], radius: float) -> list[list[int]]:
+    """Ascending neighbour ids of every position: the pairs with
+    distance(a, b) <= radius, found by bucketing the positions in square
+    cells.
 
     A cell is one ulp wider than the radius and indexed with the exact floor
     of `//`, so a linked pair, whose coordinates differ by at most
@@ -259,8 +236,8 @@ def _links(nodes: list[Node], radius: float) -> list[list[int]]:
     a block of about _LINK_CHUNK entries at a time; every list holds the
     same int object for a node id.
     """
-    n = len(nodes)
-    src, dst = _linked_pairs(nodes, radius)
+    n = len(positions)
+    src, dst = _linked_pairs(positions, radius)
     # lexsort sorts ids of up to 16 bits by radix passes; numpy's default
     # quicksort pulls in its SIMD sort code, 0.15-0.4 MB more peak RSS in
     # every benchmark workload.
@@ -281,12 +258,12 @@ def _links(nodes: list[Node], radius: float) -> list[list[int]]:
     return links
 
 
-def _linked_pairs(nodes: list[Node], radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _linked_pairs(positions: list[Point], radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Every linked pair in both directions, as source and destination ids
     in the smallest unsigned type that holds n."""
-    n = len(nodes)
-    xs = np.fromiter((node.position.x for node in nodes), float, n)
-    ys = np.fromiter((node.position.y for node in nodes), float, n)
+    n = len(positions)
+    xs = np.fromiter((p.x for p in positions), float, n)
+    ys = np.fromiter((p.y for p in positions), float, n)
     order, ranges = _candidate_ranges(xs, ys, math.nextafter(radius, math.inf))
     # sorted positions as complex numbers: one gather per side of a pair
     at = np.empty(n, complex)

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 from wsnlife import (
     DeploymentArea,
+    DeploymentConfig,
     EnergyParams,
     NetworkState,
-    Node,
     Point,
     RadioParams,
     SensingParams,
-    Topology,
+    Site,
+    deploy,
     distance,
 )
 
@@ -24,7 +25,9 @@ def make_state(
     active=(),
     dead=(),
 ):
-    """Build a NetworkState with node 0 as the sink at positions[0].
+    """Deploy a NetworkState on a site holding the given positions, node 0
+    the sink at positions[0], each battery whole quanta as deploy starts
+    them.
 
     active lists the ids of the installed topology's active set besides the
     sink (default: every non-sink node sleeps); dead lists ids to kill
@@ -37,23 +40,14 @@ def make_state(
             energy = EnergyParams(initial_energy=initial_energy)
         else:
             energy = EnergyParams()
-    # every battery in whole quanta of 2^-40 J, as deploy starts them
-    initial = round(energy.initial_energy * 2**40) / 2**40
     xs = [p[0] for p in positions]
     ys = [p[1] for p in positions]
     area = area or DeploymentArea(max(xs) + 100.0, max(ys) + 100.0)
-    nodes = [
-        Node(id=i, position=Point(x, y), energy=initial)
-        for i, (x, y) in enumerate(positions)
-    ]
-    state = NetworkState(
-        nodes=nodes,
-        area=area,
-        radio=radio,
-        energy=energy,
-        sensing=sensing,
-        topology=Topology(active_set={0, *active}, parent={}),
-    )
+    site = Site(DeploymentConfig(node_count=len(positions), area=area), radio, sensing)
+    # the given positions stand in for the ones the site would draw
+    site.positions = [Point(x, y) for x, y in positions]
+    state = deploy(site, energy)
+    state.topology.active_set.update(active)
     for nid in dead:
         state.nodes[nid].energy = 0.0
     return state

@@ -21,6 +21,7 @@ from wsnlife import (
     SINK_ID,
     SensingParams,
     SimConfig,
+    Site,
     TCProtocol,
     TMProtocol,
     TriggerKind,
@@ -143,9 +144,9 @@ def test_criterion_3_cds_properties():
         for _ in range(1000):
             n = rng.randint(5, 50)
             config = DeploymentConfig(node_count=n, area=area, seed=rng.getrandbits(64))
-            state = deploy(config, radio, energy, sp)
-            twin = deploy(config, radio, energy, sp)
-            cov_state = deploy(config, radio, energy, sp)
+            state = deploy(Site(config, radio, sp), energy)
+            twin = deploy(Site(config, radio, sp), energy)
+            cov_state = deploy(Site(config, radio, sp), energy)
 
             topology, _ = construct(state, TCProtocol.A3, params)
             again, _ = construct(twin, TCProtocol.A3, params)
@@ -265,8 +266,8 @@ def test_criterion_6_coverage_estimator_stability():
         config = SimConfig()
         state, _ = initialize(config)
         reach = sink_reachable(state)
-        coarse = CoverageGrid(state.area, 4.0)
-        fine = CoverageGrid(state.area, 2.0)
+        coarse = CoverageGrid(state.site.area, 4.0)
+        fine = CoverageGrid(state.site.area, 2.0)
         assert (
             abs(comm_coverage(state, coarse, reach) - comm_coverage(state, fine, reach))
             < 0.01

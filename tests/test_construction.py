@@ -15,6 +15,7 @@ from wsnlife import (
     RadioParams,
     SINK_ID,
     SensingParams,
+    Site,
     TCProtocol,
     Topology,
     activate_topology,
@@ -64,7 +65,7 @@ def check_tree(topology: Topology):
 def check_domination(state, topology, exclude=frozenset()):
     """Every alive non-excluded node in the sink's disk-graph component is
     active or within radio range of an active node."""
-    radius = state.radio.communication_radius
+    radius = state.site.radio.communication_radius
     alive = [n.id for n in state.nodes if n.alive and n.id not in exclude]
     component = {0}
     frontier = [0]
@@ -225,7 +226,7 @@ def random_instance(seed, n_range=(5, 30), area=300.0):
     config = DeploymentConfig(
         node_count=n, area=DeploymentArea(area, area), seed=rng.getrandbits(64)
     )
-    return deploy(config, RadioParams(), EnergyParams(), SP)
+    return deploy(Site(config, RadioParams(), SP), EnergyParams())
 
 
 def test_every_active_node_is_a_parent_sink_or_promoted():
@@ -251,7 +252,7 @@ def test_every_active_node_is_a_parent_sink_or_promoted():
 
 def test_sink_only_deployment_constructs_the_sink():
     for tc in TCProtocol:
-        state = deploy(DeploymentConfig(node_count=1), RadioParams(), EnergyParams(), SP)
+        state = deploy(Site(DeploymentConfig(node_count=1), RadioParams(), SP), EnergyParams())
         topology, charge = construct(state, tc, PARAMS)
         assert topology.active_set == {SINK_ID}
         assert topology.parent == {}
@@ -306,7 +307,7 @@ def test_grow_charges_each_reached_node_once_and_leaves_state_untouched():
         heard = {
             j
             for a in topology.active_set
-            for j in state.links[a]
+            for j in state.site.links[a]
             if state.nodes[j].alive and j != 0 and j not in exclude
         }
         assert set(charge.energy) == heard
@@ -335,7 +336,7 @@ def test_a3cov_superset_and_sensing_gain_random_instances():
 
 
 def test_reduction_on_dense_deployment():
-    state = deploy(DeploymentConfig(), RadioParams(), EnergyParams(), SP)
+    state = deploy(Site(DeploymentConfig(), RadioParams(), SP), EnergyParams())
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert len(topology.active_set) < len(state.nodes)
 
@@ -365,8 +366,8 @@ def heap_grow(state, params, exclude, drains):
     node are popped off its top and the top wakes. At each drain it appends
     to drains the two sizes _grow's wake-up pass compares: the unvisited
     nodes, and the leaves neither woken nor rejected at an earlier drain."""
-    nodes, links = state.nodes, state.links
-    radius = state.radio.communication_radius
+    nodes, links = state.nodes, state.site.links
+    radius = state.site.radio.communication_radius
     e_init = state.energy.initial_energy
     ew, dw = params.energy_weight, params.distance_weight
     bits = state.energy.control_packet_bits
@@ -430,13 +431,13 @@ def test_wakeup_pass_matches_the_heap_growth():
         rng = random.Random(seed)
         # dense, with one alive node cut off: few unvisited, many leaves
         state = random_instance(seed + 4000, n_range=(120, 160))
-        for nid in state.links[rng.randrange(1, len(state.nodes))]:
+        for nid in state.site.links[rng.randrange(1, len(state.nodes))]:
             state.kill(nid)
         growths.append((state, frozenset()))
         # sparse, all of the sink's range dead but one: a large unreached
         # remainder, few leaves
         state = random_instance(seed + 5000, n_range=(60, 120), area=600.0)
-        near = state.links[SINK_ID]
+        near = state.site.links[SINK_ID]
         for nid in near[1:]:
             state.kill(nid)
         growths.append((state, frozenset()))
@@ -497,17 +498,17 @@ def reference_promote(state, topology):
     """A3Cov promotion with nothing kept between tests: each test computes
     the sleeper's distances to the active nodes, of its links or of the
     whole active set when r + r_u reaches past the radio range, and folds
-    every one's miss factor under state.sensing."""
-    sp = state.sensing
-    r = state.radio.sensing_radius
-    radius = state.radio.communication_radius
+    every one's miss factor under state.site.sensing."""
+    sp = state.site.sensing
+    r = state.site.radio.sensing_radius
+    radius = state.site.radio.communication_radius
     in_links = r + sp.uncertainty_radius <= radius
     nodes, active = state.nodes, topology.active_set
     for sid in sorted(set(topology.parent) - active):
         node = nodes[sid]
         if node.energy <= 0.0:
             continue
-        links = state.links[sid]
+        links = state.site.links[sid]
         pool = links if in_links else sorted(active)
         sx, sy = node.position.x, node.position.y
         near = []
@@ -556,7 +557,7 @@ def promotion_instances():
         state = random_instance(seed + 8100, n_range=(30, 80), area=120.0)
         positions = [(n.position.x, n.position.y) for n in state.nodes]
         radio, sp = PAST_LINKS
-        yield make_state(positions, area=state.area, radio=radio, sensing=sp)
+        yield make_state(positions, area=state.site.area, radio=radio, sensing=sp)
         spots = random.Random(seed).sample(lattice[1:], k=50)  # (0, 0) is the sink's
         radio, sp = PAST_LINKS if seed % 2 else ON_A_LATTICE_DISTANCE
         yield make_state([(0.0, 0.0), *spots], radio=radio, sensing=sp)
@@ -568,18 +569,19 @@ def test_sensing_links_are_the_nodes_within_the_band():
     seen = dict(inside=0, past=0, on_edge=0)
     for state in promotion_instances():
         positions = [(n.position.x, n.position.y) for n in state.nodes]
-        outer = state.radio.sensing_radius + state.sensing.uncertainty_radius
+        outer = state.site.radio.sensing_radius + state.site.sensing.uncertainty_radius
         apart = [[math.hypot(xi - xj, yi - yj) for xj, yj in positions] for xi, yi in positions]
-        if outer <= state.radio.communication_radius:
+        if outer <= state.site.radio.communication_radius:
             seen["inside"] += 1
-            want = [[j for j in state.links[i] if apart[i][j] <= outer] for i in range(len(apart))]
+            links = state.site.links
+            want = [[j for j in links[i] if apart[i][j] <= outer] for i in range(len(apart))]
         else:
             seen["past"] += 1
             want = [
                 [j for j, d in enumerate(row) if j != i and d <= outer]
                 for i, row in enumerate(apart)
             ]
-        assert state.sensing_links == want
+        assert state.site.sensing_links == want
         seen["on_edge"] += sum(row.count(outer) for row in apart)
     assert all(seen.values()), seen
 
@@ -589,7 +591,7 @@ def test_promotion_matches_the_reference_pass():
     for index, state in enumerate(promotion_instances()):
         rng = random.Random(index)
         for _ in range(3):  # later rounds read the inputs earlier ones built
-            built = set(state.promotion.sensors)
+            built = set(state.site.promotion.sensors)
             topology, _ = construct(state, TCProtocol.A3, PARAMS)
             sleepers = sorted(set(topology.parent) - topology.active_set)
             for sid in rng.sample(sleepers, k=len(sleepers) // 6):
@@ -612,14 +614,14 @@ def test_promotion_matches_the_reference_pass():
                 awake = before.active_set | {a for a in topology.coverage_promoted if a < sid}
                 linked = [
                     distance(state.nodes[sid].position, state.nodes[aid].position)
-                    for aid in state.links[sid]
+                    for aid in state.site.links[sid]
                     if aid in awake
                 ]
                 seen["ties"] += linked.count(min(linked)) > 1
                 seen["moved"] += topology.parent[sid] != before.parent[sid]
-            sensors = state.promotion.sensors
+            sensors = state.site.promotion.sensors
             seen["past_links"] += sum(
-                aid not in state.links[sid] for sid in tested for aid, _ in sensors[sid]
+                aid not in state.site.links[sid] for sid in tested for aid, _ in sensors[sid]
             )
             for _ in range(len(state.nodes) // 5):  # the network wears down
                 state.kill(rng.randrange(1, len(state.nodes)))
@@ -636,7 +638,7 @@ def test_a_leaf_promoted_earlier_in_the_pass_senses_for_later_ones():
     _promote_for_sensing(state, topology)
     assert topology.coverage_promoted == {1}
     assert topology.parent == {1: 0, 2: 0}
-    assert state.promotion.sensors[2] == [(1, 0.0)]
+    assert state.site.promotion.sensors[2] == [(1, 0.0)]
 
 
 def test_promotion_inputs_are_built_per_tested_sleeper():
@@ -652,11 +654,11 @@ def test_promotion_inputs_are_built_per_tested_sleeper():
     _promote_for_sensing(state, promoted)
     reference_promote(state, expected)
     assert (promoted.parent, promoted.active_set) == (expected.parent, expected.active_set)
-    assert set(state.promotion.sensors) == tested
-    assert set(state.promotion.distances) == promoted.coverage_promoted
+    assert set(state.site.promotion.sensors) == tested
+    assert set(state.site.promotion.distances) == promoted.coverage_promoted
     assert tested - promoted.coverage_promoted  # some sleepers are sensed
     for sid in promoted.coverage_promoted:
-        links = state.links[sid]
-        assert state.promotion.distances[sid] == [
+        links = state.site.links[sid]
+        assert state.site.promotion.distances[sid] == [
             distance(state.nodes[sid].position, state.nodes[nid].position) for nid in links
         ]

@@ -9,6 +9,7 @@ from wsnlife import (
     SINK_ID,
     RadioParams,
     SensingParams,
+    Site,
     deploy,
 )
 
@@ -21,7 +22,7 @@ def test_default_deployment_matches_design_values():
     config = DeploymentConfig()
     assert config.node_count == 300
     assert config.area == DeploymentArea(1074.0, 660.0)
-    state = deploy(config, RADIO, ENERGY, SENSING)
+    state = deploy(Site(config, RADIO, SENSING), ENERGY)
     assert len(state.nodes) == 300
     assert state.sink.position.x == pytest.approx(537.0)
     assert state.sink.position.y == pytest.approx(330.0)
@@ -29,7 +30,7 @@ def test_default_deployment_matches_design_values():
 
 
 def test_non_sink_nodes_start_sleeping_alive_at_full_charge():
-    state = deploy(DeploymentConfig(node_count=40, seed=5), RADIO, ENERGY, SENSING)
+    state = deploy(Site(DeploymentConfig(node_count=40, seed=5), RADIO, SENSING), ENERGY)
     for node in state.nodes[1:]:
         assert node.id not in state.topology.active_set
         assert node.alive
@@ -40,7 +41,7 @@ def test_non_sink_nodes_start_sleeping_alive_at_full_charge():
 
 
 def test_sink_only_deployment():
-    state = deploy(DeploymentConfig(node_count=1, seed=0), RADIO, ENERGY, SENSING)
+    state = deploy(Site(DeploymentConfig(node_count=1, seed=0), RADIO, SENSING), ENERGY)
     assert len(state.nodes) == 1
     assert state.topology.active_set == {state.sink.id}
 
@@ -51,8 +52,8 @@ def test_zero_nodes_rejected():
 
 
 def test_same_seed_reproduces_coordinates():
-    a = deploy(DeploymentConfig(node_count=100, seed=42), RADIO, ENERGY, SENSING)
-    b = deploy(DeploymentConfig(node_count=100, seed=42), RADIO, ENERGY, SENSING)
+    a = deploy(Site(DeploymentConfig(node_count=100, seed=42), RADIO, SENSING), ENERGY)
+    b = deploy(Site(DeploymentConfig(node_count=100, seed=42), RADIO, SENSING), ENERGY)
     assert [(n.position.x, n.position.y) for n in a.nodes] == [
         (n.position.x, n.position.y) for n in b.nodes
     ]
@@ -60,7 +61,7 @@ def test_same_seed_reproduces_coordinates():
 
 def test_coordinates_inside_area():
     config = DeploymentConfig(node_count=500, area=DeploymentArea(200.0, 50.0), seed=9)
-    state = deploy(config, RADIO, ENERGY, SENSING)
+    state = deploy(Site(config, RADIO, SENSING), ENERGY)
     for node in state.nodes:
         assert 0.0 <= node.position.x <= 200.0
         assert 0.0 <= node.position.y <= 50.0
@@ -73,8 +74,8 @@ def test_distinct_seeds_give_distinct_placements():
         s2 = rng.getrandbits(64)
         if s1 == s2:
             continue
-        a = deploy(DeploymentConfig(node_count=30, seed=s1), RADIO, ENERGY, SENSING)
-        b = deploy(DeploymentConfig(node_count=30, seed=s2), RADIO, ENERGY, SENSING)
+        a = deploy(Site(DeploymentConfig(node_count=30, seed=s1), RADIO, SENSING), ENERGY)
+        b = deploy(Site(DeploymentConfig(node_count=30, seed=s2), RADIO, SENSING), ENERGY)
         assert [(n.position.x, n.position.y) for n in a.nodes] != [
             (n.position.x, n.position.y) for n in b.nodes
         ]
@@ -83,7 +84,7 @@ def test_distinct_seeds_give_distinct_placements():
 def test_uniformity_chi_square_smoke():
     n = 10_000
     config = DeploymentConfig(node_count=n, area=DeploymentArea(400.0, 400.0), seed=2024)
-    state = deploy(config, RADIO, ENERGY, SENSING)
+    state = deploy(Site(config, RADIO, SENSING), ENERGY)
     counts = [[0] * 4 for _ in range(4)]
     for node in state.nodes[1:]:
         cx = min(int(node.position.x / 100.0), 3)

@@ -28,6 +28,7 @@ from wsnlife import (
     RadioParams,
     SensingParams,
     SimConfig,
+    Site,
     TCProtocol,
     TMProtocol,
     Topology,
@@ -227,6 +228,35 @@ def test_run_rejects_a_grid_of_another_area_or_cell_size():
     ):
         with pytest.raises(ValueError, match="coverage grid"):
             run(config, grid)
+
+
+# each changes one value a site is keyed on
+OTHER_SITES = {
+    "seed": lambda c: replace(c, deployment=replace(c.deployment, seed=8)),
+    "node_count": lambda c: replace(c, deployment=replace(c.deployment, node_count=41)),
+    "area": lambda c: replace(
+        c, deployment=replace(c.deployment, area=DeploymentArea(300.0, 201.0))
+    ),
+    "communication_radius": lambda c: replace(
+        c, radio=replace(c.radio, communication_radius=45.0)
+    ),
+    "sensing_radius": lambda c: replace(c, radio=replace(c.radio, sensing_radius=12.0)),
+    "sensing": lambda c: replace(c, sensing=SensingParams(uncertainty_radius=5.0)),
+}
+
+
+@pytest.mark.parametrize("key", OTHER_SITES)
+def test_run_rejects_a_site_of_another_config(key):
+    config = small_config(tc=TCProtocol.A3COV, tm=TMProtocol.DGETREC, trigger=ET)
+    other = OTHER_SITES[key](config)
+    site = Site(other.deployment, other.radio, other.sensing)
+    grid = CoverageGrid(config.deployment.area, config.grid_cell)
+    with mock.patch.object(engine, "deploy", side_effect=AssertionError("deployed")):
+        with pytest.raises(ValueError, match="does not fit"):
+            run(config, grid, site)
+    # nothing ran: no position drawn, no link built, no footprint computed
+    assert vars(site).keys() == {"deployment", "radio", "sensing", "promotion"}
+    assert site.promotion.sensors == {} and grid.footprints == {}
 
 
 def test_run_on_a_filled_grid_matches_its_own_grid():
@@ -897,8 +927,8 @@ def run_keeping_state(config, fast_forward=True):
     every step goes through step()."""
     states = []
 
-    def keep(cfg):
-        state, strategy = initialize(cfg)
+    def keep(cfg, site):
+        state, strategy = initialize(cfg, site)
         states.append(state)
         return state, strategy
 
@@ -989,7 +1019,7 @@ def run_hand_built(positions, parent, batteries, max_steps=1000, **overrides):
         **{"tm": None, "max_steps": max_steps, "metrics_stride": max_steps, **overrides}
     )
     strategy = None if config.tm is None else MaintenanceStrategy(config.tm.strategy_kind)
-    with mock.patch.object(engine, "initialize", lambda cfg: (state, strategy)):
+    with mock.patch.object(engine, "initialize", lambda cfg, site: (state, strategy)):
         return run(config)
 
 

@@ -1,8 +1,10 @@
 import csv
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -11,10 +13,16 @@ from wsnlife import (
     MetricsSample,
     RunResult,
     SimConfig,
+    Site,
+    TCProtocol,
     TMProtocol,
     TriggerKind,
+    deploy,
+    deployment,
+    distance,
     run,
 )
+from wsnlife.construction import _sensors
 from wsnlife.experiment import (
     CONFIG_KEYS,
     ExperimentSpec,
@@ -22,10 +30,13 @@ from wsnlife.experiment import (
     emit_series,
     parse_config,
     run_experiment,
+    series_name,
     summarize,
     write_ranking,
     write_summary,
 )
+
+from test_golden import desk_config
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -329,6 +340,86 @@ def test_sweep_checks_every_config_before_building_its_grid(tmp_path):
         run_experiment(spec)
     assert err.value.field == "grid_cell"
     assert not (tmp_path / "out").exists()
+
+
+def sweep_spec(tmp_path, seeds=(1, 2)):
+    """A3 and A3Cov under every maintenance protocol and none, on the
+    acceptance suite's desk deployments of seeds, where relays die and
+    trees are rebuilt well inside the horizon."""
+    return ExperimentSpec(
+        base=desk_config(TCProtocol.A3, TMProtocol.DGETREC, 1),
+        tc_list=["A3", "A3Cov"],
+        tm_list=[p.value for p in TMProtocol] + ["None"],
+        seeds=list(seeds),
+        output_dir=tmp_path / "sweep",
+    )
+
+
+def test_sharing_sites_changes_no_written_byte(tmp_path):
+    # the sweep's cells of a seed share one site; each cell alone, through
+    # run(config) and the same writers, builds its own
+    spec = sweep_spec(tmp_path)
+    written = run_experiment(spec)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    rows = []
+    for tc in spec.tc_list:
+        for tm in spec.tm_list:
+            for seed in spec.seeds:
+                config = config_for(spec, tc, tm, seed)
+                result = run(config)
+                emit_series(result, alone / series_name(tc, tm, seed))
+                rows.append(summarize(result, tc, tm, seed, config.deployment.node_count))
+    write_summary(rows, alone / "summary.csv")
+    write_ranking(rows, alone / "ranking.txt")
+    assert len(written) == 2 * 7 * 2 + 2
+    assert sorted(p.name for p in written) == sorted(p.name for p in alone.iterdir())
+    for path in written:
+        assert path.read_bytes() == (alone / path.name).read_bytes(), path.name
+
+
+def test_promotion_inputs_built_by_other_cells_match_a_fresh_site(tmp_path):
+    # A3Cov cells run first on one shared site and last, in the reverse
+    # order, on another, so each reads inputs that other cells built
+    spec = sweep_spec(tmp_path, seeds=(1,))
+    base = config_for(spec, "A3", "None", 1)
+    first, last = (Site(base.deployment, base.radio, base.sensing) for _ in range(2))
+    a3cov = [config_for(spec, "A3Cov", tm, 1) for tm in spec.tm_list]
+    a3 = [config_for(spec, "A3", tm, 1) for tm in spec.tm_list]
+    early = [run(config, site=first).to_dict() for config in a3cov]
+    for config in a3:
+        run(config, site=first)
+        run(config, site=last)
+    late = [run(config, site=last).to_dict() for config in reversed(a3cov)]
+    assert early == late[::-1]
+    assert early == [run(config).to_dict() for config in a3cov]
+    assert first.promotion.sensors and first.promotion.distances
+    assert vars(first.promotion) == vars(last.promotion)
+    # every entry, whichever cell and step built it, is a fresh state's
+    fresh = deploy(Site(base.deployment, base.radio, base.sensing), base.energy)
+    for sid, entry in first.promotion.sensors.items():
+        assert entry == _sensors(fresh, sid)
+    for sid, dists in first.promotion.distances.items():
+        at = fresh.nodes[sid].position
+        assert dists == [distance(at, fresh.nodes[nid].position) for nid in first.links[sid]]
+
+
+def test_a_sweep_builds_the_links_of_each_seed_once(tmp_path):
+    spec = replace(sweep_spec(tmp_path), tm_list=["DGETRec", "SGTTRot", "None"])
+    links = deployment._links
+    radii = Counter()
+
+    def counted(positions, radius):
+        radii[radius] += 1
+        return links(positions, radius)
+
+    with mock.patch.object(deployment, "_links", counted):
+        run_experiment(replace(spec, tc_list=["A3"]))
+        assert radii == {60.0: 2}
+        radii.clear()
+        run_experiment(spec)
+    # the sensing links at r + r_u = 17 m once an A3Cov cell has run
+    assert radii == {60.0: 2, 17.0: 2}
 
 
 def test_summary_integral_recomputable_from_csv(tmp_path):

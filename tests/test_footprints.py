@@ -36,14 +36,14 @@ def disc_by_disc(state, sp, grid, reach):
         where = slice(iy0, iy1), slice(ix0, ix1)
         return where, xs[ix0:ix1] - at.x, ys[iy0:iy1] - at.y
 
-    radius = state.radio.communication_radius
+    radius = state.site.radio.communication_radius
     covered = np.zeros((len(ys), len(xs)), dtype=bool)
     for nid in sorted(reach):
         found = patch(state.nodes[nid].position, radius)
         if found is not None:
             where, dx, dy = found
             covered[where] |= dy[:, None] ** 2 + dx[None, :] ** 2 <= radius * radius
-    r = state.radio.sensing_radius
+    r = state.site.radio.sensing_radius
     miss = np.ones((len(ys), len(xs)))
     for nid in sorted(reach - {state.sink.id}):
         found = patch(state.nodes[nid].position, r + sp.uncertainty_radius)

@@ -10,6 +10,7 @@ from wsnlife import (
     MaintenanceStrategy,
     RadioParams,
     SensingParams,
+    Site,
     StrategyKind,
     TCProtocol,
     TMProtocol,
@@ -278,12 +279,8 @@ def test_maintain_restamps_and_installs():
 
 
 def test_recreation_after_deaths_uses_survivors():
-    state = deploy(
-        DeploymentConfig(node_count=30, area=DeploymentArea(250.0, 250.0), seed=11),
-        RadioParams(),
-        EnergyParams(),
-        SensingParams(),
-    )
+    config = DeploymentConfig(node_count=30, area=DeploymentArea(250.0, 250.0), seed=11)
+    state = deploy(Site(config, RadioParams(), SensingParams()), EnergyParams())
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     activate_topology(state, topology)
     for nid in sorted(topology.active_set - {0}):

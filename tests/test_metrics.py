@@ -138,7 +138,7 @@ def test_sink_reachable_uses_link_predicate_at_radius(radius, x, y):
         active=[1],
     )
     assert sink_reachable(state) == {0, 1}
-    assert state.links[0] == [1]
+    assert state.site.links[0] == [1]
 
 
 def test_comm_coverage_inscribed_circle():
@@ -223,11 +223,11 @@ def test_sensing_combination_two_weak_sensors():
 def whole_grid_sensing_coverage(state, grid, reach):
     """The miss products folded on one array the size of the grid, in
     ascending id: the reference for the banded fold."""
-    sp = state.sensing
+    sp = state.site.sensing
     sensors = sorted(reach - {state.sink.id})
     points = [(state.nodes[n].position.x, state.nodes[n].position.y) for n in sensors]
     miss = np.ones((len(grid.ys), len(grid.xs)))
-    for footprint in grid.miss_factors(sp, state.radio.sensing_radius, points):
+    for footprint in grid.miss_factors(sp, state.site.radio.sensing_radius, points):
         if footprint is not None:
             (iy0, iy1, ix0, ix1), factor = footprint
             miss[iy0:iy1, ix0:ix1] *= factor

@@ -24,7 +24,7 @@ from wsnlife import (
     rx_energy,
     tx_energy,
 )
-from wsnlife.deployment import deploy
+from wsnlife.deployment import Site, deploy
 
 from helpers import make_state, neighbors
 
@@ -113,9 +113,9 @@ def linked_state(positions, radius):
 
 
 def assert_links_match_brute_force(state):
-    radius = state.radio.communication_radius
+    radius = state.site.radio.communication_radius
     for i in range(len(state.nodes)):
-        assert state.links[i] == neighbors(state, i, radius)
+        assert state.site.links[i] == neighbors(state, i, radius)
 
 
 @given(
@@ -145,21 +145,21 @@ def test_links_on_bucket_edges(radius):
     state = linked_state(positions, radius)
     assert_links_match_brute_force(state)
     a, b, c, d, e, f = range(len(lattice), len(positions))
-    assert state.links[a] == [] and state.links[b] == []
-    assert state.links[c] == [d] and state.links[e] == [f]
+    assert state.site.links[a] == [] and state.site.links[b] == []
+    assert state.site.links[c] == [d] and state.site.links[e] == [f]
     if radius == 60.0:  # multiples of 60 are exact: side neighbours lie exactly R apart
         centre = lattice.index((0.0, 0.0))
-        assert [positions[j] for j in state.links[centre]] == [
+        assert [positions[j] for j in state.site.links[centre]] == [
             (0.0, -60.0), (-60.0, 0.0), (60.0, 0.0), (0.0, 60.0)
         ]
 
 
 def test_links_fixed_when_nodes_die():
     state = make_state([(0.0, 0.0), (50.0, 0.0), (90.0, 0.0), (130.0, 0.0)])
-    before = [list(own) for own in state.links]
+    before = [list(own) for own in state.site.links]
     assert before == [[1, 2], [0, 2, 3], [0, 1, 3], [1, 2]]
     state.kill(2)
-    assert state.links == before
+    assert state.site.links == before
     assert neighbors(state, 1, 100.0) == [0, 3]
 
 
@@ -198,7 +198,7 @@ def assert_links_exact(positions, radius, chunk=model._LINK_CHUNK, reference=Tru
     int object per node id."""
     state = linked_state(positions, radius)
     with mock.patch.object(model, "_LINK_CHUNK", chunk):
-        links = model._links(state.nodes, radius)
+        links = model._links(state.site.positions, radius)
     assert links == [neighbors(state, i, radius) for i in range(len(positions))]
     if reference:
         assert links == reference_links(state.nodes, radius)
@@ -284,13 +284,14 @@ def deployments():
         DeploymentConfig(),
         DeploymentConfig(node_count=3000, area=DeploymentArea(1074.0 * scale, 660.0 * scale)),
     ]
-    return [deploy(config, RadioParams(), EnergyParams(), SensingParams()) for config in configs]
+    sites = [Site(config, RadioParams(), SensingParams()) for config in configs]
+    return [deploy(site, EnergyParams()) for site in sites]
 
 
 def test_links_match_reference_on_deployments(deployments):
     for state in deployments:
-        links = model._links(state.nodes, state.radio.communication_radius)
-        assert links == reference_links(state.nodes, state.radio.communication_radius)
+        links = model._links(state.site.positions, state.site.radio.communication_radius)
+        assert links == reference_links(state.nodes, state.site.radio.communication_radius)
         assert_shared_ids(links)
 
 
@@ -300,7 +301,7 @@ def test_links_memory_at_3000_nodes(deployments):
     state = deployments[1]
     tracemalloc.start()
     try:
-        model._links(state.nodes, state.radio.communication_radius)
+        model._links(state.site.positions, state.site.radio.communication_radius)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -316,7 +317,7 @@ def test_links_on_the_largest_accepted_area():
         grid_cell=big,
     )
     engine.validate_config(config)
-    state = deploy(config.deployment, config.radio, config.energy, config.sensing)
+    state = deploy(Site(config.deployment, config.radio, config.sensing), config.energy)
     positions = [(n.position.x, n.position.y) for n in state.nodes]
     positions += [(big, big)] * 3 + [(big, 0.0), (big, 100.0), (big, 201.0)]
     positions += [(1e21, 50.0 * k) for k in range(5)] + [(2.0**63 * 100.0, 0.0)] * 2

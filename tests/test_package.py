@@ -44,6 +44,7 @@ def test_benchmark_tracer_targets_resolve():
     assert "run" in experiment.run_experiment.__code__.co_names
     callers = {
         engine.run: {"initialize", "step", "sample_metrics"},
+        engine.initialize: {"deploy", "construct"},
         engine.step: {"should_trigger", "maintain"},
         engine.sample_metrics: {
             "alive_count",

@@ -4,12 +4,16 @@
 
 Runs the golden cells (tests/test_golden.py), every benchmark workload's
 cells on one workload seed (perfbench/workloads.py) and the
-`protocols_default` cells of that seed again with `tc = A3Cov`, in both
-checkouts, one subprocess per side, each importing the simulator from its
-own `src/`. For
-each cell whose `RunResult.to_dict()` differs it prints the keys that differ,
-with the length of each side's value (the event count, for
-`maintenance_events`). Exits 1 when some cell differs, else 0.
+`protocols_default` cells of that seed again with `tc = A3Cov`, each alone
+through `run(config)`, in both checkouts, one subprocess per side, each
+importing the simulator from its own `src/`. Each side also runs the
+`desk_sweep` workload's spec for the seed through `run_experiment`, into a
+temporary directory, so that a change to how a sweep shares work between
+its cells shows too. For each cell whose `RunResult.to_dict()` differs it
+prints the keys that differ, with the length of each side's value (the
+event count, for `maintenance_events`), and for each written sweep file
+that differs, `bytes` with each side's size. Exits 1 when some cell or
+file differs, else 0.
 """
 from __future__ import annotations
 
@@ -18,17 +22,24 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def collect(checkout: Path, seed: int) -> dict:
-    """Each cell's to_dict(), as a (sha256, length) pair per key."""
+    """Each cell's to_dict(), as a (sha256, length) pair per key, and each
+    file the desk sweep writes, as its (sha256, size) under `bytes`."""
     for sub in ("perfbench", "tests", "src"):
         sys.path.insert(0, str(checkout / sub))
     import workloads
     import wsnlife
     from test_golden import golden_cells
+    from wsnlife.experiment import run_experiment
 
     if not Path(wsnlife.__file__).is_relative_to(checkout / "src"):
         sys.exit(f"imported wsnlife from {wsnlife.__file__}, not {checkout / 'src'}")
@@ -42,9 +53,13 @@ def collect(checkout: Path, seed: int) -> dict:
     found = {}
     for key, config in configs.items():
         found[key] = {
-            name: [hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest(), len(v)]
+            name: [sha256(json.dumps(v, sort_keys=True).encode()), len(v)]
             for name, v in wsnlife.run(config).to_dict().items()
         }
+    with tempfile.TemporaryDirectory() as out:
+        for path in run_experiment(workloads.desk_spec(seed, Path(out))):
+            data = path.read_bytes()
+            found[f"desk_sweep_files/{path.name}"] = {"bytes": [sha256(data), len(data)]}
     return found
 
 
@@ -83,7 +98,7 @@ def main() -> int:
         if moved:
             differ += 1
             print(f"{key}: {', '.join(moved)}")
-    print(f"{differ} of {len(parent)} cells differ")
+    print(f"{differ} of {len(parent)} cells and sweep files differ")
     return 1 if differ else 0
 
 
