@@ -36,6 +36,45 @@ class DeploymentConfig:
             raise ConfigError("seed", "must fit in 64 unsigned bits")
 
 
+@dataclass(frozen=True, eq=False)
+class InitialState:
+    """What engine.initialize builds on a fresh deployment before it
+    activates the first topology, kept on the site for every later run with
+    the same key (see Site.initial): each node's battery, the ledger, the
+    death steps, and each topology built, in order, as its active set,
+    parents and coverage-promoted leaves. Runs take copies (restore), so no
+    run changes it."""
+
+    energies: tuple[float, ...]
+    ledger: float
+    death_step: dict[int, int]
+    topologies: tuple[tuple[frozenset[int], dict[int, int], frozenset[int]], ...]
+
+    @classmethod
+    def of(cls, state: NetworkState, topologies: list[Topology]) -> InitialState:
+        return cls(
+            tuple(node.energy for node in state.nodes),
+            state.energy_ledger,
+            dict(state.death_step),
+            tuple(
+                (frozenset(t.active_set), dict(t.parent), frozenset(t.coverage_promoted))
+                for t in topologies
+            ),
+        )
+
+    def restore(self, state: NetworkState) -> list[Topology]:
+        """Give a freshly deployed state these batteries, ledger and death
+        steps, and return fresh copies of the topologies."""
+        for node, energy in zip(state.nodes, self.energies):
+            node.energy = energy
+        state.energy_ledger = self.ledger
+        state.death_step = dict(self.death_step)
+        return [
+            Topology(set(active), dict(parent), coverage_promoted=set(promoted))
+            for active, parent, promoted in self.topologies
+        ]
+
+
 @dataclass(eq=False)
 class Site:
     """The part of a deployment that never changes, shared by every run on
@@ -54,12 +93,25 @@ class Site:
     node, dead or alive, within the communication radius of node i (see
     model._links); sensing_links[i] those within r + r_u, the reach of a
     sensor under the sensing model. promotion holds A3Cov promotion's
-    inputs, filled node by node as promotions first need them."""
+    inputs, filled node by node as promotions first need them.
+
+    initial holds what engine.initialize built for each key
+    (tc, a3, energy, rotation_k), rotation_k None for the one construction
+    of dynamic recreation and of no maintenance: the first run with a key
+    builds it, and every later one restores it and constructs nothing.
+    Only a site the caller passes keeps one; a lone run's fresh site does
+    not. coverages holds both coverages for each (grid cell size,
+    reach-set bitmap) that a sample on the site has computed, on grids of
+    the site's area (see engine.sample_metrics)."""
 
     deployment: DeploymentConfig
     radio: RadioParams
     sensing: SensingParams
     promotion: PromotionInputs = field(default_factory=PromotionInputs, repr=False)
+    initial: dict[tuple, InitialState] = field(default_factory=dict, repr=False)
+    coverages: dict[tuple[float, bytes], tuple[float, float]] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def area(self) -> DeploymentArea:

@@ -31,9 +31,10 @@ maintenance.energy_floor. Every eventful step goes through
 step(), which only advances the network. run() is the one sampler: it
 samples once after each step and the stretch that follows it, for every
 stride point they cross. No alive set, topology or position changes inside
-a stretch, so that sample, re-timed, stands for each of them. Within a run
-both coverages depend on the sink-reachable set alone, so a sample that
-reaches the set its predecessor reached takes its coverages as they are.
+a stretch, so that sample, re-timed, stands for each of them. On a site
+both coverages depend on the grid's cell size and the sink-reachable set
+alone, so the site keeps them for each set a sample reached, and a sample
+that reaches one again, in any run on the site, takes them as they are.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import A3Params, TCProtocol, construct
-from .deployment import DeploymentConfig, Site, deploy
+from .deployment import DeploymentConfig, InitialState, Site, deploy
 from .errors import ConfigError
 from .maintenance import (
     MaintenanceStrategy,
@@ -169,8 +170,19 @@ def initialize(
     sensing models, shared with other runs so that its positions, links
     and promotion inputs are built once for all of them, here or in the
     run that first needs them; a site of another config raises ValueError
-    before anything runs. Without one, a fresh site is built."""
+    before anything runs. Without one, a fresh site is built.
+
+    What is built before the activation depends on the site, tc, a3,
+    energy and the family alone: the one construction of dynamic
+    recreation and of no maintenance, or the rotation set of rotation_k
+    entries of static and hybrid strategies. A given site keeps it under
+    that key (Site.initial): the first run with the key pays for the
+    constructions, and every later one starts from fresh copies of its
+    batteries, ledger, death steps and topologies, the same bits, and
+    constructs nothing. A fresh site keeps nothing, so a lone run holds no
+    copy."""
     validate_config(config)
+    shared = site is not None
     if site is None:
         site = Site(config.deployment, config.radio, config.sensing)
     elif (site.deployment, site.radio, site.sensing) != (
@@ -179,15 +191,22 @@ def initialize(
         raise ValueError(f"{site} does not fit the config's deployment, radio or sensing")
     state = deploy(site, config.energy)
     kind = None if config.tm is None else config.tm.strategy_kind
-    if kind in (None, StrategyKind.DYNAMIC_RECREATION):
-        topology, _ = construct(state, config.tc, config.a3)
-        rotation = []
+    k = None if kind in (None, StrategyKind.DYNAMIC_RECREATION) else config.rotation_k
+    key = (config.tc, config.a3, config.energy, k)
+    built = site.initial.get(key)
+    if built is not None:
+        topologies = built.restore(state)
     else:
-        rotation = precompute_rotation_set(state, config.tc, config.rotation_k, config.a3)
-        topology = rotation[0]
-    activate_topology(state, topology)
-    strategy = None if kind is None else MaintenanceStrategy(kind, rotation_set=rotation)
-    return state, strategy
+        if k is None:
+            topologies = [construct(state, config.tc, config.a3)[0]]
+        else:
+            topologies = precompute_rotation_set(state, config.tc, k, config.a3)
+        if shared:
+            site.initial[key] = InitialState.of(state, topologies)
+    activate_topology(state, topologies[0])
+    if kind is None:
+        return state, None
+    return state, MaintenanceStrategy(kind, rotation_set=[] if k is None else topologies)
 
 
 @dataclass(eq=False)
@@ -425,24 +444,32 @@ def _network_finished(state: NetworkState) -> bool:
     return all(n.energy <= 0.0 for n in state.nodes if n.id != SINK_ID)
 
 
-def sample_metrics(
-    state: NetworkState,
-    config: SimConfig,
-    grid: CoverageGrid,
-    last: tuple[set[int], MetricsSample] | None = None,
-) -> tuple[set[int], MetricsSample]:
-    """Sample the metrics, and return the set sink_reachable reaches with
-    the sample: both coverages are taken over that set. last, when given,
-    is what this returned for the same run's previous sample. Within a run
-    the coverages depend on that set alone, so while it is unchanged they
-    are last's, the same bits, and neither is recomputed."""
+def _members(reach: set[int], node_count: int) -> bytes:
+    """reach as a bitmap of node_count bits packed into bytes: its key in
+    Site.coverages, equal for equal sets and an eighth of a byte a node."""
+    bits = np.zeros(node_count, dtype=np.uint8)
+    bits[np.fromiter(reach, np.intp, len(reach))] = 1
+    return np.packbits(bits).tobytes()
+
+
+def sample_metrics(state: NetworkState, grid: CoverageGrid) -> MetricsSample:
+    """Sample the metrics. Both coverages are taken over the set
+    sink_reachable reaches, on grid, which lies on the site's area. They
+    depend on the site, the grid's cell size and that set alone, so the
+    site keeps them (Site.coverages) keyed on the cell size and the set,
+    and a sample that reaches a set some sample on the site reached before,
+    in this run or another, takes the same bits and computes neither."""
     reach = sink_reachable(state)
-    if last is not None and last[0] == reach:
-        comm, sensing = last[1].comm_coverage, last[1].sensing_coverage
-    else:
-        comm = comm_coverage(state, grid, reach)
-        sensing = sensing_coverage(state, grid, reach)
-    return reach, MetricsSample(state.time, alive_count(state), len(reach), comm, sensing)
+    coverages = state.site.coverages
+    key = (grid.cell_size, _members(reach, len(state.nodes)))
+    found = coverages.get(key)
+    if found is None:
+        found = coverages[key] = (
+            comm_coverage(state, grid, reach),
+            sensing_coverage(state, grid, reach),
+        )
+    comm, sensing = found
+    return MetricsSample(state.time, alive_count(state), len(reach), comm, sensing)
 
 
 def step(
@@ -471,14 +498,16 @@ def run(
     one sample, re-timed to each stride point the two crossed, stands for
     all of them: nothing a sample reads but the clock changes inside a
     stretch. Time 0 and the last step are always sampled, on the stride or
-    not. Each sample is handed the previous one, whose coverages it reuses
-    while the sink-reachable set is unchanged.
+    not. A sample takes its coverages from the site when some sample on it
+    reached the same set on a grid of the same cell size (see
+    sample_metrics).
 
     grid, when given, is a coverage grid on the config's area and cell size,
     shared with other runs so that each footprint is computed once for all
-    of them, and site is the config's site (see initialize); a grid on
-    another area or cell size raises ValueError. The values are the same
-    bits as on a fresh grid and site."""
+    of them, and site is the config's site, whose initial topologies it
+    shares with them too (see initialize); a grid on another area or cell
+    size raises ValueError. The values are the same bits as on a fresh
+    grid and site."""
     state, strategy = initialize(config, site)
     if grid is None:
         grid = CoverageGrid(state.site.area, config.grid_cell)
@@ -488,8 +517,7 @@ def run(
             f" config has {state.site.area} with {config.grid_cell} m cells"
         )
     stride = config.metrics_stride
-    last = sample_metrics(state, config, grid)
-    series = [last[1]]
+    series = [sample_metrics(state, grid)]
     while state.time < config.max_steps:
         start = state.time
         step(state, strategy, config)
@@ -498,8 +526,7 @@ def run(
             _fast_forward(state, strategy, config)
         due = range(start // stride * stride + stride, state.time + 1, stride)
         if due:
-            last = sample_metrics(state, config, grid, last)
-            _, sample = last
+            sample = sample_metrics(state, grid)
             series += (
                 MetricsSample(
                     t,
@@ -513,7 +540,7 @@ def run(
         if finished:
             break
     if series[-1].time != state.time:  # the horizon or the early end
-        series.append(sample_metrics(state, config, grid, last)[1])
+        series.append(sample_metrics(state, grid))
     final = {
         "steps": state.time,
         "alive": alive_count(state),

@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import TextIO, get_args, get_type_hints
 
 from .construction import TCProtocol
 from .deployment import Site
@@ -196,10 +199,25 @@ def series_name(tc_name: str, tm_name: str, seed: int) -> str:
     return f"series_{tc_name}_{tm_name}_seed{seed}.csv"
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text handle on a new temporary file beside path, which replaces
+    path once the block ends and is removed if the block raises: path holds
+    either its old bytes or every new one, never part of a write."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", newline="") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def emit_series(result: RunResult, path: str | Path) -> Path:
     """Write the per-step metric series as CSV, coverages at 6 decimals."""
     path = Path(path)
-    with open(path, "w", newline="") as handle:
+    with _replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["step", "alive", "sink_reachable", "comm_coverage", "sensing_coverage"]
@@ -253,7 +271,7 @@ def summarize(result: RunResult, tc: str, tm: str, seed: int, node_count: int) -
 
 def write_summary(rows: list[SummaryRow], path: str | Path) -> Path:
     path = Path(path)
-    with open(path, "w", newline="") as handle:
+    with _replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(f.name for f in fields(SummaryRow))
         for row in rows:
@@ -284,20 +302,26 @@ def write_ranking(rows: list[SummaryRow], path: str | Path) -> Path:
             target_rank = rank
     if target_rank is not None:
         lines.append(f"A3+DGETRec rank: {target_rank} of {len(ordered)}")
-    path.write_text("\n".join(lines) + "\n")
+    with _replacing(path) as handle:
+        handle.write("\n".join(lines) + "\n")
     return path
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Execute every (tc, tm, seed) cell, writing one series CSV per run plus
-    the aggregate summary and the ranking report.
+    the aggregate summary and the ranking report, and return their paths in
+    that order. Each file is written beside its path and renamed into
+    place, so a sweep that fails leaves no partial file.
 
     Every cell's config is checked before anything runs. The cells differ
     only in protocols and seed, so they share one coverage grid, which
     computes each node's footprint once for the whole sweep, and the cells
-    of a seed share one site (deployment.Site), whose positions, links and
-    A3Cov promotion inputs the first cell that needs them builds. Both
-    live as long as this call."""
+    of a seed share one site (deployment.Site). The first cell that needs
+    a part of it builds it: the positions, links and A3Cov promotion
+    inputs; for each tc, the first tree of the D cells and the cells
+    without maintenance, and the rotation set of the S and H cells; and
+    both coverages of each sink-reachable set a sample reaches. The grid
+    and the sites live as long as this call."""
     cells = [
         (tc_name, tm_name, seed, config_for(spec, tc_name, tm_name, seed))
         for tc_name in spec.tc_list

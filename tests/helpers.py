@@ -1,6 +1,12 @@
-"""Shared fixtures for hand-built network states."""
+"""Shared fixtures for hand-built network states and for counting the
+engine's calls."""
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
+
+from wsnlife import engine
 from wsnlife import (
     DeploymentArea,
     DeploymentConfig,
@@ -12,6 +18,7 @@ from wsnlife import (
     Site,
     deploy,
     distance,
+    sink_reachable,
 )
 
 
@@ -65,3 +72,31 @@ def neighbors(state: NetworkState, node_id: int, radius: float) -> list[int]:
         if distance(origin, other.position) <= radius:
             found.append(other.id)
     return found
+
+
+@contextmanager
+def coverage_calls():
+    """While open, record each sample's (site, sink-reachable set) in
+    reaches and count the calls engine.sample_metrics makes to each
+    coverage metric in calls; yields (reaches, calls)."""
+    reaches: list = []
+    calls: Counter = Counter()
+
+    def reached(state):
+        reach = sink_reachable(state)
+        reaches.append((state.site, frozenset(reach)))
+        return reach
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    with mock.patch.object(engine, "sink_reachable", reached), mock.patch.object(
+        engine, "comm_coverage", counted("comm_coverage")
+    ), mock.patch.object(engine, "sensing_coverage", counted("sensing_coverage")):
+        yield reaches, calls

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnlife import engine
+from wsnlife import construction, engine
 from wsnlife import (
     A3Params,
     ConfigError,
@@ -29,6 +30,7 @@ from wsnlife import (
     SensingParams,
     SimConfig,
     Site,
+    StrategyKind,
     TCProtocol,
     TMProtocol,
     Topology,
@@ -49,7 +51,7 @@ from wsnlife.experiment import summarize
 from wsnlife.maintenance import energy_floor
 from wsnlife.metrics import MAX_GRID_POINTS
 
-from helpers import make_state
+from helpers import coverage_calls, make_state
 from test_golden import desk_config
 
 ET = TriggerPolicy(TriggerKind.ENERGY)
@@ -254,9 +256,13 @@ def test_run_rejects_a_site_of_another_config(key):
     with mock.patch.object(engine, "deploy", side_effect=AssertionError("deployed")):
         with pytest.raises(ValueError, match="does not fit"):
             run(config, grid, site)
-    # nothing ran: no position drawn, no link built, no footprint computed
-    assert vars(site).keys() == {"deployment", "radio", "sensing", "promotion"}
+    # nothing ran: no position drawn, no link built, no footprint computed,
+    # no initial state or coverage kept
+    assert vars(site).keys() == {
+        "deployment", "radio", "sensing", "promotion", "initial", "coverages"
+    }
     assert site.promotion.sensors == {} and grid.footprints == {}
+    assert site.initial == {} and site.coverages == {}
 
 
 def test_run_on_a_filled_grid_matches_its_own_grid():
@@ -1240,29 +1246,131 @@ def test_run_through_samples_matches_step_loop(tm, scenario):
 
 
 def test_coverage_is_computed_once_per_change_of_the_reach_set():
-    reaches = []
-    calls = {"comm_coverage": 0, "sensing_coverage": 0}
-
-    def reached(state):
-        reach = sink_reachable(state)
-        reaches.append(frozenset(reach))
-        return reach
-
-    def counted(name):
-        fn = getattr(engine, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
     config = desk_config(TCProtocol.A3COV, TMProtocol.DGETREC, 1)
-    with mock.patch.object(engine, "sink_reachable", reached), mock.patch.object(
-        engine, "comm_coverage", counted("comm_coverage")
-    ), mock.patch.object(engine, "sensing_coverage", counted("sensing_coverage")):
+    with coverage_calls() as (samples, calls):
         result = run(config)
+    reaches = [reach for _, reach in samples]
     changes = sum(a != b for a, b in pairwise(reaches))
     assert calls == {"comm_coverage": 1 + changes, "sensing_coverage": 1 + changes}
     assert 0 < changes < len(reaches) - 1  # some samples reuse, some recompute
     assert len(result.series) >= len(reaches)
+
+
+def test_a_run_reuses_the_coverages_of_a_reach_set_seen_samples_before():
+    # SGTTRot rotates its three entries every 25 steps, sampled every 10, so
+    # an entry's reach set comes back after the others'
+    config = desk_config(TCProtocol.A3, TMProtocol.SGTTROT, 1)
+    with coverage_calls() as (samples, calls):
+        result = run(config)
+    reaches = [reach for _, reach in samples]
+    assert any(
+        reaches[j] != reaches[j - 1] and reaches[j] in reaches[: j - 1]
+        for j in range(1, len(reaches))
+    )
+    distinct = len(set(reaches))
+    assert calls == {"comm_coverage": distinct, "sensing_coverage": distinct}
+    assert len(result.series) >= len(reaches)
+
+
+def test_configs_that_differ_in_grid_cell_share_a_site_but_no_coverage():
+    config = desk_config(TCProtocol.A3COV, TMProtocol.DGETREC, 1)
+    coarse = replace(config, grid_cell=5.0)
+    site = Site(config.deployment, config.radio, config.sensing)
+    run(config, site=site)
+    with coverage_calls() as (samples, calls):
+        result = run(coarse, site=site)
+    # the same protocol on the same site reaches the same sets, yet each
+    # is computed again on the coarser grid
+    distinct = len({reach for _, reach in samples})
+    assert calls == {"comm_coverage": distinct, "sensing_coverage": distinct}
+    assert {cell for cell, _ in site.coverages} == {4.0, 5.0}
+    assert result.to_dict() == run(coarse).to_dict()
+
+
+def initial_fields(state, strategy):
+    """Everything initialize sets, field by field, in comparable values."""
+    fields = {
+        name: getattr(state, name)
+        for name in vars(state)
+        if name not in ("nodes", "site", "energy_ledger")
+    }
+    fields["energies"] = [node.energy.hex() for node in state.nodes]
+    fields["energy_ledger"] = state.energy_ledger.hex()
+    if strategy is not None:
+        fields["strategy"] = vars(strategy)
+        fields["installed"] = [state.topology is t for t in strategy.rotation_set]
+    return fields
+
+
+INITIAL_CASES = {
+    # one handshake drains a sensor farther than about 41 m from its
+    # parent dry, so some die at time 0 in every family
+    "handshakes kill": replace(
+        desk_config(TCProtocol.A3, None, 1), energy=EnergyParams(initial_energy=1.5e-5)
+    ),
+    # the third rotation entry's exclusion leaves a stump, so it is relaxed
+    "an exclusion is relaxed": small_config(),
+}
+
+
+@pytest.mark.parametrize("case", INITIAL_CASES)
+def test_a_shared_site_initializes_each_family_as_a_fresh_site_does(case):
+    base = INITIAL_CASES[case]
+    site = Site(base.deployment, base.radio, base.sensing)
+    grows = []
+    grow = construction._grow
+
+    def counted(*args):
+        grows.append(args)
+        return grow(*args)
+
+    for tc in TCProtocol:
+        for tm in [*TMProtocol, None]:
+            trigger = base.trigger if tm is None else replace(base.trigger, kind=tm.trigger_kind)
+            config = replace(base, tc=tc, tm=tm, trigger=trigger)
+            with mock.patch.object(construction, "_grow", counted):
+                fresh = initial_fields(*initialize(config))
+            assert initial_fields(*initialize(config, site)) == fresh
+            if case == "handshakes kill":
+                assert 0 in fresh["death_step"].values()
+            elif tm is not None and tm.strategy_kind is not StrategyKind.DYNAMIC_RECREATION:
+                assert len(grows) > config.rotation_k
+            grows.clear()
+    # per tc, one construction and one rotation set
+    assert len(site.initial) == 2 * len(TCProtocol)
+
+
+def test_a_cell_starts_from_copies_of_the_kept_initial_state():
+    config = desk_config(TCProtocol.A3COV, TMProtocol.HGETRECROT, 1)
+    site = Site(config.deployment, config.radio, config.sensing)
+    initialize(config, site)
+    (kept,) = site.initial.values()
+    before = copy.deepcopy(vars(kept))
+    state, strategy = initialize(config, site)
+    assert state.death_step is not kept.death_step
+    for entry, (active, parent, promoted) in zip(strategy.rotation_set, kept.topologies):
+        assert entry.active_set is not active
+        assert entry.parent is not parent
+        assert entry.coverage_promoted is not promoted
+    while state.time < config.max_steps and alive_count(state) > 1:
+        step(state, strategy, config)
+    assert "Recreated" in {action for _, action in strategy.events}
+    for tm in TMProtocol:
+        other = replace(config, tm=tm, trigger=replace(config.trigger, kind=tm.trigger_kind))
+        run(other, site=site)
+    assert vars(kept) == before
+
+
+def test_a_lone_run_keeps_no_initial_state():
+    sites = []
+
+    def recorded(*args):
+        sites.append(Site(*args))
+        return sites[-1]
+
+    config = small_config(tm=TMProtocol.SGETROT, trigger=ET)
+    with mock.patch.object(engine, "Site", recorded):
+        run(config)
+    (site,) = sites
+    assert site.initial == {}
+    assert site.coverages  # the run's own samples share theirs

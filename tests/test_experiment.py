@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from wsnlife import engine
 from wsnlife import (
     ConfigError,
     MetricsSample,
@@ -26,6 +27,7 @@ from wsnlife.construction import _sensors
 from wsnlife.experiment import (
     CONFIG_KEYS,
     ExperimentSpec,
+    SummaryRow,
     config_for,
     emit_series,
     parse_config,
@@ -36,6 +38,7 @@ from wsnlife.experiment import (
     write_summary,
 )
 
+from helpers import coverage_calls
 from test_golden import desk_config
 
 
@@ -422,6 +425,60 @@ def test_a_sweep_builds_the_links_of_each_seed_once(tmp_path):
     assert radii == {60.0: 2, 17.0: 2}
 
 
+def test_a_sweep_builds_each_initial_state_once_per_seed_and_tc(tmp_path):
+    # D and no maintenance share one construction, S and H one rotation set
+    spec = sweep_spec(tmp_path)
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(state, tc, *args):
+            calls[name, state.site.deployment.seed, tc] += 1
+            return fn(state, tc, *args)
+
+        return wrapper
+
+    with mock.patch.object(engine, "construct", counted("construct")), mock.patch.object(
+        engine, "precompute_rotation_set", counted("precompute_rotation_set")
+    ):
+        run_experiment(spec)
+    assert calls == {
+        (name, seed, tc): 1
+        for name in ("construct", "precompute_rotation_set")
+        for seed in spec.seeds
+        for tc in TCProtocol
+    }
+
+
+def test_a_sweep_computes_coverages_once_per_site_and_reach_set(tmp_path):
+    spec = sweep_spec(tmp_path)
+    with coverage_calls() as (samples, calls):
+        run_experiment(spec)
+    distinct = len(set(samples))
+    assert calls == {"comm_coverage": distinct, "sensing_coverage": distinct}
+    assert len({site for site, _ in samples}) == len(spec.seeds)
+    assert distinct < len(samples)
+
+
+def test_a_writer_that_fails_mid_file_leaves_no_file(tmp_path):
+    good = MetricsSample(0, 2, 2, 0.5, 0.25)
+    bad = MetricsSample(10, 2, 2, None, 0.25)  # no float to format
+    row = SummaryRow("A3", "DGETRec", 1, 10, 20, 100.0, 50.0)
+    with pytest.raises(TypeError):
+        emit_series(RunResult([good, bad], {}, [], {}), tmp_path / "series.csv")
+    with pytest.raises(TypeError):
+        write_summary([row, None], tmp_path / "summary.csv")
+    assert list(tmp_path.iterdir()) == []
+    # a file in place keeps every old byte
+    path = emit_series(RunResult([good], {}, [], {}), tmp_path / "series.csv")
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        emit_series(RunResult([good, bad], {}, [], {}), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_summary_integral_recomputable_from_csv(tmp_path):
     payload = dict(DESK)
     payload["output_dir"] = str(tmp_path / "out")
@@ -460,8 +517,6 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_ranking_report_orders_by_mean(tmp_path):
-    from wsnlife.experiment import SummaryRow
-
     rows = [
         SummaryRow("A3", "DGETRec", 1, 10, 20, 100.0, 50.0),
         SummaryRow("A3", "DGETRec", 2, 11, 22, 110.0, 51.0),

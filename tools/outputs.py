@@ -6,14 +6,17 @@ Runs the golden cells (tests/test_golden.py), every benchmark workload's
 cells on one workload seed (perfbench/workloads.py) and the
 `protocols_default` cells of that seed again with `tc = A3Cov`, each alone
 through `run(config)`, in both checkouts, one subprocess per side, each
-importing the simulator from its own `src/`. Each side also runs the
-`desk_sweep` workload's spec for the seed through `run_experiment`, into a
-temporary directory, so that a change to how a sweep shares work between
-its cells shows too. For each cell whose `RunResult.to_dict()` differs it
-prints the keys that differ, with the length of each side's value (the
-event count, for `maintenance_events`), and for each written sweep file
-that differs, `bytes` with each side's size. Exits 1 when some cell or
-file differs, else 0.
+importing the simulator from its own `src/`. Each side also runs two
+sweeps through `run_experiment`, each into a temporary directory, so that
+a change to how a sweep shares work between its cells shows too: the
+`desk_sweep` workload's spec for the seed, and a default-scale sweep of
+A3 and A3Cov under every maintenance protocol and none on the deployment
+of that seed, whose S and H cells rotate the A3Cov entries that no desk
+cell runs at default scale. For each cell whose `RunResult.to_dict()`
+differs it prints the keys that differ, with the length of each side's
+value (the event count, for `maintenance_events`), and for each written
+sweep file that differs, `bytes` with each side's size. Exits 1 when some
+cell or file differs, else 0.
 """
 from __future__ import annotations
 
@@ -33,13 +36,13 @@ def sha256(data: bytes) -> str:
 
 def collect(checkout: Path, seed: int) -> dict:
     """Each cell's to_dict(), as a (sha256, length) pair per key, and each
-    file the desk sweep writes, as its (sha256, size) under `bytes`."""
+    file the two sweeps write, as its (sha256, size) under `bytes`."""
     for sub in ("perfbench", "tests", "src"):
         sys.path.insert(0, str(checkout / sub))
     import workloads
     import wsnlife
     from test_golden import golden_cells
-    from wsnlife.experiment import run_experiment
+    from wsnlife.experiment import ExperimentSpec, run_experiment
 
     if not Path(wsnlife.__file__).is_relative_to(checkout / "src"):
         sys.exit(f"imported wsnlife from {wsnlife.__file__}, not {checkout / 'src'}")
@@ -56,10 +59,21 @@ def collect(checkout: Path, seed: int) -> dict:
             name: [sha256(json.dumps(v, sort_keys=True).encode()), len(v)]
             for name, v in wsnlife.run(config).to_dict().items()
         }
-    with tempfile.TemporaryDirectory() as out:
-        for path in run_experiment(workloads.desk_spec(seed, Path(out))):
-            data = path.read_bytes()
-            found[f"desk_sweep_files/{path.name}"] = {"bytes": [sha256(data), len(data)]}
+    sweeps = {
+        "desk_sweep_files": lambda out: workloads.desk_spec(seed, out),
+        "default_sweep_files": lambda out: ExperimentSpec(
+            base=wsnlife.SimConfig(),
+            tc_list=[tc.value for tc in wsnlife.TCProtocol],
+            tm_list=[tm.value for tm in wsnlife.TMProtocol] + ["None"],
+            seeds=[seed],
+            output_dir=out,
+        ),
+    }
+    for name, spec in sweeps.items():
+        with tempfile.TemporaryDirectory() as out:
+            for path in run_experiment(spec(Path(out))):
+                data = path.read_bytes()
+                found[f"{name}/{path.name}"] = {"bytes": [sha256(data), len(data)]}
     return found
 
 
