@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConfigError
+from .metrics import CoverageGrid
 from .model import (
     SINK_ID,
     DeploymentArea,
@@ -78,12 +79,13 @@ class InitialState:
 @dataclass(eq=False)
 class Site:
     """The part of a deployment that never changes, shared by every run on
-    it: the positions, the area, the radio and sensing models, and what is
-    derived from them alone. A site is keyed on its DeploymentConfig, radio
-    and sensing models; each part is a pure function of them, built on
-    first use and read-only after, so runs that share a site build each
-    part once and read the bits a fresh site gives. A sweep keeps one site
-    per seed for as long as it runs, as its grid keeps the footprints.
+    it: the positions, the area, the radio and sensing models, the coverage
+    grid, and what is derived from them alone. A site is keyed on its
+    DeploymentConfig, radio and sensing models and grid cell size; each
+    part is a pure function of them, built on first use and read-only
+    after, so runs that share a site build each part once and read the
+    bits a fresh site gives. A sweep keeps one site per seed for as long as
+    it runs.
 
     positions holds the sink at the area center and the rest uniformly at
     random, drawn from Python's Mersenne Twister seeded with the seed,
@@ -92,26 +94,25 @@ class Site:
     never changed silently. links[i] holds, in ascending order, every other
     node, dead or alive, within the communication radius of node i (see
     model._links); sensing_links[i] those within r + r_u, the reach of a
-    sensor under the sensing model. promotion holds A3Cov promotion's
-    inputs, filled node by node as promotions first need them.
+    sensor under the sensing model. grid, the coverage grid of grid_cell
+    cells on the area, is built by the first sample. promotion holds A3Cov
+    promotion's inputs, filled node by node as promotions first need them.
 
     initial holds what engine.initialize built for each key
     (tc, a3, energy, rotation_k), rotation_k None for the one construction
     of dynamic recreation and of no maintenance: the first run with a key
     builds it, and every later one restores it and constructs nothing.
     Only a site the caller passes keeps one; a lone run's fresh site does
-    not. coverages holds both coverages for each (grid cell size,
-    reach-set bitmap) that a sample on the site has computed, on grids of
-    the site's area (see engine.sample_metrics)."""
+    not. coverages holds both coverages on grid for each reach-set bitmap
+    that a sample on the site has computed (see engine.sample_metrics)."""
 
     deployment: DeploymentConfig
     radio: RadioParams
     sensing: SensingParams
+    grid_cell: float
     promotion: PromotionInputs = field(default_factory=PromotionInputs, repr=False)
     initial: dict[tuple, InitialState] = field(default_factory=dict, repr=False)
-    coverages: dict[tuple[float, bytes], tuple[float, float]] = field(
-        default_factory=dict, repr=False
-    )
+    coverages: dict[bytes, tuple[float, float]] = field(default_factory=dict, repr=False)
 
     @property
     def area(self) -> DeploymentArea:
@@ -135,6 +136,10 @@ class Site:
     @cached_property
     def sensing_links(self) -> list[list[int]]:
         return _links(self.positions, self.radio.sensing_radius + self.sensing.uncertainty_radius)
+
+    @cached_property
+    def grid(self) -> CoverageGrid:
+        return CoverageGrid(self.area, self.grid_cell)
 
 
 def deploy(site: Site, energy: EnergyParams) -> NetworkState:

@@ -31,10 +31,11 @@ maintenance.energy_floor. Every eventful step goes through
 step(), which only advances the network. run() is the one sampler: it
 samples once after each step and the stretch that follows it, for every
 stride point they cross. No alive set, topology or position changes inside
-a stretch, so that sample, re-timed, stands for each of them. On a site
-both coverages depend on the grid's cell size and the sink-reachable set
-alone, so the site keeps them for each set a sample reached, and a sample
-that reaches one again, in any run on the site, takes them as they are.
+a stretch, so that sample, re-timed, stands for each of them. Both
+coverages are taken on the site's grid and depend on the sink-reachable
+set alone, so the site keeps them for each set a sample reached, and a
+sample that reaches one again, in any run on the site, takes them as they
+are.
 """
 from __future__ import annotations
 
@@ -62,7 +63,6 @@ from .maintenance import (
 )
 from .metrics import (
     MAX_GRID_POINTS,
-    CoverageGrid,
     MetricsSample,
     alive_count,
     comm_coverage,
@@ -167,10 +167,11 @@ def initialize(
     static and hybrid strategies), and activate it at time zero.
 
     site, when given, is the site of the config's deployment, radio and
-    sensing models, shared with other runs so that its positions, links
-    and promotion inputs are built once for all of them, here or in the
-    run that first needs them; a site of another config raises ValueError
-    before anything runs. Without one, a fresh site is built.
+    sensing models and grid cell size, shared with other runs so that its
+    positions, links, promotion inputs and grid are built once for all of
+    them, here or in the run that first needs them; a site of another
+    config raises ValueError before anything runs. Without one, a fresh
+    site is built.
 
     What is built before the activation depends on the site, tc, a3,
     energy and the family alone: the one construction of dynamic
@@ -184,11 +185,13 @@ def initialize(
     validate_config(config)
     shared = site is not None
     if site is None:
-        site = Site(config.deployment, config.radio, config.sensing)
-    elif (site.deployment, site.radio, site.sensing) != (
-        config.deployment, config.radio, config.sensing
+        site = Site(config.deployment, config.radio, config.sensing, config.grid_cell)
+    elif (site.deployment, site.radio, site.sensing, site.grid_cell) != (
+        config.deployment, config.radio, config.sensing, config.grid_cell
     ):
-        raise ValueError(f"{site} does not fit the config's deployment, radio or sensing")
+        raise ValueError(
+            f"{site} does not fit the config's deployment, radio, sensing or grid_cell"
+        )
     state = deploy(site, config.energy)
     kind = None if config.tm is None else config.tm.strategy_kind
     k = None if kind in (None, StrategyKind.DYNAMIC_RECREATION) else config.rotation_k
@@ -452,16 +455,17 @@ def _members(reach: set[int], node_count: int) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def sample_metrics(state: NetworkState, grid: CoverageGrid) -> MetricsSample:
+def sample_metrics(state: NetworkState) -> MetricsSample:
     """Sample the metrics. Both coverages are taken over the set
-    sink_reachable reaches, on grid, which lies on the site's area. They
-    depend on the site, the grid's cell size and that set alone, so the
-    site keeps them (Site.coverages) keyed on the cell size and the set,
-    and a sample that reaches a set some sample on the site reached before,
-    in this run or another, takes the same bits and computes neither."""
+    sink_reachable reaches, on the site's grid, built by the site's first
+    sample. They depend on the site and that set alone, so the site keeps
+    them (Site.coverages) keyed on the set, and a sample that reaches a set
+    some sample on the site reached before, in this run or another, takes
+    the same bits and computes neither."""
     reach = sink_reachable(state)
+    grid = state.site.grid
     coverages = state.site.coverages
-    key = (grid.cell_size, _members(reach, len(state.nodes)))
+    key = _members(reach, len(state.nodes))
     found = coverages.get(key)
     if found is None:
         found = coverages[key] = (
@@ -489,9 +493,7 @@ def step(
     state.time += 1
 
 
-def run(
-    config: SimConfig, grid: CoverageGrid | None = None, site: Site | None = None
-) -> RunResult:
+def run(config: SimConfig, site: Site | None = None) -> RunResult:
     """Initialize and step to max_steps, or stop early once every sensor
     node is dead and maintenance has nothing to activate. After each step
     the quiet stretch that follows it, if any, is jumped in one move, and
@@ -499,25 +501,15 @@ def run(
     all of them: nothing a sample reads but the clock changes inside a
     stretch. Time 0 and the last step are always sampled, on the stride or
     not. A sample takes its coverages from the site when some sample on it
-    reached the same set on a grid of the same cell size (see
-    sample_metrics).
+    reached the same set (see sample_metrics).
 
-    grid, when given, is a coverage grid on the config's area and cell size,
-    shared with other runs so that each footprint is computed once for all
-    of them, and site is the config's site, whose initial topologies it
-    shares with them too (see initialize); a grid on another area or cell
-    size raises ValueError. The values are the same bits as on a fresh
-    grid and site."""
+    site, when given, is the config's site, shared with other runs so that
+    its grid computes each footprint once for all of them and its initial
+    topologies are built once too (see initialize). The values are the same
+    bits as on a fresh site."""
     state, strategy = initialize(config, site)
-    if grid is None:
-        grid = CoverageGrid(state.site.area, config.grid_cell)
-    elif (grid.area, grid.cell_size) != (state.site.area, config.grid_cell):
-        raise ValueError(
-            f"coverage grid on {grid.area} with {grid.cell_size} m cells, but the"
-            f" config has {state.site.area} with {config.grid_cell} m cells"
-        )
     stride = config.metrics_stride
-    series = [sample_metrics(state, grid)]
+    series = [sample_metrics(state)]
     while state.time < config.max_steps:
         start = state.time
         step(state, strategy, config)
@@ -526,7 +518,7 @@ def run(
             _fast_forward(state, strategy, config)
         due = range(start // stride * stride + stride, state.time + 1, stride)
         if due:
-            sample = sample_metrics(state, grid)
+            sample = sample_metrics(state)
             series += (
                 MetricsSample(
                     t,
@@ -540,7 +532,7 @@ def run(
         if finished:
             break
     if series[-1].time != state.time:  # the horizon or the early end
-        series.append(sample_metrics(state, grid))
+        series.append(sample_metrics(state))
     final = {
         "steps": state.time,
         "alive": alive_count(state),

@@ -23,7 +23,6 @@ from .deployment import Site
 from .engine import RunResult, SimConfig, run, validate_config
 from .errors import ConfigError
 from .maintenance import TMProtocol
-from .metrics import CoverageGrid
 
 
 @dataclass(frozen=True)
@@ -314,14 +313,13 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     place, so a sweep that fails leaves no partial file.
 
     Every cell's config is checked before anything runs. The cells differ
-    only in protocols and seed, so they share one coverage grid, which
-    computes each node's footprint once for the whole sweep, and the cells
-    of a seed share one site (deployment.Site). The first cell that needs
-    a part of it builds it: the positions, links and A3Cov promotion
-    inputs; for each tc, the first tree of the D cells and the cells
-    without maintenance, and the rotation set of the S and H cells; and
-    both coverages of each sink-reachable set a sample reaches. The grid
-    and the sites live as long as this call."""
+    only in protocols and seed, so the cells of a seed share one site
+    (deployment.Site), built once per seed. The first cell that needs a
+    part of it builds it: the positions, links, coverage grid and A3Cov
+    promotion inputs; for each tc, the first tree of the D cells and the
+    cells without maintenance, and the rotation set of the S and H cells;
+    and both coverages of each sink-reachable set a sample reaches. The
+    sites live as long as this call."""
     cells = [
         (tc_name, tm_name, seed, config_for(spec, tc_name, tm_name, seed))
         for tc_name in spec.tc_list
@@ -330,15 +328,18 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     ]
     for *_, config in cells:
         validate_config(config)
-    grid = CoverageGrid(spec.base.deployment.area, spec.base.grid_cell)
-    sites = {seed: Site(c.deployment, c.radio, c.sensing) for _, _, seed, c in cells}
+    # one config per seed: a seed's cells agree on all that keys its site
+    seeds = {seed: config for _, _, seed, config in cells}
+    sites = {
+        seed: Site(c.deployment, c.radio, c.sensing, c.grid_cell) for seed, c in seeds.items()
+    }
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     rows: list[SummaryRow] = []
     written: list[Path] = []
     for tc_name, tm_name, seed, config in cells:
         try:
-            result = run(config, grid, sites[seed])
+            result = run(config, sites[seed])
         except ConfigError:
             raise
         except Exception as exc:

@@ -12,13 +12,15 @@ from .model import SINK_ID, DeploymentArea, NetworkState, SensingParams
 
 # Sample points a coverage grid may hold: each comm coverage recomputation
 # allocates a packed array of this size, eight points per byte (1.25 MB at
-# the limit); sensing coverage folds band by band in a fixed buffer. n = 3000
-# at the default density with 4 m cells needs 443k points.
+# the limit); sensing coverage folds band by band in _BAND. n = 3000 at the
+# default density with 4 m cells needs 443k points.
 MAX_GRID_POINTS = 10_000_000
 
-# Points in one band of the sensing fold: its float64 buffer is 256 KB, so
-# it stays in cache and outside the allocator's per-call mmaps.
+# Points in one band of the sensing fold, and its scratch: one 256 KB buffer
+# for every grid, so it stays in cache and outside the allocator's per-call
+# mmaps. A run is single-threaded, so one fold at a time uses it.
 _BAND_POINTS = 1 << 15
+_BAND = np.empty(_BAND_POINTS)
 
 # Set bits of each byte value: counts a packed grid without unpacking it.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -49,8 +51,8 @@ class CoverageGrid:
     grid's own byte columns (point ix is bit 7 - ix % 8 of byte ix // 8 of
     its row), so coverage ORs it into a packed grid as it stands. A
     footprint is keyed on its content, the radius or sensing parameters and
-    the position, so one grid serves every run on its area and cell size,
-    whatever the deployment or radii, and never serves a stale patch. A
+    the position, so a grid serves any deployment or radii on its area and
+    cell size, and never serves a stale patch. A
     sensing key holds the sensing parameters' field values, not the
     SensingParams object, so equal parameters from another config hit, and
     a lookup hashes floats only.
@@ -62,13 +64,11 @@ class CoverageGrid:
     as on the patch alone, so the values are the same bits.
 
     Sensing coverage never holds the whole grid: it folds the miss factors
-    band by band in `band`, one float buffer of at most _BAND_POINTS points
-    allocated with the grid. A band is band_shape = (rows, columns) points:
-    whole rows, as many as fit, or pieces of one row when a row alone holds
-    more than _BAND_POINTS points. The bands tile the grid in row-major
-    order; the last of a row or column may be cut short by the grid's edge.
-    The buffer is scratch of one sensing_coverage call, so one grid serves
-    one call at a time.
+    band by band in the module's one buffer of _BAND_POINTS floats. A band
+    is band_shape = (rows, columns) points: whole rows, as many as fit, or
+    pieces of one row when a row alone holds more than _BAND_POINTS points.
+    The bands tile the grid in row-major order; the last of a row or column
+    may be cut short by the grid's edge.
     """
 
     area: DeploymentArea
@@ -77,7 +77,6 @@ class CoverageGrid:
     ys: np.ndarray = field(init=False, repr=False)
     footprints: dict = field(init=False, repr=False, default_factory=dict)
     band_shape: tuple[int, int] = field(init=False, repr=False)
-    band: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.cell_size < math.inf:
@@ -88,7 +87,6 @@ class CoverageGrid:
         width = min(nx, _BAND_POINTS)
         height = min(ny, _BAND_POINTS // width)
         self.band_shape = (height, width)
-        self.band = np.empty(height * width)
 
     @property
     def point_count(self) -> int:
@@ -268,13 +266,13 @@ def sensing_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -
 
     The products are folded band by band (see CoverageGrid). The sensors'
     footprints are bucketed by the rows of bands they overlap, in ascending
-    id. For each band in a row of bands with any, the grid's band buffer is
-    filled with 1.0, each footprint multiplies its part in the band into
-    it, in place, and the points whose 1 - miss reaches the threshold are
-    counted. So every point's product is folded from 1.0 in ascending id,
-    as on a whole grid, with the same bits; where no footprint reaches,
-    1 - miss = 0 is below any threshold. The value is the summed count over
-    the grid's points.
+    id. For each band in a row of bands with any, its part of the shared
+    buffer is filled with 1.0, each footprint multiplies its part in the
+    band into it, in place, and the points whose 1 - miss reaches the
+    threshold are counted. So every point's product is folded from 1.0 in
+    ascending id, as on a whole grid, with the same bits, whatever an
+    earlier call left; where no footprint reaches, 1 - miss = 0 is below
+    any threshold. The value is the summed count over the grid's points.
     """
     sp, r = state.site.sensing, state.site.radio.sensing_radius
     sensors = sorted(reach - {SINK_ID})
@@ -297,7 +295,7 @@ def sensing_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -
         by1 = min(by0 + height, ny)
         for bx0 in range(0, nx, width):
             bx1 = min(bx0 + width, nx)
-            miss = grid.band[: (by1 - by0) * (bx1 - bx0)].reshape(by1 - by0, bx1 - bx0)
+            miss = _BAND[: (by1 - by0) * (bx1 - bx0)].reshape(by1 - by0, bx1 - bx0)
             miss.fill(1.0)
             for (iy0, iy1, ix0, ix1), factor in bucket:
                 if by0 <= iy0 and iy1 <= by1 and bx0 <= ix0 and ix1 <= bx1:

@@ -15,11 +15,15 @@ from wsnlife import (
     Point,
     RadioParams,
     SensingParams,
+    SimConfig,
     Site,
     deploy,
     distance,
     sink_reachable,
 )
+
+# The cell size of a hand-built site: the config's default, its one home.
+GRID_CELL = SimConfig().grid_cell
 
 
 def make_state(
@@ -50,7 +54,8 @@ def make_state(
     xs = [p[0] for p in positions]
     ys = [p[1] for p in positions]
     area = area or DeploymentArea(max(xs) + 100.0, max(ys) + 100.0)
-    site = Site(DeploymentConfig(node_count=len(positions), area=area), radio, sensing)
+    deployment = DeploymentConfig(node_count=len(positions), area=area)
+    site = Site(deployment, radio, sensing, GRID_CELL)
     # the given positions stand in for the ones the site would draw
     site.positions = [Point(x, y) for x, y in positions]
     state = deploy(site, energy)

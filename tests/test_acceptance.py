@@ -45,7 +45,7 @@ from wsnlife import (
 )
 from wsnlife.experiment import ExperimentSpec, run_experiment
 
-from helpers import make_state
+from helpers import GRID_CELL, make_state
 
 getcontext().prec = 50
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
@@ -144,9 +144,9 @@ def test_criterion_3_cds_properties():
         for _ in range(1000):
             n = rng.randint(5, 50)
             config = DeploymentConfig(node_count=n, area=area, seed=rng.getrandbits(64))
-            state = deploy(Site(config, radio, sp), energy)
-            twin = deploy(Site(config, radio, sp), energy)
-            cov_state = deploy(Site(config, radio, sp), energy)
+            state = deploy(Site(config, radio, sp, GRID_CELL), energy)
+            twin = deploy(Site(config, radio, sp, GRID_CELL), energy)
+            cov_state = deploy(Site(config, radio, sp, GRID_CELL), energy)
 
             topology, _ = construct(state, TCProtocol.A3, params)
             again, _ = construct(twin, TCProtocol.A3, params)

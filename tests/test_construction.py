@@ -38,7 +38,7 @@ from wsnlife.construction import (
 from wsnlife.metrics import sense_probabilities
 from wsnlife.radio import QUANTIZER, QUANTUM, tx_coefficients
 
-from helpers import make_state
+from helpers import GRID_CELL, make_state
 
 PARAMS = A3Params()
 SP = SensingParams()
@@ -226,7 +226,7 @@ def random_instance(seed, n_range=(5, 30), area=300.0):
     config = DeploymentConfig(
         node_count=n, area=DeploymentArea(area, area), seed=rng.getrandbits(64)
     )
-    return deploy(Site(config, RadioParams(), SP), EnergyParams())
+    return deploy(Site(config, RadioParams(), SP, GRID_CELL), EnergyParams())
 
 
 def test_every_active_node_is_a_parent_sink_or_promoted():
@@ -252,7 +252,8 @@ def test_every_active_node_is_a_parent_sink_or_promoted():
 
 def test_sink_only_deployment_constructs_the_sink():
     for tc in TCProtocol:
-        state = deploy(Site(DeploymentConfig(node_count=1), RadioParams(), SP), EnergyParams())
+        site = Site(DeploymentConfig(node_count=1), RadioParams(), SP, GRID_CELL)
+        state = deploy(site, EnergyParams())
         topology, charge = construct(state, tc, PARAMS)
         assert topology.active_set == {SINK_ID}
         assert topology.parent == {}
@@ -336,7 +337,7 @@ def test_a3cov_superset_and_sensing_gain_random_instances():
 
 
 def test_reduction_on_dense_deployment():
-    state = deploy(Site(DeploymentConfig(), RadioParams(), SP), EnergyParams())
+    state = deploy(Site(DeploymentConfig(), RadioParams(), SP, GRID_CELL), EnergyParams())
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     assert len(topology.active_set) < len(state.nodes)
 

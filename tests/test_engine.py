@@ -19,7 +19,6 @@ from wsnlife import construction, engine
 from wsnlife import (
     A3Params,
     ConfigError,
-    CoverageGrid,
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
@@ -222,16 +221,6 @@ def test_run_is_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_run_rejects_a_grid_of_another_area_or_cell_size():
-    config = small_config()
-    for grid in (
-        CoverageGrid(DeploymentArea(300.0, 201.0), config.grid_cell),
-        CoverageGrid(config.deployment.area, 2.0),
-    ):
-        with pytest.raises(ValueError, match="coverage grid"):
-            run(config, grid)
-
-
 # each changes one value a site is keyed on
 OTHER_SITES = {
     "seed": lambda c: replace(c, deployment=replace(c.deployment, seed=8)),
@@ -244,6 +233,7 @@ OTHER_SITES = {
     ),
     "sensing_radius": lambda c: replace(c, radio=replace(c.radio, sensing_radius=12.0)),
     "sensing": lambda c: replace(c, sensing=SensingParams(uncertainty_radius=5.0)),
+    "grid_cell": lambda c: replace(c, grid_cell=5.0),
 }
 
 
@@ -251,35 +241,18 @@ OTHER_SITES = {
 def test_run_rejects_a_site_of_another_config(key):
     config = small_config(tc=TCProtocol.A3COV, tm=TMProtocol.DGETREC, trigger=ET)
     other = OTHER_SITES[key](config)
-    site = Site(other.deployment, other.radio, other.sensing)
-    grid = CoverageGrid(config.deployment.area, config.grid_cell)
+    site = Site(other.deployment, other.radio, other.sensing, other.grid_cell)
     with mock.patch.object(engine, "deploy", side_effect=AssertionError("deployed")):
         with pytest.raises(ValueError, match="does not fit"):
-            run(config, grid, site)
-    # nothing ran: no position drawn, no link built, no footprint computed,
-    # no initial state or coverage kept
+            run(config, site)
+    # nothing ran: no position drawn, no link or grid built, no initial
+    # state or coverage kept
+    assert "grid" not in vars(site)
     assert vars(site).keys() == {
-        "deployment", "radio", "sensing", "promotion", "initial", "coverages"
+        "deployment", "radio", "sensing", "grid_cell", "promotion", "initial", "coverages"
     }
-    assert site.promotion.sensors == {} and grid.footprints == {}
+    assert site.promotion.sensors == {}
     assert site.initial == {} and site.coverages == {}
-
-
-def test_run_on_a_filled_grid_matches_its_own_grid():
-    # the grid already holds footprints of another deployment, of other
-    # radii and sensing parameters at the same positions, and of this run
-    config = small_config(tc=TCProtocol.A3COV, tm=TMProtocol.DGETREC, trigger=ET)
-    grid = CoverageGrid(config.deployment.area, config.grid_cell)
-    for other in (
-        replace(config, deployment=replace(config.deployment, seed=8)),
-        replace(config, radio=RadioParams(communication_radius=45.0, sensing_radius=12.0)),
-        replace(config, sensing=SensingParams(uncertainty_radius=5.0)),
-        config,
-    ):
-        run(other, grid)
-    radii = {key[1] for key in grid.footprints if key[0] == "disc"}
-    assert radii == {60.0, 45.0}
-    assert run(config, grid).to_dict() == run(config).to_dict()
 
 
 def test_series_length_and_monotone_alive():
@@ -1272,21 +1245,6 @@ def test_a_run_reuses_the_coverages_of_a_reach_set_seen_samples_before():
     assert len(result.series) >= len(reaches)
 
 
-def test_configs_that_differ_in_grid_cell_share_a_site_but_no_coverage():
-    config = desk_config(TCProtocol.A3COV, TMProtocol.DGETREC, 1)
-    coarse = replace(config, grid_cell=5.0)
-    site = Site(config.deployment, config.radio, config.sensing)
-    run(config, site=site)
-    with coverage_calls() as (samples, calls):
-        result = run(coarse, site=site)
-    # the same protocol on the same site reaches the same sets, yet each
-    # is computed again on the coarser grid
-    distinct = len({reach for _, reach in samples})
-    assert calls == {"comm_coverage": distinct, "sensing_coverage": distinct}
-    assert {cell for cell, _ in site.coverages} == {4.0, 5.0}
-    assert result.to_dict() == run(coarse).to_dict()
-
-
 def initial_fields(state, strategy):
     """Everything initialize sets, field by field, in comparable values."""
     fields = {
@@ -1316,7 +1274,7 @@ INITIAL_CASES = {
 @pytest.mark.parametrize("case", INITIAL_CASES)
 def test_a_shared_site_initializes_each_family_as_a_fresh_site_does(case):
     base = INITIAL_CASES[case]
-    site = Site(base.deployment, base.radio, base.sensing)
+    site = Site(base.deployment, base.radio, base.sensing, base.grid_cell)
     grows = []
     grow = construction._grow
 
@@ -1342,7 +1300,7 @@ def test_a_shared_site_initializes_each_family_as_a_fresh_site_does(case):
 
 def test_a_cell_starts_from_copies_of_the_kept_initial_state():
     config = desk_config(TCProtocol.A3COV, TMProtocol.HGETRECROT, 1)
-    site = Site(config.deployment, config.radio, config.sensing)
+    site = Site(config.deployment, config.radio, config.sensing, config.grid_cell)
     initialize(config, site)
     (kept,) = site.initial.values()
     before = copy.deepcopy(vars(kept))

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from wsnlife import engine
+from wsnlife import engine, experiment
 from wsnlife import (
     ConfigError,
     MetricsSample,
@@ -339,8 +339,9 @@ def test_sweep_checks_every_config_before_building_its_grid(tmp_path):
         seeds=[1],
         output_dir=tmp_path / "out",
     )
-    with pytest.raises(ConfigError) as err:
-        run_experiment(spec)
+    with mock.patch.object(experiment, "Site", side_effect=AssertionError("site built")):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(spec)
     assert err.value.field == "grid_cell"
     assert not (tmp_path / "out").exists()
 
@@ -386,7 +387,8 @@ def test_promotion_inputs_built_by_other_cells_match_a_fresh_site(tmp_path):
     # order, on another, so each reads inputs that other cells built
     spec = sweep_spec(tmp_path, seeds=(1,))
     base = config_for(spec, "A3", "None", 1)
-    first, last = (Site(base.deployment, base.radio, base.sensing) for _ in range(2))
+    key = (base.deployment, base.radio, base.sensing, base.grid_cell)
+    first, last = (Site(*key) for _ in range(2))
     a3cov = [config_for(spec, "A3Cov", tm, 1) for tm in spec.tm_list]
     a3 = [config_for(spec, "A3", tm, 1) for tm in spec.tm_list]
     early = [run(config, site=first).to_dict() for config in a3cov]
@@ -399,12 +401,25 @@ def test_promotion_inputs_built_by_other_cells_match_a_fresh_site(tmp_path):
     assert first.promotion.sensors and first.promotion.distances
     assert vars(first.promotion) == vars(last.promotion)
     # every entry, whichever cell and step built it, is a fresh state's
-    fresh = deploy(Site(base.deployment, base.radio, base.sensing), base.energy)
+    fresh = deploy(Site(*key), base.energy)
     for sid, entry in first.promotion.sensors.items():
         assert entry == _sensors(fresh, sid)
     for sid, dists in first.promotion.distances.items():
         at = fresh.nodes[sid].position
         assert dists == [distance(at, fresh.nodes[nid].position) for nid in first.links[sid]]
+
+
+def test_a_sweep_builds_one_site_per_seed(tmp_path):
+    spec = replace(sweep_spec(tmp_path), tm_list=["DGETRec", "SGTTRot"])
+    built = []
+
+    def recorded(*args):
+        built.append(Site(*args))
+        return built[-1]
+
+    with mock.patch.object(experiment, "Site", recorded):
+        run_experiment(spec)
+    assert [site.deployment.seed for site in built] == spec.seeds == [1, 2]
 
 
 def test_a_sweep_builds_the_links_of_each_seed_once(tmp_path):

@@ -27,7 +27,7 @@ from wsnlife import (
 from wsnlife.maintenance import energy_floor
 from wsnlife.radio import QUANTUM
 
-from helpers import make_state
+from helpers import GRID_CELL, make_state
 
 PARAMS = A3Params()
 
@@ -280,7 +280,7 @@ def test_maintain_restamps_and_installs():
 
 def test_recreation_after_deaths_uses_survivors():
     config = DeploymentConfig(node_count=30, area=DeploymentArea(250.0, 250.0), seed=11)
-    state = deploy(Site(config, RadioParams(), SensingParams()), EnergyParams())
+    state = deploy(Site(config, RadioParams(), SensingParams(), GRID_CELL), EnergyParams())
     topology, _ = construct(state, TCProtocol.A3, PARAMS)
     activate_topology(state, topology)
     for nid in sorted(topology.active_set - {0}):

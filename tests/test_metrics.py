@@ -266,7 +266,7 @@ def test_banded_sensing_coverage_matches_whole_grid_fold(
     with mock.patch.object(metrics, "_BAND_POINTS", band_points):
         grid = CoverageGrid(area, cell)
     height, width = grid.band_shape
-    assert grid.band.size == height * width <= band_points
+    assert height * width <= band_points
     sp = SensingParams(uncertainty_radius=r / 4)
     positions = [(0.0, 0.0), *spots]  # the sink first: never a sensor
     reach = {0} | {k for k in picks if k < len(positions)}
@@ -281,7 +281,7 @@ def test_banded_sensing_coverage_matches_whole_grid_fold_on_many_bands():
     # sensors' footprints straddle the one band edge at y = 262
     area = DeploymentArea(500.0, 400.0)
     grid = CoverageGrid(area, 2.0)
-    assert grid.band_shape == (131, 250) and grid.band.nbytes == 131 * 250 * 8
+    assert grid.band_shape == (131, 250)
     positions = [(250.0, 200.0)] + [
         (12.5 + 37.0 * k, 262.0 + (-1) ** k * 9.0 * (k % 4)) for k in range(14)
     ] + [(250.0, 130.0), (250.0, 131.0), (-30.0, 262.0)]
@@ -290,6 +290,38 @@ def test_banded_sensing_coverage_matches_whole_grid_fold_on_many_bands():
     want = whole_grid_sensing_coverage(state, grid, reach)
     assert want > 0.0
     assert sensing_coverage(state, grid, reach).hex() == want.hex()
+
+
+def test_grids_of_other_band_shapes_fold_in_turn_as_alone():
+    # every grid folds in the one band buffer: a grid of 131-row bands and
+    # one of a single 300 x 20 band, used in turn, each give the bits they
+    # give used alone, so no fold reads what another left
+    wide = make_state(
+        [(250.0, 200.0)] + [(12.5 + 33.0 * k, 262.0 + 9.0 * (k % 4)) for k in range(15)],
+        area=DeploymentArea(500.0, 400.0),
+        radio=RadioParams(sensing_radius=20.0),
+    )
+    narrow = make_state(
+        [(20.0, 300.0)] + [(7.0 * (k % 5), 41.0 * k + 3.0) for k in range(15)],
+        area=DeploymentArea(40.0, 600.0),
+        radio=RadioParams(sensing_radius=12.0),
+    )
+    reaches = [set(range(16)), {0, 1, 2, 3}, set(range(0, 16, 3)), {0, 15}]
+    states = {"wide": wide, "narrow": narrow}
+    alone = {}
+    for name, state in states.items():
+        grid = CoverageGrid(state.site.area, 2.0)
+        alone[name] = [sensing_coverage(state, grid, reach).hex() for reach in reaches]
+        want = [whole_grid_sensing_coverage(state, grid, reach).hex() for reach in reaches]
+        assert alone[name] == want
+    grids = {name: CoverageGrid(state.site.area, 2.0) for name, state in states.items()}
+    assert grids["wide"].band_shape == (131, 250)
+    assert grids["narrow"].band_shape == (300, 20)
+    turns = {name: [] for name in states}
+    for reach in reaches:
+        for name, state in states.items():
+            turns[name].append(sensing_coverage(state, grids[name], reach).hex())
+    assert turns == alone
 
 
 def test_sensing_coverage_allocates_no_grid_sized_array():

@@ -26,7 +26,7 @@ from wsnlife import (
 )
 from wsnlife.deployment import Site, deploy
 
-from helpers import make_state, neighbors
+from helpers import GRID_CELL, make_state, neighbors
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -284,7 +284,7 @@ def deployments():
         DeploymentConfig(),
         DeploymentConfig(node_count=3000, area=DeploymentArea(1074.0 * scale, 660.0 * scale)),
     ]
-    sites = [Site(config, RadioParams(), SensingParams()) for config in configs]
+    sites = [Site(config, RadioParams(), SensingParams(), GRID_CELL) for config in configs]
     return [deploy(site, EnergyParams()) for site in sites]
 
 
@@ -317,7 +317,8 @@ def test_links_on_the_largest_accepted_area():
         grid_cell=big,
     )
     engine.validate_config(config)
-    state = deploy(Site(config.deployment, config.radio, config.sensing), config.energy)
+    site = Site(config.deployment, config.radio, config.sensing, config.grid_cell)
+    state = deploy(site, config.energy)
     positions = [(n.position.x, n.position.y) for n in state.nodes]
     positions += [(big, big)] * 3 + [(big, 0.0), (big, 100.0), (big, 201.0)]
     positions += [(1e21, 50.0 * k) for k in range(5)] + [(2.0**63 * 100.0, 0.0)] * 2
