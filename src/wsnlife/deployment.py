@@ -95,16 +95,18 @@ class Site:
     node, dead or alive, within the communication radius of node i (see
     model._links); sensing_links[i] those within r + r_u, the reach of a
     sensor under the sensing model. grid, the coverage grid of grid_cell
-    cells on the area, is built by the first sample. promotion holds A3Cov
-    promotion's inputs, filled node by node as promotions first need them.
+    cells on the area with each node's footprints on it, is built by the
+    first sample. promotion holds A3Cov promotion's inputs, filled node by
+    node as promotions first need them.
 
     initial holds what engine.initialize built for each key
     (tc, a3, energy, rotation_k), rotation_k None for the one construction
     of dynamic recreation and of no maintenance: the first run with a key
     builds it, and every later one restores it and constructs nothing.
     Only a site the caller passes keeps one; a lone run's fresh site does
-    not. coverages holds both coverages on grid for each reach-set bitmap
-    that a sample on the site has computed (see engine.sample_metrics)."""
+    not. coverages holds comm_coverage(site, reach) and
+    sensing_coverage(site, reach) for each reach-set bitmap that a sample
+    on the site has computed (see engine.sample_metrics)."""
 
     deployment: DeploymentConfig
     radio: RadioParams
@@ -139,7 +141,7 @@ class Site:
 
     @cached_property
     def grid(self) -> CoverageGrid:
-        return CoverageGrid(self.area, self.grid_cell)
+        return CoverageGrid(self)
 
 
 def deploy(site: Site, energy: EnergyParams) -> NetworkState:

@@ -32,10 +32,10 @@ step(), which only advances the network. run() is the one sampler: it
 samples once after each step and the stretch that follows it, for every
 stride point they cross. No alive set, topology or position changes inside
 a stretch, so that sample, re-timed, stands for each of them. Both
-coverages are taken on the site's grid and depend on the sink-reachable
-set alone, so the site keeps them for each set a sample reached, and a
-sample that reaches one again, in any run on the site, takes them as they
-are.
+coverages are functions of the site and the sink-reachable set alone,
+comm_coverage(site, reach) and sensing_coverage(site, reach), so the site
+keeps them for each set a sample reached, and a sample that reaches one
+again, in any run on the site, takes them as they are.
 """
 from __future__ import annotations
 
@@ -456,21 +456,20 @@ def _members(reach: set[int], node_count: int) -> bytes:
 
 
 def sample_metrics(state: NetworkState) -> MetricsSample:
-    """Sample the metrics. Both coverages are taken over the set
-    sink_reachable reaches, on the site's grid, built by the site's first
-    sample. They depend on the site and that set alone, so the site keeps
-    them (Site.coverages) keyed on the set, and a sample that reaches a set
-    some sample on the site reached before, in this run or another, takes
-    the same bits and computes neither."""
+    """Sample the metrics. Both coverages are functions of the site and the
+    set sink_reachable reaches, taken on the site's grid, built by the
+    site's first sample. So the site keeps them (Site.coverages) keyed on
+    the set, and a sample that reaches a set some sample on the site
+    reached before, in this run or another, takes the same bits and
+    computes neither."""
     reach = sink_reachable(state)
-    grid = state.site.grid
-    coverages = state.site.coverages
+    site = state.site
     key = _members(reach, len(state.nodes))
-    found = coverages.get(key)
+    found = site.coverages.get(key)
     if found is None:
-        found = coverages[key] = (
-            comm_coverage(state, grid, reach),
-            sensing_coverage(state, grid, reach),
+        found = site.coverages[key] = (
+            comm_coverage(site, reach),
+            sensing_coverage(site, reach),
         )
     comm, sensing = found
     return MetricsSample(state.time, alive_count(state), len(reach), comm, sensing)

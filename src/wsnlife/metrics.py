@@ -3,12 +3,16 @@ area coverage estimators (communication and sensing) over a sampling grid."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
+from collections.abc import Collection, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import SINK_ID, DeploymentArea, NetworkState, SensingParams
+
+if TYPE_CHECKING:
+    from .deployment import Site
 
 # Sample points a coverage grid may hold: each comm coverage recomputation
 # allocates a packed array of this size, eight points per byte (1.25 MB at
@@ -38,24 +42,21 @@ def grid_shape(area: DeploymentArea, cell_size: float) -> tuple[int, int]:
 _FOOTPRINT_CHUNK = 16
 
 
-@dataclass(eq=False)
 class CoverageGrid:
-    """Sample points at the centers of square cells tiling the area.
+    """Sample points at the centers of square cells of site.grid_cell tiling
+    site.area, and each node's footprints on them (see Site.grid).
 
-    The estimate converges as cell_size shrinks; 4 m keeps the default area
-    under 50k points, cheap enough to evaluate every sampled step.
+    The estimate converges as the cell size shrinks; 4 m keeps the default
+    area under 50k points, cheap enough to evaluate every sampled step.
 
-    The grid keeps each node's footprint on it, computed on first use: the
-    patch of points within a disc around the node, and over that patch its
-    coverage mask or its miss factor 1 - p. A disc mask is bit-packed on the
-    grid's own byte columns (point ix is bit 7 - ix % 8 of byte ix // 8 of
-    its row), so coverage ORs it into a packed grid as it stands. A
-    footprint is keyed on its content, the radius or sensing parameters and
-    the position, so a grid serves any deployment or radii on its area and
-    cell size, and never serves a stale patch. A
-    sensing key holds the sensing parameters' field values, not the
-    SensingParams object, so equal parameters from another config hit, and
-    a lookup hashes floats only.
+    The grid keeps each node's two footprints on it, by node id, computed on
+    first use: the patch of points within a disc around the node, and over
+    that patch its coverage mask or its miss factor 1 - p. A disc mask is
+    bit-packed on the grid's own byte columns (point ix is bit 7 - ix % 8 of
+    byte ix // 8 of its row), so coverage ORs it into a packed grid as it
+    stands. The grid copies the positions, radii and sensing model of its
+    site when it is built and holds no reference to the site, so a site
+    and its grid form no cycle.
 
     The footprints a coverage call lacks are built together, _FOOTPRINT_CHUNK
     at a time: each on a window as large as the chunk's largest patch, with
@@ -71,59 +72,48 @@ class CoverageGrid:
     may be cut short by the grid's edge.
     """
 
-    area: DeploymentArea
-    cell_size: float
-    xs: np.ndarray = field(init=False, repr=False)
-    ys: np.ndarray = field(init=False, repr=False)
-    footprints: dict = field(init=False, repr=False, default_factory=dict)
-    band_shape: tuple[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, site: Site):
+        self.cell_size = site.grid_cell
         if not 0 < self.cell_size < math.inf:
             raise ValueError("cell_size must be positive and finite")
-        nx, ny = grid_shape(self.area, self.cell_size)
+        nx, ny = grid_shape(site.area, self.cell_size)
         self.xs = (np.arange(nx) + 0.5) * self.cell_size
         self.ys = (np.arange(ny) + 0.5) * self.cell_size
         width = min(nx, _BAND_POINTS)
-        height = min(ny, _BAND_POINTS // width)
-        self.band_shape = (height, width)
+        self.band_shape = (min(ny, _BAND_POINTS // width), width)
+        self.px = np.array([p.x for p in site.positions])
+        self.py = np.array([p.y for p in site.positions])
+        self.radius = site.radio.communication_radius
+        self.sensing_radius = site.radio.sensing_radius
+        self.sensing = site.sensing
+        self.built_discs: dict[int, tuple | None] = {}
+        self.built_miss_factors: dict[int, tuple | None] = {}
 
     @property
     def point_count(self) -> int:
         return len(self.xs) * len(self.ys)
 
-    def discs(self, radius: float, points: list[tuple[float, float]]) -> list:
-        """The footprint of a disc of radius around each of points: its rows
-        and byte columns (iy0, iy1, bx0, bx1) and the d^2 <= r^2 mask over
-        them, bit-packed, with zero bits outside the points [ix0, ix1) within
-        reach along x; None when it misses the grid."""
-        return self._footprints(
-            ("disc", radius), points, lambda px, py: self._build_discs(radius, px, py)
-        )
+    def discs(self, ids: Collection[int]) -> list:
+        """The footprint of the communication disc around each node of ids:
+        its rows and byte columns (iy0, iy1, bx0, bx1) and the d^2 <= R^2
+        mask over them, bit-packed, with zero bits outside the points
+        [ix0, ix1) within reach along x; None when it misses the grid."""
+        return self._footprints(self.built_discs, ids, self._build_discs)
 
-    def miss_factors(
-        self, sp: SensingParams, r: float, points: list[tuple[float, float]]
-    ) -> list:
-        """The footprint of a sensor of radius r at each of points: its patch
-        bounds (iy0, iy1, ix0, ix1) out to r + r_u and 1 - p over the patch;
-        None when it misses the grid."""
-        kind = ("sense", r, *(getattr(sp, f.name) for f in fields(sp)))
-        return self._footprints(
-            kind, points, lambda px, py: self._build_miss_factors(sp, r, px, py)
-        )
+    def miss_factors(self, ids: Collection[int]) -> list:
+        """The footprint of each sensor of ids: its patch bounds
+        (iy0, iy1, ix0, ix1) out to r + r_u and 1 - p over the patch; None
+        when it misses the grid."""
+        return self._footprints(self.built_miss_factors, ids, self._build_miss_factors)
 
-    def _footprints(self, kind: tuple, points, build) -> list:
-        """The footprints of kind at points, building the missing ones
-        (each once) a chunk at a time with build(px, py)."""
-        footprints = self.footprints
-        keys = [(*kind, px, py) for px, py in points]
-        missing = list(dict.fromkeys(key for key in keys if key not in footprints))
+    def _footprints(self, built: dict, ids: Collection[int], build) -> list:
+        """The footprints in built of the nodes of ids, building the missing
+        ones a chunk at a time with build(px, py)."""
+        missing = [nid for nid in ids if nid not in built]
         for start in range(0, len(missing), _FOOTPRINT_CHUNK):
             chunk = missing[start : start + _FOOTPRINT_CHUNK]
-            px = np.array([key[-2] for key in chunk])
-            py = np.array([key[-1] for key in chunk])
-            footprints.update(zip(chunk, build(px, py)))
-        return [footprints[key] for key in keys]
+            built.update(zip(chunk, build(self.px[chunk], self.py[chunk])))
+        return [built[nid] for nid in ids]
 
     def _windows(self, px: np.ndarray, py: np.ndarray, reach: float, align: int):
         """For each point (px, py): the bounds iy0, iy1, ix0, ix1 of the grid
@@ -148,7 +138,8 @@ class CoverageGrid:
         dx = xs[np.minimum(cols, len(xs) - 1)] - px[:, None]
         return (iy0, iy1, ix0, ix1), hit, dy, dx, cols
 
-    def _build_discs(self, radius: float, px: np.ndarray, py: np.ndarray) -> list:
+    def _build_discs(self, px: np.ndarray, py: np.ndarray) -> list:
+        radius = self.radius
         (iy0, iy1, ix0, ix1), hit, dy, dx, cols = self._windows(px, py, radius, 8)
         d2 = dy[:, :, None] ** 2 + dx[:, None, :] ** 2
         inside = d2 <= radius * radius
@@ -162,9 +153,8 @@ class CoverageGrid:
             )
         ]
 
-    def _build_miss_factors(
-        self, sp: SensingParams, r: float, px: np.ndarray, py: np.ndarray
-    ) -> list:
+    def _build_miss_factors(self, px: np.ndarray, py: np.ndarray) -> list:
+        sp, r = self.sensing, self.sensing_radius
         outer = r + sp.uncertainty_radius
         (iy0, iy1, ix0, ix1), hit, dy, dx, cols = self._windows(px, py, outer, 1)
         d = np.sqrt(dy[:, :, None] ** 2 + dx[:, None, :] ** 2)
@@ -239,15 +229,13 @@ def sink_reachable(state: NetworkState) -> set[int]:
     return reached
 
 
-def comm_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> float:
-    """Fraction of grid points within the communication radius of at least
-    one node of reach, sink_reachable(state): the sink-reachable nodes,
-    sink included."""
-    radius = state.site.radio.communication_radius
+def comm_coverage(site: Site, reach: set[int]) -> float:
+    """Fraction of the points of site.grid within the communication radius
+    of at least one node of reach, the sink-reachable nodes, sink
+    included."""
+    grid = site.grid
     covered = np.zeros((len(grid.ys), (len(grid.xs) + 7) // 8), dtype=np.uint8)
-    nodes = state.nodes
-    points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in reach]
-    for footprint in grid.discs(radius, points):  # OR commutes: any order will do
+    for footprint in grid.discs(reach):  # OR commutes: any order will do
         if footprint is None:
             continue
         (iy0, iy1, bx0, bx1), mask = footprint
@@ -255,9 +243,9 @@ def comm_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> f
     return int(_POPCOUNT[covered].sum()) / grid.point_count
 
 
-def sensing_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -> float:
-    """Fraction of grid points whose combined detection probability under the
-    sink-reachable active sensors, those of reach = sink_reachable(state),
+def sensing_coverage(site: Site, reach: set[int]) -> float:
+    """Fraction of the points of site.grid whose combined detection
+    probability under the sink-reachable active sensors, those of reach,
     reaches the detection threshold of the site's sensing model.
 
     Sensors detect independently, so the combined probability at a point is
@@ -274,19 +262,16 @@ def sensing_coverage(state: NetworkState, grid: CoverageGrid, reach: set[int]) -
     earlier call left; where no footprint reaches, 1 - miss = 0 is below
     any threshold. The value is the summed count over the grid's points.
     """
-    sp, r = state.site.sensing, state.site.radio.sensing_radius
-    sensors = sorted(reach - {SINK_ID})
-    nodes = state.nodes
-    points = [(nodes[nid].position.x, nodes[nid].position.y) for nid in sensors]
+    grid = site.grid
     height, width = grid.band_shape
     nx, ny = len(grid.xs), len(grid.ys)
     buckets: list[list] = [[] for _ in range(-(-ny // height))]
-    for footprint in grid.miss_factors(sp, r, points):
+    for footprint in grid.miss_factors(sorted(reach - {SINK_ID})):
         if footprint is not None:
             (iy0, iy1, _, _), _ = footprint
             for row in range(iy0 // height, (iy1 - 1) // height + 1):
                 buckets[row].append(footprint)
-    threshold = sp.detection_threshold
+    threshold = site.sensing.detection_threshold
     detected = 0
     for row, bucket in enumerate(buckets):
         if not bucket:

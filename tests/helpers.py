@@ -35,6 +35,7 @@ def make_state(
     initial_energy=None,
     active=(),
     dead=(),
+    grid_cell=GRID_CELL,
 ):
     """Deploy a NetworkState on a site holding the given positions, node 0
     the sink at positions[0], each battery whole quanta as deploy starts
@@ -42,7 +43,7 @@ def make_state(
 
     active lists the ids of the installed topology's active set besides the
     sink (default: every non-sink node sleeps); dead lists ids to kill
-    outright.
+    outright. grid_cell is the cell size of the site's coverage grid.
     """
     radio = radio or RadioParams()
     sensing = sensing or SensingParams()
@@ -55,7 +56,7 @@ def make_state(
     ys = [p[1] for p in positions]
     area = area or DeploymentArea(max(xs) + 100.0, max(ys) + 100.0)
     deployment = DeploymentConfig(node_count=len(positions), area=area)
-    site = Site(deployment, radio, sensing, GRID_CELL)
+    site = Site(deployment, radio, sensing, grid_cell)
     # the given positions stand in for the ones the site would draw
     site.positions = [Point(x, y) for x, y in positions]
     state = deploy(site, energy)

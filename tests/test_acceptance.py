@@ -13,7 +13,6 @@ import pytest
 
 from wsnlife import (
     A3Params,
-    CoverageGrid,
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
@@ -137,7 +136,6 @@ def test_criterion_3_cds_properties():
         params = A3Params()
         sp = SensingParams()
         area = DeploymentArea(250.0, 250.0)
-        grid = CoverageGrid(area, 4.0)
         radio = RadioParams()
         energy = EnergyParams()
         rng = random.Random(20240808)
@@ -192,8 +190,8 @@ def test_criterion_3_cds_properties():
             activate_topology(state, topology)
             activate_topology(cov_state, cov_topology)
             assert sensing_coverage(
-                cov_state, grid, sink_reachable(cov_state)
-            ) >= sensing_coverage(state, grid, sink_reachable(state))
+                cov_state.site, sink_reachable(cov_state)
+            ) >= sensing_coverage(state.site, sink_reachable(state))
 
 
 def test_criterion_4_reachability_oracle():
@@ -257,23 +255,25 @@ def test_criterion_6_coverage_estimator_stability():
     with criterion(6, "coverage estimator stability"):
         # geometric oracle: lone sink centered in 200 x 200 with R = 100
         lone = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
-        grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-        assert comm_coverage(lone, grid, sink_reachable(lone)) == pytest.approx(
+        assert comm_coverage(lone.site, sink_reachable(lone)) == pytest.approx(
             math.pi / 4, abs=0.01
         )
 
-        # grid refinement on a seeded 300-node scenario
+        # grid refinement on a seeded 300-node scenario: two sites of one
+        # deployment, of 4 m and 2 m cells
         config = SimConfig()
+        assert config.grid_cell == 4.0
         state, _ = initialize(config)
         reach = sink_reachable(state)
-        coarse = CoverageGrid(state.site.area, 4.0)
-        fine = CoverageGrid(state.site.area, 2.0)
+        coarse = state.site
+        fine = Site(config.deployment, config.radio, config.sensing, 2.0)
+        assert fine.positions == coarse.positions
         assert (
-            abs(comm_coverage(state, coarse, reach) - comm_coverage(state, fine, reach))
+            abs(comm_coverage(coarse, reach) - comm_coverage(fine, reach))
             < 0.01
         )
         assert (
-            abs(sensing_coverage(state, coarse, reach) - sensing_coverage(state, fine, reach))
+            abs(sensing_coverage(coarse, reach) - sensing_coverage(fine, reach))
             < 0.01
         )
 

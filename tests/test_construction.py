@@ -8,7 +8,6 @@ import pytest
 
 from wsnlife import (
     A3Params,
-    CoverageGrid,
     DeploymentArea,
     DeploymentConfig,
     EnergyParams,
@@ -322,8 +321,6 @@ def test_grow_charges_each_reached_node_once_and_leaves_state_untouched():
 
 
 def test_a3cov_superset_and_sensing_gain_random_instances():
-    grid_area = DeploymentArea(300.0, 300.0)
-    grid = CoverageGrid(grid_area, 4.0)
     for seed in range(25):
         plain = random_instance(seed + 1000)
         cov = copy.deepcopy(plain)
@@ -332,8 +329,8 @@ def test_a3cov_superset_and_sensing_gain_random_instances():
         assert a3_topo.active_set <= cov_topo.active_set
         activate_topology(plain, a3_topo)
         activate_topology(cov, cov_topo)
-        got = sensing_coverage(cov, grid, sink_reachable(cov))
-        assert got >= sensing_coverage(plain, grid, sink_reachable(plain))
+        got = sensing_coverage(cov.site, sink_reachable(cov))
+        assert got >= sensing_coverage(plain.site, sink_reachable(plain))
 
 
 def test_reduction_on_dense_deployment():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wsnlife import metrics
 from wsnlife import (
-    CoverageGrid,
     DeploymentArea,
     RadioParams,
     SensingParams,
@@ -21,10 +20,10 @@ from wsnlife import (
 from helpers import make_state
 
 
-def disc_by_disc(state, sp, grid, reach):
+def disc_by_disc(state, reach):
     """Both coverage values with every node's disc evaluated afresh on the
-    grid's points, as a reference for the footprints."""
-    xs, ys = grid.xs, grid.ys
+    points of the state's grid, as a reference for the footprints."""
+    xs, ys, sp = state.site.grid.xs, state.site.grid.ys, state.site.sensing
 
     def patch(at, reach_radius):
         ix0 = int(np.searchsorted(xs, at.x - reach_radius, side="left"))
@@ -57,13 +56,22 @@ def disc_by_disc(state, sp, grid, reach):
     return float(covered.mean()).hex(), float(sensed.mean()).hex()
 
 
-def footprint_coverage(state, grid, reach):
+def footprint_coverage(state, reach):
     return (
-        comm_coverage(state, grid, reach).hex(),
-        sensing_coverage(state, grid, reach).hex(),
+        comm_coverage(state.site, reach).hex(),
+        sensing_coverage(state.site, reach).hex(),
     )
 
 
+def footprint_state(positions, radii, grid_cell=4.0):
+    """A state of positions on AREA under radii = (R, r, sensing
+    parameters), its grid of grid_cell cells."""
+    R, r, sp = radii
+    radio = RadioParams(communication_radius=R, sensing_radius=r)
+    return make_state(positions, area=AREA, radio=radio, sensing=sp, grid_cell=grid_cell)
+
+
+AREA = DeploymentArea(120.0, 90.0)
 # (communication radius, sensing radius, sensing parameters). The second
 # has its sensing band r + r_u past R; the third differs from the first
 # only in its sensing parameters, the fourth only in its sensing radius.
@@ -79,33 +87,29 @@ FOOTPRINT_RADII = [
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_footprint_coverage_matches_fresh_grid(data):
-    area = DeploymentArea(120.0, 90.0)
     coord = st.floats(min_value=-30.0, max_value=150.0)
-    shared = CoverageGrid(area, data.draw(st.sampled_from([4.0, 3.0])))
-    earlier = []
-    # two deployments on one grid, with different radii
-    radii = st.sampled_from(FOOTPRINT_RADII)
-    for R, r, sp in data.draw(st.lists(radii, min_size=2, max_size=2, unique=True)):
-        positions = [
-            (data.draw(coord), data.draw(coord))
-            for _ in range(data.draw(st.integers(min_value=2, max_value=8)))
-        ]
-        if earlier:  # nodes where the first deployment had one, or level with it
-            x, y = data.draw(st.sampled_from(earlier))
-            positions += [(x, y), (x, positions[0][1]), (positions[0][0], y)]
-        positions.append((-500.0, -500.0))  # its disc misses the grid
-        earlier = positions
-        radio = RadioParams(communication_radius=R, sensing_radius=r)
-        state = make_state(positions, area=area, radio=radio, sensing=sp)
-        everyone = set(range(len(positions)))
-        subsets = st.lists(st.sets(st.sampled_from(sorted(everyone))), max_size=3)
-        for reach in [everyone, *data.draw(subsets)]:
-            want = disc_by_disc(state, sp, shared, reach)
-            fresh = CoverageGrid(area, shared.cell_size)
-            assert footprint_coverage(state, fresh, reach) == want
-            assert footprint_coverage(state, shared, reach) == want
-        assert shared.discs(R, [(-500.0, -500.0)]) == [None]
-        assert shared.miss_factors(sp, r, [(-500.0, -500.0)]) == [None]
+    cell = data.draw(st.sampled_from([4.0, 3.0]))
+    radii = data.draw(st.sampled_from(FOOTPRINT_RADII))
+    positions = [
+        (data.draw(coord), data.draw(coord))
+        for _ in range(data.draw(st.integers(min_value=2, max_value=8)))
+    ]
+    # nodes where another node is, or level with it
+    x, y = data.draw(st.sampled_from(positions))
+    positions += [(x, y), (x, positions[0][1]), (positions[0][0], y)]
+    positions.append((-500.0, -500.0))  # its disc misses the grid
+    # one site whose grid keeps the footprints of every earlier reach set
+    shared = footprint_state(positions, radii, cell)
+    everyone = set(range(len(positions)))
+    subsets = st.lists(st.sets(st.sampled_from(sorted(everyone))), max_size=3)
+    for reach in [everyone, *data.draw(subsets)]:
+        fresh = footprint_state(positions, radii, cell)
+        want = disc_by_disc(fresh, reach)
+        assert footprint_coverage(fresh, reach) == want
+        assert footprint_coverage(shared, reach) == want
+    missing = [len(positions) - 1]
+    assert shared.site.grid.discs(missing) == [None]
+    assert shared.site.grid.miss_factors(missing) == [None]
 
 
 def quarters(low, high):
@@ -119,7 +123,6 @@ def quarters(low, high):
 @given(st.data())
 def test_miss_factor_is_one_minus_sense_probability(data):
     cell_size = data.draw(st.sampled_from([4.0, 3.0]))
-    grid = CoverageGrid(DeploymentArea(120.0, 90.0), cell_size)
     r = data.draw(quarters(1, 30))
     sp = SensingParams(
         uncertainty_radius=data.draw(quarters(0, 10)),
@@ -131,13 +134,17 @@ def test_miss_factor_is_one_minus_sense_probability(data):
     coord = st.floats(min_value=-30.0, max_value=150.0)
     positions = [(data.draw(coord), data.draw(coord))]
     edges = [e for e in (r - sp.uncertainty_radius, r + sp.uncertainty_radius) if e >= 0]
-    gx = data.draw(st.sampled_from(grid.xs.tolist()))
-    gy = data.draw(st.sampled_from(grid.ys.tolist()))
+    # a grid point, read off a grid of the same area and cells
+    probe = footprint_state(positions, (100.0, r, sp), cell_size).site.grid
+    gx = data.draw(st.sampled_from(probe.xs.tolist()))
+    gy = data.draw(st.sampled_from(probe.ys.tolist()))
     for edge in edges:  # a sensor exactly `edge` from the grid point (gx, gy)
         dx, dy = data.draw(st.sampled_from([(edge, 0.0), (-edge, 0.0), (0.0, edge)]))
         positions.append((gx + dx, gy + dy))
+    grid = footprint_state(positions, (100.0, r, sp), cell_size).site.grid
     seen = set()
-    for (px, py), footprint in zip(positions, grid.miss_factors(sp, r, positions)):
+    ids = range(len(positions))
+    for (px, py), footprint in zip(positions, grid.miss_factors(ids)):
         if footprint is None:
             continue
         (iy0, iy1, ix0, ix1), factor = footprint
@@ -192,7 +199,6 @@ def footprint_bits(footprint):
     return bounds, values.shape, values.dtype, np.ascontiguousarray(values).tobytes()
 
 
-AREA = DeploymentArea(120.0, 90.0)
 POINT = st.one_of(
     st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 90.0)),  # inside
     st.sampled_from([(0.0, 0.0), (120.0, 0.0), (0.0, 90.0), (120.0, 90.0)]),
@@ -208,20 +214,21 @@ def test_batched_footprints_match_one_at_a_time(data):
     size = data.draw(st.sampled_from([1, chunk, chunk + 1]) | st.integers(2, 2 * chunk + 3))
     points = data.draw(st.lists(POINT, min_size=size, max_size=size))
     for k in data.draw(st.lists(st.integers(1, size - 1), max_size=4)) if size > 1 else []:
-        points[k] = points[data.draw(st.integers(0, k - 1))]  # a duplicate
-    R, r, sp = data.draw(st.sampled_from(FOOTPRINT_RADII))
-    grid = CoverageGrid(AREA, data.draw(st.sampled_from([4.0, 3.0])))
-    if data.draw(st.booleans()):  # a shared grid already holding half of them
-        grid.discs(R, points[::2])
-        grid.miss_factors(sp, r, points[::2])
-    discs = grid.discs(R, points)
-    factors = grid.miss_factors(sp, r, points)
+        points[k] = points[data.draw(st.integers(0, k - 1))]  # two nodes at one point
+    R, r, sp = radii = data.draw(st.sampled_from(FOOTPRINT_RADII))
+    grid = footprint_state(points, radii, data.draw(st.sampled_from([4.0, 3.0]))).site.grid
+    ids = range(size)
+    if data.draw(st.booleans()):  # a grid already holding half of them
+        grid.discs(ids[::2])
+        grid.miss_factors(ids[::2])
+    discs = grid.discs(ids)
+    factors = grid.miss_factors(ids)
     assert len(discs) == len(factors) == size
     for (px, py), disc, factor in zip(points, discs, factors):
         assert footprint_bits(disc) == footprint_bits(one_disc(grid, R, px, py))
         want = one_miss_factor(grid, sp, r, px, py)
         assert footprint_bits(factor) == footprint_bits(want)
-    assert len(grid.footprints) == 2 * len(set(points))
+    assert len(grid.built_discs) == len(grid.built_miss_factors) == size
 
 
 @pytest.mark.parametrize("share", ["fresh grid", "half cached"])
@@ -234,27 +241,11 @@ def test_batched_coverage_matches_disc_by_disc(extra, share):
     positions = [(60.0, 45.0)] + (corners + positions)[:count]  # the sink first
     if count > 2:
         positions[-1] = positions[-2]  # two sensors at one position
-    for R, r, sp in FOOTPRINT_RADII:
-        radio = RadioParams(communication_radius=R, sensing_radius=r)
-        state = make_state(positions, area=AREA, radio=radio, sensing=sp)
+    for radii in FOOTPRINT_RADII:
+        state = footprint_state(positions, radii)
         reach = set(range(len(positions)))
-        grid = CoverageGrid(AREA, 4.0)
         if share == "half cached":
             half = set(range(0, len(positions), 2))
-            assert footprint_coverage(state, grid, half) == disc_by_disc(state, sp, grid, half)
-        assert footprint_coverage(state, grid, reach) == disc_by_disc(state, sp, grid, reach)
+            assert footprint_coverage(state, half) == disc_by_disc(state, half)
+        assert footprint_coverage(state, reach) == disc_by_disc(state, reach)
 
-
-def test_equal_sensing_parameters_share_footprints():
-    # a sweep's configs each hold their own SensingParams: equal values must
-    # hit the footprints another config built, and other values must not
-    grid = CoverageGrid(AREA, 4.0)
-    points = [(10.0, 20.0), (60.0, 45.0), (-500.0, -500.0)]
-    built = grid.miss_factors(SensingParams(), 15.0, points)
-    again = grid.miss_factors(SensingParams(), 15.0, points)
-    assert all(a is b for a, b in zip(built, again))
-    assert len(grid.footprints) == len(points)
-    for sp, r in ((SensingParams(decay_exponent=2.0), 15.0), (SensingParams(), 10.0)):
-        other = grid.miss_factors(sp, r, points[:1])
-        assert other[0] is not built[0]
-    assert len(grid.footprints) == len(points) + 2

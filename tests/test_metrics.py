@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wsnlife import metrics
 from wsnlife import (
-    CoverageGrid,
     DeploymentArea,
     RadioParams,
     SensingParams,
@@ -144,49 +143,43 @@ def test_sink_reachable_uses_link_predicate_at_radius(radius, x, y):
 def test_comm_coverage_inscribed_circle():
     # lone sink centered in a 200 x 200 area with R = 100: pi/4 of the area
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
-    grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
     reach = sink_reachable(state)
-    assert comm_coverage(state, grid, reach) == pytest.approx(math.pi / 4, abs=0.01)
+    assert comm_coverage(state.site, reach) == pytest.approx(math.pi / 4, abs=0.01)
 
 
 def test_comm_coverage_full_when_radius_exceeds_diagonal():
     radio = RadioParams(communication_radius=300.0)
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0), radio=radio)
-    grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert comm_coverage(state, grid, sink_reachable(state)) == 1.0
+    assert comm_coverage(state.site, sink_reachable(state)) == 1.0
 
 
 def test_comm_coverage_vanishes_as_radius_shrinks():
     radio = RadioParams(communication_radius=1e-6)
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0), radio=radio)
-    grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert comm_coverage(state, grid, sink_reachable(state)) < 0.002
+    assert comm_coverage(state.site, sink_reachable(state)) < 0.002
 
 
 def test_coverage_monotone_in_reachable_set():
     area = DeploymentArea(400.0, 200.0)
-    grid = CoverageGrid(area, 4.0)
     base = make_state([(100.0, 100.0), (190.0, 100.0)], area=area)
-    lone = comm_coverage(base, grid, sink_reachable(base))
     grown = make_state(
         [(100.0, 100.0), (190.0, 100.0)], area=area, active=[1]
     )
-    assert comm_coverage(grown, grid, sink_reachable(grown)) >= lone
-    lone = sensing_coverage(base, grid, sink_reachable(base))
-    assert sensing_coverage(grown, grid, sink_reachable(grown)) >= lone
+    lone = comm_coverage(base.site, sink_reachable(base))
+    assert comm_coverage(grown.site, sink_reachable(grown)) >= lone
+    lone = sensing_coverage(base.site, sink_reachable(base))
+    assert sensing_coverage(grown.site, sink_reachable(grown)) >= lone
 
 
 def test_sensing_coverage_no_active_sensors_is_zero():
     state = make_state([(100.0, 100.0)], area=DeploymentArea(200.0, 200.0))
-    grid = CoverageGrid(DeploymentArea(200.0, 200.0), 4.0)
-    assert sensing_coverage(state, grid, sink_reachable(state)) == 0.0
+    assert sensing_coverage(state.site, sink_reachable(state)) == 0.0
 
 
 def test_sensing_coverage_single_sensor_disk():
     area = DeploymentArea(200.0, 200.0)
-    state = make_state([(100.0, 100.0), (100.0, 100.0)], area=area, active=[1])
-    grid = CoverageGrid(area, 2.0)
-    got = sensing_coverage(state, grid, sink_reachable(state))
+    state = make_state([(100.0, 100.0), (100.0, 100.0)], area=area, active=[1], grid_cell=2.0)
+    got = sensing_coverage(state.site, sink_reachable(state))
     # points within r - r_u are certain; the p >= 0.5 contour sits at
     # x = inner + ln(2)/lambda = 18 + 1.386..., inside the 22 m outer edge
     contour = (R_SENSE - SP.uncertainty_radius) + math.log(2.0) / SP.decay_rate
@@ -213,25 +206,25 @@ def test_sensing_combination_two_weak_sensors():
         active=[1, 2],
         radio=RadioParams(communication_radius=130.0),
         sensing=sp,
+        grid_cell=120.0,  # single sample point at (60, 60)
     )
-    grid = CoverageGrid(area, 120.0)  # single sample point at (60, 60)
+    grid = state.site.grid
     assert grid.point_count == 1
     assert grid.xs[0] == probe[0] and grid.ys[0] == probe[1]
-    assert sensing_coverage(state, grid, sink_reachable(state)) == 1.0
+    assert sensing_coverage(state.site, sink_reachable(state)) == 1.0
 
 
-def whole_grid_sensing_coverage(state, grid, reach):
-    """The miss products folded on one array the size of the grid, in
+def whole_grid_sensing_coverage(site, reach):
+    """The miss products folded on one array the size of the site's grid, in
     ascending id: the reference for the banded fold."""
-    sp = state.site.sensing
-    sensors = sorted(reach - {state.sink.id})
-    points = [(state.nodes[n].position.x, state.nodes[n].position.y) for n in sensors]
+    grid = site.grid
     miss = np.ones((len(grid.ys), len(grid.xs)))
-    for footprint in grid.miss_factors(sp, state.site.radio.sensing_radius, points):
+    for footprint in grid.miss_factors(sorted(reach - {0})):
         if footprint is not None:
             (iy0, iy1, ix0, ix1), factor = footprint
             miss[iy0:iy1, ix0:ix1] *= factor
-    return np.count_nonzero(1.0 - miss >= sp.detection_threshold) / grid.point_count
+    threshold = site.sensing.detection_threshold
+    return np.count_nonzero(1.0 - miss >= threshold) / grid.point_count
 
 
 # Band sizes for the banded fold: one point, pieces of a row, a few rows,
@@ -263,79 +256,81 @@ def test_banded_sensing_coverage_matches_whole_grid_fold(
 ):
     cell = 2.0
     area = DeploymentArea(cols * cell, rows * cell)
-    with mock.patch.object(metrics, "_BAND_POINTS", band_points):
-        grid = CoverageGrid(area, cell)
-    height, width = grid.band_shape
-    assert height * width <= band_points
     sp = SensingParams(uncertainty_radius=r / 4)
     positions = [(0.0, 0.0), *spots]  # the sink first: never a sensor
     reach = {0} | {k for k in picks if k < len(positions)}
     radio = RadioParams(communication_radius=50.0, sensing_radius=r)
-    state = make_state(positions, area=area, radio=radio, sensing=sp)
-    want = whole_grid_sensing_coverage(state, grid, reach)
-    assert sensing_coverage(state, grid, reach).hex() == want.hex()
+    site = make_state(positions, area=area, radio=radio, sensing=sp, grid_cell=cell).site
+    with mock.patch.object(metrics, "_BAND_POINTS", band_points):
+        height, width = site.grid.band_shape
+    assert height * width <= band_points
+    want = whole_grid_sensing_coverage(site, reach)
+    assert sensing_coverage(site, reach).hex() == want.hex()
 
 
 def test_banded_sensing_coverage_matches_whole_grid_fold_on_many_bands():
     # 250 x 200 points at the real band size: bands of 131 rows, so the
     # sensors' footprints straddle the one band edge at y = 262
     area = DeploymentArea(500.0, 400.0)
-    grid = CoverageGrid(area, 2.0)
-    assert grid.band_shape == (131, 250)
     positions = [(250.0, 200.0)] + [
         (12.5 + 37.0 * k, 262.0 + (-1) ** k * 9.0 * (k % 4)) for k in range(14)
     ] + [(250.0, 130.0), (250.0, 131.0), (-30.0, 262.0)]
-    state = make_state(positions, area=area, radio=RadioParams(sensing_radius=20.0))
+    radio = RadioParams(sensing_radius=20.0)
+    site = make_state(positions, area=area, radio=radio, grid_cell=2.0).site
+    assert site.grid.band_shape == (131, 250)
     reach = set(range(len(positions)))
-    want = whole_grid_sensing_coverage(state, grid, reach)
+    want = whole_grid_sensing_coverage(site, reach)
     assert want > 0.0
-    assert sensing_coverage(state, grid, reach).hex() == want.hex()
+    assert sensing_coverage(site, reach).hex() == want.hex()
 
 
 def test_grids_of_other_band_shapes_fold_in_turn_as_alone():
     # every grid folds in the one band buffer: a grid of 131-row bands and
     # one of a single 300 x 20 band, used in turn, each give the bits they
     # give used alone, so no fold reads what another left
-    wide = make_state(
-        [(250.0, 200.0)] + [(12.5 + 33.0 * k, 262.0 + 9.0 * (k % 4)) for k in range(15)],
-        area=DeploymentArea(500.0, 400.0),
-        radio=RadioParams(sensing_radius=20.0),
-    )
-    narrow = make_state(
-        [(20.0, 300.0)] + [(7.0 * (k % 5), 41.0 * k + 3.0) for k in range(15)],
-        area=DeploymentArea(40.0, 600.0),
-        radio=RadioParams(sensing_radius=12.0),
-    )
+    def sites():
+        wide = make_state(
+            [(250.0, 200.0)] + [(12.5 + 33.0 * k, 262.0 + 9.0 * (k % 4)) for k in range(15)],
+            area=DeploymentArea(500.0, 400.0),
+            radio=RadioParams(sensing_radius=20.0),
+            grid_cell=2.0,
+        )
+        narrow = make_state(
+            [(20.0, 300.0)] + [(7.0 * (k % 5), 41.0 * k + 3.0) for k in range(15)],
+            area=DeploymentArea(40.0, 600.0),
+            radio=RadioParams(sensing_radius=12.0),
+            grid_cell=2.0,
+        )
+        return {"wide": wide.site, "narrow": narrow.site}
+
     reaches = [set(range(16)), {0, 1, 2, 3}, set(range(0, 16, 3)), {0, 15}]
-    states = {"wide": wide, "narrow": narrow}
     alone = {}
-    for name, state in states.items():
-        grid = CoverageGrid(state.site.area, 2.0)
-        alone[name] = [sensing_coverage(state, grid, reach).hex() for reach in reaches]
-        want = [whole_grid_sensing_coverage(state, grid, reach).hex() for reach in reaches]
+    for name, site in sites().items():
+        alone[name] = [sensing_coverage(site, reach).hex() for reach in reaches]
+        want = [whole_grid_sensing_coverage(site, reach).hex() for reach in reaches]
         assert alone[name] == want
-    grids = {name: CoverageGrid(state.site.area, 2.0) for name, state in states.items()}
-    assert grids["wide"].band_shape == (131, 250)
-    assert grids["narrow"].band_shape == (300, 20)
-    turns = {name: [] for name in states}
+    fresh = sites()
+    assert fresh["wide"].grid.band_shape == (131, 250)
+    assert fresh["narrow"].grid.band_shape == (300, 20)
+    turns = {name: [] for name in fresh}
     for reach in reaches:
-        for name, state in states.items():
-            turns[name].append(sensing_coverage(state, grids[name], reach).hex())
+        for name, site in fresh.items():
+            turns[name].append(sensing_coverage(site, reach).hex())
     assert turns == alone
 
 
 def test_sensing_coverage_allocates_no_grid_sized_array():
     # 2 M points: a float grid of them is 16 MB, a bool grid 2 MB
     area = DeploymentArea(2000.0, 1000.0)
-    grid = CoverageGrid(area, 1.0)
-    assert grid.point_count == 2_000_000
     positions = [(1000.0, 500.0)] + [(97.0 * k + 10.0, 45.0 * k + 30.0) for k in range(21)]
-    state = make_state(positions, area=area, radio=RadioParams(sensing_radius=R_SENSE))
+    radio = RadioParams(sensing_radius=R_SENSE)
+    site = make_state(positions, area=area, radio=radio, grid_cell=1.0).site
+    assert site.grid.point_count == 2_000_000
     reach = set(range(len(positions)))
-    first = sensing_coverage(state, grid, reach)  # builds the footprints
+    first = sensing_coverage(site, reach)  # builds the footprints
     tracemalloc.start()
     try:
-        again = sensing_coverage(state, grid, reach)
+        again = sensing_coverage(site, reach)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -343,14 +338,19 @@ def test_sensing_coverage_allocates_no_grid_sized_array():
     assert peak < 1 << 20
 
 
+def grid_of(area, cell):
+    """The coverage grid of a sink-only site of cell-sized cells on area."""
+    return make_state([(0.0, 0.0)], area=area, grid_cell=cell).site.grid
+
+
 def test_grid_tiling_counts():
-    grid = CoverageGrid(DeploymentArea(1074.0, 660.0), 4.0)
+    grid = grid_of(DeploymentArea(1074.0, 660.0), 4.0)
     assert grid.point_count == math.ceil(1074 / 4) * math.ceil(660 / 4)
-    grid2 = CoverageGrid(DeploymentArea(10.0, 3.0), 4.0)
+    grid2 = grid_of(DeploymentArea(10.0, 3.0), 4.0)
     assert len(grid2.xs) == 3 and len(grid2.ys) == 1
 
 
 def test_grid_rejects_bad_cell():
     for cell in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            CoverageGrid(DeploymentArea(10.0, 10.0), cell)
+            grid_of(DeploymentArea(10.0, 10.0), cell)
