@@ -4,7 +4,7 @@ hybrid; time- or energy-triggered)."""
 
 from .construction import A3Params, ConstructionCharge, TCProtocol, construct
 from .deployment import DeploymentConfig, Site, deploy
-from .engine import RunResult, SimConfig, initialize, run, step, validate_config
+from .engine import RunResult, SimConfig, initialize, run, step
 from .errors import ConfigError
 from .maintenance import (
     MaintenanceStrategy,
@@ -97,5 +97,4 @@ __all__ = [
     "sink_reachable",
     "step",
     "tx_energy",
-    "validate_config",
 ]

@@ -172,16 +172,16 @@ def _promote_for_sensing(state: NetworkState, topology: Topology) -> None:
     was attached before, and immediately counts as a sensor for the leaves
     tested after it.
 
-    A test reads the sleeper's sensors in site.promotion, built by
+    A test reads the sleeper's entry in site.sensors, built by
     _sensors on its first test in any run on the site, and folds the miss
     factors of the active ones in ascending id. Every factor left out is
     exactly 1.0, which changes no bit of the product, so the miss is the
     one a fold over every active sensor gives. A promotion attaches over
-    the sleeper's distances to its links, built on its first promotion on
-    the site."""
+    the sleeper's entry in site.distances, its distances to its links,
+    built on its first promotion on the site."""
     site = state.site
     threshold = site.sensing.detection_threshold
-    distances, sensors = site.promotion.distances, site.promotion.sensors
+    distances, sensors = site.distances, site.sensors
     nodes, links, active = state.nodes, site.links, topology.active_set
     for sid in sorted(set(topology.parent) - active):
         if nodes[sid].energy <= 0.0:

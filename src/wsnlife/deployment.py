@@ -15,7 +15,6 @@ from .model import (
     NetworkState,
     Node,
     Point,
-    PromotionInputs,
     RadioParams,
     SensingParams,
     Topology,
@@ -96,8 +95,15 @@ class Site:
     model._links); sensing_links[i] those within r + r_u, the reach of a
     sensor under the sensing model. grid, the coverage grid of grid_cell
     cells on the area with each node's footprints on it, is built by the
-    first sample. promotion holds A3Cov promotion's inputs, filled node by
-    node as promotions first need them.
+    first sample.
+
+    sensors and distances hold A3Cov promotion's inputs, filled node by
+    node as promotions first need them and kept for every run on the site.
+    sensors[i], built on node i's first test as a sleeper, holds in
+    ascending id the non-sink nodes of sensing_links[i] whose miss factor
+    1 - p is not exactly 1.0, each with that factor. distances[i], built on
+    node i's first promotion, holds the math.hypot distance from node i to
+    each node of links[i], in the same order.
 
     initial holds what engine.initialize built for each key
     (tc, a3, energy, rotation_k), rotation_k None for the one construction
@@ -112,7 +118,8 @@ class Site:
     radio: RadioParams
     sensing: SensingParams
     grid_cell: float
-    promotion: PromotionInputs = field(default_factory=PromotionInputs, repr=False)
+    sensors: dict[int, list[tuple[int, float]]] = field(default_factory=dict, repr=False)
+    distances: dict[int, list[float]] = field(default_factory=dict, repr=False)
     initial: dict[tuple, InitialState] = field(default_factory=dict, repr=False)
     coverages: dict[bytes, tuple[float, float]] = field(default_factory=dict, repr=False)
 

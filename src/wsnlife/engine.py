@@ -97,6 +97,48 @@ class SimConfig:
     max_steps: int = 5000
     metrics_stride: int = 50
 
+    def __post_init__(self):
+        """Check the top-level and cross-field values; each sub-config checks
+        its own fields on construction, so a SimConfig that exists is valid."""
+        for name in ("rotation_k", "max_steps", "metrics_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be at least 1")
+        if not 0 < self.grid_cell < math.inf:
+            raise ConfigError("grid_cell", "must be positive and finite")
+        try:
+            nx, ny = grid_shape(self.deployment.area, self.grid_cell)
+        except OverflowError:  # the cell count is not even finite
+            nx = ny = MAX_GRID_POINTS
+        if nx * ny > MAX_GRID_POINTS:
+            raise ConfigError(
+                "grid_cell", f"gives {nx * ny} coverage points, over {MAX_GRID_POINTS}"
+            )
+        if self.sensing.uncertainty_radius >= self.radio.sensing_radius:
+            raise ConfigError(
+                "sensing.uncertainty_radius",
+                "must be smaller than the sensing radius",
+            )
+        energy = self.energy
+        # the batteries as deploy rounds them to whole quanta
+        budget = self.deployment.node_count * ((energy.initial_energy + QUANTIZER) - QUANTIZER)
+        if not 0.0 < budget < _BUDGET_LIMIT:
+            raise ConfigError(
+                "energy.initial_energy",
+                f"gives a budget of {budget} J in whole quanta (2^-40 J) over"
+                f" {self.deployment.node_count} nodes, not above 0 and under {_BUDGET_LIMIT:g} J",
+            )
+        for name in ("control_packet_bits", "data_packet_bits"):
+            if not 0.0 < rx_energy(energy, getattr(energy, name)) < math.inf:
+                raise ConfigError(
+                    "energy.elec_energy_per_bit",
+                    f"gives a receive cost of {name} that rounds to zero quanta (2^-40 J)"
+                    " or is not finite",
+                )
+        tm = self.tm
+        if tm is not None and self.trigger.kind is not tm.trigger_kind:
+            family = "an energy" if tm.trigger_kind is TriggerKind.ENERGY else "a time"
+            raise ConfigError("trigger.kind", f"{tm.value} requires {family}-triggered policy")
+
 
 @dataclass
 class RunResult:
@@ -117,54 +159,12 @@ class RunResult:
         }
 
 
-def validate_config(config: SimConfig) -> None:
-    """The pre-run error check on top-level and cross-field values; each
-    sub-config checks its own fields on construction."""
-    for name in ("rotation_k", "max_steps", "metrics_stride"):
-        if getattr(config, name) < 1:
-            raise ConfigError(name, "must be at least 1")
-    if not 0 < config.grid_cell < math.inf:
-        raise ConfigError("grid_cell", "must be positive and finite")
-    try:
-        nx, ny = grid_shape(config.deployment.area, config.grid_cell)
-    except OverflowError:  # the cell count is not even finite
-        nx = ny = MAX_GRID_POINTS
-    if nx * ny > MAX_GRID_POINTS:
-        raise ConfigError(
-            "grid_cell", f"gives {nx * ny} coverage points, over {MAX_GRID_POINTS}"
-        )
-    if config.sensing.uncertainty_radius >= config.radio.sensing_radius:
-        raise ConfigError(
-            "sensing.uncertainty_radius",
-            "must be smaller than the sensing radius",
-        )
-    energy = config.energy
-    # the batteries as deploy rounds them to whole quanta
-    budget = config.deployment.node_count * ((energy.initial_energy + QUANTIZER) - QUANTIZER)
-    if not 0.0 < budget < _BUDGET_LIMIT:
-        raise ConfigError(
-            "energy.initial_energy",
-            f"gives a budget of {budget} J in whole quanta (2^-40 J) over"
-            f" {config.deployment.node_count} nodes, not above 0 and under {_BUDGET_LIMIT:g} J",
-        )
-    for name in ("control_packet_bits", "data_packet_bits"):
-        if not 0.0 < rx_energy(energy, getattr(energy, name)) < math.inf:
-            raise ConfigError(
-                "energy.elec_energy_per_bit",
-                f"gives a receive cost of {name} that rounds to zero quanta (2^-40 J)"
-                " or is not finite",
-            )
-    tm = config.tm
-    if tm is not None and config.trigger.kind is not tm.trigger_kind:
-        family = "an energy" if tm.trigger_kind is TriggerKind.ENERGY else "a time"
-        raise ConfigError("trigger.kind", f"{tm.value} requires {family}-triggered policy")
-
-
 def initialize(
     config: SimConfig, site: Site | None = None
 ) -> tuple[NetworkState, MaintenanceStrategy | None]:
     """Deploy, build the first reduced topology (plus the rotation set for
-    static and hybrid strategies), and activate it at time zero.
+    static and hybrid strategies), and activate it at time zero. The config
+    was checked when it was built, so nothing here checks it again.
 
     site, when given, is the site of the config's deployment, radio and
     sensing models and grid cell size, shared with other runs so that its
@@ -182,7 +182,6 @@ def initialize(
     batteries, ledger, death steps and topologies, the same bits, and
     constructs nothing. A fresh site keeps nothing, so a lone run holds no
     copy."""
-    validate_config(config)
     shared = site is not None
     if site is None:
         site = Site(config.deployment, config.radio, config.sensing, config.grid_cell)

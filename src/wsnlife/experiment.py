@@ -20,7 +20,7 @@ from typing import TextIO, get_args, get_type_hints
 
 from .construction import TCProtocol
 from .deployment import Site
-from .engine import RunResult, SimConfig, run, validate_config
+from .engine import RunResult, SimConfig, run
 from .errors import ConfigError
 from .maintenance import TMProtocol
 
@@ -32,6 +32,14 @@ class ExperimentSpec:
     tm_list: list[str]
     seeds: list[int]
     output_dir: Path
+
+    def __post_init__(self):
+        for key in _LIST_KEYS:
+            entries = getattr(self, key)
+            if not entries:
+                raise ConfigError(key, "must be a non-empty list")
+            if len(set(entries)) < len(entries):
+                raise ConfigError(key, "entries must be distinct")
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,9 @@ def _config_keys(config, path: tuple[str, ...] = ()):
 
 CONFIG_KEYS = dict(_config_keys(SimConfig()))
 
-# Sweep lists, each entry read and checked as the scalar key it varies.
+# Sweep lists, by the scalar key each varies: parse_config reads and checks
+# each entry as that key, and ExperimentSpec checks that each list is
+# non-empty and holds no entry twice.
 _LIST_KEYS = {"tc_list": "tc", "tm_list": "tm", "seeds": "deployment.seed"}
 
 
@@ -118,6 +128,16 @@ def _with_values(config, values: dict[str, object], path: tuple[str, ...] = ()):
         return replace(config, **changes)
     except ConfigError as exc:
         raise ConfigError(_flat_key(path + (exc.field,)), exc.message) from exc
+
+
+def _cell(config: SimConfig, values: dict[str, object]) -> SimConfig:
+    """_with_values, with the trigger kind following the family of the tm
+    the copy runs, in the base as in each sweep cell; without a tm the kind
+    is left as it is."""
+    tm = values.get("tm", config.tm)
+    if tm is not None:
+        values = {**values, "trigger.kind": tm.trigger_kind}
+    return _with_values(config, values)
 
 
 def parse_config(path: str | Path) -> ExperimentSpec:
@@ -144,33 +164,28 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         values[w_d] = 1.0 - values[w_e]
     elif w_d in values and w_e not in values:
         values[w_e] = 1.0 - values[w_d]
-    # The trigger kind follows the protocol's family, in the base as in each
-    # cell (config_for); an explicit one must fit every protocol swept.
+    # The trigger kind follows the protocol's family (_cell); an explicit
+    # one must fit every protocol swept, which building the config of each
+    # with it checks.
     kind = values.get("trigger.kind")
-    tm = values.get("tm", CONFIG_KEYS["tm"].default)
-    if tm is not None:
-        values["trigger.kind"] = tm.trigger_kind
-    base = _with_values(SimConfig(), values)
-    validate_config(base)
+    base = _cell(SimConfig(), values)
 
     sweep = {}
     for key, scalar in _LIST_KEYS.items():
         entries = raw.get(key, [raw.get(scalar, CONFIG_KEYS[scalar].json_default)])
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError(key, "must be a non-empty list")
+        if not isinstance(entries, list):
+            raise ConfigError(key, "must be a list")
         for entry in entries:
             try:
-                _with_values(base, {scalar: CONFIG_KEYS[scalar].coerce(scalar, entry)})
+                _cell(base, {scalar: CONFIG_KEYS[scalar].coerce(scalar, entry)})
             except ConfigError as exc:
                 raise ConfigError(key, exc.message) from exc
-        if len(set(entries)) < len(entries):
-            raise ConfigError(key, "entries must be distinct")
         sweep[key] = entries
     if kind is not None:
         trigger = replace(base.trigger, kind=kind)
         for name in sweep["tm_list"]:
             if name != "None":
-                validate_config(replace(base, tm=TMProtocol(name), trigger=trigger))
+                replace(base, tm=TMProtocol(name), trigger=trigger)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir", "must be a string")
@@ -180,13 +195,8 @@ def parse_config(path: str | Path) -> ExperimentSpec:
 def config_for(spec: ExperimentSpec, tc_name: str, tm_name: str, seed: int) -> SimConfig:
     """Materialize the config for one sweep cell; the trigger kind follows
     the maintenance protocol's family."""
-    tc = TCProtocol(tc_name)
     tm = None if tm_name == "None" else TMProtocol(tm_name)
-    trigger = spec.base.trigger
-    if tm is not None:
-        trigger = replace(trigger, kind=tm.trigger_kind)
-    deployment = replace(spec.base.deployment, seed=seed)
-    return replace(spec.base, deployment=deployment, tc=tc, tm=tm, trigger=trigger)
+    return _cell(spec.base, {"tc": TCProtocol(tc_name), "tm": tm, "deployment.seed": seed})
 
 
 def _round6(value: float) -> float:
@@ -312,22 +322,20 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     that order. Each file is written beside its path and renamed into
     place, so a sweep that fails leaves no partial file.
 
-    Every cell's config is checked before anything runs. The cells differ
-    only in protocols and seed, so the cells of a seed share one site
-    (deployment.Site), built once per seed. The first cell that needs a
-    part of it builds it: the positions, links, coverage grid and A3Cov
-    promotion inputs; for each tc, the first tree of the D cells and the
-    cells without maintenance, and the rotation set of the S and H cells;
-    and both coverages of each sink-reachable set a sample reaches. The
-    sites live as long as this call."""
+    Every cell's config is built, and so checked, before anything runs or
+    any file is written. The cells differ only in protocols and seed, so
+    the cells of a seed share one site (deployment.Site), built once per
+    seed. The first cell that needs a part of it builds it: the positions,
+    links, coverage grid and A3Cov promotion inputs; for each tc, the first
+    tree of the D cells and the cells without maintenance, and the rotation
+    set of the S and H cells; and both coverages of each sink-reachable set
+    a sample reaches. The sites live as long as this call."""
     cells = [
         (tc_name, tm_name, seed, config_for(spec, tc_name, tm_name, seed))
         for tc_name in spec.tc_list
         for tm_name in spec.tm_list
         for seed in spec.seeds
     ]
-    for *_, config in cells:
-        validate_config(config)
     # one config per seed: a seed's cells agree on all that keys its site
     seeds = {seed: config for _, _, seed, config in cells}
     sites = {
@@ -340,8 +348,6 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     for tc_name, tm_name, seed, config in cells:
         try:
             result = run(config, sites[seed])
-        except ConfigError:
-            raise
         except Exception as exc:
             raise RuntimeError(
                 f"run failed for tc={tc_name} tm={tm_name} seed={seed}: {exc}"

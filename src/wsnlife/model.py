@@ -156,22 +156,6 @@ class Topology:
     route_cache: Tree | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=False)
-class PromotionInputs:
-    """A3Cov promotion's inputs for one site: its positions, links and
-    sensing model. Positions never move, so a node's entry is built once
-    and kept for every run on the site.
-
-    sensors[i], built on node i's first test as a sleeper, holds in
-    ascending id the non-sink nodes of sensing_links[i] whose miss factor
-    1 - p is not exactly 1.0, each with that factor. distances[i], built on
-    node i's first promotion, holds the math.hypot distance from node i to
-    each node of links[i], in the same order."""
-
-    distances: dict[int, list[float]] = field(default_factory=dict)
-    sensors: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
-
-
 @dataclass
 class NetworkState:
     """Mutable simulation state, owned by exactly one run at a time: the

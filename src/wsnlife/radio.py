@@ -10,9 +10,9 @@ Every energy the simulator holds is a whole number of quanta of QUANTUM =
 is made, and the initial battery once per deployment. Adding QUANTIZER =
 2^12 J and taking it away again is that rounding, ties to even, for any
 cost below 2^12 J (a larger one lands on a coarser grid of whole quanta).
-With every value whole quanta below 2^53 quanta = 8192 J, which
-validate_config holds the budget to, every subtraction from a battery and
-every addition to the ledger is exact.
+With every value whole quanta below 2^53 quanta = 8192 J, the bound a
+SimConfig holds its budget to on construction, every subtraction from a
+battery and every addition to the ledger is exact.
 """
 from __future__ import annotations
 

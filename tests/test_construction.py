@@ -589,7 +589,7 @@ def test_promotion_matches_the_reference_pass():
     for index, state in enumerate(promotion_instances()):
         rng = random.Random(index)
         for _ in range(3):  # later rounds read the inputs earlier ones built
-            built = set(state.site.promotion.sensors)
+            built = set(state.site.sensors)
             topology, _ = construct(state, TCProtocol.A3, PARAMS)
             sleepers = sorted(set(topology.parent) - topology.active_set)
             for sid in rng.sample(sleepers, k=len(sleepers) // 6):
@@ -617,7 +617,7 @@ def test_promotion_matches_the_reference_pass():
                 ]
                 seen["ties"] += linked.count(min(linked)) > 1
                 seen["moved"] += topology.parent[sid] != before.parent[sid]
-            sensors = state.site.promotion.sensors
+            sensors = state.site.sensors
             seen["past_links"] += sum(
                 aid not in state.site.links[sid] for sid in tested for aid, _ in sensors[sid]
             )
@@ -636,7 +636,7 @@ def test_a_leaf_promoted_earlier_in_the_pass_senses_for_later_ones():
     _promote_for_sensing(state, topology)
     assert topology.coverage_promoted == {1}
     assert topology.parent == {1: 0, 2: 0}
-    assert state.site.promotion.sensors[2] == [(1, 0.0)]
+    assert state.site.sensors[2] == [(1, 0.0)]
 
 
 def test_promotion_inputs_are_built_per_tested_sleeper():
@@ -652,11 +652,11 @@ def test_promotion_inputs_are_built_per_tested_sleeper():
     _promote_for_sensing(state, promoted)
     reference_promote(state, expected)
     assert (promoted.parent, promoted.active_set) == (expected.parent, expected.active_set)
-    assert set(state.site.promotion.sensors) == tested
-    assert set(state.site.promotion.distances) == promoted.coverage_promoted
+    assert set(state.site.sensors) == tested
+    assert set(state.site.distances) == promoted.coverage_promoted
     assert tested - promoted.coverage_promoted  # some sleepers are sensed
     for sid in promoted.coverage_promoted:
         links = state.site.links[sid]
-        assert state.site.promotion.distances[sid] == [
+        assert state.site.distances[sid] == [
             distance(state.nodes[sid].position, state.nodes[nid].position) for nid in links
         ]

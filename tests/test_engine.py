@@ -44,7 +44,6 @@ from wsnlife import (
     sink_reachable,
     step,
     tx_energy,
-    validate_config,
 )
 from wsnlife.experiment import summarize
 from wsnlife.maintenance import energy_floor
@@ -77,26 +76,22 @@ def quanta(joules):
 
 
 def test_family_mismatch_rejected():
-    config = small_config(tm=TMProtocol.SGETROT, trigger=TT)
     with pytest.raises(ConfigError) as err:
-        validate_config(config)
+        small_config(tm=TMProtocol.SGETROT, trigger=TT)
     assert err.value.field == "trigger.kind"
-    config = small_config(tm=TMProtocol.DGTTREC, trigger=ET)
     with pytest.raises(ConfigError):
-        initialize(config)
+        small_config(tm=TMProtocol.DGTTREC, trigger=ET)
 
 
 def test_validate_names_offending_field():
     with pytest.raises(ConfigError) as err:
-        validate_config(small_config(metrics_stride=0))
+        small_config(metrics_stride=0)
     assert err.value.field == "metrics_stride"
     with pytest.raises(ConfigError) as err:
-        validate_config(small_config(rotation_k=0))
+        small_config(rotation_k=0)
     assert err.value.field == "rotation_k"
     with pytest.raises(ConfigError) as err:
-        validate_config(
-            small_config(sensing=__import__("wsnlife").SensingParams(uncertainty_radius=20.0))
-        )
+        small_config(sensing=SensingParams(uncertainty_radius=20.0))
     assert err.value.field == "sensing.uncertainty_radius"
     # every energy is whole quanta of 2^-40 J below 2^53 quanta = 8192 J
     for energy in (
@@ -104,10 +99,10 @@ def test_validate_names_offending_field():
         EnergyParams(initial_energy=2.0**-42),
     ):
         with pytest.raises(ConfigError) as err:
-            validate_config(small_config(energy=energy))
+            small_config(energy=energy)
         assert err.value.field == "energy.initial_energy"
     # 40 batteries of the most whole quanta under 8192 J / 40
-    validate_config(small_config(energy=EnergyParams(initial_energy=8192.0 / 40 - 2.0**-40)))
+    small_config(energy=EnergyParams(initial_energy=8192.0 / 40 - 2.0**-40))
     for bits in ("control_packet_bits", "data_packet_bits"):
         # at 2^-42 J a bit, 2 bits cost half a quantum, which rounds to even,
         # zero, and 4 bits one quantum; at 1e306 J a bit, 1000 bits cost more
@@ -116,7 +111,7 @@ def test_validate_names_offending_field():
             sizes = {"control_packet_bits": 4, "data_packet_bits": 4, bits: size}
             energy = EnergyParams(elec_energy_per_bit=per_bit, **sizes)
             with pytest.raises(ConfigError) as err:
-                validate_config(small_config(energy=energy))
+                small_config(energy=energy)
             assert err.value.field == "energy.elec_energy_per_bit"
             assert bits in str(err.value)
 
@@ -125,25 +120,80 @@ def test_validate_names_offending_field():
     "area", [DeploymentArea(100.0, 100.0), DeploymentArea(math.inf, math.inf)]
 )
 def test_infinite_grid_cell_rejected(area):
-    config = small_config(deployment=DeploymentConfig(5, area), grid_cell=math.inf)
     with pytest.raises(ConfigError) as err:
-        validate_config(config)
+        small_config(deployment=DeploymentConfig(5, area), grid_cell=math.inf)
     assert err.value.field == "grid_cell"
-    with pytest.raises(ConfigError):
-        run(config)
 
 
 def test_grid_cell_bounded_without_allocating():
     strip = DeploymentConfig(2, DeploymentArea(float(MAX_GRID_POINTS), 1.0))
-    validate_config(small_config(deployment=strip, grid_cell=1.0))
+    small_config(deployment=strip, grid_cell=1.0)
     wider = DeploymentConfig(2, DeploymentArea(MAX_GRID_POINTS + 1.0, 1.0))
     with pytest.raises(ConfigError) as err:
-        validate_config(small_config(deployment=wider, grid_cell=1.0))
+        small_config(deployment=wider, grid_cell=1.0)
     assert err.value.field == "grid_cell"
     # n = 3000 at the default density, 4 m cells: 849 x 522 points
     scale = math.sqrt(10.0)
     large = DeploymentConfig(3000, DeploymentArea(1074.0 * scale, 660.0 * scale))
-    validate_config(small_config(deployment=large, grid_cell=4.0))
+    small_config(deployment=large, grid_cell=4.0)
+
+
+# Each check SimConfig makes on construction: the changes that trip it on
+# small_config, the field it names and the start of its message.
+REJECTIONS = [
+    (dict(rotation_k=0), "rotation_k", "must be at least 1"),
+    (dict(max_steps=0), "max_steps", "must be at least 1"),
+    (dict(metrics_stride=0), "metrics_stride", "must be at least 1"),
+    (dict(grid_cell=0.0), "grid_cell", "must be positive and finite"),
+    (dict(grid_cell=math.inf), "grid_cell", "must be positive and finite"),
+    (dict(grid_cell=0.05), "grid_cell", "gives 24000000 coverage points, over 10000000"),
+    (
+        dict(sensing=SensingParams(uncertainty_radius=15.0)),
+        "sensing.uncertainty_radius",
+        "must be smaller than the sensing radius",
+    ),
+    (
+        dict(energy=EnergyParams(initial_energy=256.0)),
+        "energy.initial_energy",
+        "gives a budget of 10240.0 J in whole quanta (2^-40 J) over 40 nodes",
+    ),
+    (
+        dict(energy=EnergyParams(initial_energy=2.0**-42)),
+        "energy.initial_energy",
+        "gives a budget of 0.0 J in whole quanta (2^-40 J) over 40 nodes",
+    ),
+    (
+        dict(energy=EnergyParams(elec_energy_per_bit=2.0**-42, control_packet_bits=2)),
+        "energy.elec_energy_per_bit",
+        "gives a receive cost of control_packet_bits that rounds to zero quanta",
+    ),
+    (
+        dict(energy=EnergyParams(elec_energy_per_bit=1e306, control_packet_bits=4)),
+        "energy.elec_energy_per_bit",
+        "gives a receive cost of data_packet_bits that rounds to zero quanta",
+    ),
+    (
+        dict(tm=TMProtocol.SGETROT, trigger=TT),
+        "trigger.kind",
+        "SGETRot requires an energy-triggered policy",
+    ),
+    (
+        dict(tm=TMProtocol.DGTTREC, trigger=ET),
+        "trigger.kind",
+        "DGTTRec requires a time-triggered policy",
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, name, message", REJECTIONS)
+def test_each_rejection_fires_through_replace(changes, name, message):
+    # a valid config copied with dataclasses.replace is checked as a new one
+    base = small_config()
+    for build in (lambda: small_config(**changes), lambda: replace(base, **changes)):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.field == name
+        assert err.value.message.startswith(message)
 
 
 def test_initialize_defaults():
@@ -249,9 +299,10 @@ def test_run_rejects_a_site_of_another_config(key):
     # state or coverage kept
     assert "grid" not in vars(site)
     assert vars(site).keys() == {
-        "deployment", "radio", "sensing", "grid_cell", "promotion", "initial", "coverages"
+        "deployment", "radio", "sensing", "grid_cell", "sensors", "distances", "initial",
+        "coverages",
     }
-    assert site.promotion.sensors == {}
+    assert site.sensors == {} and site.distances == {}
     assert site.initial == {} and site.coverages == {}
 
 

@@ -163,6 +163,7 @@ def test_output_dir_must_be_a_string(tmp_path, value):
         ("seeds", [1, -1]),
         ("tm_list", ["DGETRec", "GETRec"]),
         ("tc_list", []),
+        ("seeds", 3),
     ],
 )
 def test_bad_sweep_entries_name_list_key(tmp_path, key, entries):
@@ -331,19 +332,45 @@ def test_run_experiment_grid(tmp_path):
 
 
 def test_sweep_checks_every_config_before_building_its_grid(tmp_path):
-    # built without parse_config, so nothing has checked grid_cell yet
+    # a config is checked as it is built, a copy as well as a new one
+    with pytest.raises(ConfigError) as err:
+        replace(SimConfig(), grid_cell=0.0)
+    assert err.value.field == "grid_cell"
+    # so a sweep's cell with a bad seed fails as run_experiment builds its
+    # cells, before any site or file
     spec = ExperimentSpec(
-        base=replace(SimConfig(), grid_cell=0.0),
+        base=SimConfig(),
         tc_list=["A3"],
         tm_list=["DGETRec"],
-        seeds=[1],
+        seeds=[1, 2**64],
         output_dir=tmp_path / "out",
     )
+    with pytest.raises(ConfigError) as err:
+        config_for(spec, "A3", "DGETRec", 2**64)
+    assert err.value.field == "deployment.seed"
     with mock.patch.object(experiment, "Site", side_effect=AssertionError("site built")):
         with pytest.raises(ConfigError) as err:
             run_experiment(spec)
-    assert err.value.field == "grid_cell"
+    assert err.value.field == "deployment.seed"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, entries, message",
+    [
+        ("tm_list", ["DGETRec", "DGETRec"], "entries must be distinct"),
+        ("seeds", [1, 2, 1], "entries must be distinct"),
+        ("tc_list", [], "must be a non-empty list"),
+    ],
+)
+def test_a_spec_built_directly_checks_its_lists(tmp_path, key, entries, message):
+    # a spec not read by parse_config gets the same checks, so no sweep
+    # runs a cell twice or writes a summary of no cells
+    lists = {"tc_list": ["A3"], "tm_list": ["DGETRec"], "seeds": [1], key: entries}
+    with pytest.raises(ConfigError) as err:
+        ExperimentSpec(base=SimConfig(), output_dir=tmp_path / "out", **lists)
+    assert err.value.field == key
+    assert err.value.message == message
 
 
 def sweep_spec(tmp_path, seeds=(1, 2)):
@@ -398,13 +425,13 @@ def test_promotion_inputs_built_by_other_cells_match_a_fresh_site(tmp_path):
     late = [run(config, site=last).to_dict() for config in reversed(a3cov)]
     assert early == late[::-1]
     assert early == [run(config).to_dict() for config in a3cov]
-    assert first.promotion.sensors and first.promotion.distances
-    assert vars(first.promotion) == vars(last.promotion)
+    assert first.sensors and first.distances
+    assert (first.sensors, first.distances) == (last.sensors, last.distances)
     # every entry, whichever cell and step built it, is a fresh state's
     fresh = deploy(Site(*key), base.energy)
-    for sid, entry in first.promotion.sensors.items():
+    for sid, entry in first.sensors.items():
         assert entry == _sensors(fresh, sid)
-    for sid, dists in first.promotion.distances.items():
+    for sid, dists in first.distances.items():
         at = fresh.nodes[sid].position
         assert dists == [distance(at, fresh.nodes[nid].position) for nid in first.links[sid]]
 

@@ -1,10 +1,23 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import wsnlife
 from wsnlife import ConstructionCharge, engine, experiment, maintenance
+
+
+def perfbench_module(name: str, monkeypatch):
+    """perfbench/<name>.py, loaded from its file, and listed in sys.modules
+    for the test (dataclasses looks up the module of each class it builds):
+    the benchmark is no package, and the tests never run it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_all_exports_resolve_sorted_and_unique():
@@ -15,7 +28,7 @@ def test_all_exports_resolve_sorted_and_unique():
     assert len(set(names)) == len(names)
 
 
-def test_benchmark_tracer_targets_resolve():
+def test_benchmark_tracer_targets_resolve(monkeypatch):
     """perfbench/tracing.py wraps module globals of the simulator and reads
     ConstructionCharge.sent; perfbench/worker.py times engine.run and
     engine.initialize, wraps experiment.run and calls
@@ -24,10 +37,7 @@ def test_benchmark_tracer_targets_resolve():
     shows here. A wrap takes effect only where the caller looks the global
     up by name at call time, so each wrapped one must be named in its
     caller's code."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = perfbench_module("tracing", monkeypatch)
     targets = [(module, attr) for module, attr, _ in tracing.TRACED] + [
         ("engine", "run"),
         ("engine", "initialize"),
@@ -56,6 +66,19 @@ def test_benchmark_tracer_targets_resolve():
     }
     for caller, names in callers.items():
         assert names <= set(caller.__code__.co_names), caller.__name__
+
+
+def test_benchmark_inputs_pass_the_config_checks(tmp_path, monkeypatch):
+    """A SimConfig or ExperimentSpec checks itself on construction, so a
+    tightened check could reject a benchmark input that only a benchmark
+    run would build. Every workload's cells on a development seed and on
+    the held-out one, and the desk sweep's spec, are built here; nothing
+    runs."""
+    workloads = perfbench_module("workloads", monkeypatch)
+    for name in workloads.WORKLOADS:
+        for seed in (1, workloads.HELD_OUT_SEED):
+            assert workloads.cells(name, seed)
+    workloads.desk_spec(1, tmp_path)
 
 
 def test_no_module_imports_a_name_it_never_uses():

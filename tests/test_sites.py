@@ -115,7 +115,7 @@ def test_a_site_is_freed_without_the_cycle_collector():
     try:
         site = Site(config.deployment, config.radio, config.sensing, config.grid_cell)
         run(config, site)
-        assert "grid" in vars(site) and site.promotion.sensors
+        assert "grid" in vars(site) and site.sensors
         ref = weakref.ref(site)
         del site
         assert ref() is None
